@@ -59,16 +59,15 @@ def _as_query(
     return parse_select_query(source, database, name=name)
 
 
-def _row_sort_key(row: Tuple) -> Tuple:
+def _value_sort_key(value: object) -> Tuple[str, str]:
     # Mixed-type columns (interned ints and strings) must still sort
     # deterministically; keying by (type name, repr) is total and stable.
-    return tuple((type(value).__name__, repr(value)) for value in row)
+    return (type(value).__name__, repr(value))
 
 
 def canonical_rows(relation, columns: Sequence[str]) -> List[Tuple]:
     """The relation as a sorted, de-duplicated list of ``columns`` tuples."""
-    projected = relation.project(list(columns))
-    return sorted(projected.rows, key=_row_sort_key)
+    return relation.project(list(columns)).sorted_rows(_value_sort_key)
 
 
 @dataclass
@@ -191,6 +190,23 @@ def plan_query(
     ``REPRO_CTD_CACHE_OFF``); ``budget`` governs the search and is shared
     with the subsequent execution by :func:`run_query`.
     """
+    return _plan(source, database, width, name, cache, budget)[0]
+
+
+def _plan(
+    source: QuerySource,
+    database: Database,
+    width: Optional[int],
+    name: Optional[str],
+    cache: object,
+    budget: Optional[Budget],
+) -> Tuple[QueryPlan, Optional[YannakakisExecutor]]:
+    """:func:`plan_query`, plus the executor that lowered the node plans.
+
+    :func:`run_query` executes with that executor (covers and plan already
+    derived) instead of building a second one; it is not kept on the
+    :class:`QueryPlan`, so a retained plan does not pin atom relations.
+    """
     query = _as_query(source, database, name)
     hypergraph = query.hypergraph()
     if width is not None:
@@ -201,10 +217,12 @@ def plan_query(
     decomposition = solve.decomposition
     provenance = "none"
     node_plans: List[NodePlan] = []
+    executor = None
     if decomposition is not None:
         provenance = "cache" if solve.cache_status == "hit" else "solve"
-        node_plans = YannakakisExecutor(database, query).plan(decomposition)
-    return QueryPlan(
+        executor = YannakakisExecutor(database, query)
+        node_plans = executor.plan(decomposition)
+    plan = QueryPlan(
         query=query,
         hypergraph=hypergraph,
         request=request,
@@ -215,6 +233,7 @@ def plan_query(
         provenance=provenance,
         node_plans=node_plans,
     )
+    return plan, executor
 
 
 def run_query(
@@ -237,9 +256,7 @@ def run_query(
     bad request, not a failed run.
     """
     started = time.perf_counter()
-    plan = plan_query(
-        source, database, width=width, name=name, cache=cache, budget=budget
-    )
+    plan, executor = _plan(source, database, width, name, cache, budget)
     query = plan.query
     if plan.decomposition is None:
         if plan.solve.outcome.complete:
@@ -254,7 +271,6 @@ def run_query(
             elapsed=time.perf_counter() - started,
         )
 
-    executor = YannakakisExecutor(database, query)
     run = executor.execute(
         plan.decomposition,
         materialize_result=query.aggregate is None,

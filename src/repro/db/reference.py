@@ -120,6 +120,10 @@ class ReferenceRelation:
     def distinct(self, counter: Optional[WorkCounter] = None) -> "ReferenceRelation":
         return self.project(self.attributes, counter=counter)
 
+    def sorted_rows(self, value_key: Callable[[Value], object]) -> List[Row]:
+        """The rows, stably sorted by the tuple of ``value_key`` of their values."""
+        return sorted(self.rows, key=lambda row: tuple(map(value_key, row)))
+
     # -- joins ------------------------------------------------------------------------
 
     def _shared_attributes(self, other: "ReferenceRelation") -> List[str]:

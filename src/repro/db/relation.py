@@ -3,15 +3,33 @@
 A :class:`Relation` stores dictionary-encoded columns: every value is mapped
 to a dense ``int64`` code by a :class:`repro.db.interner.ValueInterner`
 (shared per database) and each attribute is held as a numpy code array.  The
-hot operators run entirely on codes:
+hot operators run entirely on codes and stay in the interner's dense code
+space:
 
-* **semi-join** — single-key membership via ``np.isin`` when one attribute is
-  shared, packed-key membership otherwise;
-* **projection with dedup** — ``np.unique`` over (packed) key columns,
-  preserving first-occurrence order;
-* **natural join** — build-side stable sort + binary-search grouping, probe
-  expansion with ``np.repeat``/fancy indexing;
-* **MIN/MAX/COUNT aggregates** — ``np.unique`` on codes, decoded once.
+* **keys** — the key columns of an operator are radix-packed into one
+  ``int64`` (:func:`_pack_keys`: multiply by per-column ``max + 1`` bases),
+  which also yields the key *span*, an exclusive upper bound on every key;
+* **semi-join** — key membership;
+* **projection with dedup** — first occurrence of every key, in row order;
+* **natural join** — build-side stable sort, per-probe-row group lookup,
+  probe expansion with ``np.repeat``/fancy indexing;
+* **MIN/MAX/COUNT aggregates** — distinct codes via the dedup kernel,
+  decoded once.
+
+Membership, dedup and group lookup each have two implementations: a
+*table* kernel that scatters into / gathers from an array indexed by key
+(linear in the rows, no sort) and a *sort* kernel (``np.isin``,
+``np.unique``, ``searchsorted``).  :func:`_dense` picks the table whenever
+it fits in :data:`_TABLE_BYTES_PER_ROW` bytes per input row — a property of
+the input, never a setting — and both give identical rows in identical
+order.
+
+Relations also track **distinctness** (``_distinct``): set when an operator
+proves its output duplicate-free (``project``; ``natural_join`` of two
+distinct inputs), kept by the operators that only drop or relabel rows
+(``semijoin``, ``select``, ``rename``, ``with_interner``), never set on
+relations built from raw rows or columns.  Projecting a distinct relation
+onto all of its attributes is then a column re-order instead of a dedup.
 
 The public row-oriented API is unchanged from the seed tuple engine (which
 lives on as the executable spec in :mod:`repro.db.reference`): ``rows`` is
@@ -59,42 +77,112 @@ class WorkCounter:
         )
 
 
-def _pack_columns(columns: Sequence[np.ndarray]) -> np.ndarray:
-    """Fold several non-empty code columns into one injective ``int64`` key.
+#: Largest key span the radix packing may produce before it falls back to
+#: densifying the accumulated key (patched down by the kernel tests).
+_PACK_LIMIT = int(np.iinfo(CODE_DTYPE).max)
 
-    Each fold first densifies the accumulated key (``np.unique`` ranks keep
-    its magnitude below the row count) and then mixes in the next column, so
-    the product ``rank * (max_code + 1) + code`` can never overflow ``int64``
-    for any realistic interner size.
+#: The table kernels run when their tables take at most this many bytes per
+#: input row; sparser keys take the sort kernels.  The tables are transient,
+#: so this is also the bound on an operator's extra memory.  Measured on
+#: 3 k - 300 k rows: at this density every table kernel beats its sort kernel
+#: 3x or more; at four times the span, page-faulting the table for 300 k
+#: rows costs as much as sorting them.
+_TABLE_BYTES_PER_ROW = 256
+
+
+def _pack_keys(*sides: Sequence[np.ndarray]) -> Tuple[List[np.ndarray], int]:
+    """Radix-pack the key columns of each side into one ``int64`` key per row.
+
+    Every side lists the same key columns (non-empty, codes ``>= 0``), and
+    the bases are shared, so equal code tuples get equal keys across sides.
+    Returns the keys plus their *span*, an exclusive upper bound on every
+    key.  Column ``i`` is mixed in as ``key * base_i + code`` with
+    ``base_i = max code + 1``; only when that product could leave
+    :data:`_PACK_LIMIT` is the accumulated key first densified to its rank
+    among the distinct keys (one sort), which brings the span below the row
+    count — so the packing is injective for any realistic interner size.
+    Either way keys compare like the code tuples they stand for.
     """
-    key = columns[0]
-    for column in columns[1:]:
-        _, key = np.unique(key, return_inverse=True)
-        key = key.astype(CODE_DTYPE) * (int(column.max()) + 1) + column
-    return key
+    keys = [side[0] for side in sides]
+    span = max(int(key.max()) for key in keys) + 1
+    for columns in zip(*(side[1:] for side in sides)):
+        base = max(int(column.max()) for column in columns) + 1
+        if span * base > _PACK_LIMIT:
+            uniques, ranks = np.unique(np.concatenate(keys), return_inverse=True)
+            bounds = np.cumsum([len(key) for key in keys])[:-1]
+            keys = np.split(ranks.astype(CODE_DTYPE, copy=False), bounds)
+            span = len(uniques)
+        keys = [key * base + column for key, column in zip(keys, columns)]
+        span *= base
+    return keys, span
 
 
-def _pack_pair(
-    left: Sequence[np.ndarray], right: Sequence[np.ndarray]
+def _dense(span: int, slot_bytes: int, rows: int) -> bool:
+    """Whether a ``span``-slot table is small enough for ``rows`` input rows."""
+    return span * slot_bytes <= _TABLE_BYTES_PER_ROW * rows
+
+
+def _member(left_key: np.ndarray, right_key: np.ndarray, span: int) -> np.ndarray:
+    """Boolean mask of the ``left_key`` entries that occur in ``right_key``."""
+    if _dense(span, 1, len(left_key) + len(right_key)):
+        table = np.zeros(span, dtype=bool)
+        table[right_key] = True
+        return table[left_key]
+    return np.isin(left_key, right_key)
+
+
+def _first_occurrences(key: np.ndarray, span: int) -> np.ndarray:
+    """Ascending row indices of the first occurrence of every distinct key."""
+    index_dtype = np.min_scalar_type(len(key))
+    if _dense(span, index_dtype.itemsize, len(key)):
+        index = np.arange(len(key), dtype=index_dtype)
+        # Scatter the row indices in reverse: with repeated keys the last
+        # write wins, so every slot ends up holding its key's first row.
+        # (numpy writes a 1-d fancy assignment in index order without
+        # promising to; any other order would still keep exactly one row per
+        # key, only not the first — the equivalence tests pin the order.)
+        # Only slots of keys that occur are ever read, hence ``np.empty``.
+        table = np.empty(span, dtype=index_dtype)
+        table[key[::-1]] = index[::-1]
+        return np.flatnonzero(table[key] == index)
+    _, first = np.unique(key, return_index=True)
+    first.sort()
+    return first
+
+
+def _group_ranges(
+    build_key: np.ndarray, order: np.ndarray, probe_key: np.ndarray, span: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Pack multi-column join keys consistently across two relations.
+    """Per probe key, the ``(start, size)`` of its group in ``build_key[order]``.
 
-    The columns are packed *jointly* (concatenated before folding) so equal
-    code tuples on the two sides map to the same packed key.  Both sides
-    must be non-empty.
+    ``order`` sorts ``build_key``; a probe key without a match gets size 0.
     """
-    if len(left) == 1:
-        return left[0], right[0]
-    split = len(left[0])
-    combined = [np.concatenate((l, r)) for l, r in zip(left, right)]
-    key = _pack_columns(combined)
-    return key[:split], key[split:]
+    sorted_key = build_key[order]
+    group_dtype = np.min_scalar_type(len(sorted_key))
+    if _dense(span, group_dtype.itemsize, len(sorted_key) + len(probe_key)):
+        # Number the groups 1..g in key order and look probes up in a
+        # key -> group number table (0: no such group).
+        is_start = np.concatenate(([True], sorted_key[1:] != sorted_key[:-1]))
+        starts = np.flatnonzero(is_start)
+        sizes = np.diff(starts, append=len(sorted_key))
+        table = np.zeros(span, dtype=group_dtype)
+        table[sorted_key[starts]] = np.arange(1, len(starts) + 1)
+        group = table[probe_key]
+        return (
+            np.concatenate(([0], starts))[group],
+            np.concatenate(([0], sizes))[group],
+        )
+    lo = np.searchsorted(sorted_key, probe_key, side="left")
+    hi = np.searchsorted(sorted_key, probe_key, side="right")
+    return lo, hi - lo
 
 
 class Relation:
     """A named relation: attribute names plus dictionary-encoded columns."""
 
-    __slots__ = ("name", "attributes", "_interner", "_columns", "_length", "_rows")
+    __slots__ = (
+        "name", "attributes", "_interner", "_columns", "_length", "_rows", "_distinct",
+    )
 
     def __init__(
         self,
@@ -126,6 +214,7 @@ class Relation:
         )
         self._length = len(materialized)
         self._rows: Optional[List[Row]] = materialized
+        self._distinct = False
 
     # -- alternative constructors ------------------------------------------------
 
@@ -164,8 +253,13 @@ class Relation:
         columns: Sequence[np.ndarray],
         length: int,
         interner: ValueInterner,
+        distinct: bool = False,
     ) -> "Relation":
-        """Trusted internal constructor from already-encoded columns."""
+        """Trusted internal constructor from already-encoded columns.
+
+        ``distinct`` asserts that no two rows are equal; pass it only when
+        the producing operator proves it.
+        """
         relation = cls.__new__(cls)
         relation.name = name
         relation.attributes = tuple(attributes)
@@ -174,6 +268,7 @@ class Relation:
         relation._columns = tuple(columns)
         relation._length = length
         relation._rows = None
+        relation._distinct = distinct
         return relation
 
     def _check_attributes(self) -> None:
@@ -240,7 +335,7 @@ class Relation:
             return self
         columns = self._interner.translate(self._columns, interner)
         return Relation._from_codes(
-            self.name, self.attributes, columns, self._length, interner
+            self.name, self.attributes, columns, self._length, interner, self._distinct
         )
 
     def rename(self, new_name: str, mapping: Optional[Dict[str, str]] = None) -> "Relation":
@@ -248,7 +343,12 @@ class Relation:
         mapping = mapping or {}
         attributes = [mapping.get(a, a) for a in self.attributes]
         renamed = Relation._from_codes(
-            new_name, attributes, self._columns, self._length, self._interner
+            new_name,
+            attributes,
+            self._columns,
+            self._length,
+            self._interner,
+            self._distinct,
         )
         renamed._rows = self._rows
         return renamed
@@ -256,13 +356,14 @@ class Relation:
     # -- unary operators ------------------------------------------------------------
 
     def _take(self, name: str, indices: np.ndarray) -> "Relation":
-        """A relation holding the rows of ``self`` at ``indices`` (in order)."""
+        """The rows of ``self`` at ``indices`` (in order, each at most once)."""
         return Relation._from_codes(
             name,
             self.attributes,
             tuple(column[indices] for column in self._columns),
             len(indices),
             self._interner,
+            self._distinct,
         )
 
     def project(
@@ -270,33 +371,26 @@ class Relation:
     ) -> "Relation":
         """Duplicate-eliminating projection onto the given attributes."""
         indices = [self.attribute_index(a) for a in attributes]
-        columns = [self._columns[i] for i in indices]
-        name = f"π({self.name})"
-        if self._length == 0:
-            result = Relation._from_codes(
-                name,
-                attributes,
-                tuple(np.empty(0, dtype=CODE_DTYPE) for _ in indices),
-                0,
-                self._interner,
-            )
-        elif not columns:
+        columns = tuple(self._columns[i] for i in indices)
+        length = self._length
+        # A distinct relation that keeps all of its attributes has nothing to
+        # merge: the projection only re-orders its columns.
+        reorder = self._distinct and len(set(indices)) == len(self.attributes)
+        if not columns:
             # Zero-arity projection of a non-empty relation: the single empty
             # tuple (the relational "true").
-            result = Relation._from_codes(name, attributes, (), 1, self._interner)
-        else:
-            key = _pack_columns(columns)
-            _, first = np.unique(key, return_index=True)
-            first.sort()  # keep first-occurrence order, like the spec
-            result = Relation._from_codes(
-                name,
-                attributes,
-                tuple(column[first] for column in columns),
-                len(first),
-                self._interner,
-            )
+            length = min(length, 1)
+        elif length and not reorder:
+            (key,), span = _pack_keys(columns)
+            first = _first_occurrences(key, span)
+            if len(first) < length:
+                columns = tuple(column[first] for column in columns)
+                length = len(first)
+        result = Relation._from_codes(
+            f"π({self.name})", attributes, columns, length, self._interner, True
+        )
         if counter is not None:
-            counter.record(self._length, len(result))
+            counter.record(self._length, length)
         return result
 
     def select(
@@ -310,20 +404,36 @@ class Relation:
             for i, row in enumerate(self.rows)
             if predicate(dict(zip(attributes, row)))
         ]
-        indices = np.asarray(keep, dtype=CODE_DTYPE)
-        result = Relation._from_codes(
-            f"σ({self.name})",
-            attributes,
-            tuple(column[indices] for column in self._columns),
-            len(keep),
-            self._interner,
-        )
+        result = self._take(f"σ({self.name})", np.asarray(keep, dtype=CODE_DTYPE))
         if counter is not None:
             counter.record(self._length, len(keep))
         return result
 
     def distinct(self, counter: Optional[WorkCounter] = None) -> "Relation":
         return self.project(self.attributes, counter=counter)
+
+    def sorted_rows(self, value_key: Callable[[Value], object]) -> List[Row]:
+        """The rows, stably sorted by the tuple of ``value_key`` of their values.
+
+        ``value_key`` (returning hashable, mutually comparable keys) is
+        called once per *distinct* value of a column, not once per row: every
+        column becomes a column of dense key ranks (equal keys share a rank),
+        the rank columns are packed into one order-preserving integer and a
+        single stable argsort orders the rows.
+        """
+        if not self._columns or self._length < 2:
+            return list(self.rows)
+        ranks = []
+        for column in self._columns:
+            span = int(column.max()) + 1
+            codes = column[_first_occurrences(column, span)]
+            keys = [value_key(value) for value in self._interner.decode_column(codes)]
+            rank = {key: i for i, key in enumerate(sorted(set(keys)))}
+            table = np.empty(span, dtype=CODE_DTYPE)
+            table[codes] = [rank[key] for key in keys]
+            ranks.append(table[column])
+        (key,), _ = _pack_keys(ranks)
+        return self._take(self.name, np.argsort(key, kind="stable")).rows
 
     # -- joins ------------------------------------------------------------------------
 
@@ -349,12 +459,20 @@ class Relation:
         attributes = list(self.attributes) + [other.attributes[i] for i in other_extra]
         name = f"({self.name}⋈{other.name})"
         read = self._length + other._length
+        # Two duplicate-free inputs give a duplicate-free join: an output row
+        # carries every attribute of the pair of rows it came from.
+        distinct = self._distinct and other._distinct
         if self._length == 0 or other._length == 0:
             empty = np.empty(0, dtype=CODE_DTYPE)
             if counter is not None:
                 counter.record(read, 0)
             return Relation._from_codes(
-                name, attributes, tuple(empty for _ in attributes), 0, self._interner
+                name,
+                attributes,
+                tuple(empty for _ in attributes),
+                0,
+                self._interner,
+                distinct,
             )
         if not shared:
             left_index = np.repeat(
@@ -364,33 +482,29 @@ class Relation:
                 np.arange(other._length, dtype=CODE_DTYPE), self._length
             )
         else:
-            own_keys, other_keys = self._key_columns(other, shared)
-            left_key, right_key = _pack_pair(own_keys, other_keys)
+            (left_key, right_key), span = _pack_keys(
+                *self._key_columns(other, shared)
+            )
             # Group the build side by key with a stable sort, then expand
-            # every probe row by its matching group via searchsorted ranges.
+            # every probe row by its matching group.
             order = np.argsort(right_key, kind="stable")
-            right_sorted = right_key[order]
-            lo = np.searchsorted(right_sorted, left_key, side="left")
-            hi = np.searchsorted(right_sorted, left_key, side="right")
-            matches = hi - lo
+            lo, matches = _group_ranges(right_key, order, left_key, span)
             total = int(matches.sum())
             left_index = np.repeat(
                 np.arange(self._length, dtype=CODE_DTYPE), matches
             )
-            if total:
-                group_starts = np.cumsum(matches) - matches
-                within = np.arange(total, dtype=CODE_DTYPE) - np.repeat(
-                    group_starts, matches
-                )
-                right_index = order[np.repeat(lo, matches) + within]
-            else:
-                right_index = np.empty(0, dtype=CODE_DTYPE)
+            # Output row ``i`` of probe row ``p`` reads its group at offset
+            # ``i - (outputs of the probe rows before p)``.
+            offsets = lo - (np.cumsum(matches) - matches)
+            right_index = order[
+                np.arange(total, dtype=CODE_DTYPE) + np.repeat(offsets, matches)
+            ]
         columns = [column[left_index] for column in self._columns]
         columns.extend(other._columns[i][right_index] for i in other_extra)
         if counter is not None:
             counter.record(read, len(left_index))
         return Relation._from_codes(
-            name, attributes, tuple(columns), len(left_index), self._interner
+            name, attributes, tuple(columns), len(left_index), self._interner, distinct
         )
 
     def semijoin(
@@ -401,27 +515,21 @@ class Relation:
         shared = self._shared_attributes(other)
         name = f"({self.name}⋉{other.name})"
         read = self._length + other._length
-        if not shared:
+        if not shared and other._length:
             # Semi-join with no shared attributes keeps everything unless the
             # other side is empty (PostgreSQL behaves the same way).
-            if other._length:
-                result = self._take(name, np.arange(self._length, dtype=CODE_DTYPE))
-            else:
-                result = self._take(name, np.empty(0, dtype=CODE_DTYPE))
-            if counter is not None:
-                counter.record(read, len(result))
-            return result
-        if self._length == 0 or other._length == 0:
+            result = self.rename(name)
+        elif self._length == 0 or other._length == 0:
             result = self._take(name, np.empty(0, dtype=CODE_DTYPE))
-            if counter is not None:
-                counter.record(read, 0)
-            return result
-        own_keys, other_keys = self._key_columns(other, shared)
-        left_key, right_key = _pack_pair(own_keys, other_keys)
-        keep = np.flatnonzero(np.isin(left_key, right_key))
-        result = self._take(name, keep)
+        else:
+            (left_key, right_key), span = _pack_keys(
+                *self._key_columns(other, shared)
+            )
+            result = self._take(
+                name, np.flatnonzero(_member(left_key, right_key, span))
+            )
         if counter is not None:
-            counter.record(read, len(keep))
+            counter.record(read, len(result))
         return result
 
     # -- aggregation -------------------------------------------------------------------
@@ -432,8 +540,9 @@ class Relation:
             return self._length
         if not self._length:
             return None
-        codes = np.unique(self._columns[self.attribute_index(attribute)])
-        values = self._interner.decode_column(codes)
+        codes = self._columns[self.attribute_index(attribute)]
+        distinct = codes[_first_occurrences(codes, int(codes.max()) + 1)]
+        values = self._interner.decode_column(distinct)
         if function.upper() == "MIN":
             return min(values)
         if function.upper() == "MAX":

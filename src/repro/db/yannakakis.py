@@ -9,10 +9,13 @@ of the paper, following the SQL-rewriting line of work it builds on):
    its variables (a semi-join, since the atom's variables are a subset of the
    bag).  This turns the cyclic query into an acyclic one over the ``J_u``.
 2. *Full reducer*: Yannakakis' bottom-up and top-down semi-join passes.
-3. *Answer extraction*: after the full reducer every remaining tuple
-   participates in at least one answer, so MIN/MAX aggregates can be read off
-   any node containing the aggregated variable; the full join result can also
-   be materialised bottom-up if needed.
+   A MIN/MAX aggregate needs only the first: the tree is re-rooted at a
+   node containing the aggregated variable, and after the leaf-to-root pass
+   every tuple left *at the root* participates in at least one answer.
+3. *Answer extraction*: MIN/MAX aggregates are read off that root; after the
+   full reducer every remaining tuple of every node participates in at least
+   one answer, so the full join result can be materialised bottom-up (for
+   COUNT and row output).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.hypergraph.hypergraph import Hypergraph, Vertex
 from repro.decompositions.td import TreeDecomposition
@@ -120,7 +123,10 @@ class YannakakisRun:
 
     ``outcome.partial`` marks a run a budget cut short: ``result`` is then
     ``None`` (never a silently wrong partial answer) and the size maps
-    cover only the stages that completed.
+    cover only the stages that completed.  ``reduced_sizes`` holds the bag
+    sizes after the semi-join passes that ran: the full reducer for COUNT
+    and row output, only the leaf-to-root pass (towards the node the
+    aggregate is read from) for MIN/MAX without a materialised result.
     """
 
     result: object
@@ -153,6 +159,7 @@ class YannakakisExecutor:
         self.prefer_connected = prefer_connected
         self._atom_relations: Dict[str, Relation] = {}
         self._cover_cache: Dict[Bag, Tuple[str, ...]] = {}
+        self._last_plan: Optional[Tuple[TreeDecomposition, List[NodePlan]]] = None
 
     def _atom_relation(self, alias: str) -> Relation:
         if alias not in self._atom_relations:
@@ -185,7 +192,11 @@ class YannakakisExecutor:
         return list(cover)
 
     def plan(self, decomposition: TreeDecomposition) -> List[NodePlan]:
-        """Assign covers and atom enforcement to decomposition nodes."""
+        """Assign covers and atom enforcement to decomposition nodes.
+
+        The executor remembers the plan of the decomposition it planned
+        last, so ``plan(d)`` followed by ``execute(d)`` plans once.
+        """
         nodes = decomposition.tree.nodes()
         plans = [
             NodePlan(
@@ -214,6 +225,7 @@ class YannakakisExecutor:
             # cover; anything else must be enforced with a semi-join.
             if alias not in target.cover:
                 target.enforced_atoms.append(alias)
+        self._last_plan = (decomposition, plans)
         return plans
 
     # -- execution ------------------------------------------------------------------
@@ -261,8 +273,12 @@ class YannakakisExecutor:
         counter: WorkCounter,
         start: float,
     ) -> YannakakisRun:
-        plans = self.plan(decomposition)
-        plan_by_id = {plan.node.node_id: plan for plan in plans}
+        last = self._last_plan
+        plans = (
+            last[1]
+            if last is not None and last[0] is decomposition
+            else self.plan(decomposition)
+        )
         bag_relations: Dict[int, Relation] = {}
         node_sizes: Dict[int, int] = {}
         max_intermediate = 0
@@ -275,41 +291,49 @@ class YannakakisExecutor:
             max_intermediate = max(max_intermediate, len(relation))
 
         tree = decomposition.tree
-        # Stage 2a: bottom-up semi-joins.
-        for node in tree.postorder():
-            for child in node.children:
-                bag_relations[node.node_id] = bag_relations[node.node_id].semijoin(
-                    bag_relations[child.node_id], counter
+        aggregate = self.query.aggregate
+        if (
+            aggregate is not None
+            and aggregate[0].upper() in ("MIN", "MAX")
+            and not materialize_result
+        ):
+            # Stage 2, leaf-to-root pass only, towards the first node that
+            # holds the aggregated variable; stage 3 reads the aggregate there.
+            variable = aggregate[1]
+            root = next((p.node for p in plans if variable in p.bag), None)
+            if root is None:
+                raise ValueError(
+                    f"aggregate variable {variable!r} does not occur in any bag"
                 )
-        # Stage 2b: top-down semi-joins.
-        for node in tree.preorder():
-            for child in node.children:
-                bag_relations[child.node_id] = bag_relations[child.node_id].semijoin(
-                    bag_relations[node.node_id], counter
-                )
+            for node, parent in reversed(_edges_from(root)):
+                bag_relations[parent.node_id] = bag_relations[
+                    parent.node_id
+                ].semijoin(bag_relations[node.node_id], counter)
+            result: object = bag_relations[root.node_id].aggregate(*aggregate)
+        else:
+            # Stage 2a: bottom-up semi-joins.
+            for node in tree.postorder():
+                for child in node.children:
+                    bag_relations[node.node_id] = bag_relations[
+                        node.node_id
+                    ].semijoin(bag_relations[child.node_id], counter)
+            # Stage 2b: top-down semi-joins.
+            for node in tree.preorder():
+                for child in node.children:
+                    bag_relations[child.node_id] = bag_relations[
+                        child.node_id
+                    ].semijoin(bag_relations[node.node_id], counter)
+            # Stage 3: answer extraction.
+            result_relation = self._materialize_join(tree, bag_relations, counter)
+            max_intermediate = max(max_intermediate, len(result_relation))
+            result = (
+                result_relation
+                if aggregate is None
+                else result_relation.aggregate(*aggregate)
+            )
         reduced_sizes = {
             node_id: len(relation) for node_id, relation in bag_relations.items()
         }
-
-        # Stage 3: answer extraction.
-        if materialize_result or self.query.aggregate is None:
-            result_relation = self._materialize_join(tree, bag_relations, counter)
-            max_intermediate = max(max_intermediate, len(result_relation))
-            if self.query.aggregate is None:
-                result: object = result_relation
-            else:
-                function, variable = self.query.aggregate
-                result = result_relation.aggregate(function, variable)
-        else:
-            function, variable = self.query.aggregate
-            if function.upper() == "COUNT":
-                result_relation = self._materialize_join(tree, bag_relations, counter)
-                max_intermediate = max(max_intermediate, len(result_relation))
-                result = result_relation.aggregate(function, variable)
-            else:
-                result = self._aggregate_from_reduced(
-                    plans, bag_relations, function, variable
-                )
         wall_time = time.perf_counter() - start
         outcome = (
             counter.budget.outcome()
@@ -359,19 +383,22 @@ class YannakakisExecutor:
         assert result is not None
         return result
 
-    def _aggregate_from_reduced(
-        self,
-        plans: Sequence[NodePlan],
-        bag_relations: Dict[int, Relation],
-        function: str,
-        variable: str,
-    ) -> object:
-        for plan in plans:
-            if variable in plan.bag:
-                return bag_relations[plan.node.node_id].aggregate(function, variable)
-        raise ValueError(
-            f"aggregate variable {variable!r} does not occur in any bag"
-        )
+
+def _edges_from(root: TreeNode) -> List[Tuple[TreeNode, TreeNode]]:
+    """The tree's ``(node, parent)`` edges when re-rooted at ``root``.
+
+    Parents come before their children (pre-order from ``root``, the tree
+    taken as undirected), so the reversed list is a leaf-to-root schedule.
+    """
+    edges: List[Tuple[TreeNode, TreeNode]] = []
+    stack: List[Tuple[TreeNode, Optional[TreeNode]]] = [(root, None)]
+    while stack:
+        node, parent = stack.pop()
+        if parent is not None:
+            edges.append((node, parent))
+        neighbours = node.children + ([] if node.parent is None else [node.parent])
+        stack.extend((n, node) for n in reversed(neighbours) if n is not parent)
+    return edges
 
 
 def run_yannakakis(

@@ -229,7 +229,19 @@ def canonical_form(
     Isomorphic hypergraphs get equal fingerprints; the permutation
     (:attr:`CanonicalForm.order`) maps canonical indices back to this
     particular labeling's vertices.  Deterministic for a fixed labeling.
+    With the default leaf cap the form is memoised on the (immutable)
+    hypergraph, so one request canonicalises once however many layers —
+    each soft-width level, the cache probe, the fingerprint — ask for it.
     """
+    if max_leaves != MAX_LEAVES:
+        return _canonical_form(hypergraph, max_leaves)
+    canonical = hypergraph._canonical
+    if canonical is None:
+        canonical = hypergraph._canonical = _canonical_form(hypergraph, max_leaves)
+    return canonical
+
+
+def _canonical_form(hypergraph: Hypergraph, max_leaves: int) -> CanonicalForm:
     vertices = sorted(hypergraph.vertices, key=lambda v: (str(type(v)), str(v)))
     vertex_id = {v: i for i, v in enumerate(vertices)}
     # Distinct edge vertex sets only: names and duplicates are invisible to

@@ -68,7 +68,9 @@ class Hypergraph:
         require ``self.has_isolated_vertices()`` to be ``False``.
     """
 
-    __slots__ = ("_edges", "_vertices", "_incidence", "_edge_order", "_bitsets")
+    __slots__ = (
+        "_edges", "_vertices", "_incidence", "_edge_order", "_bitsets", "_canonical",
+    )
 
     def __init__(
         self,
@@ -103,6 +105,9 @@ class Hypergraph:
                 incidence[v].append(e)
         self._incidence = {v: tuple(es) for v, es in incidence.items()}
         self._bitsets = None
+        #: Memo of :func:`repro.hypergraph.canonical.canonical_form` (safe for
+        #: the same reason as ``_bitsets``: the hypergraph is immutable).
+        self._canonical = None
 
     # -- basic accessors ---------------------------------------------------
 

@@ -58,6 +58,60 @@ class TestPlan:
         assert result.outcome.work > solve_only
 
 
+class TestEachThingOnce:
+    def test_run_query_plans_once_and_canonicalises_once(
+        self, database, tmp_path, monkeypatch
+    ):
+        from repro.db.yannakakis import YannakakisExecutor
+        from repro.hypergraph import canonical
+
+        calls = {"executors": 0, "plans": 0, "canonical": 0}
+
+        def counted(key, original):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            YannakakisExecutor,
+            "__init__",
+            counted("executors", YannakakisExecutor.__init__),
+        )
+        monkeypatch.setattr(
+            YannakakisExecutor, "plan", counted("plans", YannakakisExecutor.plan)
+        )
+        monkeypatch.setattr(
+            canonical, "_canonical_form", counted("canonical", canonical._canonical_form)
+        )
+        cache = DecompositionCache(str(tmp_path / "ctd"))
+        for expected_provenance in ("solve", "cache"):
+            for key in calls:
+                calls[key] = 0
+            result = run_query(TRIANGLE_SQL, database, cache=cache)
+            assert result.provenance == expected_provenance
+            # The triangle has width 2: the soft-width search probes two
+            # levels and the plan takes the fingerprint — one canonical form.
+            assert calls == {"executors": 1, "plans": 1, "canonical": 1}
+            assert result.plan.fingerprint == canonical.hypergraph_fingerprint(
+                result.plan.hypergraph
+            )
+        assert calls["canonical"] == 1  # ... and the memo served that, too
+
+    def test_canonical_form_memo_is_per_hypergraph_and_default_cap_only(self):
+        from repro.hypergraph.canonical import canonical_form
+        from repro.hypergraph.library import cycle_hypergraph
+
+        first, second = cycle_hypergraph(5), cycle_hypergraph(5)
+        assert canonical_form(first) is canonical_form(first)
+        assert canonical_form(first) is not canonical_form(second)
+        assert canonical_form(first).fingerprint == canonical_form(second).fingerprint
+        capped = canonical_form(first, max_leaves=1)
+        assert capped is not canonical_form(first)
+        assert canonical_form(first, max_leaves=1) is not capped
+
+
 class TestRows:
     def test_full_rows_are_sorted_and_distinct(self, database):
         result = run_query("SELECT * FROM R, S WHERE R.b = S.b", database, cache=None)

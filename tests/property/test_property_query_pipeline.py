@@ -31,6 +31,7 @@ from repro.db.database import Database
 from repro.db.frontdoor import canonical_rows, run_query
 from repro.db.query import Atom, ConjunctiveQuery
 from repro.db.reference import as_reference_database
+from repro.db.relation import Relation
 from repro.db.yannakakis import YannakakisExecutor
 
 VARIABLES = ("x0", "x1", "x2", "x3", "x4")
@@ -280,3 +281,41 @@ class TestSqlEntry:
         assert result.outcome.complete
         _, expected_value = reference_answer(database, result.plan.query)
         assert result.value == expected_value
+
+
+def _oracle_canonical_rows(relation, columns):
+    """``canonical_rows`` as it was before it ranked distinct values: one
+    Python ``(type name, repr)`` key tuple per row."""
+    return sorted(
+        relation.project(list(columns)).rows,
+        key=lambda row: tuple((type(value).__name__, repr(value)) for value in row),
+    )
+
+
+#: Ints and strings whose ``repr`` order differs from their natural order
+#: (``10 < 2``, ``-1``, quoting), mixed within a column.
+MIXED_VALUES = st.one_of(
+    st.integers(min_value=-12, max_value=120),
+    st.sampled_from(["", "a", "b", "10", "2", "-1", "A", "a b", "é"]),
+)
+
+
+class TestCanonicalRowOrder:
+    @settings(max_examples=150, **COMMON_SETTINGS)
+    @given(
+        st.integers(min_value=1, max_value=4).flatmap(
+            lambda arity: st.lists(
+                st.tuples(*[MIXED_VALUES] * arity), max_size=40
+            )
+        ),
+        st.data(),
+    )
+    def test_matches_the_per_row_repr_sort(self, rows, data):
+        arity = len(rows[0]) if rows else 2
+        attributes = [f"c{i}" for i in range(arity)]
+        relation = Relation("M", attributes, rows)
+        columns = data.draw(st.permutations(attributes))
+        columns = columns[: data.draw(st.integers(min_value=0, max_value=arity))]
+        assert canonical_rows(relation, columns) == _oracle_canonical_rows(
+            relation, columns
+        )
