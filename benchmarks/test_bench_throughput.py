@@ -18,10 +18,7 @@ counters, and the geomean throughput speedup.  The gate defaults to the
 tentpole's 2× at ``WORKERS`` workers and can be relaxed via
 ``BENCH_THROUGHPUT_MIN_SPEEDUP`` for noisy shared runners (single-core
 containers still clear it comfortably: the speedup comes from shape
-dedup, not parallel wall-clock).  One additional ungated row records
-intra-solve sharding (``execute(shards=4)``) on a larger synthetic
-instance — informational on small machines, a real speedup on many-core
-ones.
+dedup, not parallel wall-clock).
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ from conftest import RESULTS_DIR, geomean as _geomean
 
 from repro.core.solve import SolveRequest, execute
 from repro.hypergraph.hypergraph import Edge, Hypergraph
-from repro.runtime.scheduler import BatchSolvePlan, run_plan
+from repro.runtime.scheduler import BatchSolvePlan, get_pool, run_plan
 from repro.workloads.registry import benchmark_queries
 
 #: Relabeled isomorphic copies per benchmark query — the duplicate factor
@@ -98,7 +95,6 @@ def _query_set():
 
 def test_batch_throughput_vs_serial():
     from repro.experiments.harness import execute_batch_task
-    from repro.runtime.parallel import get_pool
 
     tasks = _query_set()
     datasets = sorted({dataset for dataset, _ in tasks})
@@ -174,36 +170,6 @@ def test_batch_throughput_vs_serial():
             f"{row['counters']['fanout']} fan-outs)"
         )
 
-    # -- intra-solve sharding (informational, ungated) -------------------------
-    # One larger synthetic instance where the pre-fixpoint stages dominate;
-    # on single-core machines the sharded figure mostly shows the overhead
-    # floor, on many-core ones the stripe-level parallel speedup.
-    from repro.hypergraph.generators import random_hypergraph
-
-    sharded_hypergraph = random_hypergraph(40, 32, max_edge_size=3, seed=23)
-    sharding_request = SolveRequest(
-        hypergraph=sharded_hypergraph, mode="decide", width=2, label="sharding-probe"
-    )
-    started = time.perf_counter()
-    serial_solve = execute(sharding_request, cache=None)
-    sharding_serial_s = time.perf_counter() - started
-    started = time.perf_counter()
-    sharded_solve = execute(sharding_request, cache=None, shards=4)
-    sharding_sharded_s = time.perf_counter() - started
-    assert sharded_solve.decided == serial_solve.decided
-    sharding_row = {
-        "instance": "random40-k2-decide",
-        "shards": 4,
-        "serial_s": sharding_serial_s,
-        "sharded_s": sharding_sharded_s,
-        "speedup": sharding_serial_s / sharding_sharded_s,
-    }
-    print(
-        f"intra-solve sharding: serial {sharding_serial_s*1000:.0f}ms, "
-        f"4 shards {sharding_sharded_s*1000:.0f}ms "
-        f"(x{sharding_row['speedup']:.2f}, informational)"
-    )
-
     summary = {
         "geomean_throughput_speedup": _geomean([row["speedup"] for row in rows]),
         "serial_qps_total": sum(r["queries"] for r in rows)
@@ -217,7 +183,6 @@ def test_batch_throughput_vs_serial():
         "variants_per_query": VARIANTS,
         "workers": WORKERS,
         "datasets": rows,
-        "intra_solve_sharding": sharding_row,
         "summary": summary,
     }
     os.makedirs(RESULTS_DIR, exist_ok=True)

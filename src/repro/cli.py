@@ -56,7 +56,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.hypergraph.io import parse_hyperbench
 from repro.hypergraph.stats import hypergraph_statistics
@@ -375,27 +375,29 @@ def default_ledger_path(tasks) -> str:
     return os.path.join("workloads", ".batches", f"batch-{digest}.jsonl")
 
 
-def _cmd_batch(args, out) -> int:
-    from repro.experiments.harness import (
-        BatchCertifier,
-        BatchSolveCache,
-        batch_task_specs,
-    )
-    from repro.runtime.checkpoint import BatchLedger
+def _batch_tasks(args) -> List[Dict[str, object]]:
+    """The task specs ``repro batch`` and ``repro throughput`` both run."""
+    from repro.experiments.harness import batch_task_specs
     from repro.runtime.errors import UserError
-    from repro.runtime.supervisor import RetryPolicy, Supervisor
 
     try:
-        tasks = batch_task_specs(
+        return batch_task_specs(
             queries=args.queries or None,
             scale=args.scale,
             seed=args.seed,
             deadline=args.timeout,
             max_work=args.max_work,
-            shards=args.shards,
         )
     except KeyError as exc:
         raise UserError(str(exc.args[0]) if exc.args else str(exc)) from exc
+
+
+def _cmd_batch(args, out) -> int:
+    from repro.experiments.harness import BatchCertifier, BatchSolveCache
+    from repro.runtime.checkpoint import BatchLedger
+    from repro.runtime.supervisor import RetryPolicy, Supervisor
+
+    tasks = _batch_tasks(args)
     ledger = None
     ledger_path = None
     if not args.no_ledger:
@@ -420,21 +422,9 @@ def _cmd_batch(args, out) -> int:
 
 
 def _cmd_throughput(args, out) -> int:
-    from repro.experiments.harness import batch_task_specs
-    from repro.runtime.errors import UserError
     from repro.runtime.scheduler import BatchSolvePlan, run_plan
 
-    try:
-        tasks = batch_task_specs(
-            queries=args.queries or None,
-            scale=args.scale,
-            seed=args.seed,
-            deadline=args.timeout,
-            max_work=args.max_work,
-            shards=args.shards,
-        )
-    except KeyError as exc:
-        raise UserError(str(exc.args[0]) if exc.args else str(exc)) from exc
+    tasks = _batch_tasks(args)
     if args.repeat > 1:
         # Replicated query sets model a workload that asks the same
         # shapes repeatedly — the scheduler answers the duplicates by
@@ -445,7 +435,6 @@ def _cmd_throughput(args, out) -> int:
     report = run_plan(
         plan,
         workers=args.workers,
-        shards=args.shards,
         cache=None if args.no_cache else "auto",
     )
     summary = report.summary()
@@ -777,13 +766,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=1, help="concurrent worker processes"
     )
     batch.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="intra-solve shard count per worker (pre-fixpoint stages); "
-        "non-semantic, so resumed ledgers still match",
-    )
-    batch.add_argument(
         "--retries",
         type=int,
         default=2,
@@ -829,12 +811,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="worker processes for representative solves (0/1 = inline)",
-    )
-    throughput.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="intra-solve shard count (pre-fixpoint stages)",
     )
     throughput.add_argument(
         "--repeat",

@@ -303,7 +303,9 @@ class BlockIndex:
         for cand_id, candidate_mask in enumerate(self.candidate_masks):
             if candidate_mask & not_union:
                 continue
-            subs = self.basis_sub_ids(candidate_mask, block_id)
+            # Not the memoising basis_sub_ids: each pair is visited once
+            # here and _probe_cache already memoises the whole block.
+            subs = self._compute_basis_sub_ids(candidate_mask, block_id)
             if subs is None:
                 continue
             probes.append(

@@ -78,8 +78,6 @@ class ConstrainedCTDSolver:
         constraint: Optional[SubtreeConstraint] = None,
         preference: Optional[Preference] = None,
         budget: Optional[Budget] = None,
-        shards: int = 1,
-        pool=None,
     ):
         # The shared core (repro.core.options) carries the filtered bag set,
         # the block index, the probe tables and the per-fragment memo tables
@@ -91,8 +89,6 @@ class ConstrainedCTDSolver:
             constraint,
             preference,
             budget=budget,
-            shards=shards,
-            pool=pool,
         )
         self.hypergraph = hypergraph
         self.budget = budget
@@ -351,8 +347,6 @@ def constrained_candidate_td(
     constraint: Optional[SubtreeConstraint] = None,
     preference: Optional[Preference] = None,
     budget: Optional[Budget] = None,
-    shards: int = 1,
-    pool=None,
 ) -> Optional[TreeDecomposition]:
     """Solve the ``(𝒞, ≤)``-CandidateTD problem (Algorithm 2)."""
     solver = ConstrainedCTDSolver(
@@ -361,7 +355,5 @@ def constrained_candidate_td(
         constraint,
         preference,
         budget=budget,
-        shards=shards,
-        pool=pool,
     )
     return solver.solve()

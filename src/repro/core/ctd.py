@@ -60,14 +60,10 @@ class CandidateTDSolver:
         hypergraph: Hypergraph,
         candidate_bags: Iterable[Bag],
         budget: Optional[Budget] = None,
-        shards: int = 1,
-        pool=None,
     ):
         self.hypergraph = hypergraph
         self.budget = budget
-        self.core = SolverCore(
-            hypergraph, candidate_bags, budget=budget, shards=shards, pool=pool
-        )
+        self.core = SolverCore(hypergraph, candidate_bags, budget=budget)
         self.index = self.core.index
         self._basis: Dict[Block, Optional[Bag]] = {}
         self._satisfied: Dict[Block, bool] = {}
@@ -289,10 +285,6 @@ def candidate_td(
     hypergraph: Hypergraph,
     candidate_bags: Iterable[FrozenSet[Vertex]],
     budget: Optional[Budget] = None,
-    shards: int = 1,
-    pool=None,
 ) -> Optional[TreeDecomposition]:
     """Solve the CandidateTD problem (Algorithm 1) and return a CTD or ``None``."""
-    return CandidateTDSolver(
-        hypergraph, candidate_bags, budget=budget, shards=shards, pool=pool
-    ).solve()
+    return CandidateTDSolver(hypergraph, candidate_bags, budget=budget).solve()

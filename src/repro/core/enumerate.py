@@ -194,8 +194,6 @@ class CTDEnumerator:
         constraint: Optional[SubtreeConstraint] = None,
         preference: Optional[Preference] = None,
         budget: Optional[Budget] = None,
-        shards: int = 1,
-        pool=None,
     ):
         self.core = SolverCore(
             hypergraph,
@@ -203,8 +201,6 @@ class CTDEnumerator:
             constraint,
             preference,
             budget=budget,
-            shards=shards,
-            pool=pool,
         )
         self.budget = budget
         self.hypergraph = hypergraph
@@ -358,8 +354,6 @@ def enumerate_ctds(
     preference: Optional[Preference] = None,
     limit: int = 10,
     budget: Optional[Budget] = None,
-    shards: int = 1,
-    pool=None,
 ) -> List[TreeDecomposition]:
     """The exact ``limit`` best CompNF CTDs ranked by ``preference``.
 
@@ -374,7 +368,5 @@ def enumerate_ctds(
         constraint=constraint,
         preference=preference,
         budget=budget,
-        shards=shards,
-        pool=pool,
     )
     return enumerator.enumerate(limit=limit)

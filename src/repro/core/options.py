@@ -129,17 +129,9 @@ class SolverCore:
         constraint: Optional[SubtreeConstraint] = None,
         preference: Optional[Preference] = None,
         budget: Optional[Budget] = None,
-        shards: int = 1,
-        pool=None,
     ):
         self.hypergraph = hypergraph
         self.budget = budget
-        # ``shards > 1`` stripes probe-table construction by block id
-        # (repro.runtime.parallel); ``pool`` is the ShardPool to run the
-        # stripes on (``None`` = inline).  The merged tables are
-        # byte-identical to the serial loop.
-        self.shards = max(1, int(shards))
-        self.pool = pool
         self.constraint = constraint if constraint is not None else NoConstraint()
         self.preference = preference if preference is not None else NoPreference()
         filtered = self.constraint.filter_bags(
@@ -171,13 +163,6 @@ class SolverCore:
             return self._probe_tables
         budget = self.budget
         index = self.index
-        if self.shards > 1:
-            from repro.runtime.parallel import parallel_probe_tables
-
-            self._probe_tables = parallel_probe_tables(
-                index, self.shards, pool=self.pool, budget=budget
-            )
-            return self._probe_tables
         component_masks = index.mask_arrays()[1]
         block_count = index.block_count()
         probes: List[ProbeTable] = [()] * block_count

@@ -356,18 +356,10 @@ def preference_object(spec: Optional[str], database=None, query=None):
 # -- execution ----------------------------------------------------------------
 
 
-def _candidate_bags(
-    request: SolveRequest,
-    width: int,
-    budget: Optional[Budget],
-    shards: int = 1,
-    pool=None,
-):
+def _candidate_bags(request: SolveRequest, width: int, budget: Optional[Budget]):
     from repro.core.candidate_bags import SoftBagGenerator
 
-    generator = SoftBagGenerator(
-        request.hypergraph, width, budget=budget, shards=shards, pool=pool
-    )
+    generator = SoftBagGenerator(request.hypergraph, width, budget=budget)
     return generator.candidate_bags(request.iterations)
 
 
@@ -376,13 +368,11 @@ def _solve_fixed_width(
     database,
     query,
     budget: Optional[Budget],
-    shards: int = 1,
-    pool=None,
 ) -> List[TreeDecomposition]:
     """Run the decide/optimal/enumerate modes at the request's width."""
     hypergraph = request.hypergraph
     width = int(request.width)  # type: ignore[arg-type]
-    bags = _candidate_bags(request, width, budget, shards=shards, pool=pool)
+    bags = _candidate_bags(request, width, budget)
     constraint = constraint_object(request.constraint, hypergraph, width)
     preference = preference_object(request.preference, database, query)
     if request.mode == "enumerate":
@@ -395,13 +385,11 @@ def _solve_fixed_width(
             preference=preference,
             limit=request.limit,
             budget=budget,
-            shards=shards,
-            pool=pool,
         )
     if constraint is None and preference is None:
         from repro.core.ctd import candidate_td
 
-        found = candidate_td(hypergraph, bags, budget=budget, shards=shards, pool=pool)
+        found = candidate_td(hypergraph, bags, budget=budget)
     else:
         from repro.core.constrained import constrained_candidate_td
 
@@ -411,8 +399,6 @@ def _solve_fixed_width(
             constraint=constraint,
             preference=preference,
             budget=budget,
-            shards=shards,
-            pool=pool,
         )
     return [found] if found is not None else []
 
@@ -518,8 +504,6 @@ def execute(
     query=None,
     cache: Union[str, DecompositionCache, None] = "auto",
     budget: Optional[Budget] = None,
-    shards: int = 1,
-    pool=None,
 ) -> SolveResult:
     """Execute one request: cache lookup, solve, cache store.
 
@@ -529,32 +513,14 @@ def execute(
     ``deadline``/``max_work`` caps when given; either way a single budget
     governs candidate-bag generation and the solver fixpoint, and
     truncated (anytime) results are returned but never cached.
-
-    ``shards > 1`` shards the pre-fixpoint stages (candidate-bag
-    enumeration, probe tables) across a process pool
-    (:mod:`repro.runtime.parallel`); results are byte-identical to a
-    serial solve.  ``pool`` overrides the default cached pool — pass an
-    explicit ``None``-pool path via ``shards=1`` to stay serial.
     """
     started = time.perf_counter()
     if budget is None and (request.deadline is not None or request.max_work is not None):
         budget = Budget(deadline=request.deadline, max_work=request.max_work)
     store = resolve_cache(cache)
-    shards = max(1, int(shards))
-    if shards > 1 and pool is None:
-        import multiprocessing
-
-        if not multiprocessing.current_process().daemon:
-            from repro.runtime.parallel import get_pool
-
-            pool = get_pool(shards)
-        # else: daemonic pool workers cannot spawn children; the stripes
-        # run inline (pool=None), which is still byte-identical to serial.
 
     if request.mode == "soft-width":
-        return _execute_soft_width(
-            request, database, query, store, budget, started, shards=shards, pool=pool
-        )
+        return _execute_soft_width(request, database, query, store, budget, started)
 
     kind = request.cache_kind()
     canonical = None
@@ -569,9 +535,7 @@ def execute(
             if served is not None:
                 return served
 
-    decompositions = _solve_fixed_width(
-        request, database, query, budget, shards=shards, pool=pool
-    )
+    decompositions = _solve_fixed_width(request, database, query, budget)
     outcome = budget.outcome() if budget is not None else completed_outcome()
     decided = bool(decompositions)
     width = int(request.width) if decided else None  # type: ignore[arg-type]
@@ -637,8 +601,6 @@ def _execute_soft_width(
     store: Optional[DecompositionCache],
     budget: Optional[Budget],
     started: float,
-    shards: int = 1,
-    pool=None,
 ) -> SolveResult:
     """``soft-width``: search ``k = 1..bound`` through cached sub-requests.
 
@@ -665,8 +627,6 @@ def _execute_soft_width(
             query=query,
             cache=store,
             budget=budget,
-            shards=shards,
-            pool=pool,
         )
         if last.decided:
             outcome = budget.outcome() if budget is not None else completed_outcome()

@@ -384,7 +384,6 @@ def batch_task_specs(
     seed: Optional[int] = None,
     deadline: Optional[float] = None,
     max_work: Optional[int] = None,
-    shards: int = 1,
 ) -> List[Dict[str, object]]:
     """One task spec per benchmark query (all six when ``queries`` is None).
 
@@ -396,10 +395,6 @@ def batch_task_specs(
     so the worker can rebuild the database and the certifier its trusted
     hypergraph.  ``deadline``/``max_work`` are the *full-solve* caps; the
     degradation ladder scales them down for the tighter levels.
-    ``shards > 1`` asks each worker to shard its solve's pre-fixpoint
-    stages inline; like the caps it is non-semantic (it changes how fast
-    the answer arrives, not the answer) and stays out of the ledger
-    fingerprint.
     """
     from repro.workloads.registry import benchmark_queries, benchmark_query
 
@@ -431,7 +426,6 @@ def batch_task_specs(
                 "request": request.to_payload(),
                 "deadline": deadline,
                 "max_work": max_work,
-                "shards": shards,
                 "label": entry.name,
             }
         )
@@ -466,9 +460,7 @@ def execute_batch_task(payload: Dict[str, object]) -> Dict[str, object]:
     re-certified by the parent, claimed width, governed outcome counters).
     An exhausted budget with no anytime decomposition is reported as
     ``{"ok": False, "reason": <status>}`` so the supervisor can degrade
-    instead of trusting an inconclusive answer.  A ``shards`` field > 1
-    shards the solve's pre-fixpoint stages; inside a daemonic pool worker
-    the stripes run inline (no nested pools), still byte-identical.
+    instead of trusting an inconclusive answer.
     """
     try:
         request = SolveRequest.from_payload(payload.get("request"))
@@ -491,13 +483,11 @@ def execute_batch_task(payload: Dict[str, object]) -> Dict[str, object]:
             scale=float(payload.get("scale") or 1.0),
             seed=payload.get("seed"),
         )
-    shards = max(1, int(payload.get("shards") or 1))
     result = execute(
         request,
         database=database,
         query=query,
         budget=budget,
-        shards=shards,
         # The batch scheduler sets cache_off on cache-less plans so worker
         # solves mirror the parent's cache decision.
         cache=None if payload.get("cache_off") else "auto",

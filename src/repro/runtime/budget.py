@@ -240,24 +240,6 @@ class Budget:
         if self._status == STATUS_COMPLETE:
             self._status = STATUS_INTERRUPTED
 
-    def absorb(self, work: int, status: str) -> None:
-        """Fold a sub-budget's outcome into this budget (sharded runs).
-
-        The parallel runtime gives each shard its own sub-budget (an equal
-        split of the remaining caps); when the shard returns, its work
-        counter is added here and a non-``complete`` shard status becomes
-        this budget's sticky exhaustion status — so exhaustion in any
-        shard yields the same anytime contract as a serial exhaustion.
-        Never raises; callers decide whether to surface
-        :class:`BudgetExceeded` (:attr:`exhausted` reports the state).
-        """
-        self.work += max(0, int(work))
-        if self._status == STATUS_COMPLETE:
-            if status != STATUS_COMPLETE:
-                self._status = status
-            elif self.max_work is not None and self.work >= self.max_work:
-                self._status = STATUS_BUDGET
-
     # -- reporting ---------------------------------------------------------
 
     def outcome(self) -> SolveOutcome:

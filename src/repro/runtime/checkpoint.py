@@ -46,11 +46,18 @@ __all__ = [
 LEDGER_VERSION = 1
 
 #: Task-spec keys excluded from the fingerprint: they direct *how* a run
-#: is exercised (fault injection, labels, intra-solve shard counts), not
-#: *what* is computed, and a resumed run must recognise its tasks
-#: regardless of them — a batch resumed with a different ``--shards``
-#: still reuses its completed results.
-NON_SEMANTIC_TASK_KEYS = frozenset({"faults", "label", "shards"})
+#: is exercised (fault injection, labels), not *what* is computed, and a
+#: resumed run must recognise its tasks regardless of them.
+NON_SEMANTIC_TASK_KEYS = frozenset(
+    {
+        "faults",
+        "label",
+        # Legacy, no longer emitted: ledgers written while the intra-solve
+        # sharding layer existed store task specs that carry this key, and
+        # task_fingerprint / default_ledger_path must keep matching them.
+        "shards",
+    }
+)
 
 #: Terminal record statuses: a task with one of these has finished for
 #: this batch (``ok`` results are reused verbatim on resume; ``failed``

@@ -25,8 +25,10 @@ This module turns such a set into a :class:`BatchSolvePlan`:
    in-process :class:`HotMemo` maximally warm across repeated plans.
 
 :func:`run_plan` executes a plan: hot memo → persistent cache →
-representative solve (inline, or dispatched to a spawn worker pool via
-the supervised batch runtime's worker runner), then fan-out.  Results
+representative solve (inline, or dispatched to this module's cached spawn
+worker pool, :func:`get_pool`, running the supervised batch runtime's
+worker runner), then fan-out.  The pool parallelises *independent*
+representative solves only; a single solve is always serial.  Results
 crossing a process boundary are independently re-certified by the
 parent before they are memoised or served.  Fan-out only ever applies
 *complete* results — a budget-truncated (anytime) representative answer
@@ -36,6 +38,7 @@ individually under their own caps.
 
 from __future__ import annotations
 
+import atexit
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -54,6 +57,8 @@ __all__ = [
     "BatchSolvePlan",
     "BatchReport",
     "run_plan",
+    "get_pool",
+    "shutdown_pools",
 ]
 
 
@@ -254,7 +259,7 @@ def _wire(item: PlanItem, result, cache_label: str) -> Dict[str, object]:
     return wire
 
 
-def _solve_inline(item: PlanItem, cache, shards: int, pool) -> "object":
+def _solve_inline(item: PlanItem, cache) -> "object":
     from repro.core.solve import DATA_PREFERENCES, execute
 
     database = query = None
@@ -269,14 +274,7 @@ def _solve_inline(item: PlanItem, cache, shards: int, pool) -> "object":
             scale=float(item.task.get("scale") or 1.0),
             seed=item.task.get("seed"),
         )
-    return execute(
-        item.request,
-        database=database,
-        query=query,
-        cache=cache,
-        shards=shards,
-        pool=pool,
-    )
+    return execute(item.request, database=database, query=query, cache=cache)
 
 
 def _record_from_result(item: PlanItem, result) -> Optional[Dict[str, object]]:
@@ -307,11 +305,10 @@ def _fan_out(
     return _wire(member, served, label)
 
 
-def _pool_payload(item: PlanItem, shards: int, cache) -> Dict[str, object]:
+def _pool_payload(item: PlanItem, cache) -> Dict[str, object]:
     payload = dict(item.task)
     payload["request"] = item.request.to_payload()
     payload.setdefault("mode", "ranked")
-    payload["shards"] = shards
     # The worker must mirror this plan's cache decision: a cache=None run
     # (benchmarks, equivalence tests) would otherwise read and write the
     # persistent cache through its workers.  (Custom cache objects are not
@@ -319,6 +316,36 @@ def _pool_payload(item: PlanItem, shards: int, cache) -> Dict[str, object]:
     if cache is None:
         payload["cache_off"] = True
     return payload
+
+
+_POOLS: Dict[int, object] = {}
+
+
+def get_pool(workers: int):
+    """The cached worker pool of ``workers`` processes (created on first use).
+
+    Spawn, not fork: a solve may run under numpy/BLAS threads, whose lock
+    state a forked child would inherit undefined.  Spawning costs hundreds
+    of milliseconds per worker, so pools are kept across plans and
+    terminated at interpreter exit.
+    """
+    pool = _POOLS.get(workers)
+    if pool is None:
+        import multiprocessing
+
+        pool = _POOLS[workers] = multiprocessing.get_context("spawn").Pool(workers)
+    return pool
+
+
+def shutdown_pools() -> None:
+    """Terminate every cached pool (``atexit``; also used by tests and scripts)."""
+    for pool in _POOLS.values():
+        pool.terminate()
+        pool.join()
+    _POOLS.clear()
+
+
+atexit.register(shutdown_pools)
 
 
 def _certify_pool_result(item: PlanItem, wire: object):
@@ -383,18 +410,16 @@ def _certify_pool_result(item: PlanItem, wire: object):
 def run_plan(
     plan: BatchSolvePlan,
     workers: int = 0,
-    shards: int = 1,
     cache="auto",
     memo: Optional[HotMemo] = None,
 ) -> BatchReport:
     """Execute a plan and return per-query results plus reuse counters.
 
     ``workers > 1`` dispatches representative solves to a spawn worker
-    pool (the supervised batch runtime's worker runner,
-    :func:`repro.experiments.harness.execute_batch_task`); anything a
-    worker returns is re-certified by the parent before it is memoised
-    or served.  ``workers <= 1`` solves inline.  ``shards`` is threaded
-    into each solve's pre-fixpoint stages.  ``memo`` carries the hot
+    pool (:func:`get_pool`, running the supervised batch runtime's worker
+    runner :func:`repro.experiments.harness.execute_batch_task`); anything
+    a worker returns is re-certified by the parent before it is memoised
+    or served.  ``workers <= 1`` solves inline.  ``memo`` carries the hot
     memo across plans (a fresh one is used per call by default).
 
     Results are deterministic in the plan's input order and independent
@@ -417,7 +442,7 @@ def run_plan(
     results: List[Optional[Dict[str, object]]] = [None] * len(plan.items)
 
     def solve_member(item: PlanItem):
-        result = _solve_inline(item, cache, shards, None)
+        result = _solve_inline(item, cache)
         counters["solves"] += 1
         if result.cache_status == "hit":
             counters["cache_hits"] += 1
@@ -445,13 +470,9 @@ def run_plan(
 
     if workers > 1 and pending:
         from repro.experiments.harness import execute_batch_task
-        from repro.runtime.parallel import get_pool
 
-        pool = get_pool(workers)
-        payloads = [
-            _pool_payload(group.representative, shards, cache) for group in pending
-        ]
-        wires = pool.map(execute_batch_task, payloads)
+        payloads = [_pool_payload(group.representative, cache) for group in pending]
+        wires = get_pool(workers).map(execute_batch_task, payloads)
         rep_results = []
         for group, wire in zip(pending, wires):
             certified = _certify_pool_result(group.representative, wire)

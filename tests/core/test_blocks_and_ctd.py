@@ -1,9 +1,53 @@
 """Unit tests for blocks, bases and Algorithm 1 (CandidateTD)."""
 
+import random
+
+import pytest
+
 from repro.core.blocks import Block, BlockIndex
 from repro.core.candidate_bags import soft_candidate_bags
 from repro.core.ctd import CandidateTDSolver, candidate_td
+from repro.core.options import SolverCore
+from repro.hypergraph.generators import (
+    random_cyclic_query_hypergraph,
+    random_hypergraph,
+)
 from repro.hypergraph.hypergraph import Hypergraph
+from repro.hypergraph.library import (
+    cycle_hypergraph,
+    four_cycle_query,
+    hypergraph_h2,
+)
+
+
+def _probe_instances():
+    """``(name, hypergraph, k)``: four library shapes, four seeded random."""
+    instances = [
+        ("four-cycle", four_cycle_query(), 2),
+        ("h2", hypergraph_h2(), 2),
+        ("c8", cycle_hypergraph(8), 2),
+        ("cyclic-q9", random_cyclic_query_hypergraph(9, 3, seed=4), 2),
+    ]
+    for seed in range(4):
+        rng = random.Random(3000 + seed)
+        instances.append(
+            (
+                f"rand-{seed}",
+                random_hypergraph(
+                    rng.randint(6, 16),
+                    rng.randint(4, 14),
+                    max_edge_size=4,
+                    seed=seed,
+                ),
+                rng.choice((2, 3)),
+            )
+        )
+    return instances
+
+
+probe_grid = pytest.mark.parametrize(
+    "hypergraph,k", [pytest.param(h, k, id=name) for name, h, k in _probe_instances()]
+)
 
 
 class TestBlocks:
@@ -43,21 +87,30 @@ class TestBlocks:
         block = Block(bag, frozenset())
         assert not index.is_basis(bag, block, {})
 
-    def test_candidate_probes_match_the_static_basis_test(self, four_cycle):
-        bags = soft_candidate_bags(four_cycle, 2)
-        index = BlockIndex(four_cycle, bags)
+    @probe_grid
+    def test_candidate_probes_match_the_static_basis_test(self, hypergraph, k):
+        """Same pairs, same candidate order, same live-sub tuples."""
+        index = BlockIndex(hypergraph, soft_candidate_bags(hypergraph, k))
         component_masks = index.mask_arrays()[1]
         for block_id in range(index.block_count()):
-            if not component_masks[block_id]:
-                continue
-            probes = dict(index.candidate_probes(block_id))
+            expected = []
             for cand_id, candidate_mask in enumerate(index.candidate_masks):
                 subs = index.basis_sub_ids(candidate_mask, block_id)
-                if subs is None:
-                    assert cand_id not in probes
-                else:
-                    live = tuple(s for s in subs if component_masks[s])
-                    assert probes[cand_id] == live
+                if subs is not None:
+                    expected.append(
+                        (cand_id, tuple(s for s in subs if component_masks[s]))
+                    )
+            assert index.candidate_probes(block_id) == tuple(expected), block_id
+
+    @probe_grid
+    def test_probe_table_parents_ascending_and_duplicate_free(self, hypergraph, k):
+        """The worklists route events along ``parents`` in block-id order."""
+        core = SolverCore(hypergraph, soft_candidate_bags(hypergraph, k))
+        probes, parents = core.probe_tables()
+        for sub, dependents in parents.items():
+            assert dependents == sorted(set(dependents)), sub
+            for block_id in dependents:
+                assert any(sub in live for _, live in probes[block_id]), (sub, block_id)
 
 
 class TestCandidateTDSolver:

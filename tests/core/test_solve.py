@@ -9,6 +9,8 @@ re-solved, and negative or truncated answers never enter the cache.
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -147,6 +149,30 @@ class TestExecute:
         assert result.decomposition is not None
         assert result.complete
         assert result.cache_status == "off" and result.cache_stats is None
+
+    def test_a_solve_is_one_serial_process(self):
+        """``import repro`` plus an ``execute()`` loads no shared-memory or
+        intra-solve parallel machinery (a fresh interpreter, so modules
+        other tests imported do not count)."""
+        script = (
+            "import sys, repro\n"
+            "from repro.core.solve import SolveRequest, execute\n"
+            "from repro.hypergraph.library import four_cycle_query\n"
+            "request = SolveRequest(hypergraph=four_cycle_query(), mode='optimal',"
+            " width=2, constraint='concov')\n"
+            "assert execute(request, cache=None).decided\n"
+            "print([m for m in sys.modules if m == 'multiprocessing.shared_memory'"
+            " or m.startswith('repro.runtime.parallel')])\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+            check=True,
+        )
+        assert result.stdout.strip() == "[]"
 
     def test_infeasible_width_is_a_complete_no(self, triangle):
         result = execute(SolveRequest(hypergraph=triangle, width=1), cache=None)

@@ -63,6 +63,35 @@ class TestFingerprint:
         assert task_fingerprint(task(faults={"1": {"kind": "sigkill"}})) == plain
         assert task_fingerprint(task(label="anything")) == plain
 
+    def test_ledger_written_with_a_shards_key_resumes_against_todays_specs(
+        self, tmp_path
+    ):
+        """Specs no longer carry ``shards``; ledgers written when they did must
+        still match — by fingerprint and by derived ledger path."""
+        from repro.cli import default_ledger_path
+        from repro.runtime.supervisor import Supervisor
+
+        counter = str(tmp_path / "runs.txt")
+        today = {"kind": "toy", "query": "a", "counter_path": counter}
+        legacy = dict(today, shards=2)
+        assert default_ledger_path([legacy]) == default_ledger_path([today])
+
+        def run(spec):
+            supervisor = Supervisor(
+                task_runner="tests.test_supervisor:toy_runner", isolation="inline"
+            )
+            return supervisor.run([spec], ledger=BatchLedger(path)).results[0]
+
+        path = str(tmp_path / "ledger.jsonl")
+        first = run(legacy)
+        assert first.status == STATUS_OK and not first.cached
+        assert BatchLedger(path).completed()[first.fingerprint]["task"]["shards"] == 2
+        resumed = run(today)
+        assert resumed.status == STATUS_OK and resumed.cached
+        assert resumed.result == first.result
+        with open(counter, encoding="utf-8") as handle:
+            assert handle.read().splitlines() == ["a"]
+
 
 class TestAppendAndRead:
     def test_append_writes_header_then_records(self, tmp_path):
