@@ -11,11 +11,15 @@ cache, and checks the trust model at the API level:
    than trusted blindly (a poisoned entry is rejected and transparently
    re-solved to the same answer),
 3. SQL-text and named-query entry points agree, and malformed SQL is a
-   one-line diagnostic with exit code 2.
+   one-line diagnostic with exit code 2,
+4. the executed plan has the shape the paper's bound needs: no bag
+   contained in a neighbouring bag, and row output costs a small multiple
+   of input + output rows.
 """
 
 import io
 import json
+import re
 import sys
 import tempfile
 
@@ -99,6 +103,35 @@ def check_recertification(tmp: str) -> None:
     print("cache hits re-certified; poisoned entry rejected and re-solved")
 
 
+def check_plan_shape() -> None:
+    database = build_joblite_database(scale=1.0)
+    for name in QUERIES:
+        result = run_query(joblite_query(database, name), database, cache=None)
+        for plan in result.plan.node_plans:
+            for child in plan.node.children:
+                bag = result.plan.decomposition.bag(child)
+                if bag <= plan.bag or plan.bag <= bag:
+                    fail(f"{name}: bag {sorted(bag)} and its parent are nested")
+    select_all = re.sub(
+        r"SELECT\s+\w+\(\w+\)", "SELECT *", JOBLITE_QUERY_SQL[QUERIES[0]], count=1
+    )
+    result = run_query(select_all, database, cache=None)
+    query = result.plan.query
+    if query.aggregate is not None or not result.rows:
+        fail(f"{QUERIES[0]}: SELECT * variant did not produce rows")
+    input_rows = sum(len(database.relation(a.relation)) for a in query.atoms)
+    bound = 10 * (input_rows + len(result.rows))
+    if result.execution_work >= bound:
+        fail(
+            f"{QUERIES[0]} SELECT *: execution_work {result.execution_work} "
+            f">= 10 x (input {input_rows} + output {len(result.rows)})"
+        )
+    print(
+        f"plan shape: no nested neighbouring bags; {QUERIES[0]} SELECT * work "
+        f"{result.execution_work} < {bound}"
+    )
+
+
 def check_errors() -> None:
     code, output = run_cli(["query", "--sql", "SELEKT 1", "--no-cache"])
     if code != 2 or not output.startswith("error:"):
@@ -115,6 +148,7 @@ def main() -> None:
         check_sql_entry_matches_named(cli_tmp)
     with tempfile.TemporaryDirectory() as api_tmp:
         check_recertification(api_tmp)
+    check_plan_shape()
     check_errors()
     print("OK: query front door smoke passed")
 

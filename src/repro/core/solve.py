@@ -345,11 +345,8 @@ def preference_object(spec: Optional[str], database=None, query=None):
                 "execute() needs database= and query= for it"
             )
         from repro.db.cost import make_cost_preference
-        from repro.db.stats import CardinalityEstimator
 
-        return make_cost_preference(
-            spec, query, database, CardinalityEstimator(database)
-        )
+        return make_cost_preference(spec, query, database)
     raise ValueError(f"unknown preference {spec!r}")
 
 

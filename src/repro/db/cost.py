@@ -86,7 +86,7 @@ class EstimateCostModel(_CostModelBase):
         prefer_connected: bool = True,
     ):
         super().__init__(query, database, max_cover_size, prefer_connected)
-        self.estimator = estimator or CardinalityEstimator(database)
+        self.estimator = estimator or database.estimator
         # Plan costs are pure functions of the atom set; Algorithm 2 asks for
         # the same bags and (parent, child) pairs over and over.
         self._plan_cost_cache: Dict[Tuple[str, ...], float] = {}

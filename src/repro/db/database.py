@@ -31,6 +31,7 @@ class Database:
         self._primary_keys: Dict[str, str] = {}
         self.relation_cls: Type = relation_cls or Relation
         self.interner = ValueInterner()
+        self._estimator = None
 
     # -- schema management -------------------------------------------------------
 
@@ -114,6 +115,20 @@ class Database:
 
     def primary_key(self, name: str) -> Optional[str]:
         return self._primary_keys.get(name)
+
+    @property
+    def estimator(self):
+        """The database's one :class:`~repro.db.stats.CardinalityEstimator`.
+
+        Built on first use and shared by every planner and executor over
+        this database: its per-relation statistics are computed once, and
+        cannot go stale because a registered relation is never replaced.
+        """
+        if self._estimator is None:
+            from repro.db.stats import CardinalityEstimator
+
+            self._estimator = CardinalityEstimator(self)
+        return self._estimator
 
     def total_rows(self) -> int:
         return sum(len(rel) for rel in self._relations.values())

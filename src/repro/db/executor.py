@@ -103,7 +103,7 @@ class BaselineExecutor:
     ):
         self.database = database
         self.query = query
-        self.estimator = estimator or CardinalityEstimator(database)
+        self.estimator = estimator or database.estimator
 
     def execute(self) -> ExecutionMetrics:
         counter = WorkCounter()

@@ -78,9 +78,12 @@ class QueryPlan:
     the persistent CTD store (and re-certified on the way out) and
     ``"solve"`` when it was computed this call; ``fingerprint`` is the
     canonical (isomorphism-invariant) hypergraph fingerprint — the cache
-    key isomorphic query shapes share.  ``node_plans`` carries the
-    lowered Yannakakis plan: one entry per decomposition node with its
-    bag, chosen λ-cover and semi-join-enforced atoms.
+    key isomorphic query shapes share.  ``decomposition`` is the tree that
+    is executed: the solver's (re-certified) CTD, still available as
+    ``solve.decomposition``, with every bag contained in a neighbouring
+    bag contracted away.  ``node_plans`` carries the lowered Yannakakis
+    plan: one entry per node of it with its bag, chosen λ-cover and
+    semi-join-enforced atoms.
     """
 
     query: ConjunctiveQuery
@@ -220,6 +223,10 @@ def _plan(
     executor = None
     if decomposition is not None:
         provenance = "cache" if solve.cache_status == "hit" else "solve"
+        # The certified CTD (CompNF) carries interface bags contained in a
+        # neighbour's; each would be built, reduced twice and joined for
+        # nothing.  Contraction keeps validity and width by construction.
+        decomposition = decomposition.contracted()
         executor = YannakakisExecutor(database, query)
         node_plans = executor.plan(decomposition)
     plan = QueryPlan(

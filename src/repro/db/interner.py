@@ -32,11 +32,12 @@ class ValueInterner:
     snapshot hits close to a raw ``np.load``.
     """
 
-    __slots__ = ("_codes", "_values")
+    __slots__ = ("_codes", "_values", "_table")
 
     def __init__(self) -> None:
         self._codes: Optional[dict] = {}
         self._values: List[object] = []
+        self._table = np.empty(0, dtype=object)
 
     @classmethod
     def from_values(cls, values: Iterable[object]) -> "ValueInterner":
@@ -120,9 +121,17 @@ class ValueInterner:
         return self._values
 
     def decode_column(self, codes: np.ndarray) -> List[object]:
-        """Decode a code array back into a list of Python values."""
-        values = self._values
-        return [values[c] for c in codes.tolist()]
+        """Decode a code array back into a list of Python values.
+
+        One gather through an object array of the value table (rebuilt when
+        values were interned since), so the result holds the interned
+        objects themselves, not numpy scalars.
+        """
+        if len(self._table) != len(self._values):
+            self._table = np.fromiter(
+                self._values, dtype=object, count=len(self._values)
+            )
+        return self._table[codes].tolist()
 
     # -- cross-interner translation ---------------------------------------
 

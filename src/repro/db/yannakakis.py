@@ -6,16 +6,26 @@ of the paper, following the SQL-rewriting line of work it builds on):
 1. *Local joins*: for every decomposition node ``u``, materialise the bag
    relation ``J_u`` — the join of the node's λ-cover atoms projected onto the
    bag — and enforce every query atom at some node whose bag contains all of
-   its variables (a semi-join, since the atom's variables are a subset of the
-   bag).  This turns the cyclic query into an acyclic one over the ``J_u``.
+   its variables.  An enforced atom's variables are a subset of the bag, so
+   ``J_u`` is the projection of the join of cover *and* enforced atoms, and
+   the join is run filter-first: atoms contained in another are semi-joined
+   into it, the rest joined in the order the database's cardinality
+   estimator picks (the baseline executor's greedy order), projection last.
+   This turns the cyclic query into an acyclic one over the ``J_u``.
 2. *Full reducer*: Yannakakis' bottom-up and top-down semi-join passes.
    A MIN/MAX aggregate needs only the first: the tree is re-rooted at a
    node containing the aggregated variable, and after the leaf-to-root pass
    every tuple left *at the root* participates in at least one answer.
 3. *Answer extraction*: MIN/MAX aggregates are read off that root; after the
    full reducer every remaining tuple of every node participates in at least
-   one answer, so the full join result can be materialised bottom-up (for
-   COUNT and row output).
+   one answer, so the full join result (for COUNT and row output) is a
+   root-to-leaf fold along tree edges: each bag joins a result that already
+   contains its parent, which keeps every intermediate a projection of the
+   answer — never larger than the answer itself.
+
+The executor runs the decomposition it is given, node for node (callers key
+``node_sizes`` by their own node ids); merging bags that are contained in a
+neighbour's (:meth:`TreeDecomposition.contracted`) is the front door's job.
 """
 
 from __future__ import annotations
@@ -127,6 +137,10 @@ class YannakakisRun:
     sizes after the semi-join passes that ran: the full reducer for COUNT
     and row output, only the leaf-to-root pass (towards the node the
     aggregate is read from) for MIN/MAX without a materialised result.
+    ``max_intermediate`` is the largest relation the run built: every bag
+    relation and the output of every natural join issued (the cover joins
+    of stage 1 and each step of the stage 3 fold, whose sizes are kept in
+    order in ``fold_sizes``).
     """
 
     result: object
@@ -136,6 +150,7 @@ class YannakakisRun:
     reduced_sizes: Dict[int, int]
     max_intermediate: int
     outcome: SolveOutcome = completed_outcome()
+    fold_sizes: List[int] = field(default_factory=list)
 
     @property
     def work(self) -> int:
@@ -281,14 +296,15 @@ class YannakakisExecutor:
         )
         bag_relations: Dict[int, Relation] = {}
         node_sizes: Dict[int, int] = {}
-        max_intermediate = 0
+        # Output size of every natural join issued, per stage.
+        cover_join_sizes: List[int] = []
+        fold_sizes: List[int] = []
 
         # Stage 1: local joins.
         for plan in plans:
-            relation = self._materialize_bag(plan, counter)
+            relation = self._materialize_bag(plan, counter, cover_join_sizes)
             bag_relations[plan.node.node_id] = relation
             node_sizes[plan.node.node_id] = len(relation)
-            max_intermediate = max(max_intermediate, len(relation))
 
         tree = decomposition.tree
         aggregate = self.query.aggregate
@@ -324,8 +340,9 @@ class YannakakisExecutor:
                         child.node_id
                     ].semijoin(bag_relations[node.node_id], counter)
             # Stage 3: answer extraction.
-            result_relation = self._materialize_join(tree, bag_relations, counter)
-            max_intermediate = max(max_intermediate, len(result_relation))
+            result_relation = self._materialize_join(
+                tree, bag_relations, counter, fold_sizes
+            )
             result = (
                 result_relation
                 if aggregate is None
@@ -346,41 +363,80 @@ class YannakakisExecutor:
             wall_time=wall_time,
             node_sizes=node_sizes,
             reduced_sizes=reduced_sizes,
-            max_intermediate=max_intermediate,
+            max_intermediate=max(
+                [*node_sizes.values(), *cover_join_sizes, *fold_sizes], default=0
+            ),
+            fold_sizes=fold_sizes,
             outcome=outcome,
         )
 
     # -- helpers --------------------------------------------------------------------
 
-    def _materialize_bag(self, plan: NodePlan, counter: WorkCounter) -> Relation:
-        bag_attributes = sorted(map(str, plan.bag))
+    def _materialize_bag(
+        self, plan: NodePlan, counter: WorkCounter, join_sizes: List[int]
+    ) -> Relation:
+        """``J_u = π_bag(⋈ cover) ⋉ enforced``, filter-first.
+
+        Every enforced atom's variables lie in the bag, so ``J_u`` is also
+        ``π_bag(⋈ (cover ∪ enforced))`` and the members may be combined in
+        any order: a member whose variables lie within another member's is
+        semi-joined into it before any join runs, the rest are joined in the
+        estimator's greedy order (an operand that brings no new attribute
+        is a semi-join), and the projection onto the bag comes last.
+        """
         if not plan.cover:
+            bag_attributes = sorted(map(str, plan.bag))
             return self.database.new_relation(
                 f"J{plan.node.node_id}",
                 bag_attributes,
                 [()] if not bag_attributes else [],
             )
-        relation = self._atom_relation(plan.cover[0])
-        for alias in plan.cover[1:]:
-            relation = relation.natural_join(self._atom_relation(alias), counter)
-        relation = relation.project(
+        relations = {
+            alias: self._atom_relation(alias)
+            for alias in plan.cover + plan.enforced_atoms
+        }
+        variables = {alias: set(r.attributes) for alias, r in relations.items()}
+        # Widest first (stable), so whatever contains a member comes before it.
+        kept: List[str] = []
+        for alias in sorted(relations, key=lambda alias: -len(variables[alias])):
+            host = next((k for k in kept if variables[alias] <= variables[k]), None)
+            if host is None:
+                kept.append(alias)
+            else:
+                relations[host] = relations[host].semijoin(relations[alias], counter)
+        order = self.database.estimator.greedy_join_order(
+            [self.query.atom(alias) for alias in kept]
+        )
+        relation = relations[order[0].alias]
+        for atom in order[1:]:
+            operand = relations[atom.alias]
+            if set(operand.attributes) <= set(relation.attributes):
+                relation = relation.semijoin(operand, counter)
+            else:
+                relation = relation.natural_join(operand, counter)
+                join_sizes.append(len(relation))
+        return relation.project(
             [a for a in relation.attributes if a in plan.bag], counter
         )
-        for alias in plan.enforced_atoms:
-            relation = relation.semijoin(self._atom_relation(alias), counter)
-        return relation
 
     def _materialize_join(
         self,
         tree,
         bag_relations: Dict[int, Relation],
         counter: WorkCounter,
+        join_sizes: List[int],
     ) -> Relation:
-        result: Optional[Relation] = None
-        for node in tree.postorder():
-            relation = bag_relations[node.node_id]
-            result = relation if result is None else result.natural_join(relation, counter)
-        assert result is not None
+        """Join the (fully reduced) bag relations along tree edges.
+
+        Root-to-leaf: every bag joins a result that already holds its
+        parent, so each intermediate is the projection of the answer onto
+        the variables seen so far and never exceeds the answer.
+        """
+        nodes = tree.nodes()
+        result = bag_relations[nodes[0].node_id]
+        for node in nodes[1:]:
+            result = result.natural_join(bag_relations[node.node_id], counter)
+            join_sizes.append(len(result))
         return result
 
 

@@ -139,6 +139,61 @@ class TreeDecomposition:
         allowed = {frozenset(bag) for bag in candidate_bags}
         return all(bag in allowed for bag in self.bags())
 
+    # -- contraction ------------------------------------------------------------
+
+    def contracted(self) -> "TreeDecomposition":
+        """This decomposition with every subsumed node merged away.
+
+        A node whose bag is contained in a neighbour's bag adds nothing: the
+        tree edge between them is contracted and the neighbour (keeping its
+        own payload) inherits the node's other neighbours.  Contracting an
+        edge onto the larger bag keeps both TD conditions, so the result is
+        a valid TD using only bags of ``self`` in which no bag is contained
+        in a neighbouring one, and every bag of ``self`` lies in one of its
+        bags.  Deterministic: candidates are visited in pre-order, merging
+        into the qualifying neighbour of lowest node id, until nothing
+        merges; the rebuilt tree is rooted at the first surviving pre-order
+        node, children in ascending old id, new ids in pre-order.
+        """
+        nodes = self.tree.nodes()
+        bags = {node.node_id: self.bag(node) for node in nodes}
+        adjacent = {
+            node.node_id: {child.node_id for child in node.children}
+            | ({node.parent.node_id} if node.parent is not None else set())
+            for node in nodes
+        }
+        merged = True
+        while merged:
+            merged = False
+            for node in nodes:
+                u = node.node_id
+                host = next(
+                    (v for v in sorted(adjacent.get(u, ())) if bags[u] <= bags[v]),
+                    None,
+                )
+                if host is None:
+                    continue
+                for w in adjacent.pop(u):
+                    adjacent[w].discard(u)
+                    if w != host:
+                        adjacent[w].add(host)
+                        adjacent[host].add(w)
+                merged = True
+        by_id = {node.node_id: node for node in nodes}
+        tree = RootedTree()
+        root = next(node.node_id for node in nodes if node.node_id in adjacent)
+        # (old id, old id of the neighbour it was reached from, new parent)
+        stack: List[Tuple[int, Optional[int], Optional[TreeNode]]] = [
+            (root, None, None)
+        ]
+        while stack:
+            u, origin, parent = stack.pop()
+            copy = tree.new_node(parent, **by_id[u].data)
+            stack.extend(
+                (v, u, copy) for v in sorted(adjacent[u], reverse=True) if v != origin
+            )
+        return type(self)(self.hypergraph, tree)
+
     # -- misc -----------------------------------------------------------------
 
     def bag_multiset(self) -> Tuple[FrozenSet[Vertex], ...]:

@@ -32,7 +32,6 @@ from repro.db.cost import CardinalityCostModel, EstimateCostModel
 from repro.db.database import Database
 from repro.db.executor import BaselineExecutor, DecompositionExecutor, ExecutionMetrics
 from repro.db.query import ConjunctiveQuery
-from repro.db.stats import CardinalityEstimator
 from repro.runtime.budget import Budget
 
 
@@ -81,11 +80,10 @@ class QueryExperiment:
         # coordinates; ad-hoc databases have none.
         self.data_key = data_key
         self.hypergraph = query.hypergraph()
-        self.estimator = CardinalityEstimator(database)
         self._soft_bags = None
         self._concov_bags = None
         self._cardinality_model = CardinalityCostModel(query, database)
-        self._estimate_model = EstimateCostModel(query, database, estimator=self.estimator)
+        self._estimate_model = EstimateCostModel(query, database)
         self._executor = DecompositionExecutor(database, query)
 
     @classmethod
@@ -276,7 +274,7 @@ class QueryExperiment:
 
     def baseline(self) -> ExecutionMetrics:
         """The DBMS-style baseline execution of the query."""
-        return BaselineExecutor(self.database, self.query, self.estimator).execute()
+        return BaselineExecutor(self.database, self.query).execute()
 
     # -- Table 1 -----------------------------------------------------------------------------
 

@@ -1,7 +1,9 @@
 """Unit tests for the in-memory relation operators."""
 
+import numpy as np
 import pytest
 
+from repro.db.interner import ValueInterner
 from repro.db.relation import Relation, WorkCounter
 
 
@@ -109,3 +111,20 @@ class TestAggregates:
     def test_unknown_aggregate_rejected(self, r):
         with pytest.raises(ValueError):
             r.aggregate("SUM", "a")
+
+
+class TestDecoding:
+    def test_decoded_values_are_the_interned_objects_themselves(self):
+        values = [10**20, "a", (1, 2), None, 2.5, frozenset({3})]
+        interner = ValueInterner()
+        codes = np.array([interner.code(value) for value in values])
+        decoded = interner.decode_column(codes[::-1])
+        assert [type(value) for value in decoded] == [type(v) for v in values[::-1]]
+        assert all(got is want for got, want in zip(decoded, values[::-1]))
+        assert interner.decode_column(codes[:0]) == []
+
+    def test_values_interned_after_a_decode_are_decodable(self):
+        interner = ValueInterner.from_values(["x", "y"])
+        assert interner.decode_column(np.array([1, 0, 1])) == ["y", "x", "y"]
+        late = interner.code(("late", 1))
+        assert interner.decode_column(np.array([late, 0])) == [("late", 1), "x"]

@@ -2,9 +2,14 @@
 
 import pytest
 
+from repro.db.cost import EstimateCostModel
 from repro.db.database import Database
-from repro.db.query import atom
+from repro.db.executor import BaselineExecutor
+from repro.db.frontdoor import run_query
+from repro.db.query import ConjunctiveQuery, atom
+from repro.db.relation import Relation
 from repro.db.stats import CardinalityEstimator
+from repro.experiments.harness import QueryExperiment
 
 
 @pytest.fixture
@@ -31,6 +36,39 @@ class TestStatistics:
 
     def test_statistics_are_cached(self, estimator):
         assert estimator.statistics("R") is estimator.statistics("R")
+
+
+class TestOneEstimatorPerDatabase:
+    def test_every_default_call_site_shares_the_database_estimator(self, database):
+        query = ConjunctiveQuery(
+            atoms=[atom("R", "R", {"a": "x", "b": "y"}), atom("S", "S", {"b": "y", "c": "z"})],
+            name="rs",
+        )
+        shared = database.estimator
+        assert isinstance(shared, CardinalityEstimator)
+        assert database.estimator is shared
+        assert BaselineExecutor(database, query).estimator is shared
+        assert EstimateCostModel(query, database).estimator is shared
+        assert QueryExperiment(database, query, width=1)._estimate_model.estimator is shared
+        # An explicit estimator still wins.
+        own = CardinalityEstimator(database)
+        assert BaselineExecutor(database, query, own).estimator is own
+
+    def test_column_statistics_are_computed_once_across_requests(
+        self, database, monkeypatch
+    ):
+        passes = []
+        original = Relation.distinct_counts
+        monkeypatch.setattr(
+            Relation,
+            "distinct_counts",
+            lambda self: passes.append(self.name) or original(self),
+        )
+        sql = "SELECT COUNT(a) FROM R, S, T WHERE R.b = S.b AND S.c = T.c"
+        first = run_query(sql, database, cache=None)
+        BaselineExecutor(database, first.plan.query).execute()
+        assert run_query(sql, database, cache=None).value == first.value
+        assert sorted(passes) == sorted(set(passes))
 
 
 class TestCardinalityEstimates:

@@ -5,10 +5,19 @@ import pytest
 from repro.core.candidate_bags import soft_candidate_bags
 from repro.core.enumerate import enumerate_ctds
 from repro.decompositions.td import TreeDecomposition
+from repro.decompositions.tree import TreeNode
 from repro.db.database import Database
 from repro.db.query import Atom, ConjunctiveQuery
 from repro.db.executor import BaselineExecutor, DecompositionExecutor
-from repro.db.yannakakis import YannakakisExecutor, atom_relation, choose_cover, run_yannakakis
+from repro.db.reference import as_reference_database
+from repro.db.relation import WorkCounter
+from repro.db.yannakakis import (
+    NodePlan,
+    YannakakisExecutor,
+    atom_relation,
+    choose_cover,
+    run_yannakakis,
+)
 from tests.conftest import brute_force_triangle_count
 
 
@@ -226,3 +235,160 @@ class TestExecutorsAgree:
         assert baseline.max_intermediate >= 0
         assert baseline.wall_time >= 0.0
         assert "work" in repr(baseline)
+
+
+class TestMaxIntermediate:
+    def test_counts_every_join_of_the_fold_not_only_its_endpoints(self, star_database):
+        # Root {b,c} with the variable-disjoint siblings {a,b} and {c,d}:
+        # folding the siblings together before their parent would build
+        # their 3 x 3 cross product on the way to a 5-row answer.
+        query = ConjunctiveQuery(atoms=_star_query(None).atoms[:3], name="path")
+        decomposition = TreeDecomposition.from_bags(
+            query.hypergraph(), [{"b", "c"}, {"a", "b"}, {"c", "d"}], [None, 0, 0]
+        )
+        for database in (star_database, as_reference_database(star_database)):
+            run = YannakakisExecutor(database, query).execute(
+                decomposition, materialize_result=True
+            )
+            assert sorted(run.reduced_sizes.values()) == [2, 3, 3]
+            assert len(run.result) == 5
+            assert run.fold_sizes == [3, 5]
+            assert run.max_intermediate == max(
+                max(run.node_sizes.values()), len(run.result)
+            ) == 5
+
+
+@pytest.fixture
+def bag_database():
+    """Tables for every shape of bag join; ``R2`` ranges over R's variables."""
+    database = Database()
+    database.create_table("R", ["a", "b"], [(1, 1), (2, 1), (3, 2), (9, 7), (4, 2)])
+    database.create_table("R2", ["a", "b"], [(1, 1), (3, 2), (5, 5)])
+    database.create_table("S", ["b", "c"], [(1, 5), (2, 6), (2, 8), (4, 5)])
+    database.create_table("T", ["c", "d"], [(5, 40), (5, 41), (8, 42), (3, 43)])
+    database.create_table("W", ["a", "c"], [(1, 5), (3, 8), (3, 6), (2, 9)])
+    database.create_table("K", ["b"], [(1,), (7,)])
+    return database
+
+
+def _bag_query():
+    return ConjunctiveQuery(
+        atoms=[
+            Atom("R", "R", ("a", "b"), ("a", "b")),
+            Atom("R2", "R2", ("a", "b"), ("a", "b")),
+            Atom("S", "S", ("b", "c"), ("b", "c")),
+            Atom("T", "T", ("c", "d"), ("c", "d")),
+            Atom("W", "W", ("a", "c"), ("a", "c")),
+            Atom("K", "K", ("b",), ("b",)),
+        ],
+        name="bags",
+    )
+
+
+def _naive_bag_rows(database, query, bag, cover, enforced):
+    """``π_bag(⋈ cover) ⋉ enforced``, in cover order, as a set of dict rows."""
+    relation = atom_relation(database, query.atom(cover[0]))
+    for alias in cover[1:]:
+        relation = relation.natural_join(atom_relation(database, query.atom(alias)))
+    relation = relation.project([a for a in relation.attributes if a in bag])
+    for alias in enforced:
+        relation = relation.semijoin(atom_relation(database, query.atom(alias)))
+    return _row_set(relation)
+
+
+def _row_set(relation):
+    return {frozenset(zip(relation.attributes, row)) for row in relation.rows}
+
+
+class TestFilterFirstBagJoin:
+    @pytest.mark.parametrize(
+        "bag, cover, enforced",
+        [
+            ("ab", ["R"], []),
+            ("b", ["R"], ["K"]),
+            # An enforced atom over exactly the variables of a cover atom.
+            ("ab", ["R"], ["R2"]),
+            ("ab", ["R2"], ["R", "K"]),
+            ("abc", ["R", "S"], ["W"]),
+            ("abc", ["R", "S"], ["W", "R2", "K"]),
+            ("ac", ["R", "S"], ["W"]),
+            # Cover atoms without a shared variable: a Cartesian product.
+            ("abcd", ["R", "T"], []),
+            ("ad", ["R", "T"], []),
+            ("abcd", ["R", "T"], ["S", "K"]),
+            ("abcd", ["R", "S", "T"], ["W", "K", "R2"]),
+            ("bcd", ["T", "S", "R"], ["K"]),
+        ],
+    )
+    def test_same_rows_as_the_naive_definition(self, bag_database, bag, cover, enforced):
+        query = _bag_query()
+        plan = NodePlan(
+            node=TreeNode(0), bag=frozenset(bag), cover=cover, enforced_atoms=enforced
+        )
+        expected = _naive_bag_rows(bag_database, query, plan.bag, cover, enforced)
+        for database in (bag_database, as_reference_database(bag_database)):
+            counter, join_sizes = WorkCounter(), []
+            relation = YannakakisExecutor(database, query)._materialize_bag(
+                plan, counter, join_sizes
+            )
+            assert set(relation.attributes) == plan.bag
+            assert len(relation.rows) == len(set(relation.rows))
+            assert _row_set(relation) == expected
+            # Members contained in another cost a semi-join, never a join.
+            widest = {
+                alias
+                for alias in cover + enforced
+                if not any(
+                    set(query.atom(alias).variables) < set(query.atom(o).variables)
+                    for o in cover + enforced
+                )
+            }
+            assert len(join_sizes) <= len(widest) - 1
+
+    def test_empty_cover_is_the_relational_true(self, bag_database):
+        plan = NodePlan(node=TreeNode(0), bag=frozenset(), cover=[])
+        relation = YannakakisExecutor(bag_database, _bag_query())._materialize_bag(
+            plan, WorkCounter(), []
+        )
+        assert relation.attributes == ()
+        assert relation.rows == [()]
+
+    def test_skewed_cover_joins_through_the_enforced_atom_first(self):
+        # cover = [A(x, s), B(y, s)] meet only on the two-valued s; the
+        # enforced L(x, y) links them selectively.  Cover order builds
+        # |A| * |B| / 2 rows; estimate order never exceeds |L|.
+        database = Database()
+        n = 40
+        database.create_table("A", ["x", "s"], [(i, i % 2) for i in range(n)])
+        database.create_table("B", ["y", "s"], [(i, i % 2) for i in range(n)])
+        database.create_table("L", ["x", "y"], [(i, i) for i in range(n)])
+        query = ConjunctiveQuery(
+            atoms=[
+                Atom("A", "A", ("x", "s"), ("x", "s")),
+                Atom("B", "B", ("y", "s"), ("y", "s")),
+                Atom("L", "L", ("x", "y"), ("x", "y")),
+            ],
+            name="skew",
+        )
+        plan = NodePlan(
+            node=TreeNode(0), bag=frozenset("xys"), cover=["A", "B"], enforced_atoms=["L"]
+        )
+        join_sizes = []
+        relation = YannakakisExecutor(database, query)._materialize_bag(
+            plan, WorkCounter(), join_sizes
+        )
+        assert _row_set(relation) == _naive_bag_rows(
+            database, query, plan.bag, ["A", "B"], ["L"]
+        )
+        assert len(relation) == n
+        assert join_sizes == [n]
+        # The same bag through execute(): stage 1 joins count towards
+        # max_intermediate (cover order would have reported n * n / 2).
+        decomposition = TreeDecomposition.from_bags(
+            query.hypergraph(), [set("xys")], [None]
+        )
+        executor = YannakakisExecutor(database, query)
+        assert [(p.cover, p.enforced_atoms) for p in executor.plan(decomposition)] == [
+            (["A", "B"], ["L"])
+        ]
+        assert executor.execute(decomposition).max_intermediate == n

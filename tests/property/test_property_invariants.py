@@ -16,8 +16,10 @@ from repro.hypergraph.components import (
     edge_components,
     vertex_components,
 )
+from repro.decompositions.td import TreeDecomposition
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.db.relation import Relation
+from tests.decompositions.test_td import assert_contraction_invariants
 
 SETTINGS = settings(
     max_examples=25,
@@ -52,6 +54,47 @@ def small_hypergraphs(draw, max_vertices=7, max_edges=7):
             edges[f"iso{extra}"] = [vertex, partner]
             extra += 1
     return Hypergraph(edges)
+
+
+@st.composite
+def valid_tree_decompositions(draw, max_nodes=7, max_vertices=6):
+    """A random tree of bags that is a valid TD of a hypergraph drawn from it.
+
+    Every vertex occupies a random connected subtree (so bags contained in
+    a neighbour's, equal bags and empty bags all occur); the hyperedges are
+    subsets of bags, plus a singleton edge for any vertex left uncovered.
+    """
+    num_nodes = draw(st.integers(min_value=1, max_value=max_nodes))
+    parent_of = [None] + [
+        draw(st.integers(min_value=0, max_value=i - 1)) for i in range(1, num_nodes)
+    ]
+    neighbours = {i: set() for i in range(num_nodes)}
+    for child, parent in enumerate(parent_of):
+        if parent is not None:
+            neighbours[child].add(parent)
+            neighbours[parent].add(child)
+    vertices = [f"v{i}" for i in range(draw(st.integers(1, max_vertices)))]
+    bags = [set() for _ in range(num_nodes)]
+    for vertex in vertices:
+        holders = {draw(st.integers(min_value=0, max_value=num_nodes - 1))}
+        for _ in range(draw(st.integers(min_value=0, max_value=num_nodes - 1))):
+            frontier = sorted(set().union(*(neighbours[h] for h in holders)) - holders)
+            if not frontier:
+                break
+            holders.add(draw(st.sampled_from(frontier)))
+        for holder in holders:
+            bags[holder].add(vertex)
+    edges = {}
+    for bag in filter(None, bags):
+        members = draw(
+            st.lists(st.sampled_from(sorted(bag)), min_size=1, max_size=3, unique=True)
+        )
+        edges[f"e{len(edges)}"] = members
+    covered = {v for members in edges.values() for v in members}
+    for vertex in vertices:
+        if vertex not in covered:
+            edges[f"e{len(edges)}"] = [vertex]
+    return TreeDecomposition.from_bags(Hypergraph(edges), bags, parent_of)
 
 
 @st.composite
@@ -176,6 +219,20 @@ class TestSoftWidthProperties:
             assert decomposition.is_valid()
             assert decomposition.uses_bags_from(bags)
             assert decomposition.is_component_normal_form()
+
+
+class TestContractionProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(valid_tree_decompositions())
+    def test_contracting_a_random_valid_td(self, decomposition):
+        assert decomposition.is_valid()
+        assert_contraction_invariants(decomposition)
+
+    @SETTINGS
+    @given(small_hypergraphs())
+    def test_contracting_the_shw_witness_keeps_its_width(self, hypergraph):
+        width, decomposition = soft_hypertree_width(hypergraph)
+        assert_contraction_invariants(decomposition, width=width)
 
 
 class TestRelationProperties:

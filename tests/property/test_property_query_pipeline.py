@@ -33,6 +33,7 @@ from repro.db.query import Atom, ConjunctiveQuery
 from repro.db.reference import as_reference_database
 from repro.db.relation import Relation
 from repro.db.yannakakis import YannakakisExecutor
+from repro.decompositions.td import TreeDecomposition
 
 VARIABLES = ("x0", "x1", "x2", "x3", "x4")
 DOMAIN = 5
@@ -206,6 +207,88 @@ class TestPipelineAgainstOracles:
         pinned = run_query(query, database, width=least.width, cache=None)
         assert pinned.rows == least.rows
         assert pinned.value == least.value
+
+
+@st.composite
+def centre_rooted_chain(draw):
+    """A chain query ``A0(c0,c1), A1(c1,c2), ...`` (closed into a cycle or
+    not) with a database, plus for the open chain a path decomposition
+    rooted at its middle atom — so the root's two subtrees share no variable.
+    """
+    length = draw(st.integers(min_value=3, max_value=5))
+    cyclic = draw(st.booleans())
+    database = Database()
+    atoms = []
+    for index in range(length):
+        rows = draw(
+            st.lists(
+                st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                min_size=1,
+                max_size=10,
+            )
+        )
+        table = f"A{index}"
+        database.create_table(table, [f"a{index}l", f"a{index}r"], rows)
+        last = cyclic and index == length - 1
+        atoms.append(
+            Atom(
+                alias=table,
+                relation=table,
+                attributes=(f"a{index}l", f"a{index}r"),
+                variables=(f"c{index}", "c0" if last else f"c{index + 1}"),
+            )
+        )
+    query = ConjunctiveQuery(atoms=atoms, name="chain")
+    if cyclic:
+        return database, query, None
+    middle = length // 2
+    order = [middle, *range(middle - 1, -1, -1), *range(middle + 1, length)]
+    parent_of = [
+        None if i == middle else order.index(i + 1 if i < middle else i - 1)
+        for i in order
+    ]
+    decomposition = TreeDecomposition.from_bags(
+        query.hypergraph(), [set(atoms[i].variables) for i in order], parent_of
+    )
+    return database, query, decomposition
+
+
+class TestAnswerExtractionIsOutputBounded:
+    """After the full reducer the fold along tree edges never outgrows the answer."""
+
+    def _check(self, database, query, given_decomposition=None):
+        expected_rows, _ = reference_answer(database, query)
+        full_query = ConjunctiveQuery(
+            atoms=query.atoms, aggregate=None, name=query.name
+        )
+        columns = sorted(query.variables())
+        if given_decomposition is None:
+            given_decomposition = execute(
+                SolveRequest(hypergraph=full_query.hypergraph(), mode="soft-width"),
+                cache=None,
+            ).decomposition
+        # The executor stays engine-agnostic: same bound on the tuple spec.
+        for engine in (database, as_reference_database(database)):
+            for decomposition in (given_decomposition, given_decomposition.contracted()):
+                run = YannakakisExecutor(engine, full_query).execute(
+                    decomposition, materialize_result=True
+                )
+                assert len(run.fold_sizes) == decomposition.tree.num_nodes() - 1
+                assert all(size <= len(run.result) for size in run.fold_sizes)
+                assert run.max_intermediate >= max(
+                    [len(run.result), *run.node_sizes.values()]
+                )
+                assert sorted(set(run.result.project(columns).rows)) == expected_rows
+
+    @settings(max_examples=60, **COMMON_SETTINGS)
+    @given(database_and_query())
+    def test_random_queries_through_the_solver(self, case):
+        self._check(*case)
+
+    @settings(max_examples=60, **COMMON_SETTINGS)
+    @given(centre_rooted_chain())
+    def test_chains_rooted_in_the_middle_and_cycles(self, case):
+        self._check(*case)
 
 
 class TestCacheTransparency:

@@ -9,6 +9,7 @@ execution — any change to one layer that shifts an answer fails here.
 """
 
 import io
+import re
 
 import pytest
 
@@ -46,18 +47,18 @@ query: jl01
 atoms: 3  variables: 3
 fingerprint: de0e2f0d9fd63db2
 decomposition: width=1 provenance=solve
-  node 0 (root): bag=[v0] cover=[movie_companies]
-  node 1 (parent=0): bag=[v0, v1] cover=[title]
-  node 2 (parent=0): bag=[v0, v2] cover=[movie_companies] enforce=[company_name]"""
+  node 0 (root): bag=[v0, v1] cover=[title]
+  node 1 (parent=0): bag=[v0, v2] cover=[movie_companies] enforce=[company_name]"""
 
 EXPLAIN_JL08 = """\
 query: jl08
 atoms: 4  variables: 3
 fingerprint: a239d5b771dbaf15
 decomposition: width=2 provenance=solve
-  node 0 (root): bag=[v1] cover=[movie_info] enforce=[title]
-  node 1 (parent=0): bag=[v0, v1] cover=[movie_keyword]
-  node 2 (parent=1): bag=[v0, v1, v2] cover=[keyword, movie_info]"""
+  node 0 (root): bag=[v0, v1, v2] cover=[keyword, movie_info] enforce=[movie_keyword, title]"""
+
+#: One ``--explain`` node line: index, ``root`` or ``parent=<index>``, bag.
+EXPLAIN_NODE = re.compile(r"  node (\d+) \((?:root|parent=(\d+))\): bag=\[([^\]]*)\]")
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +145,23 @@ class TestExplainStability:
         )
         assert code == 0
         assert out.getvalue().rstrip("\n") == EXPLAIN_JL08
+
+    @pytest.mark.parametrize("select_all", [False, True], ids=["aggregate", "rows"])
+    def test_no_printed_bag_is_contained_in_a_neighbouring_bag(
+        self, database, select_all
+    ):
+        for name, sql in sorted(JOBLITE_QUERY_SQL.items()):
+            if select_all:
+                sql = re.sub(r"SELECT\s+\w+\(\w+\)", "SELECT *", sql, count=1)
+            nodes = EXPLAIN_NODE.findall(
+                plan_query(sql, database, name=name, cache=None).describe()
+            )
+            assert nodes, name
+            bags = {index: set(bag.split(", ")) for index, _, bag in nodes}
+            for index, parent, _ in nodes:
+                if parent:
+                    assert not bags[index] <= bags[parent], (name, index)
+                    assert not bags[parent] <= bags[index], (name, index)
 
 
 class TestCliQuery:
