@@ -14,7 +14,9 @@ cache, and checks the trust model at the API level:
    one-line diagnostic with exit code 2,
 4. the executed plan has the shape the paper's bound needs: no bag
    contained in a neighbouring bag, and row output costs a small multiple
-   of input + output rows.
+   of input + output rows,
+5. atom scans are computed once per database: a repeated query adds no
+   entry to the database's memo and returns byte-identical rows.
 """
 
 import io
@@ -132,6 +134,25 @@ def check_plan_shape() -> None:
     )
 
 
+def check_scan_memo() -> None:
+    database = build_joblite_database(scale=1.0)
+    sql = re.sub(
+        r"SELECT\s+\w+\(\w+\)", "SELECT *", JOBLITE_QUERY_SQL[QUERIES[0]], count=1
+    )
+    first = run_query(sql, database, cache=None)
+    entries = len(database._derived)
+    second = run_query(sql, database, cache=None)
+    if not entries or len(database._derived) != entries:
+        fail(f"database memo grew on a repeated query: {entries} -> {len(database._derived)}")
+    if repr(second.rows).encode() != repr(first.rows).encode():
+        fail(f"{QUERIES[0]} SELECT *: repeated run returned different rows")
+    print(
+        f"database memo (estimator + scans): {entries} entries after one run, "
+        "unchanged by a second; "
+        f"{len(first.rows)} rows byte-identical"
+    )
+
+
 def check_errors() -> None:
     code, output = run_cli(["query", "--sql", "SELEKT 1", "--no-cache"])
     if code != 2 or not output.startswith("error:"):
@@ -149,6 +170,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as api_tmp:
         check_recertification(api_tmp)
     check_plan_shape()
+    check_scan_memo()
     check_errors()
     print("OK: query front door smoke passed")
 

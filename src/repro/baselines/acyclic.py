@@ -21,10 +21,7 @@ def gyo_reduction(hypergraph: Hypergraph) -> List[FrozenSet[Vertex]]:
     An empty result means the hypergraph is α-acyclic.  Edges that become
     empty or duplicates during the reduction are dropped.
     """
-    edges: List[FrozenSet[Vertex]] = []
-    for edge in hypergraph.edges:
-        if edge.vertices not in edges:
-            edges.append(edge.vertices)
+    edges = list(dict.fromkeys(edge.vertices for edge in hypergraph.edges))
     changed = True
     while changed:
         changed = False
@@ -100,7 +97,6 @@ def join_tree(hypergraph: Hypergraph) -> Optional[TreeDecomposition]:
         parents[j] = i
     tree = RootedTree()
     nodes: Dict[int, TreeNode] = {}
-    order = sorted(parents, key=lambda idx: 0 if parents[idx] is None else 1)
     # Build parents before children (BFS over the parent map).
     remaining = set(parents)
     while remaining:
@@ -114,5 +110,4 @@ def join_tree(hypergraph: Hypergraph) -> Optional[TreeDecomposition]:
                     nodes[parent_idx], bag=edges[idx].vertices, edge=edges[idx]
                 )
                 remaining.discard(idx)
-    del order
     return TreeDecomposition(hypergraph, tree)

@@ -495,6 +495,11 @@ def _serve_cached(
     return result
 
 
+def _miss_status(store: Optional[DecompositionCache], kind: Optional[str]) -> str:
+    """The ``cache_status`` of a request the cache does not answer."""
+    return "off" if store is None else ("uncacheable" if kind is None else "miss")
+
+
 def execute(
     request: SolveRequest,
     database=None,
@@ -521,7 +526,7 @@ def execute(
 
     kind = request.cache_kind()
     canonical = None
-    cache_status = "off" if store is None else ("uncacheable" if kind is None else "miss")
+    cache_status = _miss_status(store, kind)
     if store is not None and kind is not None:
         from repro.hypergraph.canonical import canonical_form
 
@@ -603,9 +608,15 @@ def _execute_soft_width(
 
     Each level is a fixed-width sub-request executed through
     :func:`execute`, so positive witnesses cache and re-certify per level.
-    Negative levels re-solve every time by design: "no CTD at width k" has
-    no cheap certificate, so it must never be served from a cache.
+    Negative levels ``k >= 2`` re-solve every time by design: "no CTD at
+    width k" has no cheap certificate, so it must never be served from a
+    cache.  Level 1's certificate is the GYO reduction: shw = 1 ⇔ ghw = 1
+    ⇔ α-acyclic, and candidate bags, constraints and preferences only
+    remove CTDs, so a cyclic hypergraph's level 1 is a complete negative
+    without a solve.
     """
+    from repro.baselines.acyclic import is_alpha_acyclic
+
     hypergraph = request.hypergraph
     bound = (
         int(request.width)
@@ -613,11 +624,14 @@ def _execute_soft_width(
         else max(1, hypergraph.num_edges())
     )
     mode = "decide" if (request.constraint is None and request.preference is None) else "optimal"
-    last: Optional[SolveResult] = None
+    cache_status = "off"
     for k in range(1, bound + 1):
         if budget is not None and budget.exhausted:
             break
         sub = replace(request, mode=mode, width=k, limit=1)
+        if k == 1 and not is_alpha_acyclic(hypergraph):
+            cache_status = _miss_status(store, sub.cache_kind())
+            continue
         last = execute(
             sub,
             database=database,
@@ -637,6 +651,7 @@ def _execute_soft_width(
                 cache_stats=store.stats.as_dict() if store is not None else None,
                 elapsed=time.perf_counter() - started,
             )
+        cache_status = last.cache_status
     outcome = budget.outcome() if budget is not None else completed_outcome()
     return SolveResult(
         request=request,
@@ -644,7 +659,7 @@ def _execute_soft_width(
         decompositions=[],
         width=None,
         outcome=outcome,
-        cache_status=last.cache_status if last is not None else "off",
+        cache_status=cache_status,
         cache_stats=store.stats.as_dict() if store is not None else None,
         elapsed=time.perf_counter() - started,
     )

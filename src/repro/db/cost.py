@@ -27,7 +27,6 @@ from repro.decompositions.tree import TreeNode
 from repro.core.preferences import CostPreference, MonotoneCostPreference
 from repro.db.database import Database
 from repro.db.query import Atom, ConjunctiveQuery
-from repro.db.relation import Relation
 from repro.db.stats import CardinalityEstimator
 from repro.db.yannakakis import atom_relation, choose_cover
 
@@ -174,16 +173,8 @@ class CardinalityCostModel(_CostModelBase):
     ):
         super().__init__(query, database, max_cover_size, prefer_connected)
         self._bag_size_cache: Dict[Bag, int] = {}
-        self._atom_relation_cache: Dict[str, Relation] = {}
 
     # -- actual bag cardinalities -------------------------------------------------
-
-    def _atom_relation(self, alias: str) -> Relation:
-        if alias not in self._atom_relation_cache:
-            self._atom_relation_cache[alias] = atom_relation(
-                self.database, self.query.atom(alias)
-            )
-        return self._atom_relation_cache[alias]
 
     def bag_cardinality(self, bag: Bag) -> int:
         """``|J_u|``: the actual size of the bag join projected onto the bag."""
@@ -192,9 +183,11 @@ class CardinalityCostModel(_CostModelBase):
             if not aliases:
                 self._bag_size_cache[bag] = 0
             else:
-                relation = self._atom_relation(aliases[0])
+                relation = atom_relation(self.database, self.query.atom(aliases[0]))
                 for alias in aliases[1:]:
-                    relation = relation.natural_join(self._atom_relation(alias))
+                    relation = relation.natural_join(
+                        atom_relation(self.database, self.query.atom(alias))
+                    )
                 relation = relation.project(
                     [a for a in relation.attributes if a in bag]
                 )

@@ -11,10 +11,12 @@ the equivalence tests and the join benchmark).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Type
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Type, TypeVar
 
 from repro.db.interner import ValueInterner
 from repro.db.relation import Relation
+
+T = TypeVar("T")
 
 
 class Database:
@@ -24,6 +26,9 @@ class Database:
     Appendix C.2.2, whose ``ReduceAttrs`` definition distinguishes attributes
     that are primary keys of their relation (semijoins along such attributes
     are assumed not to reduce the parent).
+
+    What depends only on the relations (estimator, atom scans) is computed
+    once per database, in :meth:`derived`.
     """
 
     def __init__(self, relation_cls: Optional[Type] = None) -> None:
@@ -31,7 +36,7 @@ class Database:
         self._primary_keys: Dict[str, str] = {}
         self.relation_cls: Type = relation_cls or Relation
         self.interner = ValueInterner()
-        self._estimator = None
+        self._derived: Dict[Hashable, object] = {}
 
     # -- schema management -------------------------------------------------------
 
@@ -116,19 +121,25 @@ class Database:
     def primary_key(self, name: str) -> Optional[str]:
         return self._primary_keys.get(name)
 
+    def derived(self, key: Hashable, build: Callable[[], T]) -> T:
+        """The value under ``key`` in the one memo of data derived from the
+        registered relations alone — the :attr:`estimator` and every atom
+        scan (:func:`repro.db.yannakakis.atom_relation`) — built by
+        ``build()`` on first use.  Its only invalidation rule: a registered
+        relation is never replaced, so no entry goes stale.  Entries are
+        shared, never mutated.
+        """
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]  # type: ignore[return-value]
+
     @property
     def estimator(self):
-        """The database's one :class:`~repro.db.stats.CardinalityEstimator`.
+        """The database's one :class:`~repro.db.stats.CardinalityEstimator`,
+        shared by every planner and executor over it (:meth:`derived`)."""
+        from repro.db.stats import CardinalityEstimator
 
-        Built on first use and shared by every planner and executor over
-        this database: its per-relation statistics are computed once, and
-        cannot go stale because a registered relation is never replaced.
-        """
-        if self._estimator is None:
-            from repro.db.stats import CardinalityEstimator
-
-            self._estimator = CardinalityEstimator(self)
-        return self._estimator
+        return self.derived("estimator", lambda: CardinalityEstimator(self))
 
     def total_rows(self) -> int:
         return sum(len(rel) for rel in self._relations.values())

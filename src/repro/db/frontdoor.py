@@ -207,8 +207,7 @@ def _plan(
     """:func:`plan_query`, plus the executor that lowered the node plans.
 
     :func:`run_query` executes with that executor (covers and plan already
-    derived) instead of building a second one; it is not kept on the
-    :class:`QueryPlan`, so a retained plan does not pin atom relations.
+    derived) instead of building a second one.
     """
     query = _as_query(source, database, name)
     hypergraph = query.hypergraph()

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.db.relation import Row, Value, WorkCounter
+from repro.db.relation import Row, Value, WorkCounter, _permutation
 
 __all__ = ["ReferenceRelation", "as_reference_database"]
 
@@ -78,12 +78,18 @@ class ReferenceRelation:
         return {a: self.distinct_count(a) for a in self.attributes}
 
     def rename(
-        self, new_name: str, mapping: Optional[Dict[str, str]] = None
+        self,
+        new_name: str,
+        mapping: Optional[Dict[str, str]] = None,
+        order: Optional[Sequence[str]] = None,
     ) -> "ReferenceRelation":
-        """A renamed copy; ``mapping`` renames individual attributes."""
+        """A renamed copy; ``mapping`` renames attributes and ``order``, a
+        permutation of them, re-orders columns."""
         mapping = mapping or {}
-        attributes = [mapping.get(a, a) for a in self.attributes]
-        return ReferenceRelation(new_name, attributes, self.rows)
+        order = _permutation(self.attributes, order)
+        indices = [self.attribute_index(a) for a in order]
+        rows = [tuple(row[i] for i in indices) for row in self.rows]
+        return ReferenceRelation(new_name, [mapping.get(a, a) for a in order], rows)
 
     # -- unary operators ------------------------------------------------------------
 

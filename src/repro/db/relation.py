@@ -177,6 +177,13 @@ def _group_ranges(
     return lo, hi - lo
 
 
+def _permutation(attributes: Tuple[str, ...], order: Optional[Sequence[str]]) -> Tuple[str, ...]:
+    """``rename``'s column order: ``order`` (a permutation) or ``attributes``."""
+    if order is not None and sorted(order) != sorted(attributes):
+        raise ValueError(f"{list(order)} is not a permutation of {list(attributes)}")
+    return attributes if order is None else tuple(order)
+
+
 class Relation:
     """A named relation: attribute names plus dictionary-encoded columns."""
 
@@ -338,19 +345,25 @@ class Relation:
             self.name, self.attributes, columns, self._length, interner, self._distinct
         )
 
-    def rename(self, new_name: str, mapping: Optional[Dict[str, str]] = None) -> "Relation":
-        """A renamed copy; ``mapping`` renames individual attributes."""
+    def rename(
+        self,
+        new_name: str,
+        mapping: Optional[Dict[str, str]] = None,
+        order: Optional[Sequence[str]] = None,
+    ) -> "Relation":
+        """A renamed copy sharing the code arrays; ``mapping`` renames
+        attributes and ``order``, a permutation of them, re-orders columns."""
         mapping = mapping or {}
-        attributes = [mapping.get(a, a) for a in self.attributes]
+        order = _permutation(self.attributes, order)
         renamed = Relation._from_codes(
             new_name,
-            attributes,
-            self._columns,
+            [mapping.get(a, a) for a in order],
+            tuple(self.codes(a) for a in order),
             self._length,
             self._interner,
             self._distinct,
         )
-        renamed._rows = self._rows
+        renamed._rows = self._rows if order == self.attributes else None
         return renamed
 
     # -- unary operators ------------------------------------------------------------

@@ -73,21 +73,31 @@ def atom_relation(database: Database, atom: Atom) -> Relation:
     that transitively equates two columns of the same table occurrence) is
     a selection: only rows where those columns agree participate, and one
     representative column carries the variable.
+
+    Selection and projection (the *scan*) depend only on the relation and
+    the atom's sorted attribute groups, so they run once per database
+    (:meth:`Database.derived`), shared by ``R(x, y)``, ``R(y, x)`` and every
+    alias of ``R``; per call only the O(1) ``rename`` to the atom's
+    variables and column order runs.  No work is charged.
     """
-    relation = database.relation(atom.relation)
     by_variable: Dict[str, List[str]] = {}
     for attribute, variable in zip(atom.attributes, atom.variables):
         by_variable.setdefault(variable, []).append(attribute)
-    duplicated = [attrs for attrs in by_variable.values() if len(attrs) > 1]
-    if duplicated:
-        relation = relation.select(
-            lambda row: all(
-                len({row[a] for a in attrs}) == 1 for attrs in duplicated
+    groups = tuple(sorted(tuple(sorted(attrs)) for attrs in by_variable.values()))
+
+    def scan() -> Relation:
+        relation = database.relation(atom.relation)
+        duplicated = [group for group in groups if len(group) > 1]
+        if duplicated:
+            relation = relation.select(
+                lambda row: all(len({row[a] for a in group}) == 1 for group in duplicated)
             )
-        )
-    projected = relation.project([attrs[0] for attrs in by_variable.values()])
-    return projected.rename(
-        atom.alias, {attrs[0]: v for v, attrs in by_variable.items()}
+        return relation.project([group[0] for group in groups])
+
+    # Each variable's column in the scan, in the atom's variable order.
+    columns = {min(attrs): v for v, attrs in by_variable.items()}
+    return database.derived(("scan", atom.relation, groups), scan).rename(
+        atom.alias, columns, order=list(columns)
     )
 
 
@@ -172,16 +182,8 @@ class YannakakisExecutor:
         self.hypergraph = query.hypergraph()
         self.max_cover_size = max_cover_size
         self.prefer_connected = prefer_connected
-        self._atom_relations: Dict[str, Relation] = {}
         self._cover_cache: Dict[Bag, Tuple[str, ...]] = {}
         self._last_plan: Optional[Tuple[TreeDecomposition, List[NodePlan]]] = None
-
-    def _atom_relation(self, alias: str) -> Relation:
-        if alias not in self._atom_relations:
-            self._atom_relations[alias] = atom_relation(
-                self.database, self.query.atom(alias)
-            )
-        return self._atom_relations[alias]
 
     # -- planning -----------------------------------------------------------------
 
@@ -392,7 +394,7 @@ class YannakakisExecutor:
                 [()] if not bag_attributes else [],
             )
         relations = {
-            alias: self._atom_relation(alias)
+            alias: atom_relation(self.database, self.query.atom(alias))
             for alias in plan.cover + plan.enforced_atoms
         }
         variables = {alias: set(r.attributes) for alias, r in relations.items()}

@@ -14,6 +14,7 @@ import sys
 
 import pytest
 
+from repro.core import solve as solve_module
 from repro.core.cache import DecompositionCache
 from repro.core.solve import (
     DATA_PREFERENCES,
@@ -267,6 +268,29 @@ class TestSoftWidth:
         assert len(store.entries()) == 1
         second = execute(SolveRequest(hypergraph=triangle, mode="soft-width"), cache=store)
         assert second.width == 2 and second.cache_status == "hit"
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["no-store", "store"])
+    def test_cyclic_level_one_is_answered_by_gyo(self, triangle, tmp_path, monkeypatch, cached):
+        # shw = 1 iff α-acyclic: the triangle's level 1 is never solved, and
+        # the answer reports the status a cache miss reports.
+        def no_solve(*args, **kwargs):
+            raise AssertionError("level 1 of a cyclic hypergraph was solved")
+
+        monkeypatch.setattr(solve_module, "_solve_fixed_width", no_solve)
+        store = DecompositionCache(str(tmp_path)) if cached else None
+        result = execute(
+            SolveRequest(hypergraph=triangle, mode="soft-width", width=1), cache=store
+        )
+        assert not result.decided and result.width is None and result.complete
+        assert result.cache_status == ("miss" if cached else "off")
+
+    def test_acyclic_level_one_still_caches(self, tmp_path):
+        path = Hypergraph({"R": ["a", "b"], "S": ["b", "c"]})
+        store = DecompositionCache(str(tmp_path))
+        request = SolveRequest(hypergraph=path, mode="soft-width")
+        assert execute(request, cache=store).cache_status == "stored"
+        served = execute(request, cache=store)
+        assert served.width == 1 and served.cache_status == "hit"
 
 
 class TestCacheTrust:
