@@ -25,8 +25,8 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 #: ``BENCH_SCALE`` environment variable (e.g. ``BENCH_SCALE=4`` to run the
 #: paper figures at a larger scale factor).  The default 1.0 keeps every
 #: single decomposition-guided execution sub-second while leaving a visible
-#: gap to the baseline executions; scales >= 2 load through the workload
-#: snapshot cache automatically (see ``repro.workloads.registry``).
+#: gap to the baseline executions; all four datasets generate at scale 10 in
+#: a fraction of a second (see ``repro.workloads.registry``).
 BENCH_SCALE = float(os.environ.get("BENCH_SCALE", "1.0"))
 
 #: How the slow reference side of the speedup suites is timed.  ``full``

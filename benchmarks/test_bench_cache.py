@@ -147,3 +147,18 @@ def test_cache_hit_speedup(tmp_path):
         os.environ.get("BENCH_CACHE_MAX_CANONICAL_FRACTION", "0.2")
     )
     assert canonical_fraction <= fraction_cap, payload
+
+
+def test_default_cache_writes_nothing_from_benchmark_modules(tmp_path, monkeypatch):
+    """The suite's hermetic CTD-cache fixture covers ``benchmarks/`` too.
+
+    A solve through the default cache (``"auto"``) from a benchmark module
+    must leave the working directory untouched instead of filling a shared
+    ``workloads/.ctd-cache`` with entries from every run.
+    """
+    monkeypatch.chdir(tmp_path)
+    cycle, chords, seed, width = CASES[0]
+    hypergraph = random_cyclic_query_hypergraph(cycle, chords, seed=seed)
+    result = execute(_request(hypergraph, width))
+    assert result.decided
+    assert list(tmp_path.iterdir()) == []

@@ -72,7 +72,8 @@ def _semantic(result):
 
 
 def test_supervision_overhead():
-    # Warm the snapshot cache so neither path pays the one-off build.
+    # A first untimed pass of each path: imports and memoised workload
+    # builds stay out of the timed runs below.
     direct = _run_direct()
     supervised = _run_supervised()
 

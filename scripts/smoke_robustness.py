@@ -1,17 +1,13 @@
 """End-to-end smoke test of the resource-governance layer (used by CI).
 
-Exercises the robustness surface of PR 6 against real solver runs and a
-throwaway snapshot cache:
+Exercises the resource-governance surface against real solver runs:
 
 1. a tight work budget on a hard synthetic instance exhausts with a
    ``budget_exhausted`` outcome and a *valid* anytime result (every
    enumerated decomposition is a prefix entry of the unbudgeted ranking),
 2. a generous budget changes nothing and reports ``complete``,
 3. the governed CLI verbs exit with the documented ``timeout(1)``-style
-   codes (0 complete / 125 budget exhausted),
-4. an injected snapshot corruption is quarantined (renamed ``*.corrupt``)
-   on the next load and transparently rebuilt; ``workloads list --strict``
-   flags the quarantine and ``workloads clean`` clears it.
+   codes (0 complete / 125 budget exhausted).
 """
 
 import os
@@ -32,8 +28,6 @@ from repro.hypergraph.io import to_hyperbench
 from repro.hypergraph.library import cycle_hypergraph, triangle_hypergraph
 from repro.runtime import Budget
 from repro.runtime.budget import STATUS_BUDGET
-from repro.runtime.faults import truncate_file
-from repro.workloads.snapshot import SnapshotCache
 
 
 def fail(message: str) -> None:
@@ -130,38 +124,10 @@ def check_cli_exit_codes(tmp: str) -> None:
     print("CLI exit codes: complete=0, budget_exhausted=125")
 
 
-def check_quarantine_cycle(tmp: str) -> None:
-    cache_dir = os.path.join(tmp, "cache")
-    build = [
-        "workloads", "build", "--workload", "tpcds",
-        "--scale", "0.3", "--cache", cache_dir,
-    ]
-    if cli_main(build):
-        fail("workloads build returned non-zero")
-    cache = SnapshotCache(cache_dir)
-    victim = cache.entries()[0].path
-    truncate_file(victim, fraction=0.4)
-    # The next load must quarantine the torn file and rebuild a clean one.
-    if cli_main(build):
-        fail("rebuild after corruption returned non-zero")
-    if len(cache.quarantined()) != 1:
-        fail("torn snapshot was not quarantined")
-    if len(cache.entries()) != 1:
-        fail("quarantined snapshot was not rebuilt")
-    if cli_main(["workloads", "list", "--cache", cache_dir, "--strict"]) != 1:
-        fail("strict list did not flag the quarantined file")
-    if cli_main(["workloads", "clean", "--cache", cache_dir]):
-        fail("workloads clean returned non-zero")
-    if cache.quarantined() or cache.entries():
-        fail("clean left cache files behind")
-    print("quarantine cycle: corrupt -> quarantined -> rebuilt -> cleaned")
-
-
 def main() -> None:
     check_budgeted_solve()
     with tempfile.TemporaryDirectory() as tmp:
         check_cli_exit_codes(tmp)
-        check_quarantine_cycle(tmp)
     print("OK: robustness smoke passed")
 
 

@@ -15,9 +15,6 @@ Usage (also available as ``python -m repro``)::
     python -m repro experiment q_hto3 --limit 5
     python -m repro table1
     python -m repro batch --queries q_hto q_hto2 --timeout 30 --workers 2
-    python -m repro workloads build --scale 10
-    python -m repro workloads list --strict
-    python -m repro workloads clean
     python -m repro cache list
     python -m repro cache clean
 
@@ -449,108 +446,6 @@ def _cmd_throughput(args, out) -> int:
     return 0
 
 
-# -- workload snapshot management ------------------------------------------
-
-
-def _workload_cache(args):
-    from repro.workloads.snapshot import SnapshotCache
-
-    return SnapshotCache(args.cache)
-
-
-def _cmd_workloads_build(args, out) -> int:
-    import time
-
-    from repro.workloads.registry import workload_entries, workload_entry
-
-    if args.workload == "all":
-        entries = list(workload_entries().values())
-    else:
-        entries = [workload_entry(args.workload)]
-    cache = _workload_cache(args)
-    for entry in entries:
-        path = entry.snapshot_path(cache, args.scale, args.seed)
-        if args.force and os.path.exists(path):
-            os.unlink(path)
-        start = time.perf_counter()
-        database, hit = entry.load_with_status(
-            scale=args.scale, seed=args.seed, cache=cache
-        )
-        elapsed = time.perf_counter() - start
-        status = "snapshot hit" if hit else "cold build"
-        print(
-            f"{entry.name}: scale={args.scale:g} rows={database.total_rows()} "
-            f"{status} in {elapsed * 1000:.1f} ms ({path})",
-            file=out,
-        )
-    return 0
-
-
-def _cmd_workloads_list(args, out) -> int:
-    from repro.workloads.registry import workload_entries
-
-    cache = _workload_cache(args)
-    infos = cache.entries()
-    stale_locks = cache.stale_locks()
-    if not infos and not cache.quarantined() and not stale_locks:
-        print(f"no snapshots under {cache.directory}", file=out)
-        return 0
-    current_hashes = {
-        name: entry.schema_hash for name, entry in workload_entries().items()
-    }
-    stale_count = 0
-    for info in infos:
-        outdated_schema = (
-            info.workload in current_hashes
-            and info.schema_hash != current_hashes[info.workload]
-        )
-        stale = info.stale or outdated_schema
-        stale_count += stale
-        reason = ""
-        if info.stale:
-            reason = f"  STALE (format v{info.version}, current v{_snapshot_version()})"
-        elif outdated_schema:
-            reason = "  STALE (schema/generator changed)"
-        print(
-            f"{info.workload:<10} scale={info.scale:<6g} seed={info.seed} "
-            f"rows={info.total_rows:<8} {info.size_bytes / 1024:.0f} KiB  "
-            f"{os.path.basename(info.path)}{reason}",
-            file=out,
-        )
-    quarantined = cache.quarantined()
-    for path in quarantined:
-        print(f"quarantined: {os.path.basename(path)}", file=out)
-    for path in stale_locks:
-        print(f"stale lock: {os.path.basename(path)}", file=out)
-    print(
-        f"{len(infos)} snapshot(s), {stale_count} stale, "
-        f"{len(quarantined)} quarantined"
-        + (f", {len(stale_locks)} stale lock(s)" if stale_locks else ""),
-        file=out,
-    )
-    if args.strict and (stale_count or quarantined or stale_locks):
-        return 1
-    return 0
-
-
-def _snapshot_version() -> int:
-    from repro.workloads.snapshot import SNAPSHOT_VERSION
-
-    return SNAPSHOT_VERSION
-
-
-def _cmd_workloads_clean(args, out) -> int:
-    cache = _workload_cache(args)
-    report = cache.clean()
-    print(
-        f"removed {report.total} file(s) from {cache.directory} "
-        f"({report.snapshots} snapshot(s), {report.quarantined} quarantined, "
-        f"{report.temp} temp, {report.locks} lock(s))",
-        file=out,
-    )
-    return 0
-
-
 # -- decomposition cache management ------------------------------------------
 
 
@@ -825,43 +720,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the persistent decomposition cache",
     )
     throughput.set_defaults(handler=_cmd_throughput)
-
-    workloads = subparsers.add_parser(
-        "workloads", help="manage workload snapshot caches"
-    )
-    workload_commands = workloads.add_subparsers(dest="workloads_command", required=True)
-
-    build = workload_commands.add_parser(
-        "build", help="generate workloads and store snapshots"
-    )
-    build.add_argument(
-        "--workload",
-        choices=["all", "tpcds", "hetionet", "lsqb", "joblite"],
-        default="all",
-    )
-    build.add_argument("--scale", type=float, default=10.0)
-    build.add_argument("--seed", type=int, default=None)
-    build.add_argument("--cache", default=None, help="cache directory")
-    build.add_argument(
-        "--force", action="store_true", help="rebuild even when a snapshot exists"
-    )
-    build.set_defaults(handler=_cmd_workloads_build)
-
-    list_parser = workload_commands.add_parser("list", help="list cached snapshots")
-    list_parser.add_argument("--cache", default=None)
-    list_parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="exit non-zero when stale/quarantined snapshots or stale locks are present",
-    )
-    list_parser.set_defaults(handler=_cmd_workloads_list)
-
-    clean = workload_commands.add_parser(
-        "clean",
-        help="delete cached snapshots, quarantined/temp leftovers and lock files",
-    )
-    clean.add_argument("--cache", default=None)
-    clean.set_defaults(handler=_cmd_workloads_clean)
 
     cache_parser = subparsers.add_parser(
         "cache", help="manage the persistent decomposition cache"

@@ -15,8 +15,8 @@ The cache is an *accelerator*, never an authority.  Entries store bags as
 canonical vertex indices; :func:`repro.core.solve.execute` maps them back
 through the caller's own permutation and re-certifies the result with
 :func:`repro.core.certify.certify_ctd` before serving it.  An entry that
-fails certification is quarantined (renamed to ``*.corrupt``, same idiom
-as the workload snapshot cache) and the request falls back to a normal
+fails certification is quarantined (renamed to ``*.corrupt`` and left for
+``repro cache list`` to report) and the request falls back to a normal
 solve — a poisoned, stale or colliding entry can cost time, never
 correctness.  Negative answers are deliberately **not** cached: a "no
 decomposition exists" claim has no cheap certificate.
@@ -81,7 +81,7 @@ CACHE_MAX_BYTES_ENV_VAR = "REPRO_CTD_CACHE_MAX_BYTES"
 #: (entries are a few KiB), small enough to never matter on disk.
 DEFAULT_MAX_BYTES = 64 * 1024 * 1024
 
-#: Same quarantine idiom as the workload snapshot cache.
+#: Suffix of a quarantined entry: kept for inspection, never served.
 QUARANTINE_SUFFIX = ".corrupt"
 
 _ENTRY_SUFFIX = ".json"

@@ -15,7 +15,7 @@ one interner).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
 import numpy as np
 
@@ -23,34 +23,14 @@ CODE_DTYPE = np.int64
 
 
 class ValueInterner:
-    """A bijection between distinct values and dense ``int64`` codes.
-
-    The value→code dictionary is rebuilt lazily after
-    :meth:`from_values` (the snapshot-load constructor): a database
-    restored from an on-disk snapshot only needs the code→value direction
-    until somebody interns a *new* value, so deferring the dict keeps
-    snapshot hits close to a raw ``np.load``.
-    """
+    """A bijection between distinct values and dense ``int64`` codes."""
 
     __slots__ = ("_codes", "_values", "_table")
 
     def __init__(self) -> None:
-        self._codes: Optional[dict] = {}
+        self._codes: dict = {}
         self._values: List[object] = []
         self._table = np.empty(0, dtype=object)
-
-    @classmethod
-    def from_values(cls, values: Iterable[object]) -> "ValueInterner":
-        """Rebuild an interner from its value table (code = list position).
-
-        Used when loading a workload snapshot: the codes dict is not built
-        until the first :meth:`code` call on a value, so loads that only
-        decode (the common case) never pay for it.
-        """
-        interner = cls()
-        interner._values = list(values)
-        interner._codes = None
-        return interner
 
     def __len__(self) -> int:
         return len(self._values)
@@ -60,14 +40,9 @@ class ValueInterner:
 
     # -- encoding ----------------------------------------------------------
 
-    def _code_table(self) -> dict:
-        if self._codes is None:
-            self._codes = {value: i for i, value in enumerate(self._values)}
-        return self._codes
-
     def code(self, value: object) -> int:
         """The code of ``value``, interning it on first sight."""
-        codes = self._code_table()
+        codes = self._codes
         code = codes.get(value, -1)
         if code < 0:
             code = len(self._values)

@@ -31,9 +31,8 @@ from repro.workloads.registry import BenchmarkQuery, benchmark_queries, benchmar
 
 
 def _experiment(entry: BenchmarkQuery, scale: float = 1.0) -> QueryExperiment:
-    # Data flows through the workload layer: large scales hit the snapshot
-    # cache automatically, so regenerating a figure at scale >= 2 only pays
-    # generation once per (workload, scale, seed).
+    # Data flows through the workload layer's seeded generators, so a
+    # figure at a given scale always sees the same rows.
     return QueryExperiment.from_benchmark(entry, scale=scale)
 
 

@@ -92,24 +92,20 @@ class QueryExperiment:
         entry,
         scale: float = 1.0,
         seed: Optional[int] = None,
-        cache="auto",
         dump_path: Optional[str] = None,
         budget: Optional[Budget] = None,
     ) -> "QueryExperiment":
         """Build the experiment for a registry entry (or query name).
 
         Data comes through the workload layer: deterministic seeded
-        generation with snapshot caching per ``cache`` (see
-        :meth:`repro.workloads.registry.WorkloadEntry.load`), or real dump
-        files when ``dump_path`` is given.
+        generation (:meth:`repro.workloads.registry.WorkloadEntry.load`),
+        or real dump files when ``dump_path`` is given.
         """
         from repro.workloads.registry import benchmark_query
 
         if isinstance(entry, str):
             entry = benchmark_query(entry)
-        database, query = entry.load(
-            scale=scale, seed=seed, cache=cache, dump_path=dump_path
-        )
+        database, query = entry.load(scale=scale, seed=seed, dump_path=dump_path)
         # Dump files are external data with no deterministic coordinates,
         # so they get no data key (cost-ranked solves stay uncacheable).
         data_key = None
@@ -337,21 +333,12 @@ _WORKLOAD_MEMO: Dict[Tuple[str, float, object], Tuple[object, object, int]] = {}
 
 
 def load_benchmark_workload(
-    name: str, scale: float = 1.0, seed=None, cache="auto"
+    name: str, scale: float = 1.0, seed=None
 ) -> Tuple[object, object, int]:
-    """Memoised ``(database, query, width)`` for one benchmark query.
-
-    Only the default snapshot-cache configuration is memoised — a custom
-    ``cache`` argument changes where snapshots come from, so those loads
-    stay un-memoised rather than risk serving data from the wrong source.
-    """
+    """Memoised ``(database, query, width)`` for one benchmark query."""
     from repro.workloads.registry import benchmark_query
 
     key = (str(name), float(scale), seed)
-    if cache != "auto":
-        entry = benchmark_query(name)
-        database, query = entry.load(scale=scale, seed=seed, cache=cache)
-        return database, query, entry.width
     if key not in _WORKLOAD_MEMO:
         entry = benchmark_query(name)
         database, query = entry.load(scale=scale, seed=seed)
@@ -550,8 +537,7 @@ class BatchCertifier:
     task's width claim.
     """
 
-    def __init__(self, cache="auto"):
-        self.cache = cache
+    def __init__(self):
         self._hypergraphs: Dict[Tuple[str, float, object], Tuple[object, int]] = {}
 
     def _trusted_hypergraph(self, name: str, scale: float, seed):
@@ -560,9 +546,7 @@ class BatchCertifier:
             # The rebuild itself goes through the module-level workload
             # memo, so certifier, cache probe and spec construction share
             # one deterministic generation per (name, scale, seed).
-            _, query, width = load_benchmark_workload(
-                name, scale=scale, seed=seed, cache=self.cache
-            )
+            _, query, width = load_benchmark_workload(name, scale=scale, seed=seed)
             self._hypergraphs[key] = (query.hypergraph(), width)
         return self._hypergraphs[key]
 

@@ -14,8 +14,8 @@ its crash-consistency story:
   :class:`~repro.runtime.errors.LedgerError` instead of resuming from a
   lying journal;
 * **compaction is atomic** — :meth:`BatchLedger.compact` rewrites the
-  journal (latest record per task, transient events dropped) through the
-  same fsync'd temp-file + rename idiom as the snapshot cache, so a crash
+  journal (latest record per task, transient events dropped) into an
+  fsync'd temp file and renames it over the journal, so a crash
   mid-compaction leaves the old journal intact.
 
 Tasks are keyed by :func:`task_fingerprint`: a SHA-256 over the canonical

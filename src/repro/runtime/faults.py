@@ -11,18 +11,17 @@ Three injection mechanisms, all deterministic and process-local:
   code marks its fault points with :func:`maybe_fail("site.name")`; when no
   plan is installed that is a single global ``is None`` check.  A test
   installs a plan with :func:`inject` and schedules which call to a site
-  should raise which exception (``plan.fail("snapshot.write",
-  exc=OSError(errno.ENOSPC, ...))``).  The snapshot layer exposes
-  ``snapshot.read``, ``snapshot.write`` and ``snapshot.lock``; the batch
-  ledger exposes ``ledger.append`` and ``ledger.read``.
+  should raise which exception (``plan.fail("ledger.append",
+  exc=OSError(errno.ENOSPC, ...))``).  The batch ledger exposes
+  ``ledger.append`` and ``ledger.read``; the decomposition cache exposes
+  ``ctdcache.read`` and ``ctdcache.write``.
 * Scripted budget exhaustion needs no machinery of its own:
   ``Budget(max_work=N)`` exhausts *exactly* at the Nth tick, and
   ``Budget(deadline=d, clock=FakeClock(auto_advance=...), check_interval=c)``
   exhausts at the first clock read past the deadline.
 
 File-corruption helpers (:func:`truncate_file`, :func:`flip_byte`) fabricate
-torn and bit-rotted snapshot files for the quarantine tests and the
-robustness smoke script.
+torn and bit-rotted ledger and decomposition-cache files.
 """
 
 from __future__ import annotations
@@ -68,7 +67,7 @@ class FakeClock:
 class FaultPlan:
     """A script of which call to which site raises which exception.
 
-    Sites are plain strings (``"snapshot.write"``).  Calls to a site are
+    Sites are plain strings (``"ledger.append"``).  Calls to a site are
     counted from 1; :meth:`fail` schedules an exception for specific call
     numbers.  Unconsumed failures can be asserted on via
     :meth:`remaining`.

@@ -9,11 +9,9 @@ at any scale factor (generation is deterministic, seeded, chunked numpy —
 see :mod:`repro.workloads.ingest`).  The SQL text of the six benchmark
 queries is reproduced verbatim from Appendix D.2.
 
-Large builds are cached on disk as versioned ``.npz`` snapshots
-(:mod:`repro.workloads.snapshot`); :mod:`repro.workloads.registry` is the
-front door: :func:`workload_entries` for the datasets (snapshot-aware
-loading, real dump files), :func:`benchmark_queries` for the six paper
-queries.
+:mod:`repro.workloads.registry` is the front door: :func:`workload_entries`
+for the datasets (seeded generation, real dump files),
+:func:`benchmark_queries` for the six paper queries.
 """
 
 from repro.workloads.tpcds import build_tpcds_database, tpcds_query_qds, QDS_SQL
@@ -31,7 +29,6 @@ from repro.workloads.registry import (
     workload_entries,
     workload_entry,
 )
-from repro.workloads.snapshot import SnapshotCache
 
 __all__ = [
     "build_tpcds_database",
@@ -49,5 +46,4 @@ __all__ = [
     "workload_entries",
     "workload_entry",
     "WorkloadEntry",
-    "SnapshotCache",
 ]

@@ -19,8 +19,7 @@ and fan out heavily — the regime where decomposition choice matters.
 
 Generation follows the other workloads: deterministic PCG64 chunks
 ingested through the columnar fast path, so a fixed ``(scale, seed)``
-yields byte-identical code columns in any process and the snapshot cache
-applies unchanged.  Foreign keys are hub-skewed: 10% of movies receive
+yields byte-identical code columns in any process.  Foreign keys are hub-skewed: 10% of movies receive
 60% of the references, mirroring IMDb's blockbuster skew.
 """
 

@@ -1,4 +1,4 @@
-"""The workload registry: datasets, snapshot-aware loading, benchmark queries.
+"""The workload registry: datasets, seeded generation, benchmark queries.
 
 Two registries live here:
 
@@ -6,9 +6,9 @@ Two registries live here:
   ``lsqb`` from the paper's evaluation, plus the front-door ``joblite``
   suite) as :class:`WorkloadEntry` records with a common
   loader interface: deterministic seeded generation at any scale factor
-  (``scale >= 10`` is the paper's SF 10 regime), transparent snapshot
-  caching (:mod:`repro.workloads.snapshot`) and loading of *real* dump
-  files in place of synthetic generation.
+  (``scale >= 10`` is the paper's SF 10 regime; all four datasets build
+  there in a fraction of a second, so nothing is cached on disk) and
+  loading of *real* dump files in place of synthetic generation.
 * :func:`benchmark_queries` — the six **queries** of the paper's evaluation
   (Table 1 and Figures 5, 6 and 12–17): ``q_ds`` (TPC-DS), ``q_hto`` ..
   ``q_hto4`` (Hetionet) and ``q_lb`` (LSQB), each bundled with its dataset
@@ -21,20 +21,19 @@ metaedge) by ``scale`` and clamps to a small minimum, so ``scale=10``
 yields roughly 10× the rows of ``scale=1`` with identical schema and
 distribution shape.  Seeding: each workload has a fixed default seed (7 /
 11 / 23); the same ``(workload, scale, seed)`` triple produces
-byte-identical code columns in any process — which is what makes the
-snapshot cache sound.
+byte-identical code columns in any process — which is what makes
+generator coordinates sound as a data identity (the benchmark data keys of
+:mod:`repro.experiments.harness`, the e2e goldens).
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.db.database import Database
 from repro.db.query import ConjunctiveQuery
 from repro.workloads.ingest import load_table_files
-from repro.workloads.snapshot import SnapshotCache, schema_fingerprint
 from repro.workloads.tpcds import (
     TPCDS_SCHEMA,
     build_tpcds_database,
@@ -61,24 +60,14 @@ from repro.workloads.joblite import (
 )
 from repro.workloads.joblite import GENERATOR_VERSION as _JOBLITE_VERSION
 
-#: Snapshot caching in ``cache="auto"`` mode only kicks in at or above this
-#: scale factor: tiny test-sized builds are faster to regenerate than to
-#: round-trip through disk, and caching them would litter the cache dir.
-AUTO_SNAPSHOT_MIN_SCALE = 2.0
-
-#: Environment variable disabling snapshot caching entirely (``auto`` mode).
-SNAPSHOT_DISABLE_ENV_VAR = "REPRO_WORKLOAD_SNAPSHOTS_OFF"
-
-#: How a loader call selects snapshot behaviour (see WorkloadEntry.load).
-CacheSpec = Union[None, bool, str, SnapshotCache]
-
 
 @dataclass
 class WorkloadEntry:
-    """One dataset: schema, deterministic generator, snapshot-aware loader.
+    """One dataset: schema, deterministic generator, dump loader.
 
     ``schema`` maps every table to ``(attributes, primary_key)`` — it is
     both the generated schema and the expected layout of real dump files.
+    ``generator_version`` is bumped whenever a generator's output changes.
     ``default_seed`` is the seed the paper-figure pipeline uses; pass
     ``seed`` explicitly for independent replicas.
     """
@@ -88,78 +77,24 @@ class WorkloadEntry:
     generator_version: int
     build_database: Callable[..., Database]
     default_seed: int
-    schema_hash: str = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.schema_hash = schema_fingerprint(self.schema, self.generator_version)
-
-    # -- building ----------------------------------------------------------
-
-    def build(self, scale: float = 1.0, seed: Optional[int] = None) -> Database:
-        """Cold-build the synthetic database (no snapshot involvement)."""
-        return self.build_database(scale=scale, seed=self._seed(seed))
 
     def _seed(self, seed: Optional[int]) -> int:
         return self.default_seed if seed is None else seed
 
-    def snapshot_path(
-        self, cache: SnapshotCache, scale: float, seed: Optional[int] = None
-    ) -> str:
-        """The snapshot file a ``load`` at these parameters reads/writes."""
-        return cache.path_for(self.name, scale, self._seed(seed), self.schema_hash)
-
-    def _resolve_cache(
-        self, cache: CacheSpec, scale: float
-    ) -> Optional[SnapshotCache]:
-        if isinstance(cache, SnapshotCache):
-            return cache
-        if isinstance(cache, str) and cache != "auto":
-            return SnapshotCache(cache)
-        if cache is True:
-            return SnapshotCache()
-        if cache is False:
-            return None
-        # "auto" / None: cache large builds unless explicitly disabled.
-        if os.environ.get(SNAPSHOT_DISABLE_ENV_VAR):
-            return None
-        if scale >= AUTO_SNAPSHOT_MIN_SCALE:
-            return SnapshotCache()
-        return None
-
     def load(
-        self,
-        scale: float = 1.0,
-        seed: Optional[int] = None,
-        cache: CacheSpec = "auto",
+        self, scale: float = 1.0, seed: Optional[int] = None, *, cache: bool = False
     ) -> Database:
-        """The dataset at ``scale``, via the snapshot cache when enabled.
+        """Generate the synthetic database at ``scale``.
 
-        ``cache`` is ``"auto"`` (cache at ``scale >=``
-        :data:`AUTO_SNAPSHOT_MIN_SCALE`, honouring
-        ``REPRO_WORKLOAD_SNAPSHOTS_OFF``), ``True``/``False`` (force
-        on/off), a cache directory path, or a :class:`SnapshotCache`.
+        ``cache`` accepts only ``False``: it is kept for the end-to-end
+        benchmark harness (``benchmarks/e2e``), which still passes it, until
+        that harness is next revised.  Any other value raises ``TypeError``.
         """
-        database, _ = self.load_with_status(scale=scale, seed=seed, cache=cache)
-        return database
-
-    def load_with_status(
-        self,
-        scale: float = 1.0,
-        seed: Optional[int] = None,
-        cache: CacheSpec = "auto",
-    ) -> Tuple[Database, bool]:
-        """Like :meth:`load` but also reports whether the snapshot hit."""
-        resolved_seed = self._seed(seed)
-        snapshot_cache = self._resolve_cache(cache, scale)
-        if snapshot_cache is None:
-            return self.build(scale=scale, seed=resolved_seed), False
-        return snapshot_cache.load_or_build(
-            self.name,
-            scale,
-            resolved_seed,
-            self.schema_hash,
-            lambda: self.build(scale=scale, seed=resolved_seed),
-        )
+        if cache is not False:
+            raise TypeError(
+                f"WorkloadEntry.load does not cache; got cache={cache!r}"
+            )
+        return self.build_database(scale=scale, seed=self._seed(seed))
 
     def load_dump(self, path: str) -> Database:
         """Load real dump files (one delimited file per table) from ``path``.
@@ -234,20 +169,18 @@ class BenchmarkQuery:
         self,
         scale: float = 1.0,
         seed: Optional[int] = None,
-        cache: CacheSpec = "auto",
         dump_path: Optional[str] = None,
     ):
         """Build ``(database, query)`` through the workload loader.
 
         ``dump_path`` swaps the synthetic generator for real dump files;
-        otherwise the dataset is generated (snapshot-cached per ``cache``,
-        see :meth:`WorkloadEntry.load`) with the workload's default seed
-        unless ``seed`` is given.
+        otherwise the dataset is generated with the workload's default
+        seed unless ``seed`` is given.
         """
         if dump_path is not None:
             database = self.workload.load_dump(dump_path)
         else:
-            database = self.workload.load(scale=scale, seed=seed, cache=cache)
+            database = self.workload.load(scale=scale, seed=seed)
         return database, self.build_query(database)
 
 

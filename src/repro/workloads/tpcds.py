@@ -41,8 +41,8 @@ WHERE ws_bill_customer_sk = c_customer_sk
       AND w_warehouse_sq_ft = ws_quantity
 """
 
-#: Bump when generated data changes for a fixed ``(scale, seed)`` — stale
-#: snapshots are detected by the schema/generator fingerprint.
+#: Bump when generated data changes for a fixed ``(scale, seed)`` — pinned
+#: benchmark answers are keyed on it.
 GENERATOR_VERSION = 2
 
 #: ``table -> (attributes, primary_key)`` of everything the generator builds.

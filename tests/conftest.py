@@ -14,19 +14,6 @@ from repro.db.database import Database
 from repro.db.query import Atom, ConjunctiveQuery
 
 
-@pytest.fixture(autouse=True)
-def _hermetic_ctd_cache(monkeypatch):
-    """Keep the suite hermetic: never touch a shared on-disk CTD cache.
-
-    Tests that exercise the decomposition cache opt back in by passing an
-    explicit directory (``execute(..., cache=str(tmp_path))``) or an explicit
-    :class:`~repro.core.cache.DecompositionCache` instance, both of which
-    bypass the kill switch.
-    """
-    monkeypatch.setenv("REPRO_CTD_CACHE_OFF", "1")
-    monkeypatch.delenv("REPRO_CTD_CACHE", raising=False)
-
-
 @pytest.fixture
 def h2():
     return hypergraph_h2()
@@ -55,22 +42,6 @@ def four_cycle():
 @pytest.fixture
 def c5():
     return cycle_hypergraph(5)
-
-
-@pytest.fixture
-def corrupt_snapshot_version():
-    """Rewrite a snapshot file pretending another format version wrote it.
-
-    Thin wrapper around :func:`repro.workloads.snapshot.rewrite_snapshot_version`
-    (the one place that knows the on-disk layout), shared by the snapshot
-    unit tests and the CLI stale-detection tests.
-    """
-    from repro.workloads.snapshot import rewrite_snapshot_version
-
-    def _corrupt(path, version=-1):
-        rewrite_snapshot_version(str(path), version)
-
-    return _corrupt
 
 
 @pytest.fixture

@@ -172,6 +172,13 @@ class TestResolvePolicy:
     def test_none_disables(self):
         assert resolve_cache(None) is None
 
+    def test_suite_default_is_hermetic(self):
+        # The repo-root conftest switches the default cache off for every
+        # test, so nothing reaches a shared on-disk cache unasked.
+        assert os.environ.get(CACHE_OFF_ENV_VAR)
+        assert CACHE_ENV_VAR not in os.environ
+        assert resolve_cache("auto") is None
+
     def test_instance_passes_through(self, tmp_path):
         cache = cache_at(tmp_path)
         assert resolve_cache(cache) is cache

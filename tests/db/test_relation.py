@@ -124,7 +124,8 @@ class TestDecoding:
         assert interner.decode_column(codes[:0]) == []
 
     def test_values_interned_after_a_decode_are_decodable(self):
-        interner = ValueInterner.from_values(["x", "y"])
+        interner = ValueInterner()
+        assert [interner.code("x"), interner.code("y")] == [0, 1]
         assert interner.decode_column(np.array([1, 0, 1])) == ["y", "x", "y"]
         late = interner.code(("late", 1))
         assert interner.decode_column(np.array([late, 0])) == [("late", 1), "x"]

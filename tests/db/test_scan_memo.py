@@ -46,7 +46,7 @@ def benchmark_sql(select_all: bool):
 
 def benchmark_databases(scale: float = 0.3):
     return {
-        name: entry.load(scale=scale, seed=entry.default_seed, cache=False)
+        name: entry.load(scale=scale, seed=entry.default_seed)
         for name, entry in workload_entries().items()
     }
 

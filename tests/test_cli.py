@@ -84,58 +84,6 @@ class TestStatsCommand:
         assert "edges: 8" in output
 
 
-class TestWorkloadCommands:
-    def test_build_list_clean_cycle(self, tmp_path):
-        cache = str(tmp_path / "cache")
-        code, output = run_cli(
-            ["workloads", "build", "--workload", "tpcds", "--scale", "0.3", "--cache", cache]
-        )
-        assert code == 0
-        assert "cold build" in output
-        code, output = run_cli(
-            ["workloads", "build", "--workload", "tpcds", "--scale", "0.3", "--cache", cache]
-        )
-        assert code == 0
-        assert "snapshot hit" in output
-        code, output = run_cli(["workloads", "list", "--cache", cache, "--strict"])
-        assert code == 0
-        assert "tpcds" in output and "0 stale" in output
-        code, output = run_cli(["workloads", "clean", "--cache", cache])
-        assert code == 0
-        assert "removed 1" in output
-
-    def test_build_force_rebuilds(self, tmp_path):
-        cache = str(tmp_path / "cache")
-        arguments = [
-            "workloads", "build", "--workload", "lsqb", "--scale", "0.3", "--cache", cache
-        ]
-        assert run_cli(arguments)[0] == 0
-        code, output = run_cli(arguments + ["--force"])
-        assert code == 0
-        assert "cold build" in output
-
-    def test_list_empty_cache(self, tmp_path):
-        code, output = run_cli(["workloads", "list", "--cache", str(tmp_path / "nope")])
-        assert code == 0
-        assert "no snapshots" in output
-
-    def test_strict_list_fails_on_stale_snapshot(self, tmp_path, corrupt_snapshot_version):
-        cache = str(tmp_path / "cache")
-        run_cli(
-            ["workloads", "build", "--workload", "hetionet", "--scale", "0.3", "--cache", cache]
-        )
-        path = next(
-            str(p) for p in (tmp_path / "cache").iterdir() if p.suffix == ".npz"
-        )
-        corrupt_snapshot_version(path)
-        code, output = run_cli(["workloads", "list", "--cache", cache])
-        assert code == 0  # without --strict stale is only reported
-        assert "STALE" in output
-        code, output = run_cli(["workloads", "list", "--cache", cache, "--strict"])
-        assert code == 1
-        assert "1 stale" in output
-
-
 class TestExperimentCommands:
     def test_experiment_q_hto3(self):
         code, output = run_cli(["experiment", "q_hto3", "--scale", "0.15", "--limit", "3"])
@@ -143,9 +91,37 @@ class TestExperimentCommands:
         assert "Baseline" in output
         assert "q_hto3" in output
 
+    def test_experiment_reads_dump_files(self, tmp_path):
+        from repro.workloads.registry import workload_entry
+
+        entry = workload_entry("lsqb")
+        database = entry.load(scale=0.1)
+        for name, (attributes, _) in entry.schema.items():
+            lines = [",".join(attributes)]
+            lines += [",".join(map(str, row)) for row in database.relation(name).rows]
+            (tmp_path / f"{name}.csv").write_text("\n".join(lines) + "\n")
+        code, output = run_cli(
+            ["experiment", "q_lb", "--dump", str(tmp_path), "--limit", "2"]
+        )
+        assert code == 0
+        assert "q_lb" in output
+        assert "Baseline" in output
+
+    def test_experiment_dump_without_files_is_a_user_error(self, tmp_path):
+        code, output = run_cli(["experiment", "q_lb", "--dump", str(tmp_path)])
+        assert code == 2
+        assert "file not found" in output
+        assert "City" in output
+
     def test_unknown_query_rejected(self):
         with pytest.raises(SystemExit):
             run_cli(["experiment", "q_nope"])
+
+    def test_workloads_verb_is_gone(self):
+        # Workload data is built in memory; there is nothing to build, list
+        # or clean on disk.
+        with pytest.raises(SystemExit):
+            run_cli(["workloads", "list"])
 
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):

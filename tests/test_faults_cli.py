@@ -1,9 +1,8 @@
-"""CLI-level tests for resource governance and cache quarantine.
+"""CLI-level tests for resource governance.
 
 The governed verbs must print a one-line ``outcome:`` status and exit with
 the status' distinct code (0 complete / 124 deadline / 125 budget /
-130 interrupted), and ``workloads list --strict`` must surface quarantined
-snapshot files.
+130 interrupted).
 """
 
 import io
@@ -13,7 +12,6 @@ import pytest
 from repro.cli import main
 from repro.hypergraph.io import to_hyperbench
 from repro.hypergraph.library import four_cycle_query, triangle_hypergraph
-from repro.runtime.faults import truncate_file
 
 
 @pytest.fixture
@@ -143,44 +141,3 @@ class TestInterruptHandling:
         assert code == 130
         assert "interrupted" in output
 
-
-class TestQuarantineReporting:
-    def _build(self, cache):
-        return run_cli(
-            [
-                "workloads", "build", "--workload", "tpcds",
-                "--scale", "0.3", "--cache", cache,
-            ]
-        )
-
-    def _snapshot_path(self, tmp_path):
-        return next(
-            str(p) for p in (tmp_path / "cache").iterdir() if p.suffix == ".npz"
-        )
-
-    def test_strict_list_reports_quarantined_files(self, tmp_path):
-        cache = str(tmp_path / "cache")
-        assert self._build(cache)[0] == 0
-        truncate_file(self._snapshot_path(tmp_path), fraction=0.4)
-        # The rebuild quarantines the torn file and writes a fresh one.
-        code, output = self._build(cache)
-        assert code == 0
-        assert "cold build" in output
-        code, output = run_cli(["workloads", "list", "--cache", cache])
-        assert code == 0  # without --strict quarantine is only reported
-        assert "quarantined: " in output
-        assert "1 quarantined" in output
-        code, output = run_cli(["workloads", "list", "--cache", cache, "--strict"])
-        assert code == 1
-
-    def test_clean_removes_quarantined_files(self, tmp_path):
-        cache = str(tmp_path / "cache")
-        self._build(cache)
-        truncate_file(self._snapshot_path(tmp_path), fraction=0.4)
-        self._build(cache)
-        code, output = run_cli(["workloads", "clean", "--cache", cache])
-        assert code == 0
-        assert "removed 2" in output
-        code, output = run_cli(["workloads", "list", "--cache", cache, "--strict"])
-        assert code == 0
-        assert "no snapshots" in output
