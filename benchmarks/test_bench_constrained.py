@@ -1,7 +1,8 @@
-"""Constrained-solver benchmark — Algorithm 2 worklist vs the round-robin seed.
+"""Constrained-solver benchmark — Algorithm 2 vs the round-robin seed.
 
-Times the event-driven ``ConstrainedCTDSolver`` (fragment-memoised, monotone
-key composition) against the preserved seed dynamic program
+Times the top-down ``ConstrainedCTDSolver`` (blocks resolved on demand from
+the root, fragment-memoised, monotone key composition) against the
+preserved seed dynamic program
 :func:`repro.core.reference.reference_constrained_ctd`, which rebuilds a full
 ``TreeDecomposition`` and re-runs ``constraint.holds_recursively`` for every
 (block × candidate) probe in every round.  Every comparison also asserts the
@@ -13,7 +14,7 @@ speedup gate defaults to the tentpole's 3× geomean and can be relaxed via
 ``BENCH_CONSTRAINED_MIN_SPEEDUP`` for noisy shared runners (the measured
 geomean is ~10×, so the default keeps comfortable margin on a quiet
 machine).  The reference is timed with a single run (it is the slow side);
-the worklist solver takes best-of-3 to measure its steady state.
+the solver takes best-of-3 to measure its steady state.
 """
 
 from __future__ import annotations
@@ -130,35 +131,35 @@ def test_constrained_speedup_vs_reference():
                 ),
                 repeats=1,
             )
-        worklist_result = {}
+        solver_result = {}
 
-        def run_worklist():
+        def run_solver():
             solver = ConstrainedCTDSolver(hypergraph, bags, constraint, preference)
-            worklist_result.update(td=solver.solve(), key=solver.optimal_key())
+            solver_result.update(td=solver.solve(), key=solver.optimal_key())
 
-        row["worklist_s"] = _best_of(run_worklist, repeats=3)
+        row["solver_s"] = _best_of(run_solver, repeats=3)
 
-        worklist_td = worklist_result["td"]
-        row["feasible"] = worklist_td is not None
-        if worklist_td is not None:
-            assert worklist_td.is_valid(), name
+        solver_td = solver_result["td"]
+        row["feasible"] = solver_td is not None
+        if solver_td is not None:
+            assert solver_td.is_valid(), name
             if constraint is not None:
-                assert constraint.holds_recursively(worklist_td), name
+                assert constraint.holds_recursively(solver_td), name
         if sampled:
             reference_td = reference_result["td"]
-            assert (reference_td is None) == (worklist_td is None), name
-            if worklist_td is not None:
+            assert (reference_td is None) == (solver_td is None), name
+            if solver_td is not None:
                 reference_key = preference.key(reference_td)
-                assert worklist_result["key"] == reference_key, name
+                assert solver_result["key"] == reference_key, name
                 row["optimal_key"] = repr(reference_key)
-            row["speedup"] = row["reference_s"] / row["worklist_s"]
+            row["speedup"] = row["reference_s"] / row["solver_s"]
             print(
                 f"{name}: ref {row['reference_s']*1000:.1f}ms "
-                f"worklist {row['worklist_s']*1000:.1f}ms x{row['speedup']:.1f}"
+                f"solver {row['solver_s']*1000:.1f}ms x{row['speedup']:.1f}"
             )
         else:
             print(
-                f"{name}: worklist {row['worklist_s']*1000:.1f}ms (not sampled)"
+                f"{name}: solver {row['solver_s']*1000:.1f}ms (not sampled)"
             )
         rows.append(row)
 
@@ -168,7 +169,7 @@ def test_constrained_speedup_vs_reference():
         )
     }
     payload = {
-        "benchmark": "constrained-worklist-vs-round-robin-reference",
+        "benchmark": "constrained-solver-vs-round-robin-reference",
         "python": platform.python_version(),
         "reference_mode": BENCH_REFERENCE_MODE,
         "instances": rows,

@@ -1,4 +1,4 @@
-"""Smoke check for Algorithm 2's worklist: ConCov + Eq. 6 cost on a workload query.
+"""Smoke check for Algorithm 2: ConCov + Eq. 6 cost on a workload query.
 
 Runs one constrained, preference-optimised ``shw_leq`` call over a paper
 workload query (TPC-DS ``QdS``) — the Section 7 scenario where the estimate
@@ -47,7 +47,7 @@ def main() -> None:
     assert abs(solver.optimal_key() - reference_key) <= 1e-6 * max(
         1.0, abs(reference_key)
     ), (solver.optimal_key(), reference_key)
-    print(f"worklist optimum matches round-robin reference: {solver.optimal_key():.1f}")
+    print(f"Algorithm 2 optimum matches round-robin reference: {solver.optimal_key():.1f}")
     print("elapsed: %.2fs" % (time.time() - start))
 
 

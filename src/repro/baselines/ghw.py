@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.decompositions.td import TreeDecomposition
 from repro.core.candidate_bags import SoftBagGenerator
-from repro.core.ctd import CandidateTDSolver
+from repro.core.ctd import candidate_td
 from repro.baselines.acyclic import is_alpha_acyclic
 
 
@@ -42,7 +42,7 @@ def ghw_leq(
     if limit is None:
         limit = 3 * max(hypergraph.num_vertices(), hypergraph.num_edges())
     bags = generator.fixpoint_candidate_bags(max_level=limit)
-    return CandidateTDSolver(hypergraph, bags).solve()
+    return candidate_td(hypergraph, bags)
 
 
 def generalized_hypertree_width(

@@ -174,8 +174,8 @@ def _cmd_decompose(args, out) -> int:
     from repro.core.solve import SolveRequest, execute
 
     budget = _make_budget(args)
-    # Unconstrained: Algorithm 1's incremental fixpoint (mode "decide");
-    # --concov routes through the constrained solver (mode "optimal").
+    # Unconstrained: Algorithm 1 (mode "decide"); --concov asks the same
+    # block DP for a ConCov-compliant CTD (mode "optimal").
     result = execute(
         SolveRequest(
             hypergraph=hypergraph,

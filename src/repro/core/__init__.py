@@ -30,7 +30,7 @@ from repro.core.candidate_bags import (
 )
 from repro.core.blocks import Block, BlockIndex
 from repro.core.options import FragmentEvaluator, SolverCore
-from repro.core.ctd import CandidateTDSolver, candidate_td
+from repro.core.ctd import candidate_td
 from repro.core.constraints import (
     AndConstraint,
     ConnectedCoverConstraint,
@@ -81,7 +81,6 @@ __all__ = [
     "BlockIndex",
     "FragmentEvaluator",
     "SolverCore",
-    "CandidateTDSolver",
     "candidate_td",
     "SubtreeConstraint",
     "NoConstraint",

@@ -14,10 +14,11 @@ The index assigns every block a dense integer id and keeps its masks (head,
 component, union, and the union of all edges touching the component) in
 parallel arrays, so the block order and the basis test collapse to array
 loads and int operations — no frozenset hashing on the hot path.  The
-satisfaction-*independent* basis conditions (1) and (2) are evaluated once
-per (candidate, block) pair and memoised (:meth:`BlockIndex.basis_sub_ids`),
-leaving only condition (3) for the solvers' fixpoints.  The public API still
-speaks :class:`Block` objects and frozensets.
+satisfaction-*independent* basis conditions (1) and (2) are evaluated in
+one scan over the candidates per block, memoised per block
+(:meth:`BlockIndex.candidate_probes`), leaving only condition (3) for the
+solvers, which resolve the blocks they reach.  The public API still speaks
+:class:`Block` objects and frozensets.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 from repro.hypergraph.hypergraph import Hypergraph, Vertex
 
 Bag = FrozenSet[Vertex]
-
-_MISSING = object()
 
 
 @dataclass(frozen=True)
@@ -101,25 +100,25 @@ class BlockIndex:
                     )
                 )
             self._blocks_by_head[head] = blocks
+        # Per candidate id, the ids of the blocks it heads that have a
+        # component: the only ones that can be live subs or cover vertices.
+        self._candidate_component_blocks: List[Tuple[int, ...]] = [
+            tuple(self._block_id[block] for block in self._blocks_by_head[bag][1:])
+            for bag in self.candidate_bags
+        ]
         self.root_block = Block(empty, frozenset(hypergraph.vertices))
         if self.root_block not in self._block_id:
             # Disconnected hypergraph: register the full-vertex-set block
             # explicitly so the accept test of Algorithm 1 still applies.
             self._register(self.root_block, 0, bitsets.universe, edge_masks)
             self._blocks_by_head[empty].append(self.root_block)
-        # (candidate mask, block id) -> sub-block ids if conditions 1+2 hold.
-        self._basis_subs_cache: Dict[Tuple[int, int], Optional[Tuple[int, ...]]] = {}
         # block id -> statically feasible (candidate id, live sub ids) probes.
         self._probe_cache: Dict[int, Tuple[Tuple[int, Tuple[int, ...]], ...]] = {}
 
     def _register(
         self, block: Block, head_mask: int, component_mask: int, edge_masks
     ) -> Block:
-        touching = 0
-        if component_mask:
-            for edge_mask in edge_masks:
-                if edge_mask & component_mask:
-                    touching |= edge_mask
+        touching = _touching_mask(component_mask, edge_masks) if component_mask else 0
         block_id = len(self._block_list)
         self._block_list.append(block)
         self._block_id[block] = block_id
@@ -154,7 +153,7 @@ class BlockIndex:
         """``(head, component, union, touching)`` mask arrays, block-id indexed.
 
         The returned lists are the live internal arrays — callers must treat
-        them as read-only.  They exist so the solvers' fixpoints can run on
+        them as read-only.  They exist so the solvers can run on
         plain list indexing without per-call accessor overhead.
         """
         return (
@@ -162,18 +161,6 @@ class BlockIndex:
             self._component_masks,
             self._union_masks,
             self._touching_masks,
-        )
-
-    def blocks_of_head_mask(self, head_mask: int) -> Tuple[int, ...]:
-        """Ids of the blocks headed by the vertex set encoded by ``head_mask``."""
-        return tuple(self._head_to_block_ids.get(head_mask, ()))
-
-    def block_masks(self, block_id: int) -> Tuple[int, int, int]:
-        """``(head, component, union)`` masks of the identified block."""
-        return (
-            self._head_masks[block_id],
-            self._component_masks[block_id],
-            self._union_masks[block_id],
         )
 
     def candidate_mask(self, candidate: Bag) -> Optional[int]:
@@ -236,81 +223,87 @@ class BlockIndex:
     ) -> Optional[Tuple[int, ...]]:
         """Sub-block ids witnessing conditions 1+2, or ``None`` if they fail.
 
-        This is the satisfaction-independent part of the basis test: the
-        result only depends on the hypergraph, the candidate (identified by
-        its mask — masks and vertex sets are in bijection) and the block, so
-        it is computed once and memoised.  ``candidate`` is a basis of
-        ``block`` under a satisfaction map iff this is not ``None`` and every
-        returned sub-block is satisfied (condition 3).
+        This is the satisfaction-independent part of the basis test for one
+        (candidate, block) pair: ``candidate`` is a basis of ``block`` under
+        a satisfaction map iff this is not ``None`` and every returned
+        sub-block is satisfied (condition 3).  The solvers never test pairs
+        one by one; they take a block's whole probe set from
+        :meth:`candidate_probes`.
         """
-        key = (candidate_mask, block_id)
-        cached = self._basis_subs_cache.get(key, _MISSING)
-        if cached is not _MISSING:
-            return cached
-        result = self._compute_basis_sub_ids(candidate_mask, block_id)
-        self._basis_subs_cache[key] = result
-        return result
+        return self._basis_subs(
+            candidate_mask,
+            self._head_masks[block_id],
+            self._component_masks[block_id],
+            self._touching_masks[block_id],
+        )
 
-    def _compute_basis_sub_ids(
-        self, candidate_mask: int, block_id: int
+    def _basis_subs(
+        self,
+        candidate_mask: int,
+        head_mask: int,
+        component_mask: int,
+        touching_mask: int,
     ) -> Optional[Tuple[int, ...]]:
-        if candidate_mask == self._head_masks[block_id]:
-            return None
-        block_union = self._union_masks[block_id]
+        union_mask = head_mask | component_mask
         # A basis must live inside the block: the decomposition it induces is
         # a TD of H[S ∪ C], so bags outside S ∪ C would break connectedness
         # once the block is glued into a larger decomposition.
-        if candidate_mask & ~block_union:
+        if candidate_mask == head_mask or candidate_mask & ~union_mask:
             return None
-        block_component = self._component_masks[block_id]
         union_masks = self._union_masks
         component_masks = self._component_masks
         covered = candidate_mask
         subs = []
         for sub_id in self._head_to_block_ids.get(candidate_mask, ()):
-            if (union_masks[sub_id] & ~block_union) == 0 and (
-                component_masks[sub_id] & ~block_component
+            if (union_masks[sub_id] & ~union_mask) == 0 and (
+                component_masks[sub_id] & ~component_mask
             ) == 0:
                 subs.append(sub_id)
                 covered |= component_masks[sub_id]
-        # Condition 1: C ⊆ X ∪ ⋃Yi.
-        if block_component & ~covered:
-            return None
-        # Condition 2: edges meeting C are inside X ∪ ⋃Yi (each such edge is
-        # a subset of their union, so one subset test covers all of them).
-        if self._touching_masks[block_id] & ~covered:
+        # Condition 1: C ⊆ X ∪ ⋃Yi.  Condition 2: edges meeting C are inside
+        # X ∪ ⋃Yi (each such edge is a subset of their union, so one subset
+        # test covers all of them).
+        if (component_mask | touching_mask) & ~covered:
             return None
         return tuple(subs)
 
     def candidate_probes(self, block_id: int) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
         """The statically feasible ``(candidate id, live sub-block ids)`` pairs.
 
-        A pair appears iff the satisfaction-independent basis conditions 1+2
-        hold for the candidate and the block (:meth:`basis_sub_ids`), with the
-        trivially satisfied empty-component sub-blocks dropped: only the
-        remaining *live* subs gate condition 3 and contribute subtrees to the
-        induced partial decomposition.  This is the probe set Algorithm 2's
-        worklist re-examines and the lazy enumerator builds its option
-        streams over (via :meth:`repro.core.options.SolverCore.probe_tables`),
-        so it is memoised per block.
+        A pair appears, in candidate order, iff basis conditions 1+2 hold for
+        the candidate and the block (:meth:`basis_sub_ids`, evaluated inline
+        in one scan over the candidates), with the trivially satisfied
+        empty-component sub-blocks dropped: only the remaining *live* subs
+        gate condition 3 and contribute subtrees to the induced partial
+        decomposition.  This is the one candidate scan of the block DP — the
+        solver and the enumerator call it for each block they reach — so it
+        is memoised per block.
         """
         cached = self._probe_cache.get(block_id)
         if cached is not None:
             return cached
+        head_mask = self._head_masks[block_id]
+        component_mask = self._component_masks[block_id]
         not_union = ~self._union_masks[block_id]
+        not_component = ~component_mask
+        # Conditions 1 and 2 as one subset test (see _basis_subs).
+        needed = component_mask | self._touching_masks[block_id]
+        union_masks = self._union_masks
         component_masks = self._component_masks
+        component_blocks = self._candidate_component_blocks
         probes = []
         for cand_id, candidate_mask in enumerate(self.candidate_masks):
-            if candidate_mask & not_union:
+            if candidate_mask & not_union or candidate_mask == head_mask:
                 continue
-            # Not the memoising basis_sub_ids: each pair is visited once
-            # here and _probe_cache already memoises the whole block.
-            subs = self._compute_basis_sub_ids(candidate_mask, block_id)
-            if subs is None:
-                continue
-            probes.append(
-                (cand_id, tuple(s for s in subs if component_masks[s]))
-            )
+            covered = candidate_mask
+            live = []
+            for sub_id in component_blocks[cand_id]:
+                sub_component = component_masks[sub_id]
+                if not (union_masks[sub_id] & not_union or sub_component & not_component):
+                    live.append(sub_id)
+                    covered |= sub_component
+            if not needed & ~covered:
+                probes.append((cand_id, tuple(live)))
         result = tuple(probes)
         self._probe_cache[block_id] = result
         return result
@@ -324,47 +317,34 @@ class BlockIndex:
         """Is ``candidate`` a basis of ``block`` given the satisfaction map?
 
         ``satisfied`` maps blocks to whether a (constraint-compliant)
-        decomposition witnessing their satisfaction is known.
+        decomposition witnessing their satisfaction is known.  ``block`` need
+        not be registered in the index.
         """
         candidate_mask = self.candidate_mask(frozenset(candidate))
         if candidate_mask is None:
             return False
         block_id = self._block_id.get(block)
-        if block_id is None:
-            return self._is_basis_unregistered(candidate_mask, block, satisfied)
-        sub_ids = self.basis_sub_ids(candidate_mask, block_id)
+        if block_id is not None:
+            sub_ids = self.basis_sub_ids(candidate_mask, block_id)
+        else:
+            component_mask = self._indexer.to_mask_clipped(block.component)
+            sub_ids = self._basis_subs(
+                candidate_mask,
+                self._indexer.to_mask_clipped(block.head),
+                component_mask,
+                _touching_mask(component_mask, self.hypergraph.bitsets.edge_masks),
+            )
         if sub_ids is None:
             return False
         # Condition 3: every sub-block is satisfied.
         block_list = self._block_list
         return all(satisfied.get(block_list[i], False) for i in sub_ids)
 
-    def _is_basis_unregistered(
-        self, candidate_mask: int, block: Block, satisfied: Dict[Block, bool]
-    ) -> bool:
-        """Basis test against an ad-hoc block that is not in the index."""
-        head_mask = self._indexer.to_mask_clipped(block.head)
-        component_mask = self._indexer.to_mask_clipped(block.component)
-        union_mask = head_mask | component_mask
-        if candidate_mask == head_mask or candidate_mask & ~union_mask:
-            return False
-        union_masks = self._union_masks
-        component_masks = self._component_masks
-        covered = candidate_mask
-        subs = []
-        for sub_id in self._head_to_block_ids.get(candidate_mask, ()):
-            if (union_masks[sub_id] & ~union_mask) == 0 and (
-                component_masks[sub_id] & ~component_mask
-            ) == 0:
-                subs.append(sub_id)
-                covered |= component_masks[sub_id]
-        if component_mask & ~covered:
-            return False
-        touching = 0
-        for edge_mask in self.hypergraph.bitsets.edge_masks:
-            if edge_mask & component_mask:
-                touching |= edge_mask
-        if touching & ~covered:
-            return False
-        block_list = self._block_list
-        return all(satisfied.get(block_list[i], False) for i in subs)
+
+def _touching_mask(component_mask: int, edge_masks) -> int:
+    """The union of the edges that meet ``component_mask``."""
+    touching = 0
+    for edge_mask in edge_masks:
+        if edge_mask & component_mask:
+            touching |= edge_mask
+    return touching

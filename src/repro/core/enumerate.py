@@ -8,13 +8,14 @@ returns the true ``k`` best distinct decompositions, however large the
 option space is.  (The pre-PR-4 eager beam and its truncation knobs are
 gone entirely; ``enumerate_ctds`` has no approximation parameters.)
 
-The enumeration runs over the same block dynamic program as Algorithms 1
-and 2, via the shared :class:`repro.core.options.SolverCore`:
+The enumeration runs over the same blocks as Algorithms 1 and 2, via the
+shared :class:`repro.core.options.SolverCore`:
 
-* every block with a component has one *option stream* per statically
-  feasible probe ``(candidate, live sub-blocks)``
-  (:meth:`repro.core.blocks.BlockIndex.candidate_probes`): the fragments
-  rooted at the candidate, in ``(preference key, canonical tie key)`` order;
+* every block with a component that the enumeration reaches has one
+  *option stream* per statically feasible probe ``(candidate, live
+  sub-blocks)`` (:meth:`repro.core.blocks.BlockIndex.candidate_probes`,
+  memoised per block): the fragments rooted at the candidate, in
+  ``(preference key, canonical tie key)`` order;
 * a probe stream is produced Lawler-style: a heap of *configurations*
   (one option index per live sub-block) seeded with ``(0, …, 0)``; popping
   the best configuration emits its fragment and pushes the one-step
@@ -159,7 +160,13 @@ class _MergedStream:
 
     def _initialise(self) -> None:
         self._heap = []
-        probes = self._enumerator._probes[self._block_id]
+        enumerator = self._enumerator
+        # One work unit per stream opened: its probe list is one (memoised)
+        # candidate scan.
+        budget = enumerator.core.budget
+        if budget is not None:
+            budget.tick()
+        probes = enumerator.index.candidate_probes(self._block_id)
         for probe_idx in range(len(probes)):
             stream = self._enumerator._probe_stream(self._block_id, probe_idx)
             entry = stream.get(0)
@@ -211,15 +218,6 @@ class CTDEnumerator:
         self._probe_streams: Dict[Tuple[int, int], _ProbeStream] = {}
         self._merged_streams: Dict[Tuple[int, Bag], _MergedStream] = {}
         self._exhaustive: Optional[List[List[_Entry]]] = None
-        self._probes_cache: Optional[List] = None
-
-    @property
-    def _probes(self):
-        # Lazy: probe-table construction is budget-governed, so it must run
-        # inside iter_decompositions' anytime boundary, not the constructor.
-        if self._probes_cache is None:
-            self._probes_cache = self.core.probe_tables()[0]
-        return self._probes_cache
 
     @property
     def outcome(self) -> SolveOutcome:
@@ -233,7 +231,7 @@ class CTDEnumerator:
         key = (block_id, probe_idx)
         stream = self._probe_streams.get(key)
         if stream is None:
-            cand_id, live_subs = self._probes[block_id][probe_idx]
+            cand_id, live_subs = self.index.candidate_probes(block_id)[probe_idx]
             stream = _ProbeStream(self, cand_id, live_subs)
             self._probe_streams[key] = stream
         return stream
@@ -266,8 +264,10 @@ class CTDEnumerator:
         for block_id in index.topological_order_ids():
             if not component_masks[block_id]:
                 continue
+            if budget is not None:
+                budget.tick()
             block_options: List[_Entry] = []
-            for cand_id, live_subs in self._probes[block_id]:
+            for cand_id, live_subs in index.candidate_probes(block_id):
                 child_lists = [options[sub] for sub in live_subs]
                 if any(not child_list for child_list in child_lists):
                     continue

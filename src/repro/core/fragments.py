@@ -3,10 +3,10 @@
 A *fragment* encodes the subtree of a partial decomposition as a nested pair
 ``(bag, (child fragments...))``.  Fragments are plain tuples of frozensets:
 hashable, comparable for equality, and cheap to share structurally — the
-event-driven Algorithm 2 (:mod:`repro.core.constrained`) and the exact lazy
-enumerator (:mod:`repro.core.enumerate`) both build larger fragments out of
-already-evaluated child fragments, so constraint checks and preference keys
-are memoised per fragment (in the shared
+block dynamic program of Algorithm 2 (:mod:`repro.core.constrained`) and the
+exact lazy enumerator (:mod:`repro.core.enumerate`) both build larger
+fragments out of already-evaluated child fragments, so constraint checks and
+preference keys are memoised per fragment (in the shared
 :class:`repro.core.options.FragmentEvaluator`) instead of being recomputed
 for every probe of the dynamic program.
 
@@ -20,7 +20,7 @@ across processes and hash seeds.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Optional, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.hypergraph.hypergraph import Hypergraph, Vertex
 from repro.decompositions.td import TreeDecomposition
@@ -33,9 +33,9 @@ Bag = FrozenSet[Vertex]
 Fragment = Tuple
 
 
-# fragment -> sort key.  Sort keys are recomputed on every probe of the
-# solvers' worklists while fragments are immutable and shared, so the
-# recursion is memoised (a fragment's key embeds its children's keys, which
+# fragment -> sort key.  Sort keys are requested on every probe of the
+# solvers while fragments are immutable and shared, so the recursion is
+# memoised (a fragment's key embeds its children's keys, which
 # are therefore already cached when the parent is first sorted).  The cache
 # outlives individual solvers, so it is cleared when it exceeds the bound —
 # correctness never depends on a hit.
@@ -71,18 +71,18 @@ def make_fragment(bag: Bag, children: Iterable[Fragment]) -> Fragment:
 def fragment_to_decomposition(
     hypergraph: Hypergraph, fragment: Fragment, head: Optional[Bag] = None
 ) -> TreeDecomposition:
-    """Materialise a fragment (optionally below a head bag) as a decomposition."""
+    """Materialise a fragment (optionally below a head bag) as a decomposition.
+
+    Iterative, so a fragment deeper than the recursion limit materialises
+    too; nodes are numbered in pre-order, children in fragment order.
+    """
     tree = RootedTree()
-
-    def build(node_fragment: Fragment, parent: Optional[TreeNode]) -> None:
-        bag, children = node_fragment
-        node = tree.new_node(parent, bag=bag)
-        for child in children:
-            build(child, node)
-
+    parent: Optional[TreeNode] = None
     if head is not None:
-        root = tree.new_node(None, bag=head)
-        build(fragment, root)
-    else:
-        build(fragment, None)
+        parent = tree.new_node(None, bag=head)
+    stack: List[Tuple[Fragment, Optional[TreeNode]]] = [(fragment, parent)]
+    while stack:
+        (bag, children), parent = stack.pop()
+        node = tree.new_node(parent, bag=bag)
+        stack.extend((child, node) for child in reversed(children))
     return TreeDecomposition(hypergraph, tree)

@@ -1,25 +1,26 @@
 """Shared solver core of the CandidateTD family (Algorithms 1, 2 and any-k).
 
-Algorithm 1 (:mod:`repro.core.ctd`), the constrained/preference-optimised
-Algorithm 2 (:mod:`repro.core.constrained`) and the exact ranked enumerator
-(:mod:`repro.core.enumerate`) all run the same block dynamic program: filter
-the candidate bags through the constraint, index the blocks
-(:class:`repro.core.blocks.BlockIndex`), generate the statically feasible
-``(candidate, live sub-blocks)`` probes per block, and evaluate immutable
-``(bag, children)`` fragments (:mod:`repro.core.fragments`) against the
-constraint and the preference.  This module holds that shared machinery so
-the three solvers differ only in their control flow:
+Algorithm 2 (:mod:`repro.core.constrained`, with Algorithm 1 as its trivial
+``(𝒞, ≤)`` case in :mod:`repro.core.ctd`) and the exact ranked enumerator
+(:mod:`repro.core.enumerate`) run over the same blocks: filter the
+candidate bags through the constraint, index the blocks
+(:class:`repro.core.blocks.BlockIndex`, whose memoised
+:meth:`~repro.core.blocks.BlockIndex.candidate_probes` lists the
+statically feasible ``(candidate, live sub-blocks)`` probes of each block
+either reaches), and evaluate immutable ``(bag, children)`` fragments
+(:mod:`repro.core.fragments`) against the constraint and the preference.
+This module holds that shared machinery so the two differ only in their
+control flow:
 
 * :class:`FragmentEvaluator` memoises, per distinct fragment, the
   materialised :class:`TreeDecomposition`, the constraint verdict and the
   preference ``(key, state)`` — with the monotone bottom-up key composition
   of :class:`repro.core.preferences.Preference` as the fast path;
 * :class:`SolverCore` owns the filtered candidate set, the block index, the
-  evaluator, the per-block probe tables with their reverse
-  (sub-block → dependent blocks) event-routing map, and the vertex-less
-  hypergraph's trivial single-empty-bag decomposition.
+  evaluator and the vertex-less hypergraph's trivial single-empty-bag
+  decomposition.
 
-The per-fragment memo tables rely on one invariant, shared by all three
+The per-fragment memo tables rely on one invariant, shared by both
 consumers: *a fragment is only ever built from constraint-compliant child
 fragments*, so compliance of the whole fragment reduces to ``𝒞.holds`` on
 the fragment itself and a monotone preference key composes from the memoised
@@ -28,7 +29,7 @@ child states.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.decompositions.td import TreeDecomposition
@@ -41,9 +42,6 @@ from repro.runtime.budget import Budget
 
 #: Marks a fragment rejected by the constraint in the per-fragment memo.
 _REJECTED = object()
-
-#: Per-block probe table: ``(candidate id, live sub-block ids)`` pairs.
-ProbeTable = Tuple[Tuple[int, Tuple[int, ...]], ...]
 
 
 class FragmentEvaluator:
@@ -120,7 +118,7 @@ class FragmentEvaluator:
 
 
 class SolverCore:
-    """The common preamble and option tables of the CandidateTD solvers."""
+    """The common preamble of the CandidateTD solvers."""
 
     def __init__(
         self,
@@ -141,46 +139,6 @@ class SolverCore:
         self.evaluator = FragmentEvaluator(
             hypergraph, self.constraint, self.preference
         )
-        self._probe_tables: Optional[Tuple[List[ProbeTable], Dict[int, List[int]]]] = None
-
-    def probe_tables(self) -> Tuple[List[ProbeTable], Dict[int, List[int]]]:
-        """``(probes, parents)`` — the static probe structure of the block DP.
-
-        ``probes[block_id]`` holds the statically feasible probes of a block
-        with a component (:meth:`BlockIndex.candidate_probes`); ``parents``
-        maps a sub-block id to the blocks whose probes use it, which is the
-        reverse edge set the worklists route satisfaction/improvement events
-        along.  Both are computed once per core.
-
-        Construction is governed by the core's budget: one
-        :meth:`~repro.runtime.Budget.tick` per block (each
-        ``candidate_probes`` call is one memoised batch), so a
-        :class:`~repro.runtime.BudgetExceeded` can surface here and is
-        handled by the owning solver's anytime boundary.  The memo is only
-        populated on full completion — a later retry recomputes.
-        """
-        if self._probe_tables is not None:
-            return self._probe_tables
-        budget = self.budget
-        index = self.index
-        component_masks = index.mask_arrays()[1]
-        block_count = index.block_count()
-        probes: List[ProbeTable] = [()] * block_count
-        parents: Dict[int, List[int]] = {}
-        for block_id in range(block_count):
-            if not component_masks[block_id]:
-                continue
-            if budget is not None:
-                budget.tick()
-            block_probes = index.candidate_probes(block_id)
-            probes[block_id] = block_probes
-            for _, live_subs in block_probes:
-                for sub in live_subs:
-                    dependents = parents.setdefault(sub, [])
-                    if not dependents or dependents[-1] != block_id:
-                        dependents.append(block_id)
-        self._probe_tables = (probes, parents)
-        return self._probe_tables
 
     def trivial_decomposition(self) -> Optional[TreeDecomposition]:
         """The vertex-less hypergraph's single-empty-bag CTD, if compliant.

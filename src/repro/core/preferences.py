@@ -11,7 +11,7 @@ Monotone preferences
 --------------------
 
 The paper's strongly monotone cost functions (Section 6.1) share a structural
-property the event-driven Algorithm 2 exploits: the key of a partial
+property the block DP of Algorithm 2 exploits: the key of a partial
 decomposition is determined by its root bag and the keys of the child
 subtrees, so keys compose bottom-up without re-walking the subtree.  Such a
 preference sets ``monotone = True`` and implements :meth:`fragment_state` /

@@ -347,6 +347,18 @@ def reference_candidate_td_decide(
 
     Returns the CandidateTD decision (the root block is satisfied).
     """
+    satisfied, root = reference_satisfied_blocks(hypergraph, candidate_bags)
+    return root in satisfied
+
+
+def reference_satisfied_blocks(
+    hypergraph: Hypergraph, candidate_bags: Iterable[Bag]
+) -> Tuple[Set[Tuple[Bag, Bag]], Tuple[Bag, Bag]]:
+    """The seed Algorithm 1 fixpoint's satisfied blocks and the root block.
+
+    Blocks are ``(head, component)`` pairs; the decision is whether the
+    root is among the satisfied blocks.
+    """
     bags = _sorted_bags(candidate_bags)
     blocks_by_head, all_blocks, root_block = _reference_blocks(hypergraph, bags)
 
@@ -390,7 +402,10 @@ def reference_candidate_td_decide(
                     break
     # The vertex-less hypergraph's root block (∅, ∅) is trivially satisfied
     # by the (empty, falsy) basis — the accept test is satisfaction alone.
-    return satisfied.get(root_block, False)
+    return (
+        {(block.head, block.component) for block, ok in satisfied.items() if ok},
+        (root_block.head, root_block.component),
+    )
 
 
 # -- Algorithm 2 (seed version of repro.core.constrained) ----------------------
@@ -408,8 +423,8 @@ def reference_constrained_ctd(
     decomposition is constraint-compliant and preference-minimal, rebuilding
     the full :class:`TreeDecomposition` and re-running
     ``constraint.holds_recursively`` for every probe in every round — the
-    pre-worklist behaviour the event-driven solver in
-    :mod:`repro.core.constrained` is benchmarked and property-tested against.
+    behaviour the top-down solver in :mod:`repro.core.constrained` is
+    benchmarked and property-tested against.
     Returns the optimal compliant CTD or ``None``.
     """
     from repro.core.constraints import NoConstraint

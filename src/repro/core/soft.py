@@ -7,11 +7,10 @@ polynomial (Theorems 1 and 5); the functions here combine candidate bag
 generation with the CandidateTD solvers and, optionally, with constraints and
 preferences (Section 6).
 
-Both solver routes run event-driven worklist fixpoints on the bitset kernel:
-the plain decision problem uses Algorithm 1 (:mod:`repro.core.ctd`), and any
-constraint or preference switches to Algorithm 2
-(:mod:`repro.core.constrained`), whose per-block best entries are memoised
-decomposition fragments ranked by the preference key.
+Every route runs the one block dynamic program of Algorithm 2
+(:mod:`repro.core.constrained`) on the bitset kernel, resolving blocks
+top-down from the root; without a constraint or preference it is
+Algorithm 1, which stops at each block's first basis.
 """
 
 from __future__ import annotations
@@ -22,9 +21,8 @@ from repro.hypergraph.hypergraph import Hypergraph
 from repro.decompositions.td import TreeDecomposition
 from repro.decompositions.ghd import GeneralizedHypertreeDecomposition
 from repro.core.candidate_bags import SoftBagGenerator, soft_candidate_bags
-from repro.core.constrained import ConstrainedCTDSolver
+from repro.core.constrained import constrained_candidate_td
 from repro.core.constraints import SubtreeConstraint
-from repro.core.ctd import CandidateTDSolver
 from repro.core.preferences import Preference
 from repro.runtime.budget import Budget
 
@@ -39,8 +37,7 @@ def shw_leq(
     """Decide ``shw(H) ≤ k`` (or the constrained variant ``𝒞-shw(H) ≤ k``).
 
     Returns a witnessing soft hypertree decomposition (a CompNF CTD over
-    ``Soft_{H,k}``) or ``None``.  With a constraint and/or preference the
-    constrained solver (Algorithm 2) is used instead of Algorithm 1.
+    ``Soft_{H,k}``) or ``None``; with a preference, a ≤-minimal one.
     """
     return shw_i_leq(
         hypergraph,
@@ -69,7 +66,7 @@ def shw_i_leq(
     decomposition is a valid width-k soft decomposition of order ``i``) but a
     ``None`` result no longer proves ``shw_i(H) > k``.
 
-    A ``budget`` governs candidate-bag generation and the solver fixpoint
+    A ``budget`` governs candidate-bag generation and the block DP
     with the same one-sided soundness: a decomposition returned by an
     exhausted run is still a valid witness, a ``None`` is inconclusive
     (``budget.status`` distinguishes the cases).
@@ -78,10 +75,9 @@ def shw_i_leq(
         raise ValueError("k must be at least 1")
     generator = SoftBagGenerator(hypergraph, k, max_subedges=max_subedges, budget=budget)
     bags = generator.candidate_bags(iterations)
-    if constraint is None and preference is None:
-        return CandidateTDSolver(hypergraph, bags, budget=budget).solve()
-    solver = ConstrainedCTDSolver(hypergraph, bags, constraint, preference, budget=budget)
-    return solver.solve()
+    return constrained_candidate_td(
+        hypergraph, bags, constraint, preference, budget=budget
+    )
 
 
 def soft_hypertree_width(

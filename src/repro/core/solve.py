@@ -383,6 +383,8 @@ def _solve_fixed_width(
             limit=request.limit,
             budget=budget,
         )
+    # One solver either way; the two entry points keep the decide and the
+    # optimal solves apart in the end-to-end benchmark's trace spans.
     if constraint is None and preference is None:
         from repro.core.ctd import candidate_td
 
@@ -513,7 +515,7 @@ def execute(
     ``REPRO_CTD_CACHE_OFF``), a :class:`DecompositionCache`, a directory
     path, or ``None``.  ``budget`` overrides the request's own
     ``deadline``/``max_work`` caps when given; either way a single budget
-    governs candidate-bag generation and the solver fixpoint, and
+    governs candidate-bag generation and the block DP, and
     truncated (anytime) results are returned but never cached.
     """
     started = time.perf_counter()

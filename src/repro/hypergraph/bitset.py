@@ -1,8 +1,8 @@
 """Int-mask bitset kernel for vertex-set algebra.
 
 Every combinatorial hot path of the decomposition pipeline — candidate-bag
-generation (``Soft^i_{H,k}``), [S]-components, edge covers and the
-Algorithm 1 fixpoint — reduces to set algebra over subsets of ``V(H)``.
+generation (``Soft^i_{H,k}``), [S]-components, edge covers and the block
+dynamic program — reduces to set algebra over subsets of ``V(H)``.
 This module represents those subsets as Python ints (bit ``i`` set iff the
 ``i``-th vertex in a fixed order is present), turning unions, intersections,
 subset tests and cardinalities into single machine-word-per-64-vertices

@@ -1,8 +1,8 @@
 """Resource governance for the solver stack: deadlines, work budgets, outcomes.
 
 Every potentially-exponential loop in the repository — candidate-bag
-enumeration, the Algorithm 1/2 fixpoints, probe-table construction, the
-any-k deviation heaps and Yannakakis execution — accepts an optional
+enumeration, the block dynamic program of Algorithms 1 and 2, the any-k
+deviation heaps and Yannakakis execution — accepts an optional
 :class:`Budget` and calls :meth:`Budget.tick` (or the non-raising
 :meth:`Budget.try_tick`) once per unit of work.  A budget bounds a run two
 ways:

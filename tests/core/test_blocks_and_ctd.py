@@ -1,13 +1,14 @@
 """Unit tests for blocks, bases and Algorithm 1 (CandidateTD)."""
 
 import random
+import sys
 
 import pytest
 
 from repro.core.blocks import Block, BlockIndex
 from repro.core.candidate_bags import soft_candidate_bags
-from repro.core.ctd import CandidateTDSolver, candidate_td
-from repro.core.options import SolverCore
+from repro.core.constrained import ConstrainedCTDSolver
+from repro.core.ctd import candidate_td
 from repro.hypergraph.generators import (
     random_cyclic_query_hypergraph,
     random_hypergraph,
@@ -102,16 +103,6 @@ class TestBlocks:
                     )
             assert index.candidate_probes(block_id) == tuple(expected), block_id
 
-    @probe_grid
-    def test_probe_table_parents_ascending_and_duplicate_free(self, hypergraph, k):
-        """The worklists route events along ``parents`` in block-id order."""
-        core = SolverCore(hypergraph, soft_candidate_bags(hypergraph, k))
-        probes, parents = core.probe_tables()
-        for sub, dependents in parents.items():
-            assert dependents == sorted(set(dependents)), sub
-            for block_id in dependents:
-                assert any(sub in live for _, live in probes[block_id]), (sub, block_id)
-
 
 class TestCandidateTDSolver:
     def test_single_full_bag_always_works(self, triangle):
@@ -143,7 +134,7 @@ class TestCandidateTDSolver:
 
     def test_decide_matches_solve(self, h2):
         bags = soft_candidate_bags(h2, 1)
-        solver = CandidateTDSolver(h2, bags)
+        solver = ConstrainedCTDSolver(h2, bags)
         assert solver.decide() == (solver.solve() is not None)
 
     def test_disconnected_hypergraph_supported(self):
@@ -156,7 +147,7 @@ class TestCandidateTDSolver:
 
     def test_satisfied_blocks_accessible(self, triangle):
         bags = soft_candidate_bags(triangle, 2)
-        solver = CandidateTDSolver(triangle, bags)
+        solver = ConstrainedCTDSolver(triangle, bags)
         solver.solve()
         satisfied = solver.satisfied_blocks()
         assert solver.index.root_block in satisfied
@@ -178,7 +169,7 @@ class TestCandidateTDSolver:
         # The root block of the vertex-less hypergraph is (∅, ∅): trivially
         # satisfied by the empty basis, witnessed by one empty bag.
         empty = Hypergraph([])
-        solver = CandidateTDSolver(empty, [])
+        solver = ConstrainedCTDSolver(empty, [])
         assert solver.decide()
         td = solver.solve()
         assert td is not None
@@ -196,3 +187,58 @@ class TestCandidateTDSolver:
         assert td.bags() == [frozenset({"v"})]
         assert td.is_valid()
         assert candidate_td(single, []) is None
+
+
+def _stack_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+class TestTopDownResolution:
+    def test_decide_scans_only_the_blocks_the_root_needs(self, monkeypatch):
+        """Trivial (𝒞, ≤) on C16 at k = 2 scans < 25 % of the blocks.
+
+        Every block is reachable from the root (each candidate is a root
+        probe), so an exact optimum under a real preference still resolves
+        every block with a component; a decision stops at each block's
+        first basis and needs only one chain of them.
+        """
+        from repro.core.blocks import BlockIndex
+
+        scanned = set()
+        original = BlockIndex.candidate_probes
+
+        def spy(index, block_id):
+            scanned.add(block_id)
+            return original(index, block_id)
+
+        monkeypatch.setattr(BlockIndex, "candidate_probes", spy)
+        hypergraph = cycle_hypergraph(16)
+        solver = ConstrainedCTDSolver(hypergraph, soft_candidate_bags(hypergraph, 2))
+        assert solver.decide()
+        assert scanned
+        assert len(scanned) < 0.25 * solver.index.block_count()
+
+    def test_block_chain_deeper_than_the_recursion_limit(self):
+        """A path whose CTD is one chain of ``limit`` blocks still solves."""
+        limit = _stack_depth() + 100
+        edges = limit + 50
+        path = Hypergraph(
+            {f"e{i}": [f"v{i:05d}", f"v{i + 1:05d}"] for i in range(edges)}
+        )
+        bags = [edge.vertices for edge in path.edges]
+        previous = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit)
+        try:
+            solver = ConstrainedCTDSolver(path, bags)
+            decided = solver.decide()
+            decomposition = solver.solve()
+        finally:
+            sys.setrecursionlimit(previous)
+        assert decided
+        assert decomposition is not None
+        assert decomposition.tree.height() >= limit
+        assert decomposition.is_valid()
+        assert decomposition.uses_bags_from(bags)

@@ -133,14 +133,15 @@ class TestTrivialAndTinyHypergraphs:
 
 
 class TestWorklistEvents:
-    def test_reversed_probe_order_converges_to_the_same_optimum(self, h2):
-        """Force the sweep out of topological order so the worklist must fire.
+    """The answer does not depend on any sweep order.
 
-        With the bottom-up order reversed, nearly every initial probe finds
-        its sub-blocks unsatisfied; only the newly-satisfied and key-improved
-        events of the worklist can complete the fixpoint, so this pins down
-        the event propagation rather than the sweep.
-        """
+    The solver resolves blocks top-down from the root, and a sub-block is
+    final the first time a probe reads it, so no event ever needs to
+    re-probe a block.  Reversing ``topological_order_ids`` (which the
+    resolution does not consult) must change nothing.
+    """
+
+    def test_reversed_probe_order_converges_to_the_same_optimum(self, h2):
         bags = soft_candidate_bags(h2, 2)
         preference = MaxBagSizePreference()
         baseline = ConstrainedCTDSolver(h2, bags, preference=preference)

@@ -1,6 +1,6 @@
-"""Equivalence of the event-driven Algorithm 2 with its round-robin reference.
+"""Equivalence of the top-down Algorithm 2 with its round-robin reference.
 
-The worklist solver in :mod:`repro.core.constrained` and the preserved seed
+The solver in :mod:`repro.core.constrained` and the preserved seed
 dynamic program :func:`repro.core.reference.reference_constrained_ctd` are two
 routes to the ``(𝒞, ≤)``-CandidateTD fixpoint.  Across random hypergraphs and
 the paper's constraint/preference grid they must return the same decide
@@ -39,7 +39,7 @@ SETTINGS = settings(
 
 def synthetic_cost_preference():
     # Integer-valued node and edge costs: exact arithmetic, so the composed
-    # keys of the worklist solver and the rebuilt keys of the reference can
+    # keys of the solver and the rebuilt keys of the reference can
     # be compared with ``==``.
     return MonotoneCostPreference(
         node_cost=lambda bag: len(bag) ** 2,

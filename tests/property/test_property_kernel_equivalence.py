@@ -15,7 +15,8 @@ import pytest
 
 from repro.core.candidate_bags import SoftBagGenerator, soft_candidate_bags
 from repro.core.covers import greedy_edge_cover, minimum_edge_cover
-from repro.core.ctd import CandidateTDSolver, candidate_td
+from repro.core.constrained import ConstrainedCTDSolver
+from repro.core.ctd import candidate_td
 from repro.core.reference import (
     ReferenceSoftBagGenerator,
     reference_candidate_td_decide,
@@ -225,7 +226,7 @@ class TestCandidateTDEquivalence:
     def test_decide_matches_reference(self, name, hypergraph, k):
         bags = soft_candidate_bags(hypergraph, k)
         expected = reference_candidate_td_decide(hypergraph, bags)
-        solver = CandidateTDSolver(hypergraph, bags)
+        solver = ConstrainedCTDSolver(hypergraph, bags)
         assert solver.decide() == expected
         if expected:
             decomposition = solver.solve()
@@ -236,7 +237,7 @@ class TestCandidateTDEquivalence:
 
     @pytest.mark.parametrize("name,hypergraph", INSTANCES[:6])
     def test_decide_matches_reference_on_restricted_bags(self, name, hypergraph):
-        # Thin the bag set so unsatisfiable blocks and waiter re-probes are
+        # Thin the bag set so unsatisfiable blocks and skipped probes are
         # exercised, not just the easy all-bags instances.
         rng = random.Random(f"ctd-{name}")
         bags = sorted(
@@ -246,5 +247,5 @@ class TestCandidateTDEquivalence:
         for fraction in (0.3, 0.6):
             subset = [bag for bag in bags if rng.random() < fraction]
             expected = reference_candidate_td_decide(hypergraph, subset)
-            assert CandidateTDSolver(hypergraph, subset).decide() == expected
+            assert ConstrainedCTDSolver(hypergraph, subset).decide() == expected
             assert (candidate_td(hypergraph, subset) is not None) == expected

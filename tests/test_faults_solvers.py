@@ -1,8 +1,9 @@
 """Fault-injection tests: every governed loop honours its budget.
 
-For each unbounded loop in the stack — candidate-bag generation, the
-Algorithm 1 and Algorithm 2 fixpoints, the any-k enumerator and Yannakakis
-execution — these tests prove three things with deterministic budgets
+For each unbounded loop in the stack — candidate-bag generation, the block
+dynamic program (Algorithm 1 as its trivial case, and Algorithm 2), the
+any-k enumerator and Yannakakis execution — these tests prove three things
+with deterministic budgets
 (scripted work caps, fake clocks):
 
 1. *Termination*: the loop stops within one amortization window of
@@ -23,7 +24,6 @@ import pytest
 from repro.core.candidate_bags import SoftBagGenerator, soft_candidate_bags
 from repro.core.constrained import ConstrainedCTDSolver
 from repro.core.constraints import ConnectedCoverConstraint
-from repro.core.ctd import CandidateTDSolver
 from repro.core.enumerate import CTDEnumerator, enumerate_ctds
 from repro.core.preferences import NodeCountPreference
 from repro.core.soft import soft_hypertree_width
@@ -96,12 +96,14 @@ class TestCandidateBagsGoverned:
 
 
 class TestAlgorithm1Governed:
+    """The trivial (𝒞, ≤) case: one tick per visited block and per probe."""
+
     def test_anytime_answer_is_sound(self, h2):
         bags = soft_candidate_bags(h2, 2)
-        reference = CandidateTDSolver(h2, bags).solve()
+        reference = ConstrainedCTDSolver(h2, bags).solve()
         assert reference is not None
         for cap in WORK_CAPS:
-            solver = CandidateTDSolver(h2, bags, budget=Budget(max_work=cap))
+            solver = ConstrainedCTDSolver(h2, bags, budget=Budget(max_work=cap))
             decomposition, outcome = solver.solve_with_outcome()
             if decomposition is not None:
                 # A witness from an exhausted run is still a real witness.
@@ -115,12 +117,12 @@ class TestAlgorithm1Governed:
     def test_generous_budget_matches_ungoverned(self, h2):
         bags = soft_candidate_bags(h2, 2)
         budget = Budget(max_work=GENEROUS)
-        solver = CandidateTDSolver(h2, bags, budget=budget)
+        solver = ConstrainedCTDSolver(h2, bags, budget=budget)
         decomposition, outcome = solver.solve_with_outcome()
         assert decomposition is not None
         assert outcome.complete
         assert outcome.work > 0
-        reference = CandidateTDSolver(h2, bags).solve()
+        reference = ConstrainedCTDSolver(h2, bags).solve()
         assert decomposition.canonical_form() == reference.canonical_form()
 
     def test_expired_deadline_stops_within_one_window(self, h2):
@@ -131,10 +133,10 @@ class TestAlgorithm1Governed:
             clock=FakeClock(auto_advance=0.001),
             check_interval=interval,
         )
-        solver = CandidateTDSolver(h2, bags, budget=budget)
+        solver = ConstrainedCTDSolver(h2, bags, budget=budget)
         decomposition, outcome = solver.solve_with_outcome()
         assert outcome.status == STATUS_DEADLINE
-        # The fixpoint did at most one window of ticks — plus the one
+        # The resolution did at most one window of ticks — plus the one
         # in-flight probe batch, itself capped at ``check_interval`` —
         # before the first clock read exposed the expired deadline.
         assert budget.work <= 2 * interval
@@ -144,17 +146,17 @@ class TestAlgorithm1Governed:
         budget = Budget(
             deadline=GENEROUS, clock=InterruptingClock(3), check_interval=1
         )
-        solver = CandidateTDSolver(h2, bags, budget=budget)
+        solver = ConstrainedCTDSolver(h2, bags, budget=budget)
         decomposition, outcome = solver.solve_with_outcome()
         assert outcome.status == STATUS_INTERRUPTED
         assert outcome.exit_code == 130
 
     def test_interrupt_without_budget_propagates(self, h2):
-        # Ungoverned runs must not swallow Ctrl-C.  (Simulated by calling
-        # the fixpoint under an interrupting budget-less path is not
-        # possible, so this guards the governed-only conversion contract.)
+        # Ungoverned runs must not swallow Ctrl-C.  (Simulating it on a
+        # budget-less path is not possible, so this guards the
+        # governed-only conversion contract.)
         bags = soft_candidate_bags(h2, 2)
-        solver = CandidateTDSolver(h2, bags)
+        solver = ConstrainedCTDSolver(h2, bags)
         assert solver.solve() is not None  # sanity: no budget, no outcome magic
         assert solver.outcome.complete
 
