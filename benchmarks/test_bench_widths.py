@@ -3,8 +3,9 @@
 E6 reproduces the width separations the paper proves for its example
 hypergraphs (Example 1, Appendix A.2, the C5 discussion of Section 6).  E7
 builds a member of the ``H*_BOG`` family of Theorem 9 and verifies the parts
-of the construction that are checkable at laptop scale (see DESIGN.md for
-the documented substitution).
+of the construction that are checkable at laptop scale (see
+docs/ARCHITECTURE.md, § "Experiments & benchmarks", for the documented
+substitution).
 """
 
 from conftest import write_result

@@ -41,9 +41,10 @@ a non-trivial constraint needs to inspect it; non-monotone preferences fall
 back to evaluating the (memoised) materialised fragment.
 
 The seed's round-robin dynamic program is preserved as the executable
-specification :func:`repro.core.reference.reference_constrained_ctd`; the
-equivalence property tests assert identical decide answers and optimal keys,
-and ``benchmarks/test_bench_constrained.py`` tracks the speedup.
+specification :func:`repro.core.reference.reference_constrained_ctd`;
+``tests/property/test_property_constrained_equivalence.py`` asserts identical
+decide answers and optimal keys on random hypergraphs, library shapes and a
+workload query under ConCov and the Eq. 6 estimate cost.
 """
 
 from __future__ import annotations

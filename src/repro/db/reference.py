@@ -7,9 +7,8 @@ columnar engine in :mod:`repro.db.relation` must be observationally
 equivalent — identical row *sets*, identical :class:`WorkCounter` totals,
 identical aggregates — which
 ``tests/property/test_property_relation_equivalence.py`` asserts on
-randomized databases and queries, and which
-``benchmarks/test_bench_join.py`` re-asserts while timing both engines on
-the paper's workload joins.
+randomized databases and queries and on the paper's six benchmark queries
+over generated data.
 
 ``interner`` is accepted (and ignored) by the constructor so that
 :class:`repro.db.database.Database` can instantiate either engine through

@@ -5,7 +5,7 @@ benchmark harness, the examples and the tests can all consume the same
 computation; the ``render_*`` helpers turn them into the text "figures" the
 bench targets print.
 
-Experiment index (see DESIGN.md):
+Experiment index (see docs/ARCHITECTURE.md, § "Experiments & benchmarks"):
 
 * :func:`figure5_rows` — Figure 5: `q_ds`, ConCov-shw 2, all enumerated CTDs
   with both cost functions and the baseline.

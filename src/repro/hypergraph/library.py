@@ -161,7 +161,8 @@ def hypergraph_bog_star(n: int = 3, grid_size: int = 3) -> Hypergraph:
 
     Adler's full construction (punctured hypergraphs, machinists, eyelets) is
     not reproduced verbatim here; instead we build the structurally analogous
-    family documented in DESIGN.md: ``N1``/``N2`` are ``grid_size × grid_size``
+    family documented in docs/ARCHITECTURE.md (§ "Experiments & benchmarks"):
+    ``N1``/``N2`` are ``grid_size × grid_size``
     grids (whose marshal width grows with ``grid_size``), ``B`` is an
     ``s × s`` balloon grid of vertices ``g_{i,j}`` covered by row edges
     ``a_i = {g_{i,1..s}} ∪ α_i`` and column edges ``b_j = {g_{1..s,j}} ∪ β_j``

@@ -192,12 +192,15 @@ class TestExecute:
 
     def test_isomorphic_hypergraph_hits_with_its_own_names(self, triangle, tmp_path):
         store = DecompositionCache(str(tmp_path))
-        execute(SolveRequest(hypergraph=triangle, width=2), cache=store)
+        solved = execute(SolveRequest(hypergraph=triangle, width=2), cache=store)
         other = relabeled_triangle()
         result = execute(SolveRequest(hypergraph=other, width=2), cache=store)
         assert result.cache_status == "hit"
         for bag in result.decomposition.bags():
             assert bag <= other.vertices
+        assert sorted(map(len, result.decomposition.bags())) == sorted(
+            map(len, solved.decomposition.bags())
+        )
 
     def test_negative_answers_are_never_cached(self, triangle, tmp_path):
         store = DecompositionCache(str(tmp_path))

@@ -27,6 +27,10 @@ from repro.core.preferences import (
     ShallowCyclicityPreference,
 )
 from repro.core.reference import reference_constrained_ctd
+from repro.core.soft import shw_leq
+from repro.db.cost import EstimateCostModel
+from repro.hypergraph.library import cycle_hypergraph, hypergraph_h2
+from repro.workloads.tpcds import build_tpcds_database, tpcds_query_qds
 
 from tests.property.test_property_invariants import small_hypergraphs
 
@@ -109,3 +113,43 @@ class TestConstrainedEquivalence:
     @given(small_hypergraphs(max_vertices=6, max_edges=6))
     def test_shallow_cyclicity_preference_complete_pair(self, hypergraph):
         assert_equivalent(hypergraph, "shallow", "shallow")
+
+    @SETTINGS
+    @given(small_hypergraphs(max_vertices=6, max_edges=6))
+    def test_shallow_cyclicity_preference_unconstrained(self, hypergraph):
+        assert_equivalent(hypergraph, "none", "shallow")
+
+    @pytest.mark.parametrize(
+        "hypergraph,constraint_kind,preference_kind",
+        [
+            pytest.param(hypergraph_h2(), "none", "lexicographic", id="h2-lexicographic"),
+            # ConCov has no width-2 CTD of C12: a pure (negative) decide.
+            pytest.param(cycle_hypergraph(12), "concov", "bag-size", id="cycle12-concov"),
+        ],
+    )
+    def test_library_instances(self, hypergraph, constraint_kind, preference_kind):
+        assert_equivalent(hypergraph, constraint_kind, preference_kind)
+
+    def test_workload_query_concov_estimate_cost(self):
+        # Section 7's setting on TPC-DS QdS: ConCov prunes Cartesian-product
+        # bags, the Eq. 6 estimate cost (Appendix C.2.1) ranks the rest.
+        database = build_tpcds_database(scale=0.1)
+        query = tpcds_query_qds(database)
+        hypergraph = query.hypergraph()
+        constraint = ConnectedCoverConstraint(hypergraph, 2)
+        preference = EstimateCostModel(query, database).as_preference()
+        decomposition = shw_leq(
+            hypergraph, 2, constraint=constraint, preference=preference
+        )
+        assert decomposition is not None and decomposition.is_valid()
+        assert constraint.holds_recursively(decomposition)
+
+        bags = soft_candidate_bags(hypergraph, 2)
+        solver = ConstrainedCTDSolver(hypergraph, bags, constraint, preference)
+        reference = reference_constrained_ctd(
+            hypergraph, bags, constraint=constraint, preference=preference
+        )
+        assert solver.solve() is not None and reference is not None
+        # Float costs: the two solvers may sum children in different orders.
+        reference_key = preference.key(reference)
+        assert solver.optimal_key() == pytest.approx(reference_key, rel=1e-6, abs=1e-6)

@@ -27,6 +27,8 @@ from repro.core.preferences import (
     NodeCountPreference,
 )
 from repro.core.reference import reference_enumerate_ctds
+from repro.db.cost import EstimateCostModel
+from repro.workloads.registry import benchmark_queries, benchmark_query
 
 from tests.property.test_property_invariants import small_hypergraphs
 
@@ -121,6 +123,35 @@ class TestEnumerateEquivalence:
         assert [d.canonical_form() for d in enumerated] == [
             d.canonical_form() for d in reference
         ]
+
+    @pytest.mark.parametrize("name", [entry.name for entry in benchmark_queries()])
+    def test_paper_query_top10_under_concov_and_estimate_cost(self, name):
+        # Section 7's top-10 scenario: ConCov + the Eq. 6 estimate cost
+        # (Appendix C.2.1) on the data the figures use, at a small scale.
+        entry = benchmark_query(name)
+        database, query = entry.load(scale=0.1)
+        hypergraph = query.hypergraph()
+        bags = soft_candidate_bags(hypergraph, entry.width)
+        constraint = ConnectedCoverConstraint(hypergraph, entry.width)
+        preference = EstimateCostModel(query, database).as_preference()
+        enumerated = enumerate_ctds(
+            hypergraph, bags, constraint=constraint, preference=preference, limit=10
+        )
+        reference = reference_enumerate_ctds(
+            hypergraph, bags, constraint=constraint, preference=preference, limit=10
+        )
+        assert enumerated and len(enumerated) == len(reference)
+        keys = [preference.key(d) for d in enumerated]
+        reference_keys = [preference.key(d) for d in reference]
+        assert keys == sorted(keys) and reference_keys == sorted(reference_keys)
+        # Float keys over a tie-heavy landscape: ties may be ordered
+        # differently when summation order differs, so the ranked key
+        # sequences agree up to rounding (the integer-cost grid above pins
+        # exact sequence equality).
+        assert keys == pytest.approx(reference_keys, rel=1e-9, abs=1e-9)
+        for decomposition in enumerated:
+            assert decomposition.is_valid()
+            assert constraint.holds_recursively(decomposition)
 
     @SETTINGS
     @given(small_hypergraphs(max_vertices=5, max_edges=5))

@@ -33,7 +33,10 @@ from repro.hypergraph.bitset import (
     popcount,
 )
 from repro.hypergraph.components import edge_components, vertex_components
-from repro.hypergraph.generators import random_hypergraph
+from repro.hypergraph.generators import (
+    random_cyclic_query_hypergraph,
+    random_hypergraph,
+)
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.library import (
     cycle_hypergraph,
@@ -72,6 +75,14 @@ def _random_instances():
 
 
 INSTANCES = _random_instances()
+
+#: The paper's H2 plus two generator-sized instances (hundreds of candidate
+#: bags at k = 2, where the random grid above stays small).
+K2_INSTANCES = [
+    ("h2", hypergraph_h2()),
+    ("cyclic-query12", random_cyclic_query_hypergraph(12, 3, seed=5)),
+    ("random26", random_hypergraph(26, 18, max_edge_size=3, seed=3)),
+]
 
 
 def _separators(hypergraph, rng):
@@ -249,3 +260,17 @@ class TestCandidateTDEquivalence:
             expected = reference_candidate_td_decide(hypergraph, subset)
             assert ConstrainedCTDSolver(hypergraph, subset).decide() == expected
             assert (candidate_td(hypergraph, subset) is not None) == expected
+
+    @pytest.mark.parametrize("name,hypergraph", K2_INSTANCES)
+    def test_generation_fixpoint_and_decide_match_reference(self, name, hypergraph):
+        k = 2
+        bags = SoftBagGenerator(hypergraph, k).candidate_bags(0)
+        assert bags == ReferenceSoftBagGenerator(hypergraph, k).candidate_bags(0)
+        assert SoftBagGenerator(hypergraph, k).fixpoint_candidate_bags(
+            max_level=3
+        ) == ReferenceSoftBagGenerator(hypergraph, k).fixpoint_candidate_bags(
+            max_level=3
+        )
+        assert (candidate_td(hypergraph, bags) is not None) == (
+            reference_candidate_td_decide(hypergraph, bags)
+        )

@@ -7,7 +7,8 @@ engine preserved in :mod:`repro.db.reference`: identical row sets, identical
 :class:`WorkCounter` totals (reads, writes and operation counts), identical
 aggregates, and identical end-to-end Yannakakis runs.  These tests drive
 both engines over a seeded grid of random relations, databases and queries
-(deterministic, unlike hypothesis's example database), with empty relations,
+(deterministic, unlike hypothesis's example database) and over the paper's
+six benchmark queries on generated data, with empty relations,
 empty bags and zero-arity relations included explicitly.  Every kernel path
 (table and sort, direct and densified packing) is forced in turn through the
 module's two internal constants and held to the same spec, and the
@@ -19,6 +20,8 @@ import random
 import numpy as np
 import pytest
 
+from repro.core.candidate_bags import soft_candidate_bags
+from repro.core.enumerate import enumerate_ctds
 from repro.db import relation as relation_module
 from repro.db.database import Database
 from repro.db.interner import CODE_DTYPE, ValueInterner
@@ -28,6 +31,7 @@ from repro.db.relation import Relation, WorkCounter
 from repro.db.stats import CardinalityEstimator
 from repro.db.yannakakis import YannakakisExecutor
 from repro.decompositions.td import TreeDecomposition
+from repro.workloads.registry import benchmark_queries, benchmark_query
 
 ATTRS = ("a", "b", "c", "d")
 
@@ -352,6 +356,22 @@ class TestYannakakisEquivalence:
             as_reference_database(database), query
         ).execute(decomposition)
         assert columnar_run.result is None
+        _assert_same_run(columnar_run, reference_run)
+
+    @pytest.mark.parametrize("name", [entry.name for entry in benchmark_queries()])
+    def test_paper_query_runs_match_reference(self, name):
+        # Skewed generated data through the first-ranked CTD: the
+        # workload-sized counterpart of the random grid above.
+        entry = benchmark_query(name)
+        database, query = entry.load(scale=0.5)
+        hypergraph = query.hypergraph()
+        (decomposition,) = enumerate_ctds(
+            hypergraph, soft_candidate_bags(hypergraph, entry.width), limit=1
+        )
+        columnar_run = YannakakisExecutor(database, query).execute(decomposition)
+        reference_run = YannakakisExecutor(
+            as_reference_database(database), query
+        ).execute(decomposition)
         _assert_same_run(columnar_run, reference_run)
 
     def test_estimator_statistics_match_reference(self):

@@ -13,6 +13,9 @@ import os
 import pytest
 
 from repro.cli import default_ledger_path, main
+from repro.core.certify import certify_ctd, decomposition_from_payload
+from repro.core.solve import SolveRequest
+from repro.experiments.harness import BatchCertifier, execute_batch_task
 
 QUERY = "q_hto"
 SCALE = "0.3"
@@ -79,6 +82,22 @@ class TestBatchRuns:
         assert len(tasks) == 1
         assert tasks[0]["status"] == "ok"
         assert tasks[0]["result"]["query"] == QUERY
+
+        # The spawned worker returned what the bare in-process call
+        # computes, and both certify against a trusted rebuild.
+        (record,) = tasks
+        assert record["level"] == "full"
+        spec, supervised = record["task"], record["result"]
+        direct = execute_batch_task(dict(spec, mode="ranked", level="full"))
+        semantic = ("query", "mode", "width", "decomposition")
+        assert [supervised[k] for k in semantic] == [direct[k] for k in semantic]
+        hypergraph = SolveRequest.from_payload(spec["request"]).hypergraph
+        for result in (supervised, direct):
+            assert BatchCertifier()(spec, result)
+            decomposition = decomposition_from_payload(
+                hypergraph, result["decomposition"]
+            )
+            assert certify_ctd(hypergraph, decomposition, width_claim=result["width"])
 
     def test_default_ledger_path_is_deterministic(self):
         tasks = [{"kind": "solve", "query": QUERY, "scale": 0.3}]

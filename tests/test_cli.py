@@ -1,10 +1,13 @@
 """Tests for the command-line interface."""
 
 import io
+import os
 
 import pytest
 
 from repro.cli import main
+from repro.core.cache import DecompositionCache
+from repro.core.solve import SolveRequest, execute
 from repro.hypergraph.io import to_hyperbench
 from repro.hypergraph.library import four_cycle_query, hypergraph_h2, triangle_hypergraph
 
@@ -82,6 +85,31 @@ class TestStatsCommand:
         assert code == 0
         assert "vertices: 10" in output
         assert "edges: 8" in output
+
+
+class TestCacheCommands:
+    def test_list_reports_quarantine_and_clean_empties_the_directory(self, tmp_path):
+        store = DecompositionCache(str(tmp_path / "ctd"))
+        request = SolveRequest(hypergraph=four_cycle_query(), width=2)
+        assert execute(request, cache=store).cache_status == "stored"
+        (info,) = store.entries()
+        with open(info.path, "w", encoding="utf-8") as handle:
+            handle.write("{ not json")
+        # The unreadable entry is quarantined and the re-solve re-stores.
+        assert execute(request, cache=store).cache_status == "stored"
+
+        code, output = run_cli(["cache", "list", "--cache", store.directory])
+        assert code == 0
+        assert "quarantined: " in output
+        assert output.splitlines()[-1].startswith("1 entry, 1 quarantined")
+
+        code, output = run_cli(["cache", "clean", "--cache", store.directory])
+        assert code == 0
+        assert output.startswith("removed 2 cache file(s)")
+        assert os.listdir(store.directory) == []
+
+        code, output = run_cli(["cache", "list", "--cache", store.directory])
+        assert code == 0 and output.startswith("no cache entries")
 
 
 class TestExperimentCommands:

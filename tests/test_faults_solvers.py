@@ -22,12 +22,18 @@ injector: governed solvers must convert the interrupt into an
 import pytest
 
 from repro.core.candidate_bags import SoftBagGenerator, soft_candidate_bags
-from repro.core.constrained import ConstrainedCTDSolver
+from repro.core.constrained import ConstrainedCTDSolver, constrained_candidate_td
 from repro.core.constraints import ConnectedCoverConstraint
+from repro.core.ctd import candidate_td
 from repro.core.enumerate import CTDEnumerator, enumerate_ctds
 from repro.core.preferences import NodeCountPreference
 from repro.core.soft import soft_hypertree_width
 from repro.db.yannakakis import run_yannakakis
+from repro.hypergraph.generators import (
+    random_cyclic_query_hypergraph,
+    random_hypergraph,
+)
+from repro.hypergraph.library import cycle_hypergraph, hypergraph_h2
 from repro.runtime.budget import (
     Budget,
     STATUS_BUDGET,
@@ -231,12 +237,16 @@ class TestEnumeratorGoverned:
         preference = NodeCountPreference()
         full = enumerate_ctds(four_cycle, bags, preference=preference, limit=10)
         assert len(full) >= 2
+        lengths = set()
         for cap in WORK_CAPS:
             budget = Budget(max_work=cap)
             budgeted = enumerate_ctds(
                 four_cycle, bags, preference=preference, limit=10, budget=budget
             )
             assert forms(budgeted) == forms(full)[: len(budgeted)]
+            lengths.add(len(budgeted))
+        # Some cap cuts the ranking after a non-empty, proper prefix.
+        assert any(0 < length < len(full) for length in lengths)
 
     def test_generous_budget_matches_ungoverned(self, four_cycle):
         bags = soft_candidate_bags(four_cycle, 2)
@@ -342,6 +352,60 @@ class TestYannakakisGoverned:
         )
         assert run.outcome.status == STATUS_INTERRUPTED
         assert run.result is None
+
+
+def _kernel_task(hypergraph, budget=None):
+    bags = soft_candidate_bags(hypergraph, 2, budget=budget)
+    td = candidate_td(hypergraph, bags, budget=budget)
+    return bags, None if td is None else frozenset(td.bags())
+
+
+def _constrained_task(hypergraph, budget=None):
+    bags = soft_candidate_bags(hypergraph, 2, budget=budget)
+    td = constrained_candidate_td(
+        hypergraph,
+        bags,
+        ConnectedCoverConstraint(hypergraph, 2),
+        NodeCountPreference(),
+        budget=budget,
+    )
+    return None if td is None else frozenset(td.bags())
+
+
+def _enumerate_task(hypergraph, budget=None):
+    bags = soft_candidate_bags(hypergraph, 2, budget=budget)
+    tds = enumerate_ctds(
+        hypergraph, bags, preference=NodeCountPreference(), limit=10, budget=budget
+    )
+    return [frozenset(td.bags()) for td in tds]
+
+
+class TestGenerousBudgetOnLargerInstances:
+    """Bags, then a solve, both governed by one generous budget, on shapes
+    larger than the fixtures above: the same answer as the ungoverned run."""
+
+    @pytest.mark.parametrize(
+        "task,hypergraph",
+        [
+            pytest.param(_kernel_task, cycle_hypergraph(24), id="decide-cycle24"),
+            pytest.param(
+                _kernel_task,
+                random_hypergraph(26, 18, max_edge_size=3, seed=3),
+                id="decide-random26",
+            ),
+            pytest.param(
+                _constrained_task,
+                random_cyclic_query_hypergraph(12, 3, seed=5),
+                id="concov-nodecount-cyclic12",
+            ),
+            pytest.param(_enumerate_task, cycle_hypergraph(12), id="top10-cycle12"),
+            pytest.param(_enumerate_task, hypergraph_h2(), id="top10-h2"),
+        ],
+    )
+    def test_same_answer_as_ungoverned(self, task, hypergraph):
+        budget = Budget(max_work=GENEROUS)
+        assert task(hypergraph, budget=budget) == task(hypergraph)
+        assert budget.status == STATUS_COMPLETE
 
 
 class TestPipelineGoverned:

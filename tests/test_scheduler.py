@@ -8,11 +8,13 @@ accelerates — a record that does not re-certify degrades to a solve.
 
 import io
 import json
+import random
 
 import pytest
 
 from repro.cli import main
-from repro.core.solve import SolveRequest, execute
+from repro.core.certify import certify_ctd, decomposition_from_payload
+from repro.core.solve import SolveRequest, constraint_object, execute
 from repro.hypergraph.hypergraph import Edge, Hypergraph
 from repro.runtime.scheduler import (
     BatchSolvePlan,
@@ -20,6 +22,7 @@ from repro.runtime.scheduler import (
     run_plan,
     shutdown_pools,
 )
+from repro.workloads.registry import benchmark_queries
 
 
 def _batch_tasks():
@@ -70,6 +73,65 @@ def test_batch_results_independent_of_worker_count():
         shutdown_pools()
     assert _dump(inline.results) == _dump(pooled.results)
     assert pooled.counters["fanout"] == inline.counters["fanout"] > 0
+
+
+def _relabeled(hypergraph, seed):
+    """An isomorphic copy under a seeded vertex/edge renaming."""
+    vertices = sorted(hypergraph.vertices, key=str)
+    order = list(range(len(vertices)))
+    random.Random(seed).shuffle(order)
+    mapping = {v: f"u{index:03d}" for v, index in zip(vertices, order)}
+    return Hypergraph(
+        [
+            Edge(f"r{seed}_{edge.name}", frozenset(mapping[v] for v in edge.vertices))
+            for edge in sorted(hypergraph.edges, key=lambda e: e.name)
+        ]
+    )
+
+
+def test_batch_answers_equal_a_serial_execute_loop():
+    """Every paper query as two relabeled copies: the plan answers each one
+    as its own ``execute()`` does, reuses solves across copies, and every
+    served decomposition certifies against its own query's hypergraph."""
+    tasks = []
+    for entry in benchmark_queries():
+        _, query = entry.load(scale=0.25)
+        for variant in range(2):
+            request = SolveRequest(
+                hypergraph=_relabeled(query.hypergraph(), seed=variant * 101 + 9),
+                mode="enumerate",
+                width=entry.width,
+                constraint="concov",
+                limit=1,
+            )
+            tasks.append(
+                {
+                    "kind": "solve",
+                    "query": f"{entry.name}-v{variant}",
+                    "request": request.to_payload(),
+                }
+            )
+    report = run_plan(BatchSolvePlan.from_tasks(tasks), cache=None)
+    for task, wire in zip(tasks, report.results):
+        request = SolveRequest.from_payload(task["request"])
+        solo = execute(request, cache=None)
+        assert wire["ok"], task["query"]
+        assert wire["decided"] == solo.decided, task["query"]
+        assert wire["width"] == solo.width, task["query"]
+        assert len(wire["decompositions"]) == len(solo.decompositions), task["query"]
+        constraint = constraint_object(
+            request.constraint, request.hypergraph, request.width
+        )
+        for payload in wire["decompositions"]:
+            decomposition = decomposition_from_payload(request.hypergraph, payload)
+            assert certify_ctd(
+                request.hypergraph,
+                decomposition,
+                constraint=constraint,
+                width_claim=request.width,
+            ), task["query"]
+    assert report.counters["fanout"] > 0
+    assert report.counters["solves"] < len(tasks)
 
 
 def test_batch_answers_independent_of_schedule_order():

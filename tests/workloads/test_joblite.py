@@ -164,6 +164,16 @@ class TestExplainStability:
                     assert not bags[parent] <= bags[index], (name, index)
 
 
+class TestRowOutputCost:
+    def test_select_all_work_is_linear_in_input_and_output(self, database):
+        sql = re.sub(r"SELECT\s+\w+\(\w+\)", "SELECT *", JOBLITE_QUERY_SQL["jl02"], count=1)
+        result = run_query(sql, database, cache=None)
+        query = result.plan.query
+        assert query.aggregate is None and result.rows
+        input_rows = sum(len(database.relation(atom.relation)) for atom in query.atoms)
+        assert result.execution_work < 10 * (input_rows + len(result.rows))
+
+
 class TestCliQuery:
     def test_cli_runs_joblite_sql_end_to_end(self):
         out = io.StringIO()
