@@ -687,7 +687,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     throughput = subparsers.add_parser(
         "throughput",
-        help="multi-query batch throughput via the similarity scheduler",
+        help="multi-query batch throughput: shape dedup plus certified fan-out",
     )
     throughput.add_argument(
         "--queries",

@@ -25,15 +25,24 @@ Algorithm
 2. **Individualisation search**: while some color class holds more than
    one vertex, one vertex of the first (lowest-color) non-singleton class
    is individualised (given a fresh color) and refinement re-runs; the
-   recursion explores every choice in the class and keeps the
-   lexicographically least resulting edge encoding.  True twins (vertices
-   with identical incident edge sets, which are automorphic by
-   transposition) are collapsed to one branch, which keeps e.g. a single
-   wide edge from exploding the search.
-3. The branch count is capped (:data:`MAX_LEAVES`); the cap binding can
-   only cost cache hits on pathologically symmetric inputs, never
-   correctness — every cache hit is independently re-certified against the
-   caller's hypergraph before being served.
+   recursion branches on the class and keeps the first lexicographically
+   least resulting edge encoding.  True twins (vertices with identical
+   incident edge sets, which are automorphic by transposition) are
+   collapsed to one branch, which keeps e.g. a single wide edge from
+   exploding the search.
+3. **Orbit pruning** (McKay & Piperno, *Practical graph isomorphism II*,
+   2014): a leaf whose encoding *equals* the best one yields an
+   automorphism (each vertex to the best leaf's vertex at its index).  A
+   node skips a branch vertex in the orbit (union-find) of an explored
+   sibling under the automorphisms that fix the node's individualised
+   prefix pointwise.  Such an automorphism maps the explored subtree onto
+   the skipped one with equal encodings, and the explored one comes first,
+   so the first least leaf — and hence the fingerprint, order and
+   encoding — is exactly that of the unpruned search; only symmetric
+   shapes visit fewer leaves (a 16-cycle 32 → 4).  The leaf count stays
+   capped (:data:`MAX_LEAVES`) as a backstop; the cap binding can only
+   cost cache hits, never correctness — every cache hit is independently
+   re-certified against the caller's hypergraph before being served.
 
 Edges are canonicalised as the *set* of distinct vertex sets — edge names
 and duplicated edges are invisible to every decomposition algorithm, so
@@ -51,9 +60,9 @@ from repro.hypergraph.hypergraph import Hypergraph, Vertex
 __all__ = ["CanonicalForm", "canonical_form", "hypergraph_fingerprint", "MAX_LEAVES"]
 
 #: Upper bound on explored leaves of the individualisation search.  With
-#: twin collapsing, real query hypergraphs resolve in a handful of leaves;
-#: the cap is a backstop against adversarially symmetric inputs (where a
-#: truncated search may cost cache hits, never wrong answers).
+#: twin collapsing and orbit pruning, real query hypergraphs resolve in a
+#: handful of leaves; the cap is a backstop against adversarial inputs
+#: (where a truncated search may cost cache hits, never wrong answers).
 MAX_LEAVES = 4096
 
 
@@ -164,22 +173,23 @@ class _Search:
         edges: Sequence[Tuple[int, ...]],
         incidence: Sequence[Tuple[int, ...]],
         tie_key: Sequence,
-        max_leaves: int,
     ):
         self.edges = edges
         self.incidence = incidence
         #: Deterministic (but label-dependent) order for picking branch
         #: representatives; only the *choice order* depends on it, and with
-        #: an unexhausted leaf budget every choice is explored anyway.
+        #: an unexhausted leaf budget every orbit is explored anyway.
         self.tie_key = tie_key
-        self.leaves_left = max_leaves
+        self.leaves_left = MAX_LEAVES
         self.best_encoding: Optional[Tuple] = None
         self.best_position: Optional[List[int]] = None
+        #: Automorphisms found so far, each as a vertex -> image list.
+        self.automorphisms: List[List[int]] = []
 
     def run(self, colors: List[int]) -> None:
-        self._descend(_refine(colors, self.edges, self.incidence))
+        self._descend(_refine(colors, self.edges, self.incidence), ())
 
-    def _descend(self, colors: List[int]) -> None:
+    def _descend(self, colors: List[int], prefix: Tuple[int, ...]) -> None:
         if self.leaves_left <= 0:
             return
         cells: Dict[int, List[int]] = {}
@@ -191,14 +201,19 @@ class _Search:
                 target = cells[color]
                 break
         if target is None:
+            # A discrete coloring is a position: vertex id -> canonical index.
             self.leaves_left -= 1
-            position = [0] * len(colors)
-            for v, color in enumerate(colors):
-                position[v] = color
-            encoding = _encode(position, self.edges)
+            encoding = _encode(colors, self.edges)
             if self.best_encoding is None or encoding < self.best_encoding:
                 self.best_encoding = encoding
-                self.best_position = position
+                self.best_position = colors
+            elif encoding == self.best_encoding:
+                # Equal encodings: v -> the best leaf's vertex at v's index
+                # preserves every edge, so it is an automorphism.
+                at_index = [0] * len(colors)
+                for u, index in enumerate(self.best_position):
+                    at_index[index] = u
+                self.automorphisms.append([at_index[index] for index in colors])
             return
         # Collapse true twins: vertices with identical incident edge sets
         # are automorphic by transposition, so one branch per incidence
@@ -206,9 +221,29 @@ class _Search:
         groups: Dict[Tuple[int, ...], int] = {}
         for v in sorted(target, key=lambda u: self.tie_key[u]):
             groups.setdefault(self.incidence[v], v)
+        # Orbits (union-find) of the automorphisms fixing the prefix
+        # pointwise: they map this node to itself, so a branch in an
+        # explored branch's orbit is that branch's image, leaf for leaf.
+        orbit = list(range(len(colors)))
+
+        def find(u: int) -> int:
+            while orbit[u] != u:
+                orbit[u] = u = orbit[orbit[u]]
+            return u
+
+        merged = 0
+        explored: List[int] = []
         for v in groups.values():
             if self.leaves_left <= 0:
                 return
+            for gamma in self.automorphisms[merged:]:
+                if all(gamma[u] == u for u in prefix):
+                    for u, image in enumerate(gamma):
+                        orbit[find(u)] = find(image)
+            merged = len(self.automorphisms)
+            if any(find(u) == find(v) for u in explored):
+                continue
+            explored.append(v)
             # Individualise v: give it a color below its cell, densify.
             branched = [
                 (color, 0 if u == v else 1) for u, color in enumerate(colors)
@@ -217,31 +252,28 @@ class _Search:
             self._descend(
                 _refine(
                     [palette[sig] for sig in branched], self.edges, self.incidence
-                )
+                ),
+                prefix + (v,),
             )
 
 
-def canonical_form(
-    hypergraph: Hypergraph, max_leaves: int = MAX_LEAVES
-) -> CanonicalForm:
+def canonical_form(hypergraph: Hypergraph) -> CanonicalForm:
     """Compute the canonical form (fingerprint + permutation) of a hypergraph.
 
     Isomorphic hypergraphs get equal fingerprints; the permutation
     (:attr:`CanonicalForm.order`) maps canonical indices back to this
     particular labeling's vertices.  Deterministic for a fixed labeling.
-    With the default leaf cap the form is memoised on the (immutable)
-    hypergraph, so one request canonicalises once however many layers —
-    each soft-width level, the cache probe, the fingerprint — ask for it.
+    The form is memoised on the (immutable) hypergraph, so one request
+    canonicalises once however many layers — each soft-width level, the
+    cache probe, the fingerprint — ask for it.
     """
-    if max_leaves != MAX_LEAVES:
-        return _canonical_form(hypergraph, max_leaves)
     canonical = hypergraph._canonical
     if canonical is None:
-        canonical = hypergraph._canonical = _canonical_form(hypergraph, max_leaves)
+        canonical = hypergraph._canonical = _canonical_form(hypergraph)
     return canonical
 
 
-def _canonical_form(hypergraph: Hypergraph, max_leaves: int) -> CanonicalForm:
+def _canonical_form(hypergraph: Hypergraph) -> CanonicalForm:
     vertices = sorted(hypergraph.vertices, key=lambda v: (str(type(v)), str(v)))
     vertex_id = {v: i for i, v in enumerate(vertices)}
     # Distinct edge vertex sets only: names and duplicates are invisible to
@@ -258,9 +290,7 @@ def _canonical_form(hypergraph: Hypergraph, max_leaves: int) -> CanonicalForm:
     incidence = [tuple(ids) for ids in incidence_lists]
     if not vertices:
         return CanonicalForm((), tuple(edges))
-    search = _Search(
-        edges, incidence, tie_key=[str(v) for v in vertices], max_leaves=max_leaves
-    )
+    search = _Search(edges, incidence, tie_key=[str(v) for v in vertices])
     search.run([0] * len(vertices))
     assert search.best_position is not None  # at least one leaf was explored
     order: List[Vertex] = [None] * len(vertices)  # type: ignore[list-item]

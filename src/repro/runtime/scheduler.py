@@ -1,4 +1,4 @@
-"""Multi-query batch solving: plan, hot memo, duplicate fan-out, scheduling.
+"""Multi-query batch solving: plan, hot memo, duplicate fan-out.
 
 One production client rarely asks for one decomposition — it brings a
 workload's whole query set, full of repeated and near-repeated shapes.
@@ -18,11 +18,10 @@ This module turns such a set into a :class:`BatchSolvePlan`:
    evidence, the per-query certificate is the proof.  Requests whose
    kind is ``None`` (``soft-width``, data preferences without a
    ``data_key``) are never grouped or memoised.
-3. **Schedule by similarity.**  Groups are ordered greedily by Jaccard
-   similarity of their canonical edge-encoding sets, starting from the
-   lexicographically smallest fingerprint — near-identical shapes run
-   adjacently, which keeps the persistent cache's working set and the
-   in-process :class:`HotMemo` maximally warm across repeated plans.
+3. **Order by fingerprint.**  Groups run in ``(fingerprint, kind)``
+   order.  Each is solved once per plan and :class:`HotMemo` and the
+   persistent cache are keyed exactly, so no order saves work; this one
+   is simply deterministic.
 
 :func:`run_plan` executes a plan: hot memo → persistent cache →
 representative solve (inline, or dispatched to this module's cached spawn
@@ -127,14 +126,6 @@ class PlanGroup:
         return self.items[0]
 
 
-def _similarity(a: frozenset, b: frozenset) -> float:
-    """Jaccard similarity of two canonical edge-encoding sets."""
-    if not a and not b:
-        return 1.0
-    union = len(a | b)
-    return len(a & b) / union if union else 0.0
-
-
 class BatchSolvePlan:
     """A workload's query set, canonicalised, grouped and scheduled."""
 
@@ -155,7 +146,7 @@ class BatchSolvePlan:
             if group is None:
                 group = groups[key] = PlanGroup(item.fingerprint, item.kind)
             group.items.append(item)
-        self.groups = self._schedule(list(groups.values()))
+        self.groups = [groups[key] for key in sorted(groups)]
 
     @classmethod
     def from_tasks(cls, tasks: Sequence[Dict[str, object]]) -> "BatchSolvePlan":
@@ -180,39 +171,6 @@ class BatchSolvePlan:
                 )
             )
         return cls(items)
-
-    @staticmethod
-    def _schedule(groups: List[PlanGroup]) -> List[PlanGroup]:
-        """Greedy similarity order over canonical edge-encoding sets.
-
-        Deterministic: start at the lexicographically smallest
-        fingerprint, then repeatedly append the unvisited group most
-        similar to the last scheduled one (ties broken by fingerprint,
-        then kind).  O(n²) in the number of *distinct* shapes, which is
-        the small side of a deduplicated workload.
-        """
-        if not groups:
-            return []
-        remaining = sorted(groups, key=lambda g: (g.fingerprint, g.kind))
-        signatures = {
-            id(group): frozenset(group.representative.canonical.encoding)
-            for group in remaining
-        }
-        ordered = [remaining.pop(0)]
-        while remaining:
-            last = signatures[id(ordered[-1])]
-            best_index = 0
-            best_similarity = -1.0
-            for i, group in enumerate(remaining):
-                similarity = _similarity(last, signatures[id(group)])
-                # Higher similarity wins; fingerprint ascending breaks ties
-                # (``remaining`` is kept fingerprint-sorted, so the first
-                # of equals is already the lexicographic winner).
-                if similarity > best_similarity:
-                    best_similarity = similarity
-                    best_index = i
-            ordered.append(remaining.pop(best_index))
-        return ordered
 
     @property
     def query_count(self) -> int:
@@ -423,7 +381,7 @@ def run_plan(
     memo across plans (a fresh one is used per call by default).
 
     Results are deterministic in the plan's input order and independent
-    of ``workers`` and of the group schedule: grouping, representative
+    of ``workers`` and of the group order: grouping, representative
     choice and fan-out permutations are all fixed by the plan itself.
     """
     started = time.perf_counter()

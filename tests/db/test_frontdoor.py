@@ -110,7 +110,7 @@ class TestEachThingOnce:
             )
         assert calls["canonical"] == 1  # ... and the memo served that, too
 
-    def test_canonical_form_memo_is_per_hypergraph_and_default_cap_only(self):
+    def test_canonical_form_memo_is_per_hypergraph(self):
         from repro.hypergraph.canonical import canonical_form
         from repro.hypergraph.library import cycle_hypergraph
 
@@ -118,9 +118,6 @@ class TestEachThingOnce:
         assert canonical_form(first) is canonical_form(first)
         assert canonical_form(first) is not canonical_form(second)
         assert canonical_form(first).fingerprint == canonical_form(second).fingerprint
-        capped = canonical_form(first, max_leaves=1)
-        assert capped is not canonical_form(first)
-        assert canonical_form(first, max_leaves=1) is not capped
 
 
 class TestRows:

@@ -13,16 +13,34 @@ The cache's correctness rests on three claims about
    that other hypergraph.
 
 Each claim is exercised over random small hypergraphs under random
-relabelings.
+relabelings.  Random hypergraphs are rarely symmetric, so a fourth group
+aims at the automorphism pruning of the individualisation search:
+relabelled copies of highly symmetric shapes, a brute-force isomorphism
+oracle, and leaf counts that only a pruned search meets.
 """
 
+from itertools import combinations, permutations
+
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.certify import certify_ctd
 from repro.core.cache import DecompositionCache
 from repro.core.solve import SolveRequest, execute
+from repro.hypergraph import canonical
 from repro.hypergraph.canonical import canonical_form
 from repro.hypergraph.hypergraph import Hypergraph
+from repro.hypergraph.library import cycle_hypergraph, grid_hypergraph, hypergraph_bog_star
+from tests.hypergraph.test_canonical_golden import (
+    complete_bipartite,
+    complete_graph,
+    counted_canonical_form,
+    disjoint_cycles,
+    graph_hypergraph,
+    hypercube,
+    petersen_graph,
+    relabelled,
+)
 
 SETTINGS = settings(
     max_examples=25,
@@ -143,3 +161,102 @@ class TestEndToEnd:
         assert store.stats.rejected == 0
         certification = certify_ctd(relabeled, second.decomposition, width_claim=width)
         assert certification, certification.describe()
+
+
+# -- symmetry ----------------------------------------------------------------
+
+SYMMETRIC = {
+    **{f"C{n}": (lambda n=n: cycle_hypergraph(n)) for n in range(3, 25)},
+    **{
+        f"grid{r}x{c}": (lambda r=r, c=c: grid_hypergraph(r, c))
+        for r in range(1, 5)
+        for c in range(max(r, 2), 5)
+    },
+    **{
+        f"K{m},{n}": (lambda m=m, n=n: complete_bipartite(m, n))
+        for m in range(1, 6)
+        for n in range(m, 6)
+    },
+    "petersen": petersen_graph,
+    "Q3": lambda: hypercube(3),
+    "Q4": lambda: hypercube(4),
+    **{f"K{n}": (lambda n=n: complete_graph(n)) for n in range(2, 8)},
+}
+
+
+def isomorphic(first: Hypergraph, second: Hypergraph) -> bool:
+    """Brute force: does some vertex bijection map one edge set onto the other?"""
+    sources = {edge.vertices for edge in first.edges}
+    targets = {edge.vertices for edge in second.edges}
+    domain = sorted(first.vertices, key=str)
+    if len(domain) != len(second.vertices) or len(sources) != len(targets):
+        return False
+    return any(
+        {frozenset(image[v] for v in edge) for edge in sources} == targets
+        for image in (dict(zip(domain, p)) for p in permutations(second.vertices))
+    )
+
+
+@st.composite
+def hypergraph_pair(draw):
+    """A hypergraph and a relabelled copy, in half the draws with one vertex of
+    one edge swapped for a vertex outside it (edge sizes kept, shape maybe not)."""
+    original, relabeled, _ = draw(hypergraph_with_relabeling())
+    edges = [sorted(edge.vertices) for edge in relabeled.edges]
+    outside = [
+        (j, v) for j, edge in enumerate(edges) for v in relabeled.vertices if v not in edge
+    ]
+    if outside and draw(st.booleans()):
+        j, v = draw(st.sampled_from(sorted(outside)))
+        edges[j][draw(st.integers(0, len(edges[j]) - 1))] = v
+        relabeled = Hypergraph({f"m{i}": vertices for i, vertices in enumerate(edges)})
+    return original, relabeled
+
+
+class TestSymmetricShapes:
+    @pytest.mark.parametrize("name", sorted(SYMMETRIC))
+    def test_relabelled_copies_agree(self, name):
+        shape = SYMMETRIC[name]()
+        form = canonical_form(shape)
+        copy = canonical_form(relabelled(shape, seed=len(name)))
+        assert (copy.fingerprint, copy.encoding) == (form.fingerprint, form.encoding)
+
+    def test_fingerprints_are_the_isomorphism_classes_of_four_vertex_graphs(self):
+        pairs = list(combinations(range(4), 2))
+        classes = {}
+        for mask in range(1, 1 << len(pairs)):
+            graph = graph_hypergraph(p for i, p in enumerate(pairs) if mask >> i & 1)
+            classes.setdefault(canonical_form(graph).fingerprint, []).append(graph)
+        for members in classes.values():
+            assert all(isomorphic(members[0], other) for other in members[1:])
+        for first, second in combinations(classes.values(), 2):
+            assert not isomorphic(first[0], second[0])
+
+    @SETTINGS
+    @given(hypergraph_pair())
+    def test_equal_fingerprints_iff_isomorphic(self, pair):
+        first, second = pair
+        same = canonical_form(first).fingerprint == canonical_form(second).fingerprint
+        assert same == isomorphic(first, second)
+
+    @pytest.mark.parametrize(
+        "build, most",
+        [(lambda: cycle_hypergraph(16), 8), (lambda: complete_bipartite(4, 4), 32)],
+        ids=["cycle16", "K4,4"],
+    )
+    def test_orbit_pruning_bounds_the_leaves(self, build, most, monkeypatch):
+        # Without pruning the search visits 32 and 1 152 leaves.
+        _, leaves = counted_canonical_form(build(), monkeypatch)
+        assert leaves <= most
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: complete_graph(7), lambda: disjoint_cycles(5, 6, 7), hypergraph_bog_star],
+        ids=["K7", "C5+C6+C7", "bog_star"],
+    )
+    def test_search_finishes_under_the_leaf_cap(self, build, monkeypatch):
+        # Without pruning all three exhaust MAX_LEAVES (4 096 leaves), so
+        # their forms were truncated and relabelled copies could disagree.
+        form, leaves = counted_canonical_form(build(), monkeypatch)
+        assert leaves < canonical.MAX_LEAVES
+        assert canonical_form(relabelled(build(), seed=7)).fingerprint == form.fingerprint
