@@ -10,25 +10,36 @@ by ``X`` that are ≤ ``(S, C)``) if (1) those blocks together with ``X`` cover
 ``C``, (2) they cover every edge that intersects ``C``, and (3) each of them
 is satisfied.
 
-The index assigns every block a dense integer id and keeps its masks (head,
-component, union, and the union of all edges touching the component) in
-parallel arrays, so the block order and the basis test collapse to array
-loads and int operations — no frozenset hashing on the hot path.  The
-satisfaction-*independent* basis conditions (1) and (2) are evaluated in
-one scan over the candidates per block, memoised per block
-(:meth:`BlockIndex.candidate_probes`), leaving only condition (3) for the
-solvers, which resolve the blocks they reach.  The public API still speaks
-:class:`Block` objects and frozensets.
+The index assigns every block a dense integer id and keeps only its head and
+component masks, in parallel arrays, plus each head's range of ids.
+The solvers resolve blocks top-down and reach a small share of them, so the
+index pays per *reached* block: a :class:`Block` object (with its two
+frozensets) is built the first time a caller asks for it, and a block's
+needed mask (its component and the edges meeting it) the first time it is
+probed.  The satisfaction-*independent* basis conditions (1) and (2)
+are evaluated for all candidates of a block in one vectorised numpy pass
+over an n-limb uint64 layout (``⌈|V(H)| / 64⌉`` words per mask, so large
+vertex sets take the same path), memoised per block
+(:meth:`BlockIndex.candidate_probes`); only the feasible pairs become Python
+tuples, and only condition (3) is left to the solvers.
+:meth:`BlockIndex.basis_sub_ids` is the per-pair specification of that scan.
+The public API still speaks :class:`Block` objects and frozensets.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
+import numpy as np
+
+from repro.hypergraph.bitset import _masks_to_limbs
 from repro.hypergraph.hypergraph import Hypergraph, Vertex
 
 Bag = FrozenSet[Vertex]
+
+_WORD = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -55,9 +66,11 @@ class Block:
 class BlockIndex:
     """All blocks headed by the candidate bags (plus the root block).
 
-    The index materialises, for every head ``S ∈ 𝒮 ∪ {∅}``, the blocks
+    The index registers, for every head ``S ∈ 𝒮 ∪ {∅}``, the blocks
     ``(S, C)`` over the [S]-vertex-components of the hypergraph, and offers
-    the basis test used by Algorithms 1 and 2.
+    the basis test used by Algorithms 1 and 2.  Block ids run over the
+    heads in candidate order (the empty head last), each head's ``(S, ∅)``
+    block first, then its components in mask order.
     """
 
     def __init__(self, hypergraph: Hypergraph, candidate_bags: Iterable[Bag]):
@@ -73,95 +86,75 @@ class BlockIndex:
         self.candidate_bag_masks: Dict[Bag, int] = dict(
             zip(self.candidate_bags, self.candidate_masks)
         )
-        # Dense block storage: id -> Block plus parallel mask arrays.
-        self._block_list: List[Block] = []
-        self._block_id: Dict[Block, int] = {}
-        self._head_masks: List[int] = []
-        self._component_masks: List[int] = []
-        self._union_masks: List[int] = []
-        self._touching_masks: List[int] = []
-        # head mask -> ids of the blocks headed by that vertex set.
-        self._head_to_block_ids: Dict[int, List[int]] = {}
-        self._blocks_by_head: Dict[Bag, List[Block]] = {}
-
-        edge_masks = bitsets.edge_masks
-        to_frozenset = self._indexer.to_frozenset
-        empty: Bag = frozenset()
-        heads = list(zip(self.candidate_bags, self.candidate_masks)) + [(empty, 0)]
-        for head, head_mask in heads:
-            blocks = [self._register(Block(head, empty), head_mask, 0, edge_masks)]
-            for component_mask in bitsets.components(head_mask):
-                blocks.append(
-                    self._register(
-                        Block(head, to_frozenset(component_mask)),
-                        head_mask,
-                        component_mask,
-                        edge_masks,
-                    )
-                )
-            self._blocks_by_head[head] = blocks
-        # Per candidate id, the ids of the blocks it heads that have a
-        # component: the only ones that can be live subs or cover vertices.
-        self._candidate_component_blocks: List[Tuple[int, ...]] = [
-            tuple(self._block_id[block] for block in self._blocks_by_head[bag][1:])
-            for bag in self.candidate_bags
-        ]
-        self.root_block = Block(empty, frozenset(hypergraph.vertices))
-        if self.root_block not in self._block_id:
+        head_masks: List[int] = []
+        component_masks: List[int] = []
+        # head mask -> the contiguous id range of the blocks it heads: with
+        # the component masks, the (head, component) -> id map.
+        self._head_ids: Dict[int, range] = {}
+        for head_mask in self.candidate_masks + [0]:
+            start = len(head_masks)
+            components = bitsets.components(head_mask)
+            head_masks += [head_mask] * (len(components) + 1)
+            component_masks.append(0)
+            component_masks += components
+            self._head_ids[head_mask] = range(start, len(head_masks))
+        universe = bitsets.universe
+        if universe and universe not in components:
             # Disconnected hypergraph: register the full-vertex-set block
-            # explicitly so the accept test of Algorithm 1 still applies.
-            self._register(self.root_block, 0, bitsets.universe, edge_masks)
-            self._blocks_by_head[empty].append(self.root_block)
+            # explicitly so the root block still has an id.
+            head_masks.append(0)
+            component_masks.append(universe)
+            self._head_ids[0] = range(self._head_ids[0].start, len(head_masks))
+        self._head_masks = head_masks
+        self.component_masks: Tuple[int, ...] = tuple(component_masks)
+        # block id -> Block, built on first request.
+        self._blocks: List[Optional[Block]] = [None] * len(head_masks)
+        self.root_block = Block(frozenset(), frozenset(hypergraph.vertices))
+        self._blocks[self.block_id(self.root_block)] = self.root_block
+        self._scan_layout: Optional[tuple] = None
         # block id -> statically feasible (candidate id, live sub ids) probes.
         self._probe_cache: Dict[int, Tuple[Tuple[int, Tuple[int, ...]], ...]] = {}
 
-    def _register(
-        self, block: Block, head_mask: int, component_mask: int, edge_masks
-    ) -> Block:
-        touching = _touching_mask(component_mask, edge_masks) if component_mask else 0
-        block_id = len(self._block_list)
-        self._block_list.append(block)
-        self._block_id[block] = block_id
-        self._head_masks.append(head_mask)
-        self._component_masks.append(component_mask)
-        self._union_masks.append(head_mask | component_mask)
-        self._touching_masks.append(touching)
-        self._head_to_block_ids.setdefault(head_mask, []).append(block_id)
-        return block
-
     # -- accessors ------------------------------------------------------------
 
-    def blocks(self) -> List[Block]:
-        """All blocks, in no particular order."""
-        return list(self._block_list)
+    def blocks(self) -> Sequence[Block]:
+        """All blocks in id order: a read-only view, built item by item."""
+        return _BlockView(self)
 
     def block_count(self) -> int:
-        return len(self._block_list)
+        return len(self._head_masks)
 
     def block_at(self, block_id: int) -> Block:
         """The block with the given dense id."""
-        return self._block_list[block_id]
+        block = self._blocks[block_id]
+        if block is None:
+            to_frozenset = self._indexer.to_frozenset
+            block = Block(
+                to_frozenset(self._head_masks[block_id]),
+                to_frozenset(self.component_masks[block_id]),
+            )
+            self._blocks[block_id] = block
+        return block
 
     def block_id(self, block: Block) -> Optional[int]:
         """The dense id of a registered block (``None`` if unregistered)."""
-        return self._block_id.get(block)
+        to_mask = self._indexer.to_mask
+        try:
+            ids = self._head_ids.get(to_mask(block.head))
+            if ids is not None:
+                return self.component_masks.index(
+                    to_mask(block.component), ids.start, ids.stop
+                )
+        except (KeyError, ValueError):  # a vertex outside V(H); no such block
+            pass
+        return None
+
+    def _ids_headed_by(self, head: Bag) -> range:
+        head_mask = self.candidate_mask(frozenset(head))
+        return self._head_ids.get(head_mask, range(0))
 
     def blocks_headed_by(self, head: Bag) -> List[Block]:
-        return list(self._blocks_by_head.get(frozenset(head), []))
-
-    def mask_arrays(self) -> Tuple[List[int], List[int], List[int], List[int]]:
-        """``(head, component, union, touching)`` mask arrays, block-id indexed.
-
-        The returned lists are the live internal arrays — callers must treat
-        them as read-only.  They exist so the solvers can run on
-        plain list indexing without per-call accessor overhead.
-        """
-        return (
-            self._head_masks,
-            self._component_masks,
-            self._union_masks,
-            self._touching_masks,
-        )
+        return [self.block_at(i) for i in self._ids_headed_by(head)]
 
     def candidate_mask(self, candidate: Bag) -> Optional[int]:
         """The mask of a candidate bag, or ``None`` if it leaves ``V(H)``."""
@@ -175,22 +168,18 @@ class BlockIndex:
 
     def sub_blocks(self, head: Bag, parent: Block) -> List[Block]:
         """The blocks headed by ``head`` that are ≤ ``parent``."""
-        head_mask = self.candidate_mask(frozenset(head))
-        if head_mask is None:
-            return []
-        parent_id = self._block_id.get(parent)
-        if parent_id is None:
-            return [b for b in self.blocks_headed_by(head) if b.leq(parent)]
-        parent_union = self._union_masks[parent_id]
-        parent_component = self._component_masks[parent_id]
-        block_list = self._block_list
-        union_masks = self._union_masks
-        component_masks = self._component_masks
+        # Every block lies inside V(H), so clipping the parent to V(H)
+        # leaves the order test unchanged.
+        to_mask = self._indexer.to_mask_clipped
+        not_union = ~to_mask(parent.union)
+        not_component = ~to_mask(parent.component)
+        head_masks = self._head_masks
+        component_masks = self.component_masks
         return [
-            block_list[i]
-            for i in self._head_to_block_ids.get(head_mask, ())
-            if (union_masks[i] & ~parent_union) == 0
-            and (component_masks[i] & ~parent_component) == 0
+            self.block_at(i)
+            for i in self._ids_headed_by(head)
+            if not ((head_masks[i] | component_masks[i]) & not_union)
+            and not component_masks[i] & not_component
         ]
 
     def topological_order(self) -> List[Block]:
@@ -200,19 +189,17 @@ class BlockIndex:
         ``X ∪ Y ⊆ S ∪ C`` and, when the unions coincide, ``Y ⊊ C``.  Sorting
         by ``(|S ∪ C|, |C|)`` therefore yields a valid bottom-up order.
         """
-        return [self._block_list[i] for i in self.topological_order_ids()]
+        return [self.block_at(i) for i in self.topological_order_ids()]
 
     def topological_order_ids(self) -> List[int]:
-        """:meth:`topological_order` as dense block ids."""
-        union_masks = self._union_masks
-        component_masks = self._component_masks
-        block_list = self._block_list
+        """:meth:`topological_order` as dense block ids; ties keep id order."""
+        head_masks = self._head_masks
+        component_masks = self.component_masks
         return sorted(
-            range(len(block_list)),
+            range(len(head_masks)),
             key=lambda i: (
-                union_masks[i].bit_count(),
+                (head_masks[i] | component_masks[i]).bit_count(),
                 component_masks[i].bit_count(),
-                sorted(map(str, block_list[i].head)),
             ),
         )
 
@@ -231,18 +218,19 @@ class BlockIndex:
         :meth:`candidate_probes`.
         """
         return self._basis_subs(
-            candidate_mask,
-            self._head_masks[block_id],
-            self._component_masks[block_id],
-            self._touching_masks[block_id],
+            candidate_mask, self._head_masks[block_id], self.component_masks[block_id]
         )
 
+    def _needed_mask(self, component_mask: int) -> int:
+        """``C`` and every edge meeting it: what conditions 1+2 must cover."""
+        needed = component_mask
+        for edge_mask in self.hypergraph.bitsets.edge_masks:
+            if edge_mask & component_mask:
+                needed |= edge_mask
+        return needed
+
     def _basis_subs(
-        self,
-        candidate_mask: int,
-        head_mask: int,
-        component_mask: int,
-        touching_mask: int,
+        self, candidate_mask: int, head_mask: int, component_mask: int
     ) -> Optional[Tuple[int, ...]]:
         union_mask = head_mask | component_mask
         # A basis must live inside the block: the decomposition it induces is
@@ -250,12 +238,12 @@ class BlockIndex:
         # once the block is glued into a larger decomposition.
         if candidate_mask == head_mask or candidate_mask & ~union_mask:
             return None
-        union_masks = self._union_masks
-        component_masks = self._component_masks
+        head_masks = self._head_masks
+        component_masks = self.component_masks
         covered = candidate_mask
         subs = []
-        for sub_id in self._head_to_block_ids.get(candidate_mask, ()):
-            if (union_masks[sub_id] & ~union_mask) == 0 and (
+        for sub_id in self._head_ids.get(candidate_mask, ()):
+            if ((head_masks[sub_id] | component_masks[sub_id]) & ~union_mask) == 0 and (
                 component_masks[sub_id] & ~component_mask
             ) == 0:
                 subs.append(sub_id)
@@ -263,16 +251,36 @@ class BlockIndex:
         # Condition 1: C ⊆ X ∪ ⋃Yi.  Condition 2: edges meeting C are inside
         # X ∪ ⋃Yi (each such edge is a subset of their union, so one subset
         # test covers all of them).
-        if (component_mask | touching_mask) & ~covered:
+        if self._needed_mask(component_mask) & ~covered:
             return None
         return tuple(subs)
+
+    def _layout(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[tuple]]:
+        """``(candidate rows, sub rows, sub owners, sub ids by candidate)``.
+
+        The scan's n-limb layout, one row per 64-bit limb: the candidate
+        masks, and the components of the blocks headed by a candidate that
+        have one (the only blocks that can be live subs or cover vertices),
+        in id order, with each sub's candidate id alongside.
+        """
+        if self._scan_layout is None:
+            limbs = max(1, (len(self._indexer) + 63) // 64)
+            subs = [self._head_ids[mask][1:] for mask in self.candidate_masks]
+            sub_masks = [self.component_masks[i] for ids in subs for i in ids]
+            self._scan_layout = (
+                _masks_to_limbs(self.candidate_masks, limbs).T,
+                _masks_to_limbs(sub_masks, limbs).T,
+                np.repeat(np.arange(len(subs)), [len(ids) for ids in subs]),
+                subs,
+            )
+        return self._scan_layout
 
     def candidate_probes(self, block_id: int) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
         """The statically feasible ``(candidate id, live sub-block ids)`` pairs.
 
         A pair appears, in candidate order, iff basis conditions 1+2 hold for
-        the candidate and the block (:meth:`basis_sub_ids`, evaluated inline
-        in one scan over the candidates), with the trivially satisfied
+        the candidate and the block (:meth:`basis_sub_ids`, evaluated for
+        all candidates in one numpy pass), with the trivially satisfied
         empty-component sub-blocks dropped: only the remaining *live* subs
         gate condition 3 and contribute subtrees to the induced partial
         decomposition.  This is the one candidate scan of the block DP — the
@@ -282,27 +290,29 @@ class BlockIndex:
         cached = self._probe_cache.get(block_id)
         if cached is not None:
             return cached
+        candidates, sub_components, owners, subs = self._layout()
         head_mask = self._head_masks[block_id]
-        component_mask = self._component_masks[block_id]
-        not_union = ~self._union_masks[block_id]
+        component_mask = self.component_masks[block_id]
         not_component = ~component_mask
-        # Conditions 1 and 2 as one subset test (see _basis_subs).
-        needed = component_mask | self._touching_masks[block_id]
-        union_masks = self._union_masks
-        component_masks = self._component_masks
-        component_blocks = self._candidate_component_blocks
+        feasible = _meets(candidates, ~(head_mask | component_mask)) == 0
+        # The sub-blocks headed by a candidate X ⊆ S ∪ C are the [X]-components,
+        # which partition V(H) ∖ X, and such a sub is live iff its component
+        # lies inside C.  So X covers the needed vertices (conditions 1+2) iff
+        # no component that meets them leaves C.  The minimum of two uint64
+        # words is non-zero iff both are.
+        escapes = np.minimum(
+            _meets(sub_components, not_component),
+            _meets(sub_components, self._needed_mask(component_mask)),
+        )
+        feasible[owners[escapes != 0]] = False
+        candidate_masks = self.candidate_masks
+        component_masks = self.component_masks
         probes = []
-        for cand_id, candidate_mask in enumerate(self.candidate_masks):
-            if candidate_mask & not_union or candidate_mask == head_mask:
-                continue
-            covered = candidate_mask
-            live = []
-            for sub_id in component_blocks[cand_id]:
-                sub_component = component_masks[sub_id]
-                if not (union_masks[sub_id] & not_union or sub_component & not_component):
-                    live.append(sub_id)
-                    covered |= sub_component
-            if not needed & ~covered:
+        for cand_id in np.flatnonzero(feasible).tolist():
+            if candidate_masks[cand_id] != head_mask:
+                live = [
+                    i for i in subs[cand_id] if not component_masks[i] & not_component
+                ]
                 probes.append((cand_id, tuple(live)))
         result = tuple(probes)
         self._probe_cache[block_id] = result
@@ -323,28 +333,38 @@ class BlockIndex:
         candidate_mask = self.candidate_mask(frozenset(candidate))
         if candidate_mask is None:
             return False
-        block_id = self._block_id.get(block)
-        if block_id is not None:
-            sub_ids = self.basis_sub_ids(candidate_mask, block_id)
-        else:
-            component_mask = self._indexer.to_mask_clipped(block.component)
-            sub_ids = self._basis_subs(
-                candidate_mask,
-                self._indexer.to_mask_clipped(block.head),
-                component_mask,
-                _touching_mask(component_mask, self.hypergraph.bitsets.edge_masks),
-            )
+        to_mask = self._indexer.to_mask_clipped
+        sub_ids = self._basis_subs(
+            candidate_mask, to_mask(block.head), to_mask(block.component)
+        )
         if sub_ids is None:
             return False
         # Condition 3: every sub-block is satisfied.
-        block_list = self._block_list
-        return all(satisfied.get(block_list[i], False) for i in sub_ids)
+        return all(satisfied.get(self.block_at(i), False) for i in sub_ids)
 
 
-def _touching_mask(component_mask: int, edge_masks) -> int:
-    """The union of the edges that meet ``component_mask``."""
-    touching = 0
-    for edge_mask in edge_masks:
-        if edge_mask & component_mask:
-            touching |= edge_mask
-    return touching
+class _BlockView(Sequence):
+    """The blocks of an index by id; an item is built when it is read."""
+
+    __slots__ = ("_index",)
+
+    def __init__(self, index: BlockIndex):
+        self._index = index
+
+    def __len__(self) -> int:
+        return self._index.block_count()
+
+    def __getitem__(self, block_id: int) -> Block:
+        return self._index.block_at(range(len(self))[block_id])
+
+
+def _meets(rows: np.ndarray, mask: int) -> np.ndarray:
+    """Per column of an n-limb layout, its AND with ``mask`` ORed over the limbs.
+
+    Non-zero exactly where the column's mask meets ``mask``.
+    """
+    met = None
+    for limb, row in enumerate(rows):
+        part = row & ((mask >> (64 * limb)) & _WORD)
+        met = part if met is None else met | part
+    return met

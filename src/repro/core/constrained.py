@@ -99,7 +99,7 @@ class ConstrainedCTDSolver:
         self.constraint = self.core.constraint
         self.preference = self.core.preference
         self.index = self.core.index
-        component_masks = self.index.mask_arrays()[1]
+        component_masks = self.index.component_masks
         # Dense per-block state, filled on demand by _resolve.  A block
         # without a component is trivially satisfied (no node, no fragment).
         # Invariant: a non-None fragment entry satisfies the constraint on

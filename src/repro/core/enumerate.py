@@ -258,7 +258,7 @@ class CTDEnumerator:
         index = self.index
         budget = self.budget
         evaluator = self.core.evaluator
-        component_masks = index.mask_arrays()[1]
+        component_masks = index.component_masks
         candidate_bags = index.candidate_bags
         options: List[List[_Entry]] = [[] for _ in range(index.block_count())]
         for block_id in index.topological_order_ids():
@@ -316,7 +316,7 @@ class CTDEnumerator:
         budget = self.budget
         root_id = index.block_id(index.root_block)
         assert root_id is not None
-        if not index.mask_arrays()[1][root_id]:
+        if not index.component_masks[root_id]:
             # Vertex-less hypergraph: the single-empty-bag CTD is the only
             # candidate, and the one decomposition not reachable via probes.
             trivial = self.core.trivial_decomposition()

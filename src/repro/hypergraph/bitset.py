@@ -72,9 +72,8 @@ def _masks_to_limbs(masks: Sequence[int], limbs: int) -> "_np.ndarray":
     """
     word = (1 << 64) - 1
     array = _np.empty((len(masks), limbs), dtype=_np.uint64)
-    for i, mask in enumerate(masks):
-        for j in range(limbs):
-            array[i, j] = (mask >> (64 * j)) & word
+    for j in range(limbs):
+        array[:, j] = [(mask >> (64 * j)) & word for mask in masks]
     return array
 
 

@@ -9,6 +9,7 @@ from repro.core.blocks import Block, BlockIndex
 from repro.core.candidate_bags import soft_candidate_bags
 from repro.core.constrained import ConstrainedCTDSolver
 from repro.core.ctd import candidate_td
+from repro.core.reference import _reference_blocks
 from repro.hypergraph.generators import (
     random_cyclic_query_hypergraph,
     random_hypergraph,
@@ -22,12 +23,23 @@ from repro.hypergraph.library import (
 
 
 def _probe_instances():
-    """``(name, hypergraph, k)``: four library shapes, four seeded random."""
+    """``(name, hypergraph, k)``: five library shapes, four seeded random.
+
+    ``ring9x9`` (a cycle of nine size-9 edges, 72 vertices) needs two
+    64-bit limbs per mask.
+    """
     instances = [
         ("four-cycle", four_cycle_query(), 2),
         ("h2", hypergraph_h2(), 2),
         ("c8", cycle_hypergraph(8), 2),
         ("cyclic-q9", random_cyclic_query_hypergraph(9, 3, seed=4), 2),
+        (
+            "ring9x9",
+            Hypergraph(
+                {f"e{i}": [f"v{(8 * i + j) % 72}" for j in range(9)] for i in range(9)}
+            ),
+            2,
+        ),
     ]
     for seed in range(4):
         rng = random.Random(3000 + seed)
@@ -92,7 +104,7 @@ class TestBlocks:
     def test_candidate_probes_match_the_static_basis_test(self, hypergraph, k):
         """Same pairs, same candidate order, same live-sub tuples."""
         index = BlockIndex(hypergraph, soft_candidate_bags(hypergraph, k))
-        component_masks = index.mask_arrays()[1]
+        component_masks = index.component_masks
         for block_id in range(index.block_count()):
             expected = []
             for cand_id, candidate_mask in enumerate(index.candidate_masks):
@@ -102,6 +114,60 @@ class TestBlocks:
                         (cand_id, tuple(s for s in subs if component_masks[s]))
                     )
             assert index.candidate_probes(block_id) == tuple(expected), block_id
+
+    @probe_grid
+    def test_lazy_blocks_match_the_eager_blocks(self, hypergraph, k):
+        """Ids round-trip; heads and sub-blocks match the seed-style blocks."""
+        index = BlockIndex(hypergraph, soft_candidate_bags(hypergraph, k))
+        for block_id in range(index.block_count()):
+            assert index.block_id(index.block_at(block_id)) == block_id
+        blocks_by_head, all_blocks, root = _reference_blocks(
+            hypergraph, index.candidate_bags
+        )
+        assert len(index.blocks()) == len(all_blocks)
+        assert index.root_block == Block(root.head, root.component)
+
+        def as_blocks(reference_blocks):
+            return [Block(b.head, b.component) for b in reference_blocks]
+
+        for head, blocks in blocks_by_head.items():
+            assert index.blocks_headed_by(head) == as_blocks(blocks)
+        rng = random.Random(len(all_blocks))
+        heads = list(blocks_by_head)
+        for parent in rng.sample(all_blocks, min(60, len(all_blocks))):
+            for head in rng.sample(heads, min(10, len(heads))):
+                expected = [b for b in blocks_by_head[head] if b.leq(parent)]
+                assert index.sub_blocks(
+                    head, Block(parent.head, parent.component)
+                ) == as_blocks(expected)
+
+    def test_block_id_of_unregistered_blocks(self, four_cycle):
+        index = BlockIndex(four_cycle, [frozenset({"w", "x"})])
+
+        def block_id(head, component):
+            return index.block_id(Block(frozenset(head), frozenset(component)))
+
+        # A head that is no candidate bag, and a vertex outside V(H).
+        assert block_id({"w"}, {"x", "y", "z"}) is None
+        assert block_id({"w", "x"}, {"y", "q"}) is None
+        assert block_id({"q"}, set()) is None
+        assert block_id({"w", "x"}, {"y", "z"}) is not None
+
+    def test_decide_materialises_few_blocks(self, monkeypatch):
+        """A k = 2 decide on C24 builds ≤ 64 of its 3 074 Block objects."""
+        built = []
+        original = Block.__init__
+
+        def counting(block, *args, **kwargs):
+            built.append(block)
+            original(block, *args, **kwargs)
+
+        monkeypatch.setattr(Block, "__init__", counting)
+        hypergraph = cycle_hypergraph(24)
+        solver = ConstrainedCTDSolver(hypergraph, soft_candidate_bags(hypergraph, 2))
+        assert solver.decide()
+        assert solver.index.block_count() == 3074
+        assert len(built) <= 64
 
 
 class TestCandidateTDSolver:
