@@ -407,7 +407,7 @@ def _cmd_batch(args, out) -> int:
         max_workers=args.workers,
         hard_timeout=args.task_timeout,
         retry=RetryPolicy(max_attempts=args.retries),
-        # Pre-spawn probe into the persistent decomposition cache: a
+        # Pre-launch probe into the persistent decomposition cache: a
         # certified hit satisfies a task without a worker process.
         cache_lookup=BatchSolveCache().lookup,
     )

@@ -316,10 +316,11 @@ class QueryExperiment:
 # * batch_task_specs  — a workload's query set as plain task dicts, each
 #   embedding its canonical SolveRequest wire payload,
 # * execute_batch_task — the worker-side runner (resolved by dotted path
-#   inside the spawned process), a thin shell around core.solve.execute,
+#   inside each persistent worker process, which serves attempts until one
+#   fails), a thin shell around core.solve.execute,
 # * BatchCertifier    — the parent-side certifier that rebuilds every
 #   query hypergraph *itself* and never trusts worker-supplied structure,
-# * BatchSolveCache   — the supervisor's pre-spawn cache probe against the
+# * BatchSolveCache   — the supervisor's pre-launch cache probe against the
 #   persistent decomposition cache.
 
 
@@ -488,13 +489,13 @@ def execute_batch_task(payload: Dict[str, object]) -> Dict[str, object]:
 
 
 class BatchSolveCache:
-    """The supervisor's pre-spawn probe into the decomposition cache.
+    """The supervisor's pre-launch probe into the decomposition cache.
 
     ``lookup(task)`` reconstructs the task's embedded
     :class:`~repro.core.solve.SolveRequest` and asks the persistent cache
     for a certified hit (:func:`repro.core.solve.lookup` — probe only,
     never solves); on a hit the supervisor records the worker-format
-    result without spawning a process.  Storing needs no seam: the workers
+    result without running an attempt.  Storing needs no seam: the workers
     themselves persist every complete cacheable solve through
     :func:`repro.core.solve.execute`.
     """

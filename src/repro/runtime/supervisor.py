@@ -1,8 +1,11 @@
 """Supervised, fault-tolerant execution of batch solve tasks.
 
-One :class:`Supervisor` runs a batch of independent tasks, each in its own
-**worker process** (``multiprocessing`` spawn context), and survives
-anything a worker can do:
+One :class:`Supervisor` runs a batch of independent tasks on up to
+``max_workers`` **persistent worker processes** (``multiprocessing`` spawn
+context) that live for one :meth:`Supervisor.run`, and survives anything a
+worker can do.  A worker serves attempts until one does not end in an
+accepted result; that worker is then SIGKILLed, so every retry runs in a
+fresh process and a worker only carries state from successful attempts.
 
 * **hard wall-clock timeout** — enforced from the parent: a worker that
   overruns its allowance is SIGKILLed and the attempt becomes a
@@ -22,10 +25,10 @@ anything a worker can do:
   boundary is checked by the parent-side ``certifier`` (see
   :mod:`repro.core.certify`); a result that fails is quarantined into the
   ledger as an ``invalid_result`` failure and the attempt retried.
-* **pre-spawn cache probe** — an optional ``cache_lookup`` callable
+* **pre-launch cache probe** — an optional ``cache_lookup`` callable
   (``task -> result dict | None``, e.g.
   :class:`repro.experiments.harness.BatchSolveCache`) is consulted before
-  a virgin task's first worker is spawned; a returned payload still runs
+  a virgin task's first attempt is launched; a returned payload still runs
   the full certifier (the cache is an accelerator, never an authority)
   and lands as an ``ok`` result at level ``cache``, while a miss or a
   failed certification falls through to a normal launch without burning
@@ -299,40 +302,53 @@ def _corrupt_result(result: Dict[str, object]) -> Dict[str, object]:
     return corrupted
 
 
-def _worker_main(conn, runner_path: str, payload: Dict[str, object]) -> None:
-    """Worker process entry point: apply fault directives, run, reply.
+def _error_reply(exc: BaseException) -> Dict[str, object]:
+    return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
 
-    Everything the worker can *catch* is reported as a structured
-    ``{"ok": False}`` reply; everything it cannot (SIGKILL, segfault,
-    OOM) is detected by the parent through the exit code.
+
+def _run_attempt(runner_path: str, payload: Dict[str, object]) -> object:
+    """Run one attempt with its ``raise``/``garbage``/``bad_result`` fault.
+
+    Everything the runner can *catch* becomes a structured
+    ``{"ok": False}`` reply (failure kind ``crashed``).
     """
+    fault = payload.get("fault") or {}
     try:
-        fault = payload.get("fault") or {}
-        kind = fault.get("kind") if isinstance(fault, dict) else None
-        if kind == "sigkill":
-            os.kill(os.getpid(), signal.SIGKILL)
-        elif kind == "hang":
-            time.sleep(float(fault.get("seconds", 3600.0)))
-        elif kind == "raise":
+        if fault.get("kind") == "raise":
             raise RuntimeError(str(fault.get("message", "injected worker fault")))
-        elif kind == "garbage":
-            conn.send(["this", "is", "not", "a", "result"])
-            return
-        runner = _resolve_runner(runner_path)
-        result = runner(payload)
-        if kind == "bad_result" and isinstance(result, dict):
-            result = _corrupt_result(result)
-        conn.send(result)
-    except Exception as exc:  # reported as a structured crash, kind `crashed`
-        try:
-            conn.send({"ok": False, "error": f"{type(exc).__name__}: {exc}"})
-        except Exception:
-            pass
-    finally:
-        try:
-            conn.close()
-        except Exception:
-            pass
+        if fault.get("kind") == "garbage":
+            return ["this", "is", "not", "a", "result"]
+        result = _resolve_runner(runner_path)(payload)
+    except Exception as exc:
+        return _error_reply(exc)
+    if fault.get("kind") == "bad_result" and isinstance(result, dict):
+        result = _corrupt_result(result)
+    return result
+
+
+def _serve(conn) -> None:
+    """Worker process entry point: serve ``(runner_path, payload)`` requests.
+
+    Replies to each request on the same pipe until it receives ``None``
+    or hits EOF.  What the worker cannot catch (SIGKILL, segfault, OOM,
+    the ``sigkill``/``hang`` faults) the parent detects through the
+    worker's sentinel or its hard deadline.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent owns Ctrl-C
+    try:
+        for runner_path, payload in iter(conn.recv, None):
+            fault = payload.get("fault") or {}
+            if fault.get("kind") == "sigkill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            elif fault.get("kind") == "hang":
+                time.sleep(float(fault.get("seconds", 3600.0)))
+            reply = _run_attempt(runner_path, payload)
+            try:
+                conn.send(reply)
+            except Exception as exc:  # e.g. an unpicklable result
+                conn.send(_error_reply(exc))
+    except EOFError:
+        pass
 
 
 def _fault_for_attempt(task: Mapping[str, object], attempt: int):
@@ -373,15 +389,29 @@ class _TaskState:
         self.elapsed = 0.0
 
 
-class _Attempt:
-    """One in-flight worker process."""
+class _Worker:
+    """One persistent worker process and the parent's end of its pipe."""
 
-    __slots__ = ("state", "process", "conn", "started_at", "deadline")
+    __slots__ = ("process", "conn")
 
-    def __init__(self, state, process, conn, started_at, deadline):
-        self.state = state
+    def __init__(self, process, conn):
         self.process = process
         self.conn = conn
+
+    def retire(self) -> None:
+        self.process.kill()
+        self.process.join()
+        self.conn.close()
+
+
+class _Attempt:
+    """One attempt in flight on a worker."""
+
+    __slots__ = ("state", "worker", "started_at", "deadline")
+
+    def __init__(self, state, worker, started_at, deadline):
+        self.state = state
+        self.worker = worker
         self.started_at = started_at
         self.deadline = deadline
 
@@ -393,13 +423,16 @@ class Supervisor:
     :class:`repro.core.certify.Certification` applied to every delivered
     result (and to ledger-cached results on resume); ``None`` disables
     certification (test harnesses only — production batches should always
-    certify).  ``isolation`` is ``"process"`` (the default: spawn context,
-    parent-enforced SIGKILL timeouts) or ``"inline"`` (the attempt runs in
-    this process — no crash containment or timeout enforcement, used by
+    certify).  ``isolation`` is ``"process"`` (the default: spawned
+    workers started lazily and all killed when :meth:`run` ends, each
+    serving attempts until one times out, crashes, replies ``ok: False``
+    or garbage, or fails certification — then it is SIGKILLed and the
+    retry gets a fresh worker) or ``"inline"`` (the attempt runs in this
+    process — no crash containment or timeout enforcement, used by
     deterministic scheduling tests and overhead baselines).
 
     ``cache_lookup`` is an optional ``task -> result dict | None`` probe
-    consulted before a virgin task's first worker is spawned (see
+    consulted before a virgin task's first attempt is launched (see
     :meth:`_try_cache`); the supervisor stays agnostic about where the
     payload comes from and certifies it like any worker result.
 
@@ -524,7 +557,7 @@ class Supervisor:
     def _try_cache(
         self, state: _TaskState, ledger: Optional[BatchLedger]
     ) -> Optional[TaskResult]:
-        """Try to satisfy a virgin task from ``cache_lookup`` before spawning.
+        """Try to satisfy a virgin task from ``cache_lookup`` before launching it.
 
         Only tasks with no attempts at the top ladder level are eligible —
         a retrying/degrading task already proved the cache (or the cached
@@ -640,37 +673,56 @@ class Supervisor:
 
     # -- process plumbing --------------------------------------------------
 
-    def _launch(self, state: _TaskState) -> _Attempt:
-        payload = self._attempt_payload(state)
-        recv, send = self._context.Pipe(duplex=False)
-        process = self._context.Process(
-            target=_worker_main,
-            args=(send, self.task_runner, payload),
-            daemon=True,
-        )
+    def _spawn(self) -> _Worker:
+        conn, child_conn = self._context.Pipe()
+        process = self._context.Process(target=_serve, args=(child_conn,), daemon=True)
         process.start()
-        send.close()  # the parent only reads; EOF then tracks the child
+        child_conn.close()  # EOF on ``conn`` then tracks the child
+        return _Worker(process, conn)
+
+    def _launch(self, state: _TaskState, idle: List[_Worker]) -> _Attempt:
+        """Send the attempt to an idle worker, or to a fresh one.
+
+        An idle worker that died since its last reply is replaced without
+        charging the task; a fresh worker that dies before reading is
+        reported by :meth:`_reap` like any crash.
+        """
+        request = (self.task_runner, self._attempt_payload(state))
+        while idle:
+            worker = idle.pop()
+            try:
+                if worker.process.is_alive():
+                    worker.conn.send(request)
+                    break
+            except OSError:
+                pass
+            worker.retire()
+        else:
+            worker = self._spawn()
+            try:
+                worker.conn.send(request)
+            except OSError:
+                pass
         started = self._clock()
         hard = float(state.task.get("hard_timeout", self.hard_timeout))
-        return _Attempt(state, process, recv, started, started + hard)
+        return _Attempt(state, worker, started, started + hard)
 
     def _reap(self, attempt: _Attempt, ledger: Optional[BatchLedger]):
-        """Collect a finished worker; returns a TaskResult or None."""
+        """Collect an attempt whose worker replied or died; returns a
+        TaskResult, or None when the attempt failed (failure recorded)."""
         state = attempt.state
         state.elapsed += self._clock() - attempt.started_at
         payload = None
         delivered = False
         try:
-            if attempt.conn.poll():
-                payload = attempt.conn.recv()
+            if attempt.worker.conn.poll():
+                payload = attempt.worker.conn.recv()
                 delivered = True
         except (EOFError, OSError):
             delivered = False
-        finally:
-            attempt.conn.close()
-        attempt.process.join()
-        exitcode = attempt.process.exitcode
         if not delivered:
+            attempt.worker.process.join()
+            exitcode = attempt.worker.process.exitcode
             if exitcode and exitcode < 0:
                 message = (
                     f"worker killed by signal {-exitcode}"
@@ -696,13 +748,11 @@ class Supervisor:
             return None
         return self._accept_payload(state, payload, ledger)
 
-    def _kill(self, attempt: _Attempt, ledger: Optional[BatchLedger]) -> None:
-        """Hard-timeout enforcement: SIGKILL, then record the failure."""
+    def _overrun(self, attempt: _Attempt, ledger: Optional[BatchLedger]) -> None:
+        """Hard-timeout enforcement: record the failure; the caller SIGKILLs
+        the worker, as it does after every failed attempt."""
         state = attempt.state
         state.elapsed += self._clock() - attempt.started_at
-        attempt.process.kill()
-        attempt.process.join()
-        attempt.conn.close()
         self._record_failure(
             state,
             ledger,
@@ -718,34 +768,8 @@ class Supervisor:
 
     def _run_inline(self, state: _TaskState, ledger: Optional[BatchLedger]):
         """The ``inline`` isolation path: no process, no timeout backstop."""
-        payload = self._attempt_payload(state)
-        fault = payload.get("fault") or {}
         started = self._clock()
-        try:
-            if fault.get("kind") == "raise":
-                raise RuntimeError(str(fault.get("message", "injected worker fault")))
-            if fault.get("kind") == "garbage":
-                result: object = ["this", "is", "not", "a", "result"]
-            else:
-                result = _resolve_runner(self.task_runner)(payload)
-                if fault.get("kind") == "bad_result" and isinstance(result, dict):
-                    result = _corrupt_result(result)
-        except KeyboardInterrupt:
-            raise
-        except Exception as exc:
-            state.elapsed += self._clock() - started
-            self._record_failure(
-                state,
-                ledger,
-                TaskFailure(
-                    FAILURE_CRASHED,
-                    f"{type(exc).__name__}: {exc}",
-                    fingerprint=state.fingerprint,
-                    level=self.ladder[state.level_index].name,
-                    attempt=state.total_attempts + 1,
-                ),
-            )
-            return None
+        result = _run_attempt(self.task_runner, self._attempt_payload(state))
         state.elapsed += self._clock() - started
         return self._accept_payload(state, result, ledger)
 
@@ -827,6 +851,7 @@ class Supervisor:
         previous_handlers = self._install_signal_handlers()
         pending: List[_TaskState] = list(states)
         running: List[_Attempt] = []
+        idle: List[_Worker] = []
         try:
             while (pending or running) and not self._interrupt_requested:
                 now = self._clock()
@@ -848,7 +873,7 @@ class Supervisor:
                             self._settle(state, outcome, pending, results, ledger)
                             now = self._clock()
                         else:
-                            running.append(self._launch(state))
+                            running.append(self._launch(state, idle))
                     except KeyboardInterrupt:
                         # Mid-attempt interrupt: the task is neither pending
                         # nor running — put it back so the checkpoint below
@@ -865,36 +890,44 @@ class Supervisor:
                     if delay > 0:
                         self._sleep(delay)
                     continue
-                # Wait for a worker event or the earliest hard deadline.
+                # Wait for a reply, a worker death or the earliest deadline.
                 horizon = min(a.deadline for a in running)
                 for state in pending:
                     horizon = min(horizon, state.ready_at)
                 timeout = max(0.0, horizon - self._clock())
-                mp_connection.wait(
-                    [a.process.sentinel for a in running], timeout=min(timeout, 1.0)
+                events = mp_connection.wait(
+                    [a.worker.conn for a in running]
+                    + [a.worker.process.sentinel for a in running],
+                    timeout=min(timeout, 1.0),
                 )
                 now = self._clock()
                 for attempt in list(running):
-                    if attempt.process.exitcode is not None:
-                        running.remove(attempt)
+                    worker = attempt.worker
+                    if worker.conn in events or worker.process.sentinel in events:
                         outcome = self._reap(attempt, ledger)
-                        self._settle(attempt.state, outcome, pending, results, ledger)
                     elif now >= attempt.deadline:
-                        running.remove(attempt)
-                        self._kill(attempt, ledger)
-                        self._settle(attempt.state, None, pending, results, ledger)
+                        self._overrun(attempt, ledger)
+                        outcome = None
+                    else:
+                        continue
+                    running.remove(attempt)
+                    # Only an accepted result returns its worker to the pool:
+                    # every retry runs in a fresh process.
+                    if outcome is None:
+                        worker.retire()
+                    else:
+                        idle.append(worker)
+                    self._settle(attempt.state, outcome, pending, results, ledger)
         except KeyboardInterrupt:
             self._interrupt_requested = True
         finally:
             self._restore_signal_handlers(previous_handlers)
+            for worker in idle + [a.worker for a in running]:
+                worker.retire()
 
         interrupted = self._interrupt_requested
         if interrupted:
-            for attempt in running:
-                attempt.process.kill()
-                attempt.process.join()
-                attempt.conn.close()
-                pending.append(attempt.state)
+            pending.extend(a.state for a in running)
             for state in pending:
                 result = TaskResult(
                     task=state.task,

@@ -14,7 +14,10 @@ Scheduling-logic tests run with ``isolation="inline"`` and the injectable
 ``FakeClock``, which makes the backoff schedule exact.
 """
 
+import multiprocessing
 import os
+import signal
+import time
 
 import pytest
 
@@ -419,3 +422,126 @@ class TestCacheSeam:
         # Retries and degraded rungs re-enter the pending queue, but only
         # the first (virgin) pick probed the cache.
         assert calls == ["a"]
+
+
+PID = "tests.test_supervisor:pid_runner"
+
+
+def pid_runner(payload):
+    """:func:`toy_runner` plus the serving worker's pid (and ``blob_bytes``
+    of padding, to outgrow the pipe buffer)."""
+    result = dict(toy_runner(payload), pid=os.getpid())
+    if payload.get("blob_bytes"):
+        result["blob"] = "x" * int(payload["blob_bytes"])
+    return result
+
+
+def _reject_corrupted(spec, result):
+    return Certification("decomposition" not in result, ("corrupted result",))
+
+
+class TestPersistentWorkers:
+    """One worker serves attempts until one fails; every retry runs in a
+    fresh process, and no worker outlives ``run()``."""
+
+    def test_one_worker_serves_the_whole_batch(self):
+        tasks = [task(f"t{i}") for i in range(8)]
+        for workers, most in ((1, 1), (2, 2)):
+            report = supervisor(task_runner=PID, max_workers=workers).run(tasks)
+            assert [r.status for r in report.results] == ["ok"] * 8
+            assert all(r.attempts == 1 for r in report.results)
+            pids = {r.result["pid"] for r in report.results}
+            assert 1 <= len(pids) <= most
+            assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "kind", ["raise", "garbage", "bad_result", "hang", "sigkill"]
+    )
+    def test_every_retry_runs_in_a_fresh_worker(self, kind):
+        # Task a's worker is the only one; b's first attempt fails on it.
+        tasks = [task("a"), task("b", faults={"1": {"kind": kind, "seconds": 60}})]
+        report = supervisor(
+            task_runner=PID,
+            certifier=_reject_corrupted if kind == "bad_result" else None,
+            hard_timeout=2.0 if kind == "hang" else 30.0,
+        ).run(tasks)
+        first, retried = report.results
+        assert first.status == "ok" and first.attempts == 1
+        assert retried.status == "ok" and retried.attempts == 2
+        assert len(retried.failures) == 1
+        assert retried.result["pid"] != first.result["pid"]
+        assert multiprocessing.active_children() == []
+
+    def test_reply_larger_than_the_pipe_buffer(self):
+        report = supervisor(task_runner=PID, hard_timeout=5.0).run(
+            [task("a", blob_bytes=256 * 1024)]
+        )
+        result = report.results[0]
+        assert result.status == "ok" and result.attempts == 1
+        assert not result.failures and result.elapsed < 5.0
+        assert len(result.result["blob"]) == 256 * 1024
+
+    def test_worker_that_died_idle_is_replaced_not_charged(self):
+        def kill_the_worker(spec, result):
+            if spec["query"] == "a":
+                os.kill(result["pid"], signal.SIGKILL)
+                deadline = time.monotonic() + 30.0
+                while time.monotonic() < deadline and any(
+                    p.pid == result["pid"] for p in multiprocessing.active_children()
+                ):
+                    time.sleep(0.01)
+            return Certification(True)
+
+        report = supervisor(task_runner=PID, certifier=kill_the_worker).run(
+            [task("a"), task("b")]
+        )
+        first, second = report.results
+        assert second.status == "ok"
+        assert second.attempts == 1 and not second.failures
+        assert second.result["pid"] != first.result["pid"]
+
+    def test_no_worker_outlives_an_interrupted_run(self, tmp_path):
+        # The interrupt lands in the parent (the certifier of task b) while
+        # task slow's worker is still busy.
+        path = str(tmp_path / "ledger.jsonl")
+
+        def interrupt_on_b(spec, result):
+            if spec["query"] == "b":
+                raise KeyboardInterrupt
+            return Certification(True)
+
+        specs = [task("slow", work_seconds=60), task("b")]
+        report = supervisor(
+            task_runner=PID, certifier=interrupt_on_b, max_workers=2
+        ).run(specs, ledger=BatchLedger(path))
+        assert report.interrupted and report.exit_code == 130
+        assert [r.status for r in report.results] == ["interrupted"] * 2
+        assert multiprocessing.active_children() == []
+        resumed = supervisor(task_runner=PID, max_workers=2).run(
+            [task("b")], ledger=BatchLedger(path)
+        )
+        assert [r.status for r in resumed.results] == ["ok"]
+
+    def test_wire_payloads_match_inline_at_one_and_two_workers(self):
+        from repro.experiments import harness
+
+        specs = harness.batch_task_specs(scale=0.3)
+
+        def wire(**options):
+            report = Supervisor(certifier=harness.BatchCertifier(), **options).run(
+                specs
+            )
+            records = []
+            for result in report.results:
+                record = dict(result.as_record(), elapsed=None)
+                record["result"] = dict(
+                    record["result"],
+                    outcome=dict(record["result"]["outcome"], elapsed=None),
+                )
+                records.append(record)
+            return records
+
+        inline = wire(isolation="inline")
+        assert [r["status"] for r in inline] == ["ok"] * len(specs)
+        assert wire(max_workers=1) == inline
+        assert wire(max_workers=2) == inline
