@@ -59,15 +59,9 @@ def _as_query(
     return parse_select_query(source, database, name=name)
 
 
-def _value_sort_key(value: object) -> Tuple[str, str]:
-    # Mixed-type columns (interned ints and strings) must still sort
-    # deterministically; keying by (type name, repr) is total and stable.
-    return (type(value).__name__, repr(value))
-
-
 def canonical_rows(relation, columns: Sequence[str]) -> List[Tuple]:
     """The relation as a sorted, de-duplicated list of ``columns`` tuples."""
-    return relation.project(list(columns)).sorted_rows(_value_sort_key)
+    return relation.project(list(columns)).sorted_rows()
 
 
 @dataclass

@@ -15,22 +15,33 @@ one interner).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 CODE_DTYPE = np.int64
 
 
-class ValueInterner:
-    """A bijection between distinct values and dense ``int64`` codes."""
+def canonical_key(value: object) -> Tuple[str, str]:
+    """The canonical value order's key: ``(type name, repr)`` is total and
+    deterministic even on mixed-type columns (interned ints and strings)."""
+    return (type(value).__name__, repr(value))
 
-    __slots__ = ("_codes", "_values", "_table")
+
+class ValueInterner:
+    """A bijection between distinct values and dense ``int64`` codes.
+
+    The decode and rank tables are built once per interner state and
+    rebuilt when values were interned since (codes are append-only).
+    """
+
+    __slots__ = ("_codes", "_values", "_table", "_ranks")
 
     def __init__(self) -> None:
         self._codes: dict = {}
         self._values: List[object] = []
         self._table = np.empty(0, dtype=object)
+        self._ranks = np.empty(0, dtype=CODE_DTYPE)
 
     def __len__(self) -> int:
         return len(self._values)
@@ -98,15 +109,23 @@ class ValueInterner:
     def decode_column(self, codes: np.ndarray) -> List[object]:
         """Decode a code array back into a list of Python values.
 
-        One gather through an object array of the value table (rebuilt when
-        values were interned since), so the result holds the interned
-        objects themselves, not numpy scalars.
+        One gather through the object table, so the result holds the
+        interned objects themselves, not numpy scalars.
         """
         if len(self._table) != len(self._values):
             self._table = np.fromiter(
                 self._values, dtype=object, count=len(self._values)
             )
         return self._table[codes].tolist()
+
+    def canonical_ranks(self) -> np.ndarray:
+        """Per code, the dense rank of its value's :func:`canonical_key`
+        (equal keys share a rank; one key call per interned value)."""
+        if len(self._ranks) != len(self._values):
+            keys = list(map(canonical_key, self._values))
+            rank = {key: i for i, key in enumerate(sorted(set(keys)))}
+            self._ranks = np.array([rank[key] for key in keys], dtype=CODE_DTYPE)
+        return self._ranks
 
     # -- cross-interner translation ---------------------------------------
 

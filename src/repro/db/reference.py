@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.db.interner import canonical_key
 from repro.db.relation import Row, Value, WorkCounter, _permutation
 
 __all__ = ["ReferenceRelation", "as_reference_database"]
@@ -125,9 +126,9 @@ class ReferenceRelation:
     def distinct(self, counter: Optional[WorkCounter] = None) -> "ReferenceRelation":
         return self.project(self.attributes, counter=counter)
 
-    def sorted_rows(self, value_key: Callable[[Value], object]) -> List[Row]:
-        """The rows, stably sorted by the tuple of ``value_key`` of their values."""
-        return sorted(self.rows, key=lambda row: tuple(map(value_key, row)))
+    def sorted_rows(self) -> List[Row]:
+        """The rows, stably sorted by their values' :func:`canonical_key`."""
+        return sorted(self.rows, key=lambda row: tuple(map(canonical_key, row)))
 
     # -- joins ------------------------------------------------------------------------
 

@@ -425,27 +425,13 @@ class Relation:
     def distinct(self, counter: Optional[WorkCounter] = None) -> "Relation":
         return self.project(self.attributes, counter=counter)
 
-    def sorted_rows(self, value_key: Callable[[Value], object]) -> List[Row]:
-        """The rows, stably sorted by the tuple of ``value_key`` of their values.
-
-        ``value_key`` (returning hashable, mutually comparable keys) is
-        called once per *distinct* value of a column, not once per row: every
-        column becomes a column of dense key ranks (equal keys share a rank),
-        the rank columns are packed into one order-preserving integer and a
-        single stable argsort orders the rows.
-        """
+    def sorted_rows(self) -> List[Row]:
+        """The rows, stably sorted by the interner's canonical value order:
+        a rank gather per column, packed keys and one stable argsort."""
         if not self._columns or self._length < 2:
             return list(self.rows)
-        ranks = []
-        for column in self._columns:
-            span = int(column.max()) + 1
-            codes = column[_first_occurrences(column, span)]
-            keys = [value_key(value) for value in self._interner.decode_column(codes)]
-            rank = {key: i for i, key in enumerate(sorted(set(keys)))}
-            table = np.empty(span, dtype=CODE_DTYPE)
-            table[codes] = [rank[key] for key in keys]
-            ranks.append(table[column])
-        (key,), _ = _pack_keys(ranks)
+        ranks = self._interner.canonical_ranks()
+        (key,), _ = _pack_keys([ranks[column] for column in self._columns])
         return self._take(self.name, np.argsort(key, kind="stable")).rows
 
     # -- joins ------------------------------------------------------------------------

@@ -110,6 +110,35 @@ class TestEachThingOnce:
             )
         assert calls["canonical"] == 1  # ... and the memo served that, too
 
+    def test_canonical_keys_once_per_interned_value(self, database, monkeypatch):
+        from repro.db import interner
+
+        calls = []
+        original = interner.canonical_key
+
+        def counted(value):
+            calls.append(value)
+            return original(value)
+
+        monkeypatch.setattr(interner, "canonical_key", counted)
+
+        def key_calls(sql):
+            calls.clear()
+            assert run_query(sql, database, cache=None).rows
+            return len(calls)
+
+        join_rs = "SELECT * FROM R, S WHERE R.b = S.b"
+        join_st = "SELECT * FROM S, T WHERE S.c = T.c"
+        assert 0 < key_calls(join_rs) <= len(database.interner)
+        assert key_calls(join_rs) == 0
+        assert key_calls(join_st) == 0
+        size = len(database.interner)
+        database.create_table_columns("U", ["e"], [[99]])
+        assert len(database.interner) == size + 1
+        # One rebuild of the rank table: one key per interned value.
+        assert key_calls(join_st) == len(database.interner)
+        assert key_calls(join_st) == 0
+
     def test_canonical_form_memo_is_per_hypergraph(self):
         from repro.hypergraph.canonical import canonical_form
         from repro.hypergraph.library import cycle_hypergraph

@@ -29,6 +29,7 @@ from repro.core.cache import DecompositionCache
 from repro.core.solve import SolveRequest, execute
 from repro.db.database import Database
 from repro.db.frontdoor import canonical_rows, run_query
+from repro.db.interner import ValueInterner
 from repro.db.query import Atom, ConjunctiveQuery
 from repro.db.reference import as_reference_database
 from repro.db.relation import Relation
@@ -402,3 +403,40 @@ class TestCanonicalRowOrder:
         assert canonical_rows(relation, columns) == _oracle_canonical_rows(
             relation, columns
         )
+
+
+#: Values interned after the rank table was first built: ints and strings
+#: whose keys land between the ``MIXED_VALUES`` ones, a float key that sorts
+#: before every int and string key, a tuple key that sorts after them, and
+#: repeats of already interned values.
+LATER_VALUES = st.one_of(
+    MIXED_VALUES,
+    st.integers(min_value=121, max_value=10_000),
+    st.text(alphabet="aAbz1 ", min_size=1, max_size=3),
+    st.sampled_from([-0.5, ("z",)]),
+)
+
+
+class TestRankTableFollowsInternerGrowth:
+    @settings(max_examples=100, **COMMON_SETTINGS)
+    @given(
+        st.lists(
+            st.tuples(MIXED_VALUES, MIXED_VALUES), min_size=2, max_size=30, unique=True
+        ),
+        st.lists(st.tuples(LATER_VALUES, LATER_VALUES), min_size=1, max_size=30),
+        st.permutations(["c0", "c1"]),
+    )
+    def test_rows_interned_after_first_use_sort_canonically(
+        self, old_rows, later_rows, columns
+    ):
+        interner = ValueInterner()
+        old = Relation("O", ["c0", "c1"], old_rows, interner=interner)
+        assert canonical_rows(old, columns) == _oracle_canonical_rows(old, columns)
+        # A second relation on the same interner interns the later values.
+        Relation("L", ["c0", "c1"], later_rows, interner=interner)
+        mixed_rows = old_rows + later_rows + [
+            (old_row[0], later_row[1])
+            for old_row, later_row in zip(old_rows, later_rows)
+        ]
+        mixed = Relation("M", ["c0", "c1"], mixed_rows, interner=interner)
+        assert canonical_rows(mixed, columns) == _oracle_canonical_rows(mixed, columns)

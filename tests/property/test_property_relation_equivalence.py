@@ -569,8 +569,8 @@ class TestKernelPathEquivalence:
         rows = [(2, "b"), (10, "a"), (2, "a"), ("2", 7), (10, "a"), (-1, "b")]
         columnar, reference = _pair("S", ["n", "s"], rows)
         key = lambda value: (type(value).__name__, repr(value))  # noqa: E731
-        assert columnar.sorted_rows(key) == reference.sorted_rows(key)
-        assert columnar.sorted_rows(key) == sorted(
+        assert columnar.sorted_rows() == reference.sorted_rows()
+        assert columnar.sorted_rows() == sorted(
             rows, key=lambda row: tuple(map(key, row))
         )
 
