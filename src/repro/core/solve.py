@@ -429,7 +429,7 @@ def serve_canonical_record(
 
     A *canonical record* stores bags as canonical vertex indices
     (:func:`_record_for`) — the storage format shared by the persistent
-    decomposition cache and the batch scheduler's in-process hot memo.
+    decomposition cache and the batch scheduler's fan-out.
     Every decomposition is translated through the caller's own
     permutation and certified with :func:`certify_ctd` before being
     served (the cache-is-never-an-authority trust model: a record is

@@ -529,27 +529,14 @@ class BatchCertifier:
     """Parent-side certification of supervised batch results.
 
     The certifier rebuilds each query hypergraph from the deterministic
-    workload generator (cached per ``(query, scale, seed)``) — the trusted
-    reference a worker's claims are checked against.  A result's
-    decomposition payload is reconstructed with
+    workload generator (through :func:`load_benchmark_workload`'s memo) —
+    the trusted reference a worker's claims are checked against.  A
+    result's decomposition payload is reconstructed with
     :func:`repro.core.certify.decomposition_from_payload` (malformed →
     rejected, not crashed) and then certified with the ConCov constraint
     (``ranked`` mode only — ``decide`` results never claimed it) and the
     task's width claim.
     """
-
-    def __init__(self):
-        self._hypergraphs: Dict[Tuple[str, float, object], Tuple[object, int]] = {}
-
-    def _trusted_hypergraph(self, name: str, scale: float, seed):
-        key = (name, scale, seed)
-        if key not in self._hypergraphs:
-            # The rebuild itself goes through the module-level workload
-            # memo, so certifier, cache probe and spec construction share
-            # one deterministic generation per (name, scale, seed).
-            _, query, width = load_benchmark_workload(name, scale=scale, seed=seed)
-            self._hypergraphs[key] = (query.hypergraph(), width)
-        return self._hypergraphs[key]
 
     def __call__(self, task: Dict[str, object], result: Dict[str, object]):
         from repro.core.certify import (
@@ -558,9 +545,12 @@ class BatchCertifier:
             decomposition_from_payload,
         )
 
-        hypergraph, default_width = self._trusted_hypergraph(
-            str(task["query"]), float(task.get("scale") or 1.0), task.get("seed")
+        _, query, default_width = load_benchmark_workload(
+            str(task["query"]),
+            scale=float(task.get("scale") or 1.0),
+            seed=task.get("seed"),
         )
+        hypergraph = query.hypergraph()
         width = int(task.get("width") or default_width)
         if "request" in task:
             # The embedded request must describe the *trusted* hypergraph:

@@ -1,4 +1,4 @@
-"""Multi-query batch solving: plan, hot memo, duplicate fan-out.
+"""Multi-query batch solving: plan, then duplicate fan-out.
 
 One production client rarely asks for one decomposition — it brings a
 workload's whole query set, full of repeated and near-repeated shapes.
@@ -17,27 +17,24 @@ This module turns such a set into a :class:`BatchSolvePlan`:
    result is held to exactly the cache trust model: the record is
    evidence, the per-query certificate is the proof.  Requests whose
    kind is ``None`` (``soft-width``, data preferences without a
-   ``data_key``) are never grouped or memoised.
+   ``data_key``) are never grouped.
 3. **Order by fingerprint.**  Groups run in ``(fingerprint, kind)``
-   order.  Each is solved once per plan and :class:`HotMemo` and the
-   persistent cache are keyed exactly, so no order saves work; this one
-   is simply deterministic.
+   order.  Each is solved once per plan and the persistent cache is keyed
+   exactly, so no order saves work; this one is simply deterministic.
 
-:func:`run_plan` executes a plan: hot memo → persistent cache →
-representative solve (inline, or dispatched to this module's cached spawn
-worker pool, :func:`get_pool`, running the supervised batch runtime's
-worker runner), then fan-out.  The pool parallelises *independent*
-representative solves only; a single solve is always serial.  Results
-crossing a process boundary are independently re-certified by the
-parent before they are memoised or served.  Fan-out only ever applies
-*complete* results — a budget-truncated (anytime) representative answer
-is never replicated to other queries; those members are solved
-individually under their own caps.
+:func:`run_plan` executes a plan: representative solves (inline through
+the persistent cache, or on the supervised batch runtime's worker
+processes, :class:`repro.runtime.supervisor.Supervisor`), then fan-out.
+The workers parallelise *independent* representative solves only; a
+single solve is always serial.  Results crossing a process boundary are
+independently re-certified by the parent before they are served.
+Fan-out only ever applies *complete* results — a budget-truncated
+(anytime) representative answer is never replicated to other queries;
+those members are solved individually under their own caps.
 """
 
 from __future__ import annotations
 
-import atexit
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -50,51 +47,12 @@ from repro.core.solve import (
 from repro.hypergraph.canonical import CanonicalForm, canonical_form
 
 __all__ = [
-    "HotMemo",
     "PlanItem",
     "PlanGroup",
     "BatchSolvePlan",
     "BatchReport",
     "run_plan",
-    "get_pool",
-    "shutdown_pools",
 ]
-
-
-class HotMemo:
-    """In-process ``(fingerprint, kind) → canonical record`` memo.
-
-    The per-plan (or per-service) twin of the persistent decomposition
-    cache: records live only in this process, store bags as canonical
-    vertex indices and are re-certified against each caller's hypergraph
-    on every serve — never trusted.  Counters mirror the persistent
-    cache's hit metrics.
-    """
-
-    def __init__(self) -> None:
-        self._records: Dict[Tuple[str, str], Dict[str, object]] = {}
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-
-    def get(self, fingerprint: str, kind: Optional[str]) -> Optional[Dict[str, object]]:
-        if kind is None:
-            return None
-        record = self._records.get((fingerprint, kind))
-        if record is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return record
-
-    def put(self, fingerprint: str, kind: Optional[str], record: Dict[str, object]) -> None:
-        if kind is None:
-            return
-        self._records[(fingerprint, kind)] = record
-        self.stores += 1
-
-    def __len__(self) -> int:
-        return len(self._records)
 
 
 @dataclass
@@ -248,7 +206,7 @@ def _fan_out(
     """Serve one member from a canonical record, re-certifying for *it*.
 
     Returns ``None`` when the record does not certify against this
-    member's hypergraph (fingerprint collision, corrupt memo) — the
+    member's hypergraph (fingerprint collision, corrupt record) — the
     caller then solves the member individually; a bad record degrades to
     a miss, never a wrong answer.
     """
@@ -263,50 +221,7 @@ def _fan_out(
     return _wire(member, served, label)
 
 
-def _pool_payload(item: PlanItem, cache) -> Dict[str, object]:
-    payload = dict(item.task)
-    payload["request"] = item.request.to_payload()
-    payload.setdefault("mode", "ranked")
-    # The worker must mirror this plan's cache decision: a cache=None run
-    # (benchmarks, equivalence tests) would otherwise read and write the
-    # persistent cache through its workers.  (Custom cache objects are not
-    # shipped — workers then use their default resolution.)
-    if cache is None:
-        payload["cache_off"] = True
-    return payload
-
-
-_POOLS: Dict[int, object] = {}
-
-
-def get_pool(workers: int):
-    """The cached worker pool of ``workers`` processes (created on first use).
-
-    Spawn, not fork: a solve may run under numpy/BLAS threads, whose lock
-    state a forked child would inherit undefined.  Spawning costs hundreds
-    of milliseconds per worker, so pools are kept across plans and
-    terminated at interpreter exit.
-    """
-    pool = _POOLS.get(workers)
-    if pool is None:
-        import multiprocessing
-
-        pool = _POOLS[workers] = multiprocessing.get_context("spawn").Pool(workers)
-    return pool
-
-
-def shutdown_pools() -> None:
-    """Terminate every cached pool (``atexit``; also used by tests and scripts)."""
-    for pool in _POOLS.values():
-        pool.terminate()
-        pool.join()
-    _POOLS.clear()
-
-
-atexit.register(shutdown_pools)
-
-
-def _certify_pool_result(item: PlanItem, wire: object):
+def _certify_worker_result(item: PlanItem, wire: object):
     """Re-certify a worker's wire result against the parent's own request.
 
     The parent built the request itself, so the trusted hypergraph is the
@@ -323,9 +238,7 @@ def _certify_pool_result(item: PlanItem, wire: object):
     if not isinstance(wire, dict) or not wire.get("ok"):
         return None
     hypergraph = item.request.hypergraph
-    payloads = wire.get("decompositions") or (
-        [wire["decomposition"]] if wire.get("decomposition") else []
-    )
+    payloads = wire.get("decompositions") or []
     outcome_dict = wire.get("outcome") or {}
     outcome = SolveOutcome(
         status=str(outcome_dict.get("status", "complete")),
@@ -365,30 +278,59 @@ def _certify_pool_result(item: PlanItem, wire: object):
     )
 
 
-def run_plan(
-    plan: BatchSolvePlan,
-    workers: int = 0,
-    cache="auto",
-    memo: Optional[HotMemo] = None,
-) -> BatchReport:
+def _solve_on_workers(
+    items: List[PlanItem], workers: int, cache
+) -> List[Optional[object]]:
+    """Solve ``items`` on one supervised run of ``workers`` worker processes.
+
+    Returns one parent-certified :class:`~repro.core.solve.SolveResult` per
+    item, or ``None`` where the worker attempts gave none (crash, hard
+    timeout, ``ok: False``, or a claim that does not certify).  The ladder
+    is the top rung alone: a ``decide`` rung answers a different question
+    than an ``enumerate`` request asks, so its result must not be served,
+    let alone fanned out.  Certification happens here, once per result,
+    against the item's own request, so the supervisor runs without a
+    certifier.
+    """
+    from repro.runtime.supervisor import DEFAULT_LADDER, Supervisor
+
+    # The workers must mirror this plan's cache decision: a cache=None run
+    # (benchmarks, equivalence tests) would otherwise read and write the
+    # persistent cache through them.  (Custom cache objects are not
+    # shipped — workers then use their default resolution.)
+    tasks = [
+        dict(item.task, cache_off=True) if cache is None else item.task
+        for item in items
+    ]
+    supervisor = Supervisor(max_workers=workers, ladder=DEFAULT_LADDER[:1])
+    report = supervisor.run(tasks)
+    if report.interrupted:
+        raise KeyboardInterrupt
+    # Distinct groups carry distinct requests, so no task is deduplicated
+    # and the report is in input order.
+    return [
+        _certify_worker_result(item, outcome.result) if outcome.ok else None
+        for item, outcome in zip(items, report.results)
+    ]
+
+
+def run_plan(plan: BatchSolvePlan, workers: int = 0, cache="auto") -> BatchReport:
     """Execute a plan and return per-query results plus reuse counters.
 
-    ``workers > 1`` dispatches representative solves to a spawn worker
-    pool (:func:`get_pool`, running the supervised batch runtime's worker
-    runner :func:`repro.experiments.harness.execute_batch_task`); anything
-    a worker returns is re-certified by the parent before it is memoised
-    or served.  ``workers <= 1`` solves inline.  ``memo`` carries the hot
-    memo across plans (a fresh one is used per call by default).
+    ``workers > 1`` solves the group representatives on one
+    :class:`~repro.runtime.supervisor.Supervisor` run (see
+    :func:`_solve_on_workers`); a representative whose worker attempts give
+    no certified result is counted in ``solve_errors`` and solved inline.
+    ``workers <= 1`` solves inline.  ``solves`` counts each query whose
+    answer came from a solve rather than a fan-out, once.
 
     Results are deterministic in the plan's input order and independent
     of ``workers`` and of the group order: grouping, representative
     choice and fan-out permutations are all fixed by the plan itself.
     """
     started = time.perf_counter()
-    memo = memo if memo is not None else HotMemo()
     counters = {
         "solves": 0,
-        "memo_hits": 0,
         "cache_hits": 0,
         "fanout": 0,
         "fanout_rejected": 0,
@@ -407,50 +349,22 @@ def run_plan(
         results[item.index] = _wire(item, result, result.cache_status)
         return result
 
-    # -- representatives needing a real solve ---------------------------------
-    pending: List[PlanGroup] = []
-    for group in plan.groups:
-        record = memo.get(group.fingerprint, group.kind)
-        if record is not None:
-            counters["memo_hits"] += 1
-            served_all = True
-            for member in group.items:
-                wire = _fan_out(member, record, counters, "memo")
-                if wire is None:
-                    served_all = False
-                    solve_member(member)
-                else:
-                    results[member.index] = wire
-            if served_all:
-                continue
-        else:
-            pending.append(group)
-
-    if workers > 1 and pending:
-        from repro.experiments.harness import execute_batch_task
-
-        payloads = [_pool_payload(group.representative, cache) for group in pending]
-        wires = get_pool(workers).map(execute_batch_task, payloads)
-        rep_results = []
-        for group, wire in zip(pending, wires):
-            certified = _certify_pool_result(group.representative, wire)
-            rep_results.append(certified)
-            counters["solves"] += 1
-            if certified is None and isinstance(wire, dict) and not wire.get("ok"):
-                counters["solve_errors"] += 1
+    representatives = [group.representative for group in plan.groups]
+    if workers > 1 and representatives:
+        delivered = _solve_on_workers(representatives, workers, cache)
+        counters["solve_errors"] = delivered.count(None)
     else:
-        rep_results = [None] * len(pending)
+        delivered = [None] * len(representatives)
 
-    for group, pooled in zip(pending, rep_results):
+    for group, rep_result in zip(plan.groups, delivered):
         rep = group.representative
-        if pooled is not None:
-            rep_result = pooled
+        if rep_result is not None:
+            counters["solves"] += 1
             results[rep.index] = _wire(rep, rep_result, "miss")
         else:
             rep_result = solve_member(rep)
         record = _record_from_result(rep, rep_result)
         if record is not None:
-            memo.put(group.fingerprint, group.kind, record)
             for member in group.items[1:]:
                 wire = _fan_out(member, record, counters, "fanout")
                 if wire is None:

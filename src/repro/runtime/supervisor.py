@@ -286,7 +286,9 @@ def _corrupt_result(result: Dict[str, object]) -> Dict[str, object]:
 
     Drops one vertex from the largest bag (breaking edge cover and/or
     connectedness) so the parent-side certifier — and nothing earlier —
-    must catch it.
+    must catch it.  The wrong decomposition replaces both the
+    ``decomposition`` claim and the ``decompositions`` list, so a check
+    that reads either one sees it.
     """
     corrupted = dict(result)
     decomposition = corrupted.get("decomposition")
@@ -295,10 +297,12 @@ def _corrupt_result(result: Dict[str, object]) -> Dict[str, object]:
         largest = max(range(len(bags)), key=lambda i: len(bags[i]))
         if bags[largest]:
             bags[largest] = bags[largest][:-1]
-        corrupted["decomposition"] = {"bags": bags, "parents": decomposition["parents"]}
+        wrong = {"bags": bags, "parents": decomposition["parents"]}
     else:
-        corrupted["decomposition"] = {"bags": [[]], "parents": [None]}
+        wrong = {"bags": [[]], "parents": [None]}
         corrupted["decided"] = True
+    corrupted["decomposition"] = wrong
+    corrupted["decompositions"] = [wrong]
     return corrupted
 
 
@@ -422,8 +426,9 @@ class Supervisor:
     ``certifier`` is a callable ``(task, result_payload) ->``
     :class:`repro.core.certify.Certification` applied to every delivered
     result (and to ledger-cached results on resume); ``None`` disables
-    certification (test harnesses only — production batches should always
-    certify).  ``isolation`` is ``"process"`` (the default: spawned
+    certification here, for callers that certify every result themselves
+    (:func:`repro.runtime.scheduler.run_plan`) and for test harnesses.
+    ``isolation`` is ``"process"`` (the default: spawned
     workers started lazily and all killed when :meth:`run` ends, each
     serving attempts until one times out, crashes, replies ``ok: False``
     or garbage, or fails certification — then it is SIGKILLed and the

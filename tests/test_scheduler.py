@@ -2,12 +2,14 @@
 
 The scheduler claims *observational identity* with a serial solve loop:
 batch-plan results do not depend on the worker count, per-query answers
-do not depend on the order queries arrive in, and the hot memo only ever
-accelerates — a record that does not re-certify degrades to a solve.
+do not depend on the order queries arrive in, and fan-out only ever
+accelerates — a record that does not re-certify degrades to a solve, and a
+worker that crashes, hangs or lies degrades to an inline solve.
 """
 
 import io
 import json
+import multiprocessing
 import random
 
 import pytest
@@ -16,12 +18,8 @@ from repro.cli import main
 from repro.core.certify import certify_ctd, decomposition_from_payload
 from repro.core.solve import SolveRequest, constraint_object, execute
 from repro.hypergraph.hypergraph import Edge, Hypergraph
-from repro.runtime.scheduler import (
-    BatchSolvePlan,
-    HotMemo,
-    run_plan,
-    shutdown_pools,
-)
+from repro.runtime import scheduler
+from repro.runtime.scheduler import BatchSolvePlan, run_plan
 from repro.workloads.registry import benchmark_queries
 
 
@@ -67,10 +65,7 @@ def _dump(results):
 def test_batch_results_independent_of_worker_count():
     tasks = _batch_tasks()
     inline = run_plan(BatchSolvePlan.from_tasks(tasks), workers=0, cache=None)
-    try:
-        pooled = run_plan(BatchSolvePlan.from_tasks(tasks), workers=2, cache=None)
-    finally:
-        shutdown_pools()
+    pooled = run_plan(BatchSolvePlan.from_tasks(tasks), workers=2, cache=None)
     assert _dump(inline.results) == _dump(pooled.results)
     assert pooled.counters["fanout"] == inline.counters["fanout"] > 0
 
@@ -155,29 +150,17 @@ def test_batch_answers_independent_of_schedule_order():
         assert len(fwd["decompositions"]) == len(bwd["decompositions"]), query
 
 
-def test_second_plan_over_one_memo_is_served_without_solving():
-    tasks = _batch_tasks()
-    memo = HotMemo()
-    first = run_plan(BatchSolvePlan.from_tasks(tasks), cache=None, memo=memo)
-    replay = run_plan(BatchSolvePlan.from_tasks(tasks), cache=None, memo=memo)
-    assert first.counters["solves"] == first.counters["groups"] == 2
-    assert replay.counters["memo_hits"] == 2
-    assert replay.counters["solves"] == 0
-    assert _dump(replay.results) == _dump(first.results)
-
-
-def test_poisoned_memo_record_degrades_to_a_solve():
-    """A memo record is evidence, never proof: one that fails to re-certify
-    is rejected per member and every member gets its own fresh solve."""
+def test_poisoned_record_degrades_to_a_solve(monkeypatch):
+    """A representative's canonical record is evidence, never proof: one
+    that fails to re-certify is rejected per member and every member gets
+    its own fresh solve."""
     tasks = _batch_tasks()
     plan = BatchSolvePlan.from_tasks(tasks)
-    memo = HotMemo()
-    for group in plan.groups:
-        # One single-vertex bag covers no edge of a cycle or a triangle.
-        poisoned = {"width": 2, "decompositions": [{"bags": [[0]], "parents": [None]}]}
-        memo.put(group.fingerprint, group.kind, poisoned)
-    report = run_plan(plan, cache=None, memo=memo)
-    assert report.counters["fanout_rejected"] == len(tasks)
+    # One single-vertex bag covers no edge of a cycle or a triangle.
+    poisoned = {"width": 2, "decompositions": [{"bags": [[0]], "parents": [None]}]}
+    monkeypatch.setattr(scheduler, "_record_from_result", lambda item, result: poisoned)
+    report = run_plan(plan, cache=None)
+    assert report.counters["fanout_rejected"] == len(tasks) - len(plan.groups)
     assert report.counters["fanout"] == 0
     assert report.counters["solves"] == len(tasks)
     fresh = []
@@ -186,6 +169,52 @@ def test_poisoned_memo_record_degrades_to_a_solve():
         assert result.decided
         fresh.append(dict(result.to_payload(), query=task["query"]))
     assert _dump(report.results) == _dump(fresh)
+
+
+def _three_shape_tasks():
+    """:func:`_batch_tasks` plus a 5-cycle group: three groups, six queries."""
+    pentagon = Hypergraph(
+        [Edge(f"g{i}", frozenset({f"v{i}", f"v{(i + 1) % 5}"})) for i in range(5)]
+    )
+    request = SolveRequest(
+        hypergraph=pentagon, mode="optimal", width=2, constraint="concov", label="penta"
+    )
+    return _batch_tasks() + [
+        {"kind": "solve", "query": "penta", "request": request.to_payload()}
+    ]
+
+
+def test_worker_results_failing_certification_count_once():
+    """Every worker attempt lies: each representative is one solve error and
+    one (inline) solve, and the answers are the inline plan's."""
+    lie = {"*": {"kind": "bad_result"}}
+    tasks = [dict(task, faults=lie) for task in _three_shape_tasks()]
+    report = run_plan(BatchSolvePlan.from_tasks(tasks), workers=2, cache=None)
+    groups = report.counters["groups"]
+    assert groups == 3
+    assert report.counters["solves"] == groups
+    assert report.counters["solve_errors"] == groups
+    inline = run_plan(BatchSolvePlan.from_tasks(tasks), workers=0, cache=None)
+    assert _dump(report.results) == _dump(inline.results)
+    assert multiprocessing.active_children() == []
+
+
+def test_crashed_and_hung_representative_is_solved_inline():
+    """A representative's worker is SIGKILLed on its first attempt and hangs
+    past the hard timeout on its retry: the plan still returns, with the
+    answers of the inline plan."""
+    tasks = _batch_tasks()
+    tasks[0] = dict(
+        tasks[0],
+        faults={"1": {"kind": "sigkill"}, "2": {"kind": "hang", "seconds": 60}},
+        hard_timeout=1.0,
+    )
+    report = run_plan(BatchSolvePlan.from_tasks(tasks), workers=2, cache=None)
+    inline = run_plan(BatchSolvePlan.from_tasks(tasks), workers=0, cache=None)
+    assert _dump(report.results) == _dump(inline.results)
+    assert report.counters["solve_errors"] == 1
+    assert report.counters["solves"] == report.counters["groups"] == 2
+    assert multiprocessing.active_children() == []
 
 
 def test_throughput_verb_reports_fanout():
