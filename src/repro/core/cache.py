@@ -14,7 +14,7 @@ Trust model
 The cache is an *accelerator*, never an authority.  Entries store bags as
 canonical vertex indices; :func:`repro.core.solve.execute` maps them back
 through the caller's own permutation and re-certifies the result with
-:func:`repro.core.certify.certify_ctd` before serving it.  An entry that
+:func:`repro.core.solve.certify_claim` before serving it.  An entry that
 fails certification is quarantined (renamed to ``*.corrupt`` and left for
 ``repro cache list`` to report) and the request falls back to a normal
 solve — a poisoned, stale or colliding entry can cost time, never

@@ -28,12 +28,13 @@ is shape-pure (or data-keyed) — consults the persistent cache first, keyed
 by the hypergraph's canonical fingerprint
 (:func:`repro.hypergraph.canonical.canonical_form`).  Cached entries store
 bags as canonical vertex indices; a hit is mapped back through the
-caller's own permutation and **re-certified** with
-:func:`repro.core.certify.certify_ctd` before being served, so a poisoned,
-stale or fingerprint-colliding entry is quarantined and re-solved, never
-trusted.  Negative answers and budget-truncated (anytime) results are
-never cached — the former has no cheap certificate, the latter is not the
-full answer.
+caller's own permutation and **re-certified** by :func:`certify_claim` —
+the one check for every decomposition from outside the solving call
+(cache entries, fan-out records, worker replies, ledger records) — so a
+poisoned, stale or fingerprint-colliding entry is quarantined and
+re-solved, never trusted.  Negative answers and budget-truncated
+(anytime) results are never cached — the former has no cheap
+certificate, the latter is not the full answer.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.hypergraph.hypergraph import Edge, Hypergraph
 from repro.decompositions.td import TreeDecomposition
@@ -53,7 +54,7 @@ from repro.core.certify import (
     decomposition_to_payload,
 )
 from repro.core.constraints import SubtreeConstraint
-from repro.runtime.budget import Budget, SolveOutcome, completed_outcome
+from repro.runtime.budget import EXIT_CODES, Budget, SolveOutcome, completed_outcome
 
 __all__ = [
     "MODES",
@@ -64,6 +65,7 @@ __all__ = [
     "SolveResult",
     "execute",
     "lookup",
+    "certify_claim",
     "serve_canonical_record",
     "constraint_object",
     "preference_object",
@@ -418,6 +420,76 @@ def _record_for(
     return {"width": width, "decompositions": stored}
 
 
+def certify_claim(
+    request: SolveRequest, claim: object, checker: Optional[Callable] = None
+) -> SolveResult:
+    """Certify a decomposition claim against the request the caller made.
+
+    The one gate through which a decomposition from outside the solving
+    call — a cache or fan-out record, a worker reply, a ledger record —
+    becomes a :class:`SolveResult`.  ``claim`` is in the result wire format
+    (:meth:`SolveResult.to_payload`; a missing ``outcome`` reads as
+    complete) and nothing in it is believed: its ``width`` must be the
+    request's, every entry of ``decompositions`` is rebuilt and certified
+    against the request's hypergraph, constraint and width,
+    ``decomposition`` must be ``decompositions[0]``, and a negative claim
+    (which has no cheap certificate) is accepted only from a complete
+    search.  Raises :class:`ValueError` naming what does not hold.
+
+    ``checker`` is :func:`certify_ctd` as bound here unless given; the
+    supervised batch certifier passes :mod:`repro.core.certify`'s own
+    binding, where the end-to-end benchmark's tracer counts its checks.
+    """
+    check = checker or certify_ctd
+    if not isinstance(claim, dict):
+        raise ValueError(f"claim is not a dict: {type(claim).__name__}")
+    width = request.width
+    payloads = claim.get("decompositions")
+    decided = claim.get("decided")
+    if claim.get("width") != width:
+        raise ValueError(f"claim is for width {claim.get('width')!r}, not {width!r}")
+    if not isinstance(payloads, list):
+        raise ValueError("claim carries no decompositions list")
+    if claim.get("decomposition") != (payloads[0] if payloads else None):
+        raise ValueError("claim's decomposition is not its first decompositions entry")
+    if decided is not bool(payloads):
+        raise ValueError(f"claim says decided={decided!r} with {len(payloads)} CTDs")
+    raw = claim.get("outcome") or {}
+    try:
+        outcome = SolveOutcome(
+            status=str(raw.get("status", "complete")),
+            work=int(raw.get("work") or 0),
+            elapsed=float(raw.get("elapsed") or 0.0),
+        )
+        if outcome.status not in EXIT_CODES:
+            raise ValueError(f"unknown outcome status {outcome.status!r}")
+        if not decided and not outcome.complete:
+            raise ValueError("a negative claim from an incomplete search proves nothing")
+        hypergraph = request.hypergraph
+        constraint = constraint_object(request.constraint, hypergraph, int(width))
+        decompositions = []
+        for index, payload in enumerate(payloads):
+            ctd = decomposition_from_payload(hypergraph, payload)
+            certification = check(
+                hypergraph, ctd, constraint=constraint, width_claim=width
+            )
+            if not certification:
+                raise ValueError(
+                    f"decomposition {index} failed certification: "
+                    f"{certification.describe()}"
+                )
+            decompositions.append(ctd)
+    except (AttributeError, TypeError) as exc:
+        raise ValueError(f"malformed claim: {exc}") from exc
+    return SolveResult(
+        request=request,
+        decided=decided,
+        decompositions=decompositions,
+        width=width if decided else None,
+        outcome=outcome,
+    )
+
+
 def serve_canonical_record(
     request: SolveRequest,
     canonical,
@@ -425,76 +497,60 @@ def serve_canonical_record(
     started: float,
     cache_status: str = "hit",
 ) -> SolveResult:
-    """Map a canonical record to the caller's vertices and re-certify it.
+    """Map a canonical record to the caller's vertices, then certify it.
 
     A *canonical record* stores bags as canonical vertex indices
     (:func:`_record_for`) — the storage format shared by the persistent
-    decomposition cache and the batch scheduler's fan-out.
-    Every decomposition is translated through the caller's own
-    permutation and certified with :func:`certify_ctd` before being
-    served (the cache-is-never-an-authority trust model: a record is
-    evidence, the certificate is the proof).  Raises :class:`ValueError`
-    on any record that does not withstand certification.
+    decomposition cache and the batch scheduler's fan-out.  Its bags are
+    translated through the caller's own permutation into a positive claim
+    for :func:`certify_claim` (a record is evidence, the certificate is the
+    proof).  Raises :class:`KeyError`, :class:`TypeError` or
+    :class:`ValueError` on any record that does not withstand it.
     """
-    hypergraph = request.hypergraph
-    width = int(record["width"])  # type: ignore[index]
-    stored = record["decompositions"]  # type: ignore[index]
-    if not isinstance(stored, list) or not stored:
-        raise ValueError("entry stores no decompositions")
-    constraint = constraint_object(request.constraint, hypergraph, width)
-    decompositions = []
-    for item in stored:
-        if not isinstance(item, dict):
-            raise ValueError("entry decomposition is not a dict")
-        mapped = {
+    mapped = [
+        {
             "bags": [
                 sorted(canonical.from_canonical_bag(bag), key=str)
-                for bag in item.get("bags", ())
+                for bag in item["bags"]
             ],
-            "parents": item.get("parents"),
+            "parents": item["parents"],
         }
-        ctd = decomposition_from_payload(hypergraph, mapped)
-        certification = certify_ctd(
-            hypergraph, ctd, constraint=constraint, width_claim=width
-        )
-        if not certification:
-            raise ValueError(
-                f"cached decomposition failed certification: "
-                f"{certification.describe()}"
-            )
-        decompositions.append(ctd)
-    return SolveResult(
-        request=request,
-        decided=True,
-        decompositions=decompositions,
-        width=width,
-        outcome=completed_outcome(),
-        cache_status=cache_status,
-        elapsed=time.perf_counter() - started,
-    )
+        for item in record["decompositions"]
+    ]
+    claim = {
+        "decided": True,
+        "width": record["width"],
+        "decompositions": mapped,
+        "decomposition": mapped[0] if mapped else None,
+    }
+    result = certify_claim(request, claim)
+    result.cache_status = cache_status
+    result.elapsed = time.perf_counter() - started
+    return result
 
 
-def _serve_cached(
-    request: SolveRequest,
-    canonical,
-    record: Dict[str, object],
-    store: DecompositionCache,
-    kind: str,
-    started: float,
-) -> Optional[SolveResult]:
-    """Serve a persistent-cache record, quarantining entries that fail.
+def _probe(
+    request: SolveRequest, store: DecompositionCache, kind: str, started: float
+) -> Tuple[object, Optional[SolveResult]]:
+    """Canonicalise ``request`` and serve its certified cache entry.
 
-    Returns the servable result, or ``None`` after quarantining an entry
-    that does not withstand certification — the caller then solves
-    normally, so cache corruption degrades to a miss, never a wrong answer.
+    Returns ``(canonical form, result)``; the result is ``None`` on a miss
+    and after quarantining an entry that does not withstand certification,
+    so cache corruption degrades to a miss, never a wrong answer.
     """
+    from repro.hypergraph.canonical import canonical_form
+
+    canonical = canonical_form(request.hypergraph)
+    record = store.get(canonical.fingerprint, kind)
+    if record is None:
+        return canonical, None
     try:
         result = serve_canonical_record(request, canonical, record, started)
     except (KeyError, TypeError, ValueError) as exc:
         store.reject(canonical.fingerprint, kind, str(exc))
-        return None
+        return canonical, None
     result.cache_stats = store.stats.as_dict()
-    return result
+    return canonical, result
 
 
 def _miss_status(store: Optional[DecompositionCache], kind: Optional[str]) -> str:
@@ -530,27 +586,17 @@ def execute(
     canonical = None
     cache_status = _miss_status(store, kind)
     if store is not None and kind is not None:
-        from repro.hypergraph.canonical import canonical_form
-
-        canonical = canonical_form(request.hypergraph)
-        record = store.get(canonical.fingerprint, kind)
-        if record is not None:
-            served = _serve_cached(request, canonical, record, store, kind, started)
-            if served is not None:
-                return served
+        canonical, served = _probe(request, store, kind, started)
+        if served is not None:
+            return served
 
     decompositions = _solve_fixed_width(request, database, query, budget)
     outcome = budget.outcome() if budget is not None else completed_outcome()
     decided = bool(decompositions)
     width = int(request.width) if decided else None  # type: ignore[arg-type]
 
-    if (
-        store is not None
-        and kind is not None
-        and canonical is not None
-        and decided
-        and outcome.complete
-    ):
+    if canonical is not None and decided and outcome.complete:
+        # ``canonical`` is set exactly when the cache was probed.
         store.put(
             canonical.fingerprint,
             kind,
@@ -583,19 +629,10 @@ def lookup(
     reports a miss).
     """
     store = resolve_cache(cache)
-    if store is None:
-        return None
     kind = request.cache_kind()
-    if kind is None:
+    if store is None or kind is None:
         return None
-    from repro.hypergraph.canonical import canonical_form
-
-    started = time.perf_counter()
-    canonical = canonical_form(request.hypergraph)
-    record = store.get(canonical.fingerprint, kind)
-    if record is None:
-        return None
-    return _serve_cached(request, canonical, record, store, kind, started)
+    return _probe(request, store, kind, time.perf_counter())[1]
 
 
 def _execute_soft_width(

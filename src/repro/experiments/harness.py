@@ -21,7 +21,7 @@ correlates with measured effort — matching how the paper presents Figures 5,
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.decompositions.td import TreeDecomposition
@@ -510,7 +510,7 @@ class BatchSolveCache:
 
         if self.cache is None or not isinstance(task, dict):
             return None
-        if task.get("kind") != "solve" or "request" not in task:
+        if task.get("kind") != "solve":
             return None
         try:
             request = SolveRequest.from_payload(task.get("request"))
@@ -528,58 +528,39 @@ class BatchSolveCache:
 class BatchCertifier:
     """Parent-side certification of supervised batch results.
 
-    The certifier rebuilds each query hypergraph from the deterministic
-    workload generator (through :func:`load_benchmark_workload`'s memo) —
-    the trusted reference a worker's claims are checked against.  A
-    result's decomposition payload is reconstructed with
-    :func:`repro.core.certify.decomposition_from_payload` (malformed →
-    rejected, not crashed) and then certified with the ConCov constraint
-    (``ranked`` mode only — ``decide`` results never claimed it) and the
-    task's width claim.
+    The trusted request is the task's own embedded request, checked against
+    the hypergraph the deterministic workload generator rebuilds (through
+    :func:`load_benchmark_workload`'s memo): a spec whose shape drifted
+    (ledger bit rot, a forged task) certifies nothing.  It is degraded with
+    :meth:`~repro.core.solve.SolveRequest.degraded_to_decide` only when the
+    task's ``mode`` is ``decide`` — the supervisor sets that mode from the
+    rung *it* ran, never from the reply.  The reply is then one
+    :func:`repro.core.solve.certify_claim` against that request.
     """
 
     def __call__(self, task: Dict[str, object], result: Dict[str, object]):
-        from repro.core.certify import (
-            Certification,
-            certify_ctd,
-            decomposition_from_payload,
-        )
+        from repro.core import certify
+        from repro.core.solve import certify_claim
 
-        _, query, default_width = load_benchmark_workload(
+        try:  # a task without an embedded request is malformed too
+            request = SolveRequest.from_payload(task.get("request"))
+        except ValueError as exc:
+            return certify.Certification(False, (f"malformed task request: {exc}",))
+        _, query, _ = load_benchmark_workload(
             str(task["query"]),
             scale=float(task.get("scale") or 1.0),
             seed=task.get("seed"),
         )
-        hypergraph = query.hypergraph()
-        width = int(task.get("width") or default_width)
-        if "request" in task:
-            # The embedded request must describe the *trusted* hypergraph:
-            # a spec whose shape drifted from the generator (ledger bit
-            # rot, a forged task) must not certify against it.
-            try:
-                request = SolveRequest.from_payload(task.get("request"))
-            except ValueError as exc:
-                return Certification(False, (f"malformed task request: {exc}",))
-            if request.hypergraph != hypergraph:
-                return Certification(
-                    False,
-                    ("task request hypergraph does not match the trusted "
-                     "workload hypergraph",),
-                )
-        payload = result.get("decomposition") if isinstance(result, dict) else None
-        if payload is None:
-            # "No decomposition of width <= k" cannot be certified in
-            # O(result) time; accept it only from a *complete* search —
-            # a partial one must have reported {"ok": False} instead.
-            outcome = result.get("outcome") or {}
-            if result.get("decided") is False and outcome.get("status") == "complete":
-                return Certification(True)
-            return Certification(False, ("result carries no decomposition",))
+        if request.hypergraph != query.hypergraph():
+            return certify.Certification(
+                False,
+                ("task request hypergraph does not match the trusted "
+                 "workload hypergraph",),
+            )
+        if task.get("mode") == "decide":
+            request = request.degraded_to_decide()
         try:
-            ctd = decomposition_from_payload(hypergraph, payload)
+            certify_claim(request, result, checker=certify.certify_ctd)
         except ValueError as exc:
-            return Certification(False, (f"malformed decomposition payload: {exc}",))
-        constraint = None
-        if result.get("mode", "ranked") == "ranked":
-            constraint = ConnectedCoverConstraint(hypergraph, width)
-        return certify_ctd(hypergraph, ctd, constraint=constraint, width_claim=width)
+            return certify.Certification(False, (str(exc),))
+        return certify.Certification(True)

@@ -42,6 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.solve import (
     SolveRequest,
     _record_for,
+    certify_claim,
     serve_canonical_record,
 )
 from repro.hypergraph.canonical import CanonicalForm, canonical_form
@@ -222,60 +223,17 @@ def _fan_out(
 
 
 def _certify_worker_result(item: PlanItem, wire: object):
-    """Re-certify a worker's wire result against the parent's own request.
+    """Certify a worker's wire result against the parent's own request.
 
-    The parent built the request itself, so the trusted hypergraph is the
-    request's — the worker only contributed the decomposition claim.
     Returns a parent-side :class:`~repro.core.solve.SolveResult`, or
     ``None`` if the claim does not certify (the caller then solves the
     representative inline: a lying worker degrades to a retry, never a
     wrong answer).
     """
-    from repro.core.certify import certify_ctd, decomposition_from_payload
-    from repro.core.solve import SolveResult, constraint_object
-    from repro.runtime.budget import SolveOutcome
-
-    if not isinstance(wire, dict) or not wire.get("ok"):
-        return None
-    hypergraph = item.request.hypergraph
-    payloads = wire.get("decompositions") or []
-    outcome_dict = wire.get("outcome") or {}
-    outcome = SolveOutcome(
-        status=str(outcome_dict.get("status", "complete")),
-        work=int(outcome_dict.get("work") or 0),
-        elapsed=float(outcome_dict.get("elapsed") or 0.0),
-    )
-    decided = bool(wire.get("decided"))
-    width = wire.get("width")
-    decompositions = []
     try:
-        constraint = constraint_object(
-            item.request.constraint,
-            hypergraph,
-            int(width if width is not None else item.request.width or 1),
-        )
-        for payload in payloads:
-            ctd = decomposition_from_payload(hypergraph, payload)
-            certification = certify_ctd(
-                hypergraph,
-                ctd,
-                constraint=constraint,
-                width_claim=int(width) if width is not None else None,
-            )
-            if not certification:
-                return None
-            decompositions.append(ctd)
-    except (KeyError, TypeError, ValueError):
+        return certify_claim(item.request, wire)
+    except ValueError:
         return None
-    if decided and not decompositions:
-        return None
-    return SolveResult(
-        request=item.request,
-        decided=decided,
-        decompositions=decompositions,
-        width=int(width) if width is not None and decided else None,
-        outcome=outcome,
-    )
 
 
 def _solve_on_workers(

@@ -22,9 +22,11 @@ fresh process and a worker only carries state from successful attempts.
   descends: full solve → tighter budget → decide-only → recorded
   ``failed``.  Every result is tagged with the level that produced it.
 * **independent certification** — every result crossing the process
-  boundary is checked by the parent-side ``certifier`` (see
-  :mod:`repro.core.certify`); a result that fails is quarantined into the
-  ledger as an ``invalid_result`` failure and the attempt retried.
+  boundary is checked by the parent-side ``certifier`` against the
+  question the parent asked — the task with ``mode`` set to the mode of
+  the rung the parent ran (see :meth:`Supervisor._rejection`); a result
+  that fails is quarantined into the ledger as an ``invalid_result``
+  failure and the attempt retried.
 * **pre-launch cache probe** — an optional ``cache_lookup`` callable
   (``task -> result dict | None``, e.g.
   :class:`repro.experiments.harness.BatchSolveCache`) is consulted before
@@ -53,7 +55,6 @@ makes every containment path deterministically reproducible.
 from __future__ import annotations
 
 import importlib
-import math
 import os
 import random
 import signal
@@ -425,7 +426,8 @@ class Supervisor:
 
     ``certifier`` is a callable ``(task, result_payload) ->``
     :class:`repro.core.certify.Certification` applied to every delivered
-    result (and to ledger-cached results on resume); ``None`` disables
+    result (and to cache hits and ledger-cached results on resume), with
+    ``task["mode"]`` set to the rung's mode; ``None`` disables
     certification here, for callers that certify every result themselves
     (:func:`repro.runtime.scheduler.run_plan`) and for test harnesses.
     ``isolation`` is ``"process"`` (the default: spawned
@@ -559,6 +561,25 @@ class Supervisor:
 
     # -- result handling ---------------------------------------------------
 
+    def _rejection(
+        self, task: Dict[str, object], payload: object, level: Optional[str]
+    ) -> Optional[str]:
+        """Why ``payload`` fails as the answer of rung ``level``, or ``None``.
+
+        The certifier sees ``task["mode"]`` set to that rung's mode, so the
+        parent, never the reply, says which question was asked; ``cache``
+        and unknown levels read as the top rung.  A certifier that raises
+        rejects.
+        """
+        if self.certifier is None:
+            return None
+        rung = next((r for r in self.ladder if r.name == level), self.ladder[0])
+        try:
+            certification = self.certifier(dict(task, mode=rung.mode), payload)
+        except Exception as exc:
+            return f"certifier raised {type(exc).__name__}: {exc}"
+        return None if certification else certification.describe()
+
     def _try_cache(
         self, state: _TaskState, ledger: Optional[BatchLedger]
     ) -> Optional[TaskResult]:
@@ -571,9 +592,7 @@ class Supervisor:
         certification failure) simply falls through to a normal launch
         without recording a failure or burning an attempt.
         """
-        if self.cache_lookup is None:
-            return None
-        if state.total_attempts or state.level_index:
+        if self.cache_lookup is None or state.total_attempts or state.level_index:
             return None
         try:
             payload = self.cache_lookup(state.task)
@@ -581,13 +600,8 @@ class Supervisor:
             return None
         if not isinstance(payload, dict) or payload.get("ok") is not True:
             return None
-        if self.certifier is not None:
-            try:
-                certification = self.certifier(state.task, payload)
-            except Exception:
-                return None
-            if not certification:
-                return None
+        if self._rejection(state.task, payload, "cache") is not None:
+            return None
         return TaskResult(
             task=state.task,
             fingerprint=state.fingerprint,
@@ -642,28 +656,21 @@ class Supervisor:
                 ),
             )
             return None
-        if self.certifier is not None:
-            try:
-                certification = self.certifier(state.task, payload)
-            except Exception as exc:
-                certification = None
-                detail = f"certifier raised {type(exc).__name__}: {exc}"
-            else:
-                detail = certification.describe() if not certification else None
-            if certification is None or not certification.ok:
-                self._record_failure(
-                    state,
-                    ledger,
-                    TaskFailure(
-                        FAILURE_INVALID_RESULT,
-                        f"result failed certification: {detail}",
-                        fingerprint=state.fingerprint,
-                        level=level.name,
-                        attempt=state.total_attempts + 1,
-                        detail=detail,
-                    ),
-                )
-                return None
+        detail = self._rejection(state.task, payload, level.name)
+        if detail is not None:
+            self._record_failure(
+                state,
+                ledger,
+                TaskFailure(
+                    FAILURE_INVALID_RESULT,
+                    f"result failed certification: {detail}",
+                    fingerprint=state.fingerprint,
+                    level=level.name,
+                    attempt=state.total_attempts + 1,
+                    detail=detail,
+                ),
+            )
+            return None
         state.total_attempts += 1
         return TaskResult(
             task=state.task,
@@ -804,13 +811,12 @@ class Supervisor:
         self,
         tasks: Sequence[Mapping[str, object]],
         ledger: Optional[BatchLedger] = None,
-        resume: bool = True,
     ) -> BatchReport:
         """Run ``tasks`` to terminal outcomes; never raises for task failures.
 
         With a ``ledger``, terminal outcomes are journaled as they land and
-        ``resume=True`` (the default) reuses recorded ``ok`` results
-        instead of re-running their tasks.
+        recorded ``ok`` results are reused (re-certified) instead of
+        re-running their tasks.
         """
         self._interrupt_requested = False
         results: Dict[str, TaskResult] = {}
@@ -818,7 +824,7 @@ class Supervisor:
         states: List[_TaskState] = []
         completed: Dict[str, Dict[str, object]] = {}
         torn_tail = False
-        if ledger is not None and resume and ledger.exists():
+        if ledger is not None and ledger.exists():
             _, torn_tail = ledger.records()
             completed = ledger.completed()
         for task in tasks:
@@ -832,25 +838,23 @@ class Supervisor:
             record = completed.get(fingerprint)
             if record is not None:
                 cached = TaskResult.from_record(record, cached=True)
-                if self.certifier is not None and cached.result is not None:
-                    certification = self.certifier(task, cached.result)
-                    if not certification:
-                        # The ledger lied (bit rot, version skew): quarantine
-                        # the record and re-run the task.
-                        ledger.append(
-                            {
-                                "type": "quarantine",
-                                "fingerprint": fingerprint,
-                                "attempt": 0,
-                                "level": cached.level,
-                                "reason": "ledger result failed re-certification: "
-                                + certification.describe(),
-                            }
-                        )
-                        states.append(_TaskState(task, fingerprint, len(order)))
-                        continue
-                results[fingerprint] = cached
-                continue
+                detail = None
+                if cached.result is not None:
+                    detail = self._rejection(task, cached.result, cached.level)
+                if detail is None:
+                    results[fingerprint] = cached
+                    continue
+                # The ledger lied (bit rot, version skew): quarantine the
+                # record and re-run the task.
+                ledger.append(
+                    {
+                        "type": "quarantine",
+                        "fingerprint": fingerprint,
+                        "attempt": 0,
+                        "level": cached.level,
+                        "reason": f"ledger result failed re-certification: {detail}",
+                    }
+                )
             states.append(_TaskState(task, fingerprint, len(order)))
 
         previous_handlers = self._install_signal_handlers()

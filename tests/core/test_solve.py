@@ -19,6 +19,7 @@ from repro.core.cache import DecompositionCache
 from repro.core.solve import (
     DATA_PREFERENCES,
     SolveRequest,
+    certify_claim,
     execute,
     lookup,
 )
@@ -350,6 +351,69 @@ class TestCacheTrust:
         result = execute(request, cache=store)
         assert result.decided
         assert store.stats.rejected == 1
+
+    def test_record_at_another_width_is_rejected(self, c5, tmp_path):
+        # A genuine width-2 record of C5 stored under the width-1 kind: its
+        # CTD certifies at the width it names, but the request asks whether
+        # shw <= 1, and C5 has no such CTD.
+        from repro.hypergraph.canonical import canonical_form
+
+        store = DecompositionCache(str(tmp_path))
+        wide = SolveRequest(hypergraph=c5, width=2)
+        assert execute(wide, cache=store).cache_status == "stored"
+        fingerprint = canonical_form(c5).fingerprint
+        narrow = SolveRequest(hypergraph=c5, width=1)
+        record = store.get(fingerprint, wide.cache_kind())
+        path = store.put(fingerprint, narrow.cache_kind(), record)
+        result = execute(narrow, cache=store)
+        assert result.decided is False and result.cache_status == "miss"
+        assert store.stats.rejected == 1
+        assert not os.path.exists(path)
+        assert any(p.endswith(".corrupt") for p in store.quarantined())
+
+
+class TestCertifyClaim:
+    """The claim rules beyond the CTD certificate itself."""
+
+    def claim(self, c5, **fields):
+        wire = execute(SolveRequest(hypergraph=c5, width=2), cache=None).to_payload()
+        return dict(wire, **fields)
+
+    def test_honest_claim_is_served(self, c5):
+        result = certify_claim(SolveRequest(hypergraph=c5, width=2), self.claim(c5))
+        assert result.decided and result.width == 2 and len(result.decompositions) == 1
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"decided": False},  # says no while carrying a CTD
+            {"decompositions": [], "decomposition": None},  # says yes, shows none
+            {"outcome": {"status": "bogus"}},
+            {"width": None},
+            "not a dict",
+        ],
+        ids=["no-with-ctd", "yes-without-ctd", "bad-status", "no-width", "not-a-dict"],
+    )
+    def test_inconsistent_claims_are_rejected(self, c5, fields):
+        claim = fields if isinstance(fields, str) else self.claim(c5, **fields)
+        with pytest.raises(ValueError):
+            certify_claim(SolveRequest(hypergraph=c5, width=2), claim)
+
+    @pytest.mark.parametrize("status", ["complete", "deadline"])
+    def test_negative_claim_needs_a_complete_search(self, c5, status):
+        request = SolveRequest(hypergraph=c5, width=1)
+        negative = {
+            "decided": False,
+            "width": 1,
+            "decompositions": [],
+            "decomposition": None,
+            "outcome": {"status": status},
+        }
+        if status == "complete":
+            assert certify_claim(request, negative).decided is False
+        else:
+            with pytest.raises(ValueError, match="incomplete"):
+                certify_claim(request, negative)
 
 
 class TestLookup:

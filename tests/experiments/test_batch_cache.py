@@ -10,6 +10,8 @@ satisfies a supervised task without any worker at all.
 import pytest
 
 from repro.core.cache import DecompositionCache
+from repro.core.certify import certify_ctd, decomposition_to_payload
+from repro.core.constraints import ConnectedCoverConstraint
 from repro.core.solve import SolveRequest, execute
 from repro.experiments.harness import (
     BatchCertifier,
@@ -18,7 +20,8 @@ from repro.experiments.harness import (
     benchmark_data_key,
     execute_batch_task,
 )
-from repro.runtime.supervisor import RetryPolicy, Supervisor
+from repro.runtime.checkpoint import BatchLedger
+from repro.runtime.supervisor import DegradationLevel, RetryPolicy, Supervisor
 from repro.workloads.registry import benchmark_query
 
 QUERY = "q_hto"
@@ -27,6 +30,36 @@ SCALE = 0.3
 
 def forbidden_runner(payload):
     raise AssertionError("the supervisor must not spawn a worker for this task")
+
+
+def non_concov_payload(request):
+    """A width-``k`` CTD of the request's hypergraph that is not ConCov."""
+    plain = SolveRequest(
+        hypergraph=request.hypergraph, mode="enumerate", width=request.width, limit=50
+    )
+    constraint = ConnectedCoverConstraint(request.hypergraph, request.width)
+    for ctd in execute(plain, cache=None).decompositions:
+        if not certify_ctd(request.hypergraph, ctd, constraint=constraint):
+            return decomposition_to_payload(ctd)
+    raise AssertionError("every enumerated CTD is ConCov")
+
+
+def forged_runner(payload):
+    """A worker that answers every rung with a non-ConCov CTD and labels
+    the reply ``decide``, the rung whose question drops ConCov."""
+    request = SolveRequest.from_payload(payload["request"])
+    forged = non_concov_payload(request)
+    return {
+        "ok": True,
+        "query": payload["query"],
+        "mode": "decide",
+        "level": payload["level"],
+        "width": request.width,
+        "decided": True,
+        "decomposition": forged,
+        "decompositions": [forged],
+        "outcome": {"status": "complete", "work": 0, "elapsed": 0.0},
+    }
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +152,62 @@ class TestBatchCertifier:
         certification = BatchCertifier()(
             {**spec, "request": {"oops": 1}}, {"ok": True}
         )
+        assert not certification
+        assert any("malformed" in reason for reason in certification.violations)
+
+    def test_decomposition_must_be_the_first_entry(self, spec):
+        wire = execute_batch_task(dict(spec, mode="ranked", level="full"))
+        assert BatchCertifier()(spec, wire)
+        request = SolveRequest.from_payload(spec["request"])
+        forged = dict(wire, decompositions=[non_concov_payload(request)])
+        certification = BatchCertifier()(spec, forged)
+        assert not certification
+        assert any("first" in reason for reason in certification.violations)
+
+    def test_the_reply_cannot_choose_its_rung(self, spec):
+        supervisor = Supervisor(
+            task_runner="tests.experiments.test_batch_cache:forged_runner",
+            isolation="inline",
+            retry=RetryPolicy(max_attempts=1, base_delay=0.01, jitter=0.0),
+            certifier=BatchCertifier(),
+        )
+        (result,) = supervisor.run([spec]).results
+        # The full and tight rungs asked for a ConCov CTD, whatever the
+        # reply says; only the decide rung asked the question it answers.
+        assert [(f["kind"], f["level"]) for f in result.failures] == [
+            ("invalid_result", "full"),
+            ("invalid_result", "tight"),
+        ]
+        assert result.status == "ok" and result.level == "decide"
+
+    def test_ledger_record_is_certified_as_its_recorded_rung(self, spec, tmp_path):
+        # Recorded at a rung named "full" that asked the decide question;
+        # under the default ladder "full" asks for ConCov, so on resume the
+        # record is quarantined and the task re-runs down to "decide".
+        path = str(tmp_path / "ledger.jsonl")
+        options = dict(
+            task_runner="tests.experiments.test_batch_cache:forged_runner",
+            isolation="inline",
+            retry=RetryPolicy(max_attempts=1, base_delay=0.01, jitter=0.0),
+            certifier=BatchCertifier(),
+        )
+        lenient = (DegradationLevel("full", mode="decide"),)
+        (first,) = Supervisor(ladder=lenient, **options).run(
+            [spec], ledger=BatchLedger(path)
+        ).results
+        assert first.level == "full"
+        (resumed,) = Supervisor(**options).run(
+            [spec], ledger=BatchLedger(path)
+        ).results
+        assert not resumed.cached and resumed.level == "decide"
+        recorded, *attempts = BatchLedger(path).quarantined()
+        assert recorded["attempt"] == 0 and "re-certification" in recorded["reason"]
+        assert [q["level"] for q in attempts] == ["full", "tight"]
+
+    def test_task_without_request_is_rejected(self, spec):
+        wire = execute_batch_task(dict(spec, mode="ranked", level="full"))
+        bare = {k: v for k, v in spec.items() if k != "request"}
+        certification = BatchCertifier()(bare, wire)
         assert not certification
         assert any("malformed" in reason for reason in certification.violations)
 

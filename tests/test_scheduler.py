@@ -18,6 +18,7 @@ from repro.cli import main
 from repro.core.certify import certify_ctd, decomposition_from_payload
 from repro.core.solve import SolveRequest, constraint_object, execute
 from repro.hypergraph.hypergraph import Edge, Hypergraph
+from repro.hypergraph.library import cycle_hypergraph
 from repro.runtime import scheduler
 from repro.runtime.scheduler import BatchSolvePlan, run_plan
 from repro.workloads.registry import benchmark_queries
@@ -215,6 +216,37 @@ def test_crashed_and_hung_representative_is_solved_inline():
     assert report.counters["solve_errors"] == 1
     assert report.counters["solves"] == report.counters["groups"] == 2
     assert multiprocessing.active_children() == []
+
+
+def _plan_item(task):
+    (item,) = BatchSolvePlan.from_tasks([task]).items
+    return item
+
+
+def test_worker_reply_at_another_width_is_rejected():
+    """A width-2 CTD of C5 certifies at width 2, but it is no answer to a
+    width-1 request: the request's width is the claim, not the reply's."""
+    c5 = cycle_hypergraph(5)
+    narrow = SolveRequest(hypergraph=c5, width=1, label="c5")
+    item = _plan_item({"kind": "solve", "query": "c5", "request": narrow.to_payload()})
+    wire = execute(SolveRequest(hypergraph=c5, width=2), cache=None).to_payload()
+    assert wire["decided"] and wire["width"] == 2
+    assert scheduler._certify_worker_result(item, wire) is None
+    wide = SolveRequest(hypergraph=c5, width=2, label="c5")
+    item = _plan_item({"kind": "solve", "query": "c5", "request": wide.to_payload()})
+    assert scheduler._certify_worker_result(item, wire).decided
+
+
+def test_reply_whose_decomposition_is_not_its_first_entry_is_rejected():
+    """``decomposition`` is what the ledger and its readers use, so it must
+    be the first certified entry, not a field nobody checked."""
+    item = _plan_item(_batch_tasks()[0])
+    wire = execute(item.request, cache=None).to_payload()
+    first, second = wire["decompositions"]
+    assert first != second
+    assert scheduler._certify_worker_result(item, wire) is not None
+    forged = dict(wire, decomposition=second)
+    assert scheduler._certify_worker_result(item, forged) is None
 
 
 def test_throughput_verb_reports_fanout():
