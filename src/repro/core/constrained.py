@@ -24,7 +24,13 @@ The blocks are resolved on demand, top-down from the root block:
   :class:`~repro.core.preferences.NoPreference`, where every key ties, the
   block stops at its first compliant fragment.  Constraint checks and
   preference keys are evaluated once per distinct fragment
-  (:class:`repro.core.options.FragmentEvaluator`).
+  (:class:`repro.core.options.FragmentEvaluator`);
+* once a block has a best fragment, a probe whose
+  :meth:`~repro.core.preferences.Preference.probe_bound` — from its bag
+  and the keys of its already resolved subs — is ≥ the best key is
+  skipped before any more of its sub-blocks are resolved.  It could only
+  tie, and a tie never replaces the kept fragment, so the answer is the
+  unbounded one.
 
 A sub-block is strictly smaller than the blocks that use it in the order of
 :meth:`~repro.core.blocks.BlockIndex.topological_order` (its union or its
@@ -56,7 +62,7 @@ from repro.hypergraph.hypergraph import Hypergraph, Vertex
 from repro.decompositions.td import TreeDecomposition
 from repro.core.blocks import Bag, Block
 from repro.core.constraints import SubtreeConstraint
-from repro.core.fragments import Fragment, make_fragment
+from repro.core.fragments import Fragment, fragment_sort_key, make_fragment
 from repro.core.options import _REJECTED, SolverCore
 from repro.core.preferences import NoPreference, Preference
 from repro.runtime.budget import Budget, BudgetExceeded, SolveOutcome, completed_outcome
@@ -163,6 +169,7 @@ class ConstrainedCTDSolver:
         # Every key ties under NoPreference: the first compliant fragment
         # is the least-key one.
         first_wins = type(self.preference) is NoPreference
+        probe_bound = self.preference.probe_bound
         budget = self.budget
         # Ticks are flushed in batches: the per-probe cost is one local
         # increment, and flushing at most ``check_interval`` units per tick
@@ -196,6 +203,13 @@ class ConstrainedCTDSolver:
                             elif not satisfied[sub]:
                                 failed = True
                                 break
+                        if not failed and fragment is not None:
+                            # A probe that cannot beat the best key is
+                            # skipped before any more of its subs resolve.
+                            bound = probe_bound(
+                                None, candidate_bags[cand_id], self._child_keys(live_subs)
+                            )
+                            failed = bound is not None and bound >= key
                         if failed:
                             pending = -1
                         elif pending >= 0:
@@ -235,6 +249,26 @@ class ConstrainedCTDSolver:
                     best_key[block_id] = key
                     best_fragment[block_id] = fragment
                     satisfied[block_id] = 1
+
+    def _child_keys(self, live_subs) -> list:
+        """``probe_bound``'s child keys: the resolved subs' best keys, then
+        ``None`` for each unresolved sub.
+
+        Integer keys sum exactly in any order; other keys are listed in the
+        canonical order their fragments compose in, so a float sum cannot
+        round above the composed key.
+        """
+        resolved = self._resolved
+        best_key = self._best_key
+        keys = [best_key[sub] for sub in live_subs if resolved[sub]]
+        if len(keys) > 1 and type(keys[0]) is not int:
+            best_fragment = self._best_fragment
+            known = sorted(
+                (sub for sub in live_subs if resolved[sub]),
+                key=lambda sub: fragment_sort_key(best_fragment[sub]),
+            )
+            keys = [best_key[sub] for sub in known]
+        return keys + [None] * (len(live_subs) - len(keys))
 
     # -- public API ----------------------------------------------------------------------
 

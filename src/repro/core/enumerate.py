@@ -28,6 +28,12 @@ shared :class:`repro.core.options.SolverCore`:
   parent's bag.  This is what keeps Equation (6) costs exact: two subtrees
   with equal cost but different root bags contribute differently to the
   parent through the parent→child edge term;
+* a probe's stream is opened only when it can win: the merged stream
+  holds a placeholder per probe at the probe's
+  :meth:`~repro.core.preferences.Preference.probe_bound` (tie: the bag's
+  :func:`~repro.core.fragments.bag_sort_key`, a strict prefix of every
+  option tie of that probe) and opens the stream when the placeholder is
+  popped.  A probe without a bound opens eagerly;
 * the root block's merged stream (ranked by the fragments' own keys) yields
   the final decompositions, deduplicated by canonical form.
 
@@ -62,6 +68,7 @@ from repro.core.blocks import Bag
 from repro.core.constraints import SubtreeConstraint
 from repro.core.fragments import (
     Fragment,
+    bag_sort_key,
     fragment_sort_key,
     fragment_to_decomposition,
     make_fragment,
@@ -144,6 +151,13 @@ class _MergedStream:
     stream is already sorted consistently with any parent's contribution
     order (rank is a strictly monotone function of the key for a fixed root
     bag), so a heap of per-probe cursors yields the exact merged order.
+
+    A probe with a :meth:`~repro.core.preferences.Preference.probe_bound`
+    enters the heap as a placeholder ``(bound, (bag_sort_key(bag),), probe,
+    -1)`` and its stream is opened only when the placeholder is popped.  The
+    bound is at most every option's rank and the placeholder's tie is a
+    strict prefix of every option's tie, so the placeholder sorts before all
+    of its probe's options and the emission order is exact.
     """
 
     def __init__(self, enumerator: "CTDEnumerator", block_id: int, parent_bag):
@@ -158,6 +172,13 @@ class _MergedStream:
             self._parent_bag, entry[2]
         )
 
+    def _push(self, probe_idx: int, position: int) -> None:
+        """Push the probe's ``position``-th option, if it has one."""
+        stream = self._enumerator._probe_stream(self._block_id, probe_idx)
+        entry = stream.get(position)
+        if entry is not None:
+            heappush(self._heap, (self._rank(entry), entry[1], probe_idx, position))
+
     def _initialise(self) -> None:
         self._heap = []
         enumerator = self._enumerator
@@ -166,12 +187,16 @@ class _MergedStream:
         budget = enumerator.core.budget
         if budget is not None:
             budget.tick()
+        probe_bound = enumerator.core.preference.probe_bound
+        candidate_bags = enumerator.index.candidate_bags
         probes = enumerator.index.candidate_probes(self._block_id)
-        for probe_idx in range(len(probes)):
-            stream = self._enumerator._probe_stream(self._block_id, probe_idx)
-            entry = stream.get(0)
-            if entry is not None:
-                heappush(self._heap, (self._rank(entry), entry[1], probe_idx, 0))
+        for probe_idx, (cand_id, live_subs) in enumerate(probes):
+            bag = candidate_bags[cand_id]
+            bound = probe_bound(self._parent_bag, bag, [None] * len(live_subs))
+            if bound is None:
+                self._push(probe_idx, 0)
+            else:
+                heappush(self._heap, (bound, (bag_sort_key(bag),), probe_idx, -1))
 
     def get(self, i: int) -> Optional[_Entry]:
         """The ``i``-th option over all probes, or ``None`` if fewer exist."""
@@ -180,14 +205,10 @@ class _MergedStream:
         entries = self._entries
         while len(entries) <= i and self._heap:
             _, _, probe_idx, position = heappop(self._heap)
-            stream = self._enumerator._probe_stream(self._block_id, probe_idx)
-            entries.append(stream.get(position))
-            advanced = stream.get(position + 1)
-            if advanced is not None:
-                heappush(
-                    self._heap,
-                    (self._rank(advanced), advanced[1], probe_idx, position + 1),
-                )
+            if position >= 0:
+                stream = self._enumerator._probe_stream(self._block_id, probe_idx)
+                entries.append(stream.get(position))
+            self._push(probe_idx, position + 1)
         return entries[i] if i < len(entries) else None
 
 

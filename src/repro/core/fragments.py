@@ -43,6 +43,16 @@ _sort_key_cache: dict = {}
 _SORT_KEY_CACHE_BOUND = 1 << 16
 
 
+def bag_sort_key(bag: Bag) -> Tuple[str, ...]:
+    """The root-bag component of :func:`fragment_sort_key`.
+
+    ``(bag_sort_key(bag),)`` is a strict prefix of the sort key of every
+    fragment rooted at ``bag``, so it sorts before all of them — the lazy
+    enumerator's per-probe placeholder relies on this.
+    """
+    return tuple(sorted(map(str, bag)))
+
+
 def fragment_sort_key(fragment: Fragment) -> Tuple:
     """A deterministic total order on fragments (used to canonicalise children).
 
@@ -54,7 +64,7 @@ def fragment_sort_key(fragment: Fragment) -> Tuple:
     if key is None:
         bag, children = fragment
         key = (
-            tuple(sorted(map(str, bag))),
+            bag_sort_key(bag),
             tuple(fragment_sort_key(child) for child in children),
         )
         if len(_sort_key_cache) >= _SORT_KEY_CACHE_BOUND:

@@ -62,11 +62,40 @@ fragment-memoised) exact path.
 ``child_rank_key(parent_bag, state)`` defaults to ``state_key(state)``; the
 Equation (6) cost overrides it to fold the parent→child edge term in, which
 is what makes its per-root child streams parent-sortable.
+
+Probe bounds
+------------
+
+Algorithm 2 and the lazy enumerator are best-first searches over probes
+``(bag, live sub-blocks)``.  :meth:`Preference.probe_bound` lets them skip
+or defer a probe before resolving its sub-blocks: a lower bound on
+``child_rank_key(parent_bag, state)`` of *every* fragment rooted at ``bag``
+(``parent_bag is None`` bounds the fragment's own key).  ``child_keys`` has
+one entry per live sub-block — its least key if the caller knows it, else
+``None`` — and the known keys come first.  Unless they are integers (whose
+sums do not depend on the order), they come in the canonical child order in
+which :meth:`fragment_state` would fold them, so a bound that folds them left
+to right over non-negative floats cannot round above the composed key.
+
+* The bound must be *sound*: never above the key (or rank) of a fragment
+  whose children have at least the given keys.  An unsound bound silently
+  loses optima — Algorithm 2 skips a probe whose bound is ≥ the block's best
+  key, and the enumerator opens a probe's stream only when a placeholder at
+  the bound is the least entry of its merged heap.
+* It must be comparable with the keys: a tuple for lexicographic keys, never
+  ``-inf`` (which does not compare with tuples).  ``None``, the default,
+  means "no bound": the probe is examined and opened as if it could win.
+
+The bounds here are ``0`` (:class:`NoPreference`), ``1 + Σ(key, or 1 for an
+unknown sub)`` (:class:`NodeCountPreference`), ``node_cost(bag) + Σ known keys
+(+ edge_cost(parent_bag, bag))`` (:class:`MonotoneCostPreference`, whose node
+and edge costs must be ≥ 0), and the tuple of the component bounds
+(:class:`LexicographicPreference`, ``None`` if any component has none).
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.decompositions.td import TreeDecomposition
@@ -87,6 +116,9 @@ class Preference:
     * ``order_monotone = True`` (requires ``monotone``) certifies the
       strictness contract below — the any-k enumerator may then stream
       options lazily best-first instead of building full option tables.
+
+    Overriding :meth:`probe_bound` (see "Probe bounds" in the module
+    docstring) lets Algorithm 2 skip and the enumerator defer probes.
     """
 
     #: Contract (``monotone = True``): for partial decompositions rooted at
@@ -164,6 +196,18 @@ class Preference:
         """
         return self.state_key(state)
 
+    # -- probe bounds (optional; see "Probe bounds" above) ---------------------
+
+    def probe_bound(self, parent_bag, bag, child_keys: Sequence):
+        """A lower bound on ``child_rank_key(parent_bag, ·)`` at root ``bag``.
+
+        Bounds every fragment rooted at ``bag`` whose live sub-blocks have
+        least keys ``child_keys`` (``None`` where unknown); with
+        ``parent_bag is None`` it bounds the fragment's own key.  Returns
+        ``None`` — no bound — by default.
+        """
+        return None
+
 
 class NoPreference(Preference):
     """All decompositions are equally preferred."""
@@ -176,6 +220,9 @@ class NoPreference(Preference):
         return 0
 
     def fragment_state(self, bag, child_states: Sequence):
+        return 0
+
+    def probe_bound(self, parent_bag, bag, child_keys: Sequence) -> int:
         return 0
 
 
@@ -210,6 +257,11 @@ class MonotoneCostPreference(CostPreference):
     contributions plus terms the children do not touch, so
     :meth:`child_rank_key` folds the edge term in and same-rooted options
     rank consistently (equal subtree costs give equal contributions).
+
+    Contract: ``node_cost`` and ``edge_cost`` are ≥ 0.  :meth:`probe_bound`
+    relies on it — a fragment costs at least its root's node cost plus its
+    known children's costs.  The Equation (6) estimate cost meets it: Eq. 5
+    plan estimates are ≥ 0 and the semijoin term is clamped to ≥ 1.
     """
 
     monotone = True
@@ -251,6 +303,17 @@ class MonotoneCostPreference(CostPreference):
             return child_cost
         return child_cost + self.edge_cost(parent_bag, child_bag)
 
+    def probe_bound(self, parent_bag, bag, child_keys: Sequence) -> float:
+        # Left to right like fragment_state: with non-negative terms each
+        # partial sum rounds no higher than the composed one.
+        total = self.node_cost(bag)
+        for child_key in child_keys:
+            if child_key is not None:
+                total += child_key
+        if parent_bag is None:
+            return total
+        return total + self.edge_cost(parent_bag, bag)
+
 
 class NodeCountPreference(Preference):
     """Prefer decompositions with fewer nodes (a simple tie-breaker)."""
@@ -263,6 +326,9 @@ class NodeCountPreference(Preference):
 
     def fragment_state(self, bag, child_states: Sequence) -> int:
         return 1 + sum(child_states)
+
+    def probe_bound(self, parent_bag, bag, child_keys: Sequence) -> int:
+        return 1 + sum(1 if key is None else key for key in child_keys)
 
 
 class MaxBagSizePreference(Preference):
@@ -351,3 +417,16 @@ class LexicographicPreference(Preference):
             p.child_rank_key(parent_bag, s)
             for p, s in zip(self.preferences, state)
         )
+
+    def probe_bound(self, parent_bag, bag, child_keys: Sequence) -> Optional[Tuple]:
+        # Componentwise ≤ implies lexicographic ≤, so the tuple of sound
+        # component bounds is sound.
+        bounds = []
+        for i, p in enumerate(self.preferences):
+            bound = p.probe_bound(
+                parent_bag, bag, [None if key is None else key[i] for key in child_keys]
+            )
+            if bound is None:
+                return None
+            bounds.append(bound)
+        return tuple(bounds)

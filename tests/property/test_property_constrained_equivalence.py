@@ -24,6 +24,7 @@ from repro.core.preferences import (
     MaxBagSizePreference,
     MonotoneCostPreference,
     NodeCountPreference,
+    NoPreference,
     ShallowCyclicityPreference,
 )
 from repro.core.reference import reference_constrained_ctd
@@ -39,6 +40,18 @@ SETTINGS = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+#: ``none``, ``nodecount``, ``cost`` and ``lexicographic-bounded`` have probe
+#: bounds (:meth:`repro.core.preferences.Preference.probe_bound`), so they
+#: exercise the bounded search; ``bag-size`` and ``lexicographic`` do not.
+PREFERENCE_KINDS = [
+    "none",
+    "nodecount",
+    "cost",
+    "bag-size",
+    "lexicographic",
+    "lexicographic-bounded",
+]
 
 
 def synthetic_cost_preference():
@@ -62,6 +75,10 @@ def make_constraint(kind, hypergraph):
 
 
 def make_preference(kind, hypergraph):
+    if kind == "none":
+        return NoPreference()
+    if kind == "nodecount":
+        return NodeCountPreference()
     if kind == "cost":
         return synthetic_cost_preference()
     if kind == "bag-size":
@@ -69,6 +86,11 @@ def make_preference(kind, hypergraph):
     if kind == "lexicographic":
         return LexicographicPreference(
             [MaxBagSizePreference(), NodeCountPreference()]
+        )
+    if kind == "lexicographic-bounded":
+        # Every component has a probe bound, so the tuple bound is live.
+        return LexicographicPreference(
+            [NodeCountPreference(), synthetic_cost_preference()]
         )
     if kind == "shallow":
         return ShallowCyclicityPreference(hypergraph)
@@ -100,7 +122,7 @@ def assert_equivalent(hypergraph, constraint_kind, preference_kind):
 
 class TestConstrainedEquivalence:
     @pytest.mark.parametrize("constraint_kind", ["none", "concov", "shallow"])
-    @pytest.mark.parametrize("preference_kind", ["cost", "bag-size", "lexicographic"])
+    @pytest.mark.parametrize("preference_kind", PREFERENCE_KINDS)
     def test_grid_on_random_hypergraphs(self, constraint_kind, preference_kind):
         @SETTINGS
         @given(small_hypergraphs(max_vertices=6, max_edges=6))
@@ -153,3 +175,19 @@ class TestConstrainedEquivalence:
         # Float costs: the two solvers may sum children in different orders.
         reference_key = preference.key(reference)
         assert solver.optimal_key() == pytest.approx(reference_key, rel=1e-6, abs=1e-6)
+
+
+def test_an_inflated_node_count_bound_is_caught(monkeypatch):
+    # A bound one above the least key is unsound: it makes Algorithm 2 skip
+    # a probe that would win.
+    bound = NodeCountPreference.probe_bound
+    monkeypatch.setattr(
+        NodeCountPreference,
+        "probe_bound",
+        lambda self, parent_bag, bag, child_keys: bound(
+            self, parent_bag, bag, child_keys
+        )
+        + 1,
+    )
+    with pytest.raises(AssertionError):
+        assert_equivalent(cycle_hypergraph(5), "none", "nodecount")

@@ -25,9 +25,11 @@ from repro.core.preferences import (
     MaxBagSizePreference,
     MonotoneCostPreference,
     NodeCountPreference,
+    NoPreference,
 )
 from repro.core.reference import reference_enumerate_ctds
 from repro.db.cost import EstimateCostModel
+from repro.hypergraph.library import cycle_hypergraph
 from repro.workloads.registry import benchmark_queries, benchmark_query
 
 from tests.property.test_property_invariants import small_hypergraphs
@@ -40,6 +42,18 @@ SETTINGS = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+#: ``none``, ``nodecount``, ``cost`` and ``lexicographic-bounded`` have probe
+#: bounds (:meth:`repro.core.preferences.Preference.probe_bound`), so they
+#: exercise the bounded search; ``bag-size`` and ``lexicographic`` do not.
+PREFERENCE_KINDS = [
+    "none",
+    "nodecount",
+    "cost",
+    "bag-size",
+    "lexicographic",
+    "lexicographic-bounded",
+]
 
 
 def synthetic_cost_preference():
@@ -63,6 +77,10 @@ def make_constraint(kind, hypergraph):
 
 
 def make_preference(kind):
+    if kind == "none":
+        return NoPreference()
+    if kind == "nodecount":
+        return NodeCountPreference()
     if kind == "cost":
         return synthetic_cost_preference()
     if kind == "bag-size":
@@ -70,6 +88,11 @@ def make_preference(kind):
     if kind == "lexicographic":
         return LexicographicPreference(
             [MaxBagSizePreference(), NodeCountPreference()]
+        )
+    if kind == "lexicographic-bounded":
+        # Every component has a probe bound, so the tuple bound is live.
+        return LexicographicPreference(
+            [NodeCountPreference(), synthetic_cost_preference()]
         )
     raise ValueError(kind)
 
@@ -101,7 +124,7 @@ def assert_same_ranked_enumeration(hypergraph, constraint_kind, preference_kind)
 
 class TestEnumerateEquivalence:
     @pytest.mark.parametrize("constraint_kind", ["none", "concov", "shallow"])
-    @pytest.mark.parametrize("preference_kind", ["cost", "bag-size", "lexicographic"])
+    @pytest.mark.parametrize("preference_kind", PREFERENCE_KINDS)
     def test_grid_on_random_hypergraphs(self, constraint_kind, preference_kind):
         @SETTINGS
         @given(small_hypergraphs(max_vertices=5, max_edges=5))
@@ -163,3 +186,19 @@ class TestEnumerateEquivalence:
         assert [d.canonical_form() for d in narrow] == [
             d.canonical_form() for d in wide[:3]
         ]
+
+
+def test_an_inflated_node_count_bound_is_caught(monkeypatch):
+    # A bound one above the least key is unsound: it makes the enumerator
+    # open a probe late.
+    bound = NodeCountPreference.probe_bound
+    monkeypatch.setattr(
+        NodeCountPreference,
+        "probe_bound",
+        lambda self, parent_bag, bag, child_keys: bound(
+            self, parent_bag, bag, child_keys
+        )
+        + 1,
+    )
+    with pytest.raises(AssertionError):
+        assert_same_ranked_enumeration(cycle_hypergraph(5), "none", "nodecount")
