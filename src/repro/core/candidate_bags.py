@@ -327,14 +327,7 @@ def filter_bags_by_cover(
     connected filter implements the bag-level part of the ConCov constraint
     and is what the experiments use to report ``|ConCov-Soft_{H,k}|``.
     """
-    from repro.core.covers import has_connected_cover, minimum_edge_cover
+    from repro.core.covers import has_connected_cover, has_cover
 
-    result: Set[Bag] = set()
-    for bag in bags:
-        if connected:
-            if has_connected_cover(hypergraph, bag, k):
-                result.add(bag)
-        else:
-            if minimum_edge_cover(hypergraph, bag, upper_bound=k) is not None:
-                result.add(bag)
-    return result
+    covered = has_connected_cover if connected else has_cover
+    return {bag for bag in bags if covered(hypergraph, bag, k)}

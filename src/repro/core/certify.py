@@ -17,12 +17,18 @@ Checked properties:
 3. **connectedness** (running intersection) — for every vertex, the nodes
    whose bags contain it form one non-empty connected subtree;
 4. **constraint satisfaction** — ``constraint.holds_recursively`` when a
-   constraint is claimed;
+   constraint is claimed.  ConCov is bag-local, so for it this is one
+   connected-cover test per bag on the hypergraph's cover kernel
+   (:meth:`~repro.hypergraph.bitset.HypergraphBitsets.has_connected_cover`),
+   not a subtree copy per node;
 5. **claimed width** — every bag has an edge cover of size at most
-   ``width_claim``.  For soft decompositions this is the Theorem 2
-   necessary condition (every bag of a width-``k`` soft decomposition is
-   covered by ≤ k edges); full ``Soft_{H,k}`` membership would require
-   regenerating the candidate-bag set and is a solve, not a check.
+   ``width_claim``, decided by
+   :meth:`~repro.hypergraph.bitset.HypergraphBitsets.has_cover` on the bag
+   masks step 1 built (a bag naming an unknown vertex has no cover).  For
+   soft decompositions this is the Theorem 2 necessary condition (every
+   bag of a width-``k`` soft decomposition is covered by ≤ k edges); full
+   ``Soft_{H,k}`` membership would require regenerating the candidate-bag
+   set and is a solve, not a check.
 
 The module also owns the process-boundary wire format for decompositions
 (:func:`decomposition_to_payload` / :func:`decomposition_from_payload`):
@@ -34,7 +40,7 @@ reconstructed — then certified — on the trusted side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.decompositions.td import TreeDecomposition
@@ -89,6 +95,8 @@ def certify_ctd(
         return Certification(False, ("decomposition tree has no root",))
     nodes = ctd.tree.nodes()
     bag_masks: Dict[int, int] = {}
+    # Nodes whose bag names a vertex the hypergraph lacks: no cover exists.
+    foreign: Set[int] = set()
     for node in nodes:
         bag = node.data.get("bag")
         if bag is None:
@@ -101,6 +109,7 @@ def certify_ctd(
                 violations.append(
                     f"node {node.node_id} bag contains unknown vertex {vertex!r}"
                 )
+                foreign.add(node.node_id)
             else:
                 mask |= 1 << indexer.bit(vertex)
         bag_masks[node.node_id] = mask
@@ -151,13 +160,14 @@ def certify_ctd(
     # 5. Claimed width: every bag has an edge cover of size <= width_claim
     # (Theorem 2's necessary condition for soft width-k).
     if width_claim is not None:
-        from repro.core.covers import enumerate_covers
-
+        has_cover = hypergraph.bitsets.has_cover
         for node in nodes:
             bag = node.data.get("bag")
             if not bag:
                 continue
-            if next(enumerate_covers(hypergraph, frozenset(bag), width_claim), None) is None:
+            if node.node_id in foreign or not has_cover(
+                bag_masks[node.node_id], width_claim
+            ):
                 violations.append(
                     f"bag {sorted(map(str, bag))} has no edge cover of size "
                     f"<= {width_claim}"

@@ -18,13 +18,12 @@ proposed in the paper are implemented here:
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.hypergraph.hypergraph import Hypergraph, Vertex
 from repro.decompositions.td import TreeDecomposition
 from repro.decompositions.tree import TreeNode
-from repro.core.covers import connected_edge_set, enumerate_covers, has_connected_cover
+from repro.core.covers import has_connected_cover, has_cover
 
 Bag = FrozenSet[Vertex]
 
@@ -114,12 +113,17 @@ class ConnectedCoverConstraint(SubtreeConstraint):
         self._cache: Dict[Bag, bool] = {}
 
     def _bag_ok(self, bag: Bag) -> bool:
-        if bag not in self._cache:
-            self._cache[bag] = has_connected_cover(self.hypergraph, bag, self.k)
-        return self._cache[bag]
+        verdict = self._cache.get(bag)
+        if verdict is None:
+            verdict = self._cache[bag] = has_connected_cover(self.hypergraph, bag, self.k)
+        return verdict
 
     def holds(self, partial_td: TreeDecomposition) -> bool:
         return all(self._bag_ok(bag) for bag in partial_td.bags())
+
+    def holds_recursively(self, td: TreeDecomposition) -> bool:
+        # Bag-local: every subtree complies iff every bag does.
+        return self.holds(td)
 
     def filter_bags(self, bags: Iterable[Bag]) -> Set[Bag]:
         return {bag for bag in bags if self._bag_ok(bag)}
@@ -169,6 +173,23 @@ class PartitionClusteringConstraint(SubtreeConstraint):
         self.k = k
         self.partitions = sorted(set(self.partition_of.values()))
         self._options_cache: Dict[Bag, FrozenSet[str]] = {}
+        self._restricted: Optional[List[Tuple[str, Hypergraph]]] = None
+
+    def _partition_hypergraphs(self) -> List[Tuple[str, Hypergraph]]:
+        """Per partition with edges in the hypergraph, its edges alone
+        (built once, so their bitset and cover tables are too)."""
+        if self._restricted is None:
+            self._restricted = []
+            for partition in self.partitions:
+                names = [
+                    name
+                    for name, label in self.partition_of.items()
+                    if label == partition and name in self.hypergraph.edge_names
+                ]
+                if names:
+                    restricted = self.hypergraph.restrict_edges(names)
+                    self._restricted.append((partition, restricted))
+        return self._restricted
 
     def _partition_options(self, bag: Bag) -> FrozenSet[str]:
         """Partitions whose edges alone can cover the bag with ≤ k edges."""
@@ -178,19 +199,8 @@ class PartitionClusteringConstraint(SubtreeConstraint):
             self._options_cache[bag] = frozenset(self.partitions)
             return self._options_cache[bag]
         options = set()
-        for partition in self.partitions:
-            names = [
-                name
-                for name, label in self.partition_of.items()
-                if label == partition and name in self.hypergraph.edge_names
-            ]
-            if not names:
-                continue
-            restricted = self.hypergraph.restrict_edges(names)
-            if not bag <= restricted.vertices:
-                continue
-            covers = list(enumerate_covers(restricted, bag, self.k))
-            if covers:
+        for partition, restricted in self._partition_hypergraphs():
+            if has_cover(restricted, bag, self.k):
                 options.add(partition)
         self._options_cache[bag] = frozenset(options)
         return self._options_cache[bag]

@@ -3,14 +3,19 @@
 The λ-labels of (G)HDs and the ConCov constraint both need edge covers:
 collections of hyperedges whose union contains a given bag.  This module
 provides greedy and exact minimum covers, enumeration of all covers up to a
-size bound, and the connectedness test used by the ConCov constraint.
+size bound, and the ConCov test "is the bag covered by ≤ k connected edges".
 
-The searches run on int masks: per-call tables map each bag vertex to the
-mask of relevant edges covering it, so pivot selection (fewest covering
-edges first) and the branch step are bit scans instead of the seed's
-per-pivot linear scans over edge frozensets.  Public signatures are
-unchanged; the frozenset reference implementation lives in
-:mod:`repro.core.reference`.
+The searches run on int masks.  :func:`minimum_edge_cover` and
+:func:`enumerate_covers` build per-call tables over the bag's relevant edges
+(largest intersection first, names break ties) because their *yield order*
+picks the covers Yannakakis plans with; pivot selection (fewest covering
+edges first) and the branch step are bit scans.  The yes/no questions —
+:func:`has_cover` and :func:`has_connected_cover` — need no order, so they
+run on the per-hypergraph cover kernel of
+:class:`repro.hypergraph.bitset.HypergraphBitsets`, whose tables and
+bridging memo are built once per hypergraph.  Public functions speak
+frozensets; the frozenset reference implementations, including the seed
+ConCov search, live in :mod:`repro.core.reference`.
 """
 
 from __future__ import annotations
@@ -170,7 +175,8 @@ def enumerate_covers(
     size ≤ ``max_size`` contains a minimal one, so minimal covers suffice for
     existence-style questions (ConCov asks for *some* connected cover; note
     that non-minimal covers are not enumerated, see
-    :func:`has_connected_cover` for how connectivity is handled).
+    :meth:`repro.hypergraph.bitset.HypergraphBitsets.has_connected_cover`
+    for how connectivity is handled).
     """
     bag_set = frozenset(bag)
     if not bag_set:
@@ -227,44 +233,35 @@ def connected_edge_set(edges: Sequence[Edge]) -> bool:
     return len(visited) == len(edge_list)
 
 
+def has_cover(hypergraph: Hypergraph, bag: Iterable[Vertex], max_size: int) -> bool:
+    """``True`` iff at most ``max_size`` edges cover ``bag``.
+
+    Decided on the hypergraph's cover kernel
+    (:meth:`~repro.hypergraph.bitset.HypergraphBitsets.has_cover`).  A bag
+    with a vertex the hypergraph lacks has no cover; the empty bag is
+    trivially covered.
+    """
+    bag_mask = _bag_mask(hypergraph, frozenset(bag))
+    if bag_mask is None:
+        return False
+    return hypergraph.bitsets.has_cover(bag_mask, max_size)
+
+
 def has_connected_cover(
     hypergraph: Hypergraph, bag: Iterable[Vertex], max_size: int
 ) -> bool:
     """``True`` iff ``bag`` has an edge cover of size ≤ ``max_size`` whose
     edges form a connected subhypergraph (the ConCov property of Section 6).
 
-    We enumerate minimal covers first and, for each disconnected minimal
-    cover with spare budget, try to reconnect it by adding up to the
-    remaining number of edges (a bridging search).  The empty bag is
+    Decided on the hypergraph's cover kernel
+    (:meth:`~repro.hypergraph.bitset.HypergraphBitsets.has_connected_cover`).
+    A bag with a vertex the hypergraph lacks has no cover; the empty bag is
     trivially covered.
     """
-    bag_set = frozenset(bag)
-    if not bag_set:
-        return True
-    all_edges = list(hypergraph.edges)
-    for cover in enumerate_covers(hypergraph, bag_set, max_size):
-        if connected_edge_set(cover):
-            return True
-        budget = max_size - len(cover)
-        if budget > 0 and _can_connect(list(cover), all_edges, budget):
-            return True
-    return False
-
-
-def _can_connect(cover: List[Edge], all_edges: List[Edge], budget: int) -> bool:
-    """Can the cover be made connected by adding at most ``budget`` edges?"""
-    if connected_edge_set(cover):
-        return True
-    if budget == 0:
+    bag_mask = _bag_mask(hypergraph, frozenset(bag))
+    if bag_mask is None:
         return False
-    chosen = set(e.name for e in cover)
-    for edge in all_edges:
-        if edge.name in chosen:
-            continue
-        if any(edge.vertices & c.vertices for c in cover):
-            if _can_connect(cover + [edge], all_edges, budget - 1):
-                return True
-    return False
+    return hypergraph.bitsets.has_connected_cover(bag_mask, max_size)
 
 
 def connected_covers(

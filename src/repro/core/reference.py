@@ -2,8 +2,8 @@
 
 These are the original (pre-bitset-kernel) implementations of the
 [S]-component computation, candidate-bag generation (``Soft^i_{H,k}``),
-minimum edge covers and the Algorithm 1 fixpoint, kept verbatim as an
-executable specification.  The production code in
+minimum edge covers, the ConCov connected-cover search and the Algorithm 1
+fixpoint, kept verbatim as an executable specification.  The production code in
 :mod:`repro.hypergraph.components`, :mod:`repro.core.candidate_bags`,
 :mod:`repro.core.covers` and :mod:`repro.core.ctd` runs the same algorithms
 on int masks (see :mod:`repro.hypergraph.bitset`); the equivalence property
@@ -288,6 +288,47 @@ def reference_minimum_edge_cover(
     if best is not None and upper_bound is not None and len(best) > upper_bound:
         return None
     return best
+
+
+def reference_has_connected_cover(
+    hypergraph: Hypergraph, bag: Iterable[Vertex], max_size: int
+) -> bool:
+    """Seed ``has_connected_cover``: minimal covers, then a bridging search.
+
+    Each minimal cover of size ≤ ``max_size`` that is not connected gets the
+    remaining budget to reconnect it by adding edges that meet it.
+    """
+    from repro.core.covers import connected_edge_set, enumerate_covers
+
+    bag_set = frozenset(bag)
+    if not bag_set:
+        return True
+    all_edges = list(hypergraph.edges)
+    for cover in enumerate_covers(hypergraph, bag_set, max_size):
+        if connected_edge_set(cover):
+            return True
+        budget = max_size - len(cover)
+        if budget > 0 and _reference_can_connect(list(cover), all_edges, budget):
+            return True
+    return False
+
+
+def _reference_can_connect(cover: List[Edge], all_edges: List[Edge], budget: int) -> bool:
+    """Can the cover be made connected by adding at most ``budget`` edges?"""
+    from repro.core.covers import connected_edge_set
+
+    if connected_edge_set(cover):
+        return True
+    if budget == 0:
+        return False
+    chosen = set(e.name for e in cover)
+    for edge in all_edges:
+        if edge.name in chosen:
+            continue
+        if any(edge.vertices & c.vertices for c in cover):
+            if _reference_can_connect(cover + [edge], all_edges, budget - 1):
+                return True
+    return False
 
 
 # -- Algorithm 1 (seed versions of repro.core.blocks / repro.core.ctd) --------

@@ -32,6 +32,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Optional,
     Sequence,
     Tuple,
 )
@@ -220,6 +221,14 @@ class HypergraphBitsets:
     enumeration and the block machinery probe the same separators over and
     over (``Soft_{H,k}`` alone revisits every ≤k-edge union), so the cache
     turns the dominant cost into a dict lookup.
+
+    The cover kernel (:meth:`has_cover`, :meth:`has_connected_cover`)
+    answers Theorem 2's "≤ k edges cover the bag" and Section 6's ConCov
+    question on bag masks.  Its tables — the popcount of each vertex's
+    covering-edge mask and one neighbour mask per edge over edge positions —
+    are built on first use and live as long as the hypergraph, as does the
+    bridging memo, whose answers depend on the chosen edges only, not on
+    the bag.
     """
 
     __slots__ = (
@@ -230,6 +239,11 @@ class HypergraphBitsets:
         "universe",
         "_component_cache",
         "_component_union_cache",
+        "_cover_counts",
+        "_widest_edge",
+        "_edge_neighbours",
+        "_bridge_memo",
+        "__weakref__",
     )
 
     def __init__(self, vertices: Iterable[Vertex], named_edges: Sequence[Tuple[str, FrozenSet[Vertex]]]):
@@ -250,6 +264,10 @@ class HypergraphBitsets:
         self.universe: int = self.indexer.universe
         self._component_cache: Dict[int, Tuple[int, ...]] = {}
         self._component_union_cache: Dict[int, Tuple[int, ...]] = {}
+        self._cover_counts: Optional[Tuple[int, ...]] = None
+        self._widest_edge = 0
+        self._edge_neighbours: Optional[Tuple[int, ...]] = None
+        self._bridge_memo: Dict[Tuple[int, int], bool] = {}
 
     # -- components --------------------------------------------------------
 
@@ -332,3 +350,131 @@ class HypergraphBitsets:
         result = tuple(unions)
         self._component_union_cache[separator_mask] = result
         return result
+
+    # -- covers ------------------------------------------------------------
+
+    def _out_of_reach(self, remaining: int, budget: int) -> bool:
+        """Whether ``budget`` edges are too few to cover ``remaining`` even
+        at the widest edge's size (builds the cover tables on first use)."""
+        if self._cover_counts is None:
+            self._cover_counts = tuple(mask.bit_count() for mask in self.incident_edge_masks)
+            self._widest_edge = max((mask.bit_count() for mask in self.edge_masks), default=0)
+        return remaining.bit_count() > budget * self._widest_edge
+
+    def _pivot(self, remaining: int) -> int:
+        """The remaining vertex bit with the fewest covering edges."""
+        counts = self._cover_counts
+        best_bit = best_count = -1
+        while remaining:
+            low = remaining & -remaining
+            bit = low.bit_length() - 1
+            count = counts[bit]
+            if best_count < 0 or count < best_count:
+                best_bit, best_count = bit, count
+            remaining ^= low
+        return best_bit
+
+    def has_cover(self, bag_mask: int, k: int) -> bool:
+        """``True`` iff at most ``k`` edges cover the vertices of ``bag_mask``.
+
+        Branches on the remaining vertex with the fewest covering edges, so
+        a vertex no edge covers fails at once.  The empty bag is covered.
+        """
+        if not bag_mask:
+            return True
+        if k <= 0 or self._out_of_reach(bag_mask, k):
+            return False
+        edge_masks = self.edge_masks
+        covering = self.incident_edge_masks[self._pivot(bag_mask)]
+        while covering:
+            low = covering & -covering
+            if self.has_cover(bag_mask & ~edge_masks[low.bit_length() - 1], k - 1):
+                return True
+            covering ^= low
+        return False
+
+    def has_connected_cover(self, bag_mask: int, k: int) -> bool:
+        """``True`` iff some connected set of at most ``k`` edges covers the bag.
+
+        The ConCov property of Section 6: the covering search of
+        :meth:`has_cover` collects the chosen edges as a mask over edge
+        positions, and a cover that is not connected is handed to the
+        bridging search with the budget it left.  The empty bag is covered.
+        """
+        if not bag_mask:
+            return True
+        return self._connected_cover(bag_mask, k, 0)
+
+    def _connected_cover(self, remaining: int, budget: int, chosen: int) -> bool:
+        if not remaining:
+            return self._connectable(chosen, budget)
+        if budget <= 0 or self._out_of_reach(remaining, budget):
+            return False
+        edge_masks = self.edge_masks
+        covering = self.incident_edge_masks[self._pivot(remaining)]
+        while covering:
+            low = covering & -covering
+            if self._connected_cover(
+                remaining & ~edge_masks[low.bit_length() - 1], budget - 1, chosen | low
+            ):
+                return True
+            covering ^= low
+        return False
+
+    def _neighbours(self) -> Tuple[int, ...]:
+        """Per edge, the mask over edge positions of the edges it meets."""
+        neighbours = self._edge_neighbours
+        if neighbours is None:
+            incident = self.incident_edge_masks
+            table = []
+            for mask in self.edge_masks:
+                meets = 0
+                while mask:
+                    low = mask & -mask
+                    meets |= incident[low.bit_length() - 1]
+                    mask ^= low
+                table.append(meets)
+            neighbours = self._edge_neighbours = tuple(table)
+        return neighbours
+
+    def _edges_connected(self, chosen: int) -> bool:
+        """Whether the edges in ``chosen`` (edge positions) form one component."""
+        if not chosen & (chosen - 1):
+            return True
+        neighbours = self._neighbours()
+        reached = frontier = chosen & -chosen
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = neighbours[low.bit_length() - 1] & chosen & ~reached
+            reached |= new
+            frontier |= new
+        return reached == chosen
+
+    def _connectable(self, chosen: int, budget: int) -> bool:
+        """Can adding at most ``budget`` edges, each meeting the ones already
+        chosen, make ``chosen`` connected?  Memoised per ``(chosen, budget)``."""
+        if self._edges_connected(chosen):
+            return True
+        if budget <= 0:
+            return False
+        key = (chosen, budget)
+        verdict = self._bridge_memo.get(key)
+        if verdict is None:
+            neighbours = self._neighbours()
+            reach = 0
+            rest = chosen
+            while rest:
+                low = rest & -rest
+                reach |= neighbours[low.bit_length() - 1]
+                rest ^= low
+            reach &= ~chosen
+            verdict = False
+            while reach:
+                low = reach & -reach
+                if self._connectable(chosen | low, budget - 1):
+                    verdict = True
+                    break
+                reach ^= low
+            self._bridge_memo[key] = verdict
+        return verdict

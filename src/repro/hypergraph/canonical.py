@@ -19,9 +19,15 @@ Algorithm
    mutual recursion — an edge's signature is its size plus the sorted
    multiset of its vertex colors, a vertex's signature is its old color
    plus the sorted multiset of its incident edge colors — until the vertex
-   partition stabilises.  Signatures are densified to integers by sorted
-   order, never hashed, so colors are deterministic across processes and
-   hash seeds.
+   partition stabilises.  Signatures are ordered by value, never hashed,
+   so colors are deterministic across processes and hash seeds.  The
+   refinement is incremental (McKay & Piperno): a round re-sorts only the
+   cells that meet an edge with a vertex whose color moved in the round
+   before, since no other cell can split, and a color is the number of
+   vertices in lower cells, so a split moves no other cell's color.  The
+   partitions and their cell order are those of the round-based
+   :func:`_refine`, which recomputes every signature every round and is
+   kept as the executable specification.
 2. **Individualisation search**: while some color class holds more than
    one vertex, one vertex of the first (lowest-color) non-singleton class
    is individualised (given a fresh color) and refinement re-runs; the
@@ -134,6 +140,10 @@ def _refine(
     edge ids containing vertex ``v``.  Colors are densified by sorted
     signature each round, so the result depends only on the partition, not
     on any hash function.
+
+    This round-based version recomputes every signature every round; it is
+    the executable specification of :meth:`_Search._refine_from`, which
+    computes the same partitions in the same cell order.
     """
     classes = len(set(colors))
     while True:
@@ -173,9 +183,14 @@ class _Search:
         edges: Sequence[Tuple[int, ...]],
         incidence: Sequence[Tuple[int, ...]],
         tie_key: Sequence,
+        incremental: bool = True,
     ):
         self.edges = edges
         self.incidence = incidence
+        #: ``False`` refines with the round-based :func:`_refine` (the spec).
+        self.incremental = incremental
+        #: Vertex signatures the incremental refinement computed.
+        self.signatures = 0
         #: Deterministic (but label-dependent) order for picking branch
         #: representatives; only the *choice order* depends on it, and with
         #: an unexhausted leaf budget every orbit is explored anyway.
@@ -186,8 +201,86 @@ class _Search:
         #: Automorphisms found so far, each as a vertex -> image list.
         self.automorphisms: List[List[int]] = []
 
-    def run(self, colors: List[int]) -> None:
-        self._descend(_refine(colors, self.edges, self.incidence), ())
+    def run(self) -> None:
+        n = len(self.incidence)
+        if self.incremental:
+            colors = self._refine_from([0] * n, range(n))
+        else:
+            colors = _refine([0] * n, self.edges, self.incidence)
+        self._descend(colors, ())
+
+    def _individualise(self, colors: List[int], cell: List[int], v: int) -> List[int]:
+        """Give ``v`` a color below the rest of its cell, then refine."""
+        if not self.incremental:
+            branched = [(color, 0 if u == v else 1) for u, color in enumerate(colors)]
+            palette = {sig: i for i, sig in enumerate(sorted(set(branched)))}
+            return _refine([palette[sig] for sig in branched], self.edges, self.incidence)
+        colors = list(colors)
+        rest = [u for u in cell if u != v]
+        for u in rest:
+            colors[u] += 1
+        return self._refine_from(colors, rest)
+
+    def _refine_from(self, colors: List[int], changed: Iterable[int]) -> List[int]:
+        """:func:`_refine`'s rounds, recomputing only cells that can split.
+
+        A color is the number of vertices in lower cells, so a split moves
+        the colors of the split cell's later parts only (``changed``) and
+        every other cell keeps its color.  ``colors`` must be stable except
+        that the ``changed`` vertices moved; then each round recomputes the
+        edges with a changed vertex and re-sorts only the cells that meet
+        one: a cell none of whose members sees a changed edge sees the
+        signatures that held it together last round, so it cannot split.
+        Cells split by the sorted tuple of their members' edge signatures
+        ``(len, sorted colors)``; the spec's edge rank is strictly monotone
+        in that signature, and its ``(old color, multiset)`` rank orders a
+        cell's parts by the same tuples, so partitions and cell order equal
+        the spec's round by round.
+        """
+        edges = self.edges
+        incidence = self.incidence
+        cells: Dict[int, List[int]] = {}
+        for v, color in enumerate(colors):
+            cells.setdefault(color, []).append(v)
+        edge_signatures: Dict[int, Tuple[int, ...]] = {}
+        changed = list(changed)
+        while changed:
+            moved = {e for u in changed for e in incidence[u]}
+            for e in moved:
+                edge_signatures.pop(e, None)
+            touched = sorted({colors[v] for e in moved for v in edges[e]})
+            splits = []
+            for start in touched:
+                members = cells[start]
+                if len(members) == 1:
+                    continue
+                self.signatures += len(members)
+                parts: Dict[Tuple, List[int]] = {}
+                for u in members:
+                    signature = []
+                    for e in incidence[u]:
+                        edge_signature = edge_signatures.get(e)
+                        if edge_signature is None:
+                            edge = edges[e]
+                            edge_signature = edge_signatures[e] = (len(edge),) + tuple(
+                                sorted([colors[w] for w in edge])
+                            )
+                        signature.append(edge_signature)
+                    signature.sort()
+                    parts.setdefault(tuple(signature), []).append(u)
+                if len(parts) > 1:
+                    splits.append((start, parts))
+            changed = []
+            for start, parts in splits:
+                for index, key in enumerate(sorted(parts)):
+                    part = parts[key]
+                    cells[start] = part
+                    if index:
+                        changed.extend(part)
+                        for u in part:
+                            colors[u] = start
+                    start += len(part)
+        return colors
 
     def _descend(self, colors: List[int], prefix: Tuple[int, ...]) -> None:
         if self.leaves_left <= 0:
@@ -244,17 +337,7 @@ class _Search:
             if any(find(u) == find(v) for u in explored):
                 continue
             explored.append(v)
-            # Individualise v: give it a color below its cell, densify.
-            branched = [
-                (color, 0 if u == v else 1) for u, color in enumerate(colors)
-            ]
-            palette = {sig: i for i, sig in enumerate(sorted(set(branched)))}
-            self._descend(
-                _refine(
-                    [palette[sig] for sig in branched], self.edges, self.incidence
-                ),
-                prefix + (v,),
-            )
+            self._descend(self._individualise(colors, target, v), prefix + (v,))
 
 
 def canonical_form(hypergraph: Hypergraph) -> CanonicalForm:
@@ -273,7 +356,7 @@ def canonical_form(hypergraph: Hypergraph) -> CanonicalForm:
     return canonical
 
 
-def _canonical_form(hypergraph: Hypergraph) -> CanonicalForm:
+def _canonical_form(hypergraph: Hypergraph, incremental: bool = True) -> CanonicalForm:
     vertices = sorted(hypergraph.vertices, key=lambda v: (str(type(v)), str(v)))
     vertex_id = {v: i for i, v in enumerate(vertices)}
     # Distinct edge vertex sets only: names and duplicates are invisible to
@@ -290,8 +373,10 @@ def _canonical_form(hypergraph: Hypergraph) -> CanonicalForm:
     incidence = [tuple(ids) for ids in incidence_lists]
     if not vertices:
         return CanonicalForm((), tuple(edges))
-    search = _Search(edges, incidence, tie_key=[str(v) for v in vertices])
-    search.run([0] * len(vertices))
+    search = _Search(
+        edges, incidence, tie_key=[str(v) for v in vertices], incremental=incremental
+    )
+    search.run()
     assert search.best_position is not None  # at least one leaf was explored
     order: List[Vertex] = [None] * len(vertices)  # type: ignore[list-item]
     for v, index in enumerate(search.best_position):

@@ -69,7 +69,8 @@ class Hypergraph:
     """
 
     __slots__ = (
-        "_edges", "_vertices", "_incidence", "_edge_order", "_bitsets", "_canonical",
+        "_edges", "_edge_tuple", "_vertices", "_incidence", "_edge_order", "_bitsets",
+        "_canonical", "__weakref__",
     )
 
     def __init__(
@@ -92,6 +93,7 @@ class Hypergraph:
         if len(set(names)) != len(names):
             raise ValueError("duplicate edge names in hypergraph")
         self._edges: Dict[str, Edge] = {e.name: e for e in edge_list}
+        self._edge_tuple: Tuple[Edge, ...] = tuple(edge_list)
         self._edge_order: Tuple[str, ...] = tuple(e.name for e in edge_list)
         vertex_set = set()
         for e in edge_list:
@@ -119,7 +121,7 @@ class Hypergraph:
     @property
     def edges(self) -> Tuple[Edge, ...]:
         """The edges ``E(H)`` in insertion order."""
-        return tuple(self._edges[name] for name in self._edge_order)
+        return self._edge_tuple
 
     @property
     def edge_names(self) -> Tuple[str, ...]:
@@ -166,7 +168,7 @@ class Hypergraph:
 
             bitsets = HypergraphBitsets(
                 self._vertices,
-                [(name, self._edges[name].vertices) for name in self._edge_order],
+                [(edge.name, edge.vertices) for edge in self._edge_tuple],
             )
             self._bitsets = bitsets
         return bitsets
@@ -204,7 +206,7 @@ class Hypergraph:
     def restrict_edges(self, edge_names: Iterable[str]) -> "Hypergraph":
         """The subhypergraph consisting of the named edges only."""
         names = set(edge_names)
-        return Hypergraph([self._edges[n] for n in self._edge_order if n in names])
+        return Hypergraph([edge for edge in self._edge_tuple if edge.name in names])
 
     def vertices_of(self, edges: Iterable[Edge]) -> FrozenSet[Vertex]:
         """``⋃λ`` for a collection ``λ`` of edges."""

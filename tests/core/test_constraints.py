@@ -127,3 +127,38 @@ class TestPartitionClustering:
         constraint = PartitionClusteringConstraint(hypergraph, partition, k=1)
         bags = {frozenset({"v1", "v2"}), frozenset({"v1", "v2", "v3", "v4"})}
         assert constraint.filter_bags(bags) == {frozenset({"v1", "v2"})}
+
+    def test_partition_hypergraphs_are_built_once(self, monkeypatch):
+        # One restricted hypergraph (and so one set of cover tables) per
+        # partition, however many bags are asked about; the verdicts are
+        # those of enumerating covers on a fresh restriction per bag.
+        from repro.core.candidate_bags import soft_candidate_bags
+        from repro.core.covers import enumerate_covers
+        from repro.hypergraph.hypergraph import Hypergraph
+
+        hypergraph, partition = example4_query()
+        builds = []
+        restrict = Hypergraph.restrict_edges
+
+        def counting(self, names):
+            builds.append(None)
+            return restrict(self, names)
+
+        for k in (1, 2, 3):
+            constraint = PartitionClusteringConstraint(hypergraph, partition, k=k)
+            bags = sorted(soft_candidate_bags(hypergraph, k), key=sorted)
+            monkeypatch.setattr(Hypergraph, "restrict_edges", counting)
+            builds.clear()
+            options = [constraint._partition_options(bag) for bag in bags]
+            assert len(builds) == len(constraint.partitions)
+            monkeypatch.setattr(Hypergraph, "restrict_edges", restrict)
+            for bag, got in zip(bags, options):
+                expected = set()
+                for label in constraint.partitions:
+                    names = [name for name, p in partition.items() if p == label]
+                    restricted = hypergraph.restrict_edges(names)
+                    if bag <= restricted.vertices and list(
+                        enumerate_covers(restricted, bag, k)
+                    ):
+                        expected.add(label)
+                assert got == expected, sorted(bag)

@@ -105,3 +105,32 @@ class TestConnectedness:
         full_bag = set(c5.vertices) - {"v3"}
         assert not has_connected_cover(c5, full_bag, 2)
         assert has_connected_cover(c5, full_bag, 3)
+
+
+class TestCoverKernelTables:
+    def test_edges_are_stored_once(self, h2):
+        assert h2.edges is h2.edges
+
+    def test_tables_die_with_their_hypergraph(self):
+        # The cover tables and the bridging memo live on the hypergraph's
+        # bitsets: nothing outside it may keep them (or it) alive.
+        import gc
+        import weakref
+
+        from repro.core.certify import certify_ctd
+        from repro.core.constraints import ConnectedCoverConstraint
+        from repro.decompositions.td import TreeDecomposition
+        from repro.hypergraph.library import cycle_hypergraph
+
+        hypergraph = cycle_hypergraph(8)
+        constraint = ConnectedCoverConstraint(hypergraph, 3)
+        ctd = TreeDecomposition.single_bag(hypergraph)
+        assert not constraint.filter_bags([frozenset(hypergraph.vertices)])
+        assert has_connected_cover(hypergraph, {"v0", "v1", "v3"}, 3)
+        assert not certify_ctd(hypergraph, ctd, constraint=constraint, width_claim=3).ok
+        bitsets = hypergraph.bitsets
+        assert bitsets._bridge_memo
+        references = [weakref.ref(hypergraph), weakref.ref(bitsets)]
+        del hypergraph, constraint, ctd, bitsets
+        gc.collect()
+        assert [reference() for reference in references] == [None, None]
