@@ -37,8 +37,8 @@ def main() -> None:
     print("rank  card-cost      est-cost     work     max-intermediate  result")
     for evaluation in evaluations:
         print(
-            f"{evaluation.rank:>4}  {evaluation.cardinality_cost:>12.0f}"
-            f"  {evaluation.estimate_cost:>12.0f}  {evaluation.work:>8}"
+            f"{evaluation.rank:>4}  {evaluation.cost_cardinalities:>12.0f}"
+            f"  {evaluation.cost_estimates:>12.0f}  {evaluation.work:>8}"
             f"  {evaluation.metrics.max_intermediate:>16}  {evaluation.metrics.result}"
         )
 

@@ -237,6 +237,7 @@ def _cmd_stats(args, out) -> int:
 
 
 def _cmd_experiment(args, out) -> int:
+    from repro.experiments.figures import evaluation_rows
     from repro.experiments.harness import QueryExperiment
     from repro.experiments.report import format_figure_rows
     from repro.workloads.registry import benchmark_query
@@ -247,24 +248,18 @@ def _cmd_experiment(args, out) -> int:
         entry, scale=args.scale, seed=args.seed, dump_path=args.dump, budget=budget
     )
     decompositions, elapsed = experiment.ranked_decompositions(limit=args.limit)
-    evaluations = experiment.evaluate(decompositions)
-    rows = [
-        {
-            "rank": evaluation.rank,
-            "cost_cardinalities": evaluation.cardinality_cost,
-            "cost_estimates": evaluation.estimate_cost,
-            "work": evaluation.work,
-            "result": evaluation.metrics.result,
-        }
-        for evaluation in evaluations
-    ]
+    rows = evaluation_rows(experiment.evaluate(decompositions))
     baseline = experiment.baseline()
+    if baseline.outcome.partial:
+        baseline_line = f"Baseline: not completed ({baseline.outcome.status}), work={baseline.work}"
+    else:
+        baseline_line = f"Baseline: work={baseline.work}, result={baseline.result}"
     text = format_figure_rows(
         f"{entry.name}: top-{len(rows)} ConCov-shw {entry.width} decompositions "
         f"(enumerated in {elapsed * 1000:.1f} ms)",
         rows,
         ["rank", "cost_cardinalities", "cost_estimates", "work", "result"],
-        ["", f"Baseline: work={baseline.work}, result={baseline.result}"],
+        ["", baseline_line],
     )
     print(text, file=out)
     return _finish(budget, out)

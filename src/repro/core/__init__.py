@@ -52,7 +52,6 @@ from repro.core.preferences import (
 from repro.core.constrained import ConstrainedCTDSolver, constrained_candidate_td
 from repro.core.enumerate import CTDEnumerator, enumerate_ctds
 from repro.core.soft import (
-    soft_decomposition,
     soft_decomposition_to_ghd,
     soft_hypertree_width,
     shw_i_leq,
@@ -107,7 +106,6 @@ __all__ = [
     "DecompositionCache",
     "resolve_cache",
     "soft_hypertree_width",
-    "soft_decomposition",
     "soft_decomposition_to_ghd",
     "shw_leq",
     "shw_i_leq",

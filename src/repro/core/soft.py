@@ -115,25 +115,6 @@ def soft_hypertree_width(
     raise ValueError(f"no soft decomposition of width <= {limit} found")
 
 
-def soft_decomposition(
-    hypergraph: Hypergraph,
-    k: int,
-    iterations: int = 0,
-    constraint: Optional[SubtreeConstraint] = None,
-    preference: Optional[Preference] = None,
-    budget: Optional[Budget] = None,
-) -> Optional[TreeDecomposition]:
-    """Alias of :func:`shw_i_leq` with a decomposition-centric name."""
-    return shw_i_leq(
-        hypergraph,
-        k,
-        iterations,
-        constraint=constraint,
-        preference=preference,
-        budget=budget,
-    )
-
-
 def soft_decomposition_to_ghd(
     decomposition: TreeDecomposition,
 ) -> GeneralizedHypertreeDecomposition:

@@ -20,10 +20,13 @@ deterministic relational engine:
 * :mod:`repro.db.stats` — table statistics and a textbook cardinality
   estimator (independence assumption), playing the role of the DBMS's
   optimiser estimates;
-* :mod:`repro.db.yannakakis` — Yannakakis' algorithm over a decomposition;
-* :mod:`repro.db.executor` — decomposition-guided execution and the greedy
-  pairwise-join baseline standing in for the DBMS's own plan;
-* :mod:`repro.db.cost` — the two cost functions of Appendix C.2.
+* :mod:`repro.db.yannakakis` — Yannakakis' algorithm over a decomposition
+  (:class:`repro.db.YannakakisExecutor`), the λ-cover each bag joins, and
+  :class:`repro.db.YannakakisRun`, the one execution record;
+* :mod:`repro.db.executor` — the greedy pairwise-join baseline standing in
+  for the DBMS's own plan;
+* :mod:`repro.db.cost` — the two cost functions of Appendix C.2, built as
+  preferences by :func:`repro.db.make_cost_preference`.
 """
 
 from repro.db.interner import ValueInterner
@@ -33,17 +36,9 @@ from repro.db.database import Database
 from repro.db.query import Atom, ConjunctiveQuery
 from repro.db.sqlish import parse_select_query
 from repro.db.stats import CardinalityEstimator, TableStatistics
-from repro.db.yannakakis import YannakakisRun, run_yannakakis
-from repro.db.executor import (
-    BaselineExecutor,
-    DecompositionExecutor,
-    ExecutionMetrics,
-)
-from repro.db.cost import (
-    cardinality_cost,
-    estimate_cost,
-    make_cost_preference,
-)
+from repro.db.yannakakis import YannakakisExecutor, YannakakisRun
+from repro.db.executor import BaselineExecutor
+from repro.db.cost import make_cost_preference
 
 __all__ = [
     "Relation",
@@ -57,12 +52,8 @@ __all__ = [
     "parse_select_query",
     "TableStatistics",
     "CardinalityEstimator",
+    "YannakakisExecutor",
     "YannakakisRun",
-    "run_yannakakis",
-    "DecompositionExecutor",
     "BaselineExecutor",
-    "ExecutionMetrics",
-    "estimate_cost",
-    "cardinality_cost",
     "make_cost_preference",
 ]

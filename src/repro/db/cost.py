@@ -1,34 +1,39 @@
-"""The two cost functions of Appendix C.2, plus Preference adapters.
+"""The two cost functions of Appendix C.2, as Preference objects.
 
 Both functions assign a cost to a (partial) tree decomposition of a query's
 hypergraph; lower cost should mean faster decomposition-guided execution.
 
-* :func:`estimate_cost` — Appendix C.2.1 (Equations 5 and 6): node costs are
-  the optimiser's *estimated* cost of the bag join (our stand-in for
-  PostgreSQL ``EXPLAIN``), and subtree costs add estimated semi-join costs.
-* :func:`cardinality_cost` — Appendix C.2.2 (Equations 7, 8 and 9): an
+* :class:`EstimateCostModel` — Appendix C.2.1 (Equations 5 and 6): node
+  costs are the optimiser's *estimated* cost of the bag join (our stand-in
+  for PostgreSQL ``EXPLAIN``), and subtree costs add estimated semi-join
+  costs.
+* :class:`CardinalityCostModel` — Appendix C.2.2 (Equations 7, 8 and 9): an
   "omniscient" cost based on the *actual* cardinality of every bag join,
   with the ``ReducedSz`` model for how much the bottom-up semi-joins shrink
   each child before it is probed.
 
-Both are strongly monotone in the sense of Section 6.1, so wrapping them in a
+Both cost the λ-cover join the Yannakakis executor builds for each bag: the
+models read covers from :meth:`YannakakisExecutor.cover_of`, the query
+layer's one cover decision.  Both are strongly monotone in the sense of
+Section 6.1, so wrapping them in a
 :class:`repro.core.preferences.CostPreference` yields a preference-complete
 toptd usable by Algorithm 2 and the ranked enumerator.
+:func:`make_cost_preference` is the one constructor: ranking and the
+experiment harness's cost columns read the same memoised model.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from repro.hypergraph.hypergraph import Hypergraph, Vertex
+from repro.hypergraph.hypergraph import Vertex
 from repro.decompositions.td import TreeDecomposition
 from repro.decompositions.tree import TreeNode
 from repro.core.preferences import CostPreference, MonotoneCostPreference
 from repro.db.database import Database
 from repro.db.query import Atom, ConjunctiveQuery
-from repro.db.stats import CardinalityEstimator
-from repro.db.yannakakis import atom_relation, choose_cover
+from repro.db.yannakakis import YannakakisExecutor, atom_relation
 
 Bag = FrozenSet[Vertex]
 
@@ -40,34 +45,10 @@ def _log(value: float) -> float:
 class _CostModelBase:
     """Shared plumbing: bag covers and atom lookup for a fixed query."""
 
-    def __init__(
-        self,
-        query: ConjunctiveQuery,
-        database: Database,
-        max_cover_size: Optional[int] = None,
-        prefer_connected: bool = True,
-    ):
+    def __init__(self, query: ConjunctiveQuery, database: Database):
         self.query = query
         self.database = database
-        self.hypergraph = query.hypergraph()
-        self.max_cover_size = max_cover_size
-        self.prefer_connected = prefer_connected
-        self._cover_cache: Dict[Bag, Tuple[str, ...]] = {}
-
-    def cover_of(self, bag: Bag) -> Tuple[str, ...]:
-        if bag not in self._cover_cache:
-            if not bag:
-                self._cover_cache[bag] = ()
-            else:
-                self._cover_cache[bag] = tuple(
-                    choose_cover(
-                        self.hypergraph,
-                        bag,
-                        max_size=self.max_cover_size,
-                        prefer_connected=self.prefer_connected,
-                    )
-                )
-        return self._cover_cache[bag]
+        self.cover_of = YannakakisExecutor(database, query).cover_of
 
     def cover_atoms(self, bag: Bag) -> List[Atom]:
         return [self.query.atom(alias) for alias in self.cover_of(bag)]
@@ -76,16 +57,9 @@ class _CostModelBase:
 class EstimateCostModel(_CostModelBase):
     """Appendix C.2.1: costs derived from the optimiser's estimates."""
 
-    def __init__(
-        self,
-        query: ConjunctiveQuery,
-        database: Database,
-        estimator: Optional[CardinalityEstimator] = None,
-        max_cover_size: Optional[int] = None,
-        prefer_connected: bool = True,
-    ):
-        super().__init__(query, database, max_cover_size, prefer_connected)
-        self.estimator = estimator or database.estimator
+    def __init__(self, query: ConjunctiveQuery, database: Database):
+        super().__init__(query, database)
+        self.estimator = database.estimator
         # Plan costs are pure functions of the atom set; Algorithm 2 asks for
         # the same bags and (parent, child) pairs over and over.
         self._plan_cost_cache: Dict[Tuple[str, ...], float] = {}
@@ -164,14 +138,8 @@ class EstimateCostModel(_CostModelBase):
 class CardinalityCostModel(_CostModelBase):
     """Appendix C.2.2: an omniscient cost based on actual cardinalities."""
 
-    def __init__(
-        self,
-        query: ConjunctiveQuery,
-        database: Database,
-        max_cover_size: Optional[int] = None,
-        prefer_connected: bool = True,
-    ):
-        super().__init__(query, database, max_cover_size, prefer_connected)
+    def __init__(self, query: ConjunctiveQuery, database: Database):
+        super().__init__(query, database)
         self._bag_size_cache: Dict[Bag, int] = {}
 
     # -- actual bag cardinalities -------------------------------------------------
@@ -272,49 +240,29 @@ class CardinalityCostModel(_CostModelBase):
         return self.subtree_cost(decomposition, decomposition.tree.root)
 
 
-def estimate_cost(
-    decomposition: TreeDecomposition,
-    query: ConjunctiveQuery,
-    database: Database,
-    estimator: Optional[CardinalityEstimator] = None,
-) -> float:
-    """Equations (5)–(6): estimate-based cost of a decomposition."""
-    model = EstimateCostModel(query, database, estimator=estimator)
-    return model.decomposition_cost(decomposition)
-
-
-def cardinality_cost(
-    decomposition: TreeDecomposition,
-    query: ConjunctiveQuery,
-    database: Database,
-) -> float:
-    """Equations (7)–(9): actual-cardinality cost of a decomposition."""
-    model = CardinalityCostModel(query, database)
-    return model.decomposition_cost(decomposition)
-
-
 def make_cost_preference(
-    kind: str,
-    query: ConjunctiveQuery,
-    database: Database,
-    estimator: Optional[CardinalityEstimator] = None,
-    max_cover_size: Optional[int] = None,
+    kind: str, query: ConjunctiveQuery, database: Database
 ) -> CostPreference:
     """A :class:`CostPreference` over partial TDs for Algorithm 2 / enumeration.
 
     ``kind`` is ``"estimates"`` (Appendix C.2.1) or ``"cardinalities"``
-    (Appendix C.2.2).  The same model instance is reused across calls so the
-    per-bag caches are shared while ranking many decompositions.  The
-    estimate cost composes bottom-up (Equation (6) is node costs plus
-    parent→child semi-join terms), so it is returned as a monotone
-    preference; the cardinality cost's ``ReducedSz`` model inspects whole
-    subtrees and stays a materialising :class:`CostPreference`.
+    (Appendix C.2.2).  The preference is memoised per query in
+    :meth:`Database.derived`, so every solve ranking the query and every
+    cost column the experiment harness reports share one model and its
+    per-bag caches.  The estimate cost composes bottom-up (Equation (6) is
+    node costs plus parent→child semi-join terms), so it is returned as a
+    monotone preference; the cardinality cost's ``ReducedSz`` model
+    inspects whole subtrees and stays a materialising
+    :class:`CostPreference`.
     """
-    if kind == "estimates":
-        return EstimateCostModel(
-            query, database, estimator=estimator, max_cover_size=max_cover_size
-        ).as_preference()
-    if kind == "cardinalities":
-        model = CardinalityCostModel(query, database, max_cover_size=max_cover_size)
-        return CostPreference(model.decomposition_cost)
-    raise ValueError(f"unknown cost kind {kind!r}; use 'estimates' or 'cardinalities'")
+    builders = {
+        "estimates": lambda: EstimateCostModel(query, database).as_preference(),
+        "cardinalities": lambda: CostPreference(
+            CardinalityCostModel(query, database).decomposition_cost
+        ),
+    }
+    if kind not in builders:
+        raise ValueError(
+            f"unknown cost kind {kind!r}; use 'estimates' or 'cardinalities'"
+        )
+    return database.derived(("cost", kind, tuple(query.atoms)), builders[kind])

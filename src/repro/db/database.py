@@ -27,8 +27,8 @@ class Database:
     that are primary keys of their relation (semijoins along such attributes
     are assumed not to reduce the parent).
 
-    What depends only on the relations (estimator, atom scans) is computed
-    once per database, in :meth:`derived`.
+    What depends only on the relations (estimator, atom scans, cost
+    models) is computed once per database, in :meth:`derived`.
     """
 
     def __init__(self, relation_cls: Optional[Type] = None) -> None:
@@ -123,11 +123,13 @@ class Database:
 
     def derived(self, key: Hashable, build: Callable[[], T]) -> T:
         """The value under ``key`` in the one memo of data derived from the
-        registered relations alone — the :attr:`estimator` and every atom
-        scan (:func:`repro.db.yannakakis.atom_relation`) — built by
+        registered relations alone — the :attr:`estimator`, every atom scan
+        (:func:`repro.db.yannakakis.atom_relation`) and every query's cost
+        preferences (:func:`repro.db.cost.make_cost_preference`) — built by
         ``build()`` on first use.  Its only invalidation rule: a registered
         relation is never replaced, so no entry goes stale.  Entries are
-        shared, never mutated.
+        shared; a memo table inside an entry may fill, but its values never
+        change.
         """
         if key not in self._derived:
             self._derived[key] = build()

@@ -30,15 +30,14 @@ neighbour's (:meth:`TreeDecomposition.contracted`) is the front door's job.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.hypergraph.hypergraph import Hypergraph, Vertex
 from repro.decompositions.td import TreeDecomposition
 from repro.decompositions.tree import TreeNode
-from repro.core.covers import connected_covers, enumerate_covers, minimum_edge_cover
+from repro.core.covers import connected_covers, minimum_edge_cover
 from repro.db.database import Database
 from repro.db.query import Atom, ConjunctiveQuery
 from repro.db.relation import Relation, WorkCounter
@@ -101,12 +100,7 @@ def atom_relation(database: Database, atom: Atom) -> Relation:
     )
 
 
-def choose_cover(
-    hypergraph: Hypergraph,
-    bag: Bag,
-    max_size: Optional[int] = None,
-    prefer_connected: bool = True,
-) -> List[str]:
+def choose_cover(hypergraph: Hypergraph, bag: Bag) -> List[str]:
     """Pick a λ-cover (list of atom aliases) for a bag.
 
     Prefers a connected cover of minimal size when one exists (matching the
@@ -114,13 +108,12 @@ def choose_cover(
     """
     if not bag:
         return []
-    limit = max_size if max_size is not None else hypergraph.num_edges()
-    if prefer_connected:
-        for size in range(1, limit + 1):
-            connected = connected_covers(hypergraph, bag, size)
-            if connected:
-                best = min(connected, key=lambda cover: (len(cover), [e.name for e in cover]))
-                return [edge.name for edge in best]
+    limit = hypergraph.num_edges()
+    for size in range(1, limit + 1):
+        connected = connected_covers(hypergraph, bag, size)
+        if connected:
+            best = min(connected, key=lambda cover: (len(cover), [e.name for e in cover]))
+            return [edge.name for edge in best]
     cover = minimum_edge_cover(hypergraph, bag, upper_bound=limit)
     if cover is None:
         raise ValueError(f"bag {sorted(map(str, bag))} has no edge cover of size <= {limit}")
@@ -139,8 +132,10 @@ class NodePlan:
 
 @dataclass
 class YannakakisRun:
-    """The outcome of one decomposition-guided execution.
+    """The outcome of one query execution — the query layer's one record.
 
+    Decomposition-guided runs fill every field; the baseline executor's
+    hash-join plan has no nodes, so its size maps stay empty.
     ``outcome.partial`` marks a run a budget cut short: ``result`` is then
     ``None`` (never a silently wrong partial answer) and the size maps
     cover only the stages that completed.  ``reduced_sizes`` holds the bag
@@ -155,10 +150,10 @@ class YannakakisRun:
 
     result: object
     counter: WorkCounter
-    wall_time: float
-    node_sizes: Dict[int, int]
-    reduced_sizes: Dict[int, int]
-    max_intermediate: int
+    wall_time: float = 0.0
+    node_sizes: Dict[int, int] = field(default_factory=dict)
+    reduced_sizes: Dict[int, int] = field(default_factory=dict)
+    max_intermediate: int = 0
     outcome: SolveOutcome = completed_outcome()
     fold_sizes: List[int] = field(default_factory=list)
 
@@ -167,46 +162,65 @@ class YannakakisRun:
         return self.counter.total
 
 
+def governed_run(
+    budget: Optional[Budget], stages: Callable[[WorkCounter], YannakakisRun]
+) -> YannakakisRun:
+    """Run ``stages`` on a work counter and stamp its wall time and outcome.
+
+    With a ``budget``, work is metered in the engine's own units (tuples
+    read + written, via :class:`BudgetedWorkCounter`) and the deadline is
+    checked per operator.  An exhausted run returns ``result=None`` with
+    the honest partial counters — never a wrong partial answer — and
+    ``outcome`` says why it stopped.
+    """
+    counter = WorkCounter() if budget is None else BudgetedWorkCounter(budget)
+    start = time.perf_counter()
+    try:
+        run = stages(counter)
+    except BudgetExceeded:
+        run = YannakakisRun(result=None, counter=counter)
+    except KeyboardInterrupt:
+        if budget is None:
+            raise
+        budget.mark_interrupted()
+        run = YannakakisRun(result=None, counter=counter)
+    run.wall_time = time.perf_counter() - start
+    run.outcome = (
+        completed_outcome(work=counter.total, elapsed=run.wall_time)
+        if budget is None
+        else budget.outcome()
+    )
+    return run
+
+
 class YannakakisExecutor:
     """Executes a conjunctive query through a tree decomposition."""
 
-    def __init__(
-        self,
-        database: Database,
-        query: ConjunctiveQuery,
-        max_cover_size: Optional[int] = None,
-        prefer_connected: bool = True,
-    ):
+    def __init__(self, database: Database, query: ConjunctiveQuery):
         self.database = database
         self.query = query
         self.hypergraph = query.hypergraph()
-        self.max_cover_size = max_cover_size
-        self.prefer_connected = prefer_connected
         self._cover_cache: Dict[Bag, Tuple[str, ...]] = {}
         self._last_plan: Optional[Tuple[TreeDecomposition, List[NodePlan]]] = None
 
     # -- planning -----------------------------------------------------------------
 
-    def _choose_cover(self, bag: Bag) -> List[str]:
-        """A λ-cover for ``bag``, memoised per bag.
+    def cover_of(self, bag: Bag) -> Tuple[str, ...]:
+        """The λ-cover the executor joins for ``bag``, memoised per bag.
 
-        Bags repeat across nodes in real decompositions (and across the many
-        decompositions one executor ranks), and ``connected_covers``
-        re-enumerates from scratch on every call — so the cache turns repeat
-        planning into a dict lookup.
+        The one cover decision of the query layer: the cost models of
+        :mod:`repro.db.cost` read their covers here too, so Eq. 5–9 cost
+        exactly the joins execution builds.  Bags repeat across nodes in
+        real decompositions (and across the many decompositions one
+        executor ranks), and ``connected_covers`` re-enumerates from scratch
+        on every call — so the cache turns repeat planning into a dict
+        lookup.
         """
         cover = self._cover_cache.get(bag)
         if cover is None:
-            cover = tuple(
-                choose_cover(
-                    self.hypergraph,
-                    bag,
-                    max_size=self.max_cover_size,
-                    prefer_connected=self.prefer_connected,
-                )
-            )
+            cover = tuple(choose_cover(self.hypergraph, bag))
             self._cover_cache[bag] = cover
-        return list(cover)
+        return cover
 
     def plan(self, decomposition: TreeDecomposition) -> List[NodePlan]:
         """Assign covers and atom enforcement to decomposition nodes.
@@ -219,7 +233,7 @@ class YannakakisExecutor:
             NodePlan(
                 node=node,
                 bag=decomposition.bag(node),
-                cover=self._choose_cover(decomposition.bag(node)),
+                cover=list(self.cover_of(decomposition.bag(node))),
             )
             for node in nodes
         ]
@@ -253,34 +267,13 @@ class YannakakisExecutor:
         materialize_result: bool = False,
         budget: Optional[Budget] = None,
     ) -> YannakakisRun:
-        """Run the three stages and return the aggregate (or materialised) result.
-
-        With a ``budget``, work is metered in the engine's own units
-        (tuples read + written, via :class:`BudgetedWorkCounter`) and the
-        deadline is checked per operator.  An exhausted run returns
-        ``result=None`` with the honest partial counters — never a wrong
-        partial answer — and ``outcome`` says why it stopped.
-        """
-        counter = WorkCounter() if budget is None else BudgetedWorkCounter(budget)
-        start = time.perf_counter()
-        try:
-            return self._execute_stages(
-                decomposition, materialize_result, counter, start
-            )
-        except BudgetExceeded:
-            pass
-        except KeyboardInterrupt:
-            if budget is None:
-                raise
-            budget.mark_interrupted()
-        return YannakakisRun(
-            result=None,
-            counter=counter,
-            wall_time=time.perf_counter() - start,
-            node_sizes={},
-            reduced_sizes={},
-            max_intermediate=0,
-            outcome=budget.outcome(),
+        """Run the three stages and return the aggregate (or materialised)
+        result, governed by ``budget`` as :func:`governed_run` describes."""
+        return governed_run(
+            budget,
+            lambda counter: self._execute_stages(
+                decomposition, materialize_result, counter
+            ),
         )
 
     def _execute_stages(
@@ -288,7 +281,6 @@ class YannakakisExecutor:
         decomposition: TreeDecomposition,
         materialize_result: bool,
         counter: WorkCounter,
-        start: float,
     ) -> YannakakisRun:
         last = self._last_plan
         plans = (
@@ -353,23 +345,15 @@ class YannakakisExecutor:
         reduced_sizes = {
             node_id: len(relation) for node_id, relation in bag_relations.items()
         }
-        wall_time = time.perf_counter() - start
-        outcome = (
-            counter.budget.outcome()
-            if isinstance(counter, BudgetedWorkCounter)
-            else completed_outcome(work=counter.total, elapsed=wall_time)
-        )
         return YannakakisRun(
             result=result,
             counter=counter,
-            wall_time=wall_time,
             node_sizes=node_sizes,
             reduced_sizes=reduced_sizes,
             max_intermediate=max(
                 [*node_sizes.values(), *cover_join_sizes, *fold_sizes], default=0
             ),
             fold_sizes=fold_sizes,
-            outcome=outcome,
         )
 
     # -- helpers --------------------------------------------------------------------
@@ -458,20 +442,3 @@ def _edges_from(root: TreeNode) -> List[Tuple[TreeNode, TreeNode]]:
         stack.extend((n, node) for n in reversed(neighbours) if n is not parent)
     return edges
 
-
-def run_yannakakis(
-    database: Database,
-    query: ConjunctiveQuery,
-    decomposition: TreeDecomposition,
-    max_cover_size: Optional[int] = None,
-    prefer_connected: bool = True,
-    budget: Optional[Budget] = None,
-) -> YannakakisRun:
-    """Convenience wrapper: execute ``query`` through ``decomposition``."""
-    executor = YannakakisExecutor(
-        database,
-        query,
-        max_cover_size=max_cover_size,
-        prefer_connected=prefer_connected,
-    )
-    return executor.execute(decomposition, budget=budget)

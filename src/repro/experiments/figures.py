@@ -36,14 +36,15 @@ def _experiment(entry: BenchmarkQuery, scale: float = 1.0) -> QueryExperiment:
     return QueryExperiment.from_benchmark(entry, scale=scale)
 
 
-def _evaluation_rows(
-    experiment: QueryExperiment, evaluations: Sequence[DecompositionEvaluation]
+def evaluation_rows(
+    evaluations: Sequence[DecompositionEvaluation],
 ) -> List[Dict[str, object]]:
+    """One row per evaluated CTD: its rank, both costs and its execution."""
     return [
         {
             "rank": evaluation.rank,
-            "cost_cardinalities": evaluation.cardinality_cost,
-            "cost_estimates": evaluation.estimate_cost,
+            "cost_cardinalities": evaluation.cost_cardinalities,
+            "cost_estimates": evaluation.cost_estimates,
             "work": evaluation.work,
             "max_intermediate": evaluation.metrics.max_intermediate,
             "wall_time_s": evaluation.wall_time,
@@ -51,6 +52,17 @@ def _evaluation_rows(
         }
         for evaluation in evaluations
     ]
+
+
+def baseline_row(experiment: QueryExperiment) -> Dict[str, object]:
+    """The experiment's baseline execution as a figure record."""
+    baseline = experiment.baseline()
+    return {
+        "work": baseline.work,
+        "max_intermediate": baseline.max_intermediate,
+        "wall_time_s": baseline.wall_time,
+        "result": baseline.result,
+    }
 
 
 # -- Figure 5 -------------------------------------------------------------------------
@@ -72,14 +84,7 @@ def figure5_rows(
     evaluations.sort(key=lambda evaluation: evaluation.work)
     for rank, evaluation in enumerate(evaluations, start=1):
         evaluation.rank = rank
-    baseline = experiment.baseline()
-    baseline_row = {
-        "work": baseline.work,
-        "max_intermediate": baseline.max_intermediate,
-        "wall_time_s": baseline.wall_time,
-        "result": baseline.result,
-    }
-    return _evaluation_rows(experiment, evaluations), baseline_row
+    return evaluation_rows(evaluations), baseline_row(experiment)
 
 
 # -- Figure 6 -------------------------------------------------------------------------
@@ -96,14 +101,7 @@ def figure6_rows(
             cost="estimates", limit=limit, constrained=True
         )
         evaluations = experiment.evaluate(decompositions)
-        baseline = experiment.baseline()
-        baseline_row = {
-            "work": baseline.work,
-            "max_intermediate": baseline.max_intermediate,
-            "wall_time_s": baseline.wall_time,
-            "result": baseline.result,
-        }
-        result[name] = (_evaluation_rows(experiment, evaluations), baseline_row)
+        result[name] = (evaluation_rows(evaluations), baseline_row(experiment))
     return result
 
 
@@ -175,15 +173,7 @@ def appendix_figure_rows(
         cost="cardinalities", limit=limit, constrained=True
     )
     evaluations = experiment.evaluate(decompositions)
-    baseline_row: Optional[Dict[str, object]] = None
-    baseline = experiment.baseline()
-    baseline_row = {
-        "work": baseline.work,
-        "max_intermediate": baseline.max_intermediate,
-        "wall_time_s": baseline.wall_time,
-        "result": baseline.result,
-    }
-    return _evaluation_rows(experiment, evaluations), baseline_row
+    return evaluation_rows(evaluations), baseline_row(experiment)
 
 
 # -- width hierarchy (Examples 1, 2 and Appendix A.2) ---------------------------------------

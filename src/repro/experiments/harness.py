@@ -27,11 +27,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.decompositions.td import TreeDecomposition
 from repro.core.candidate_bags import filter_bags_by_cover, soft_candidate_bags
 from repro.core.constraints import ConnectedCoverConstraint
-from repro.core.solve import DATA_PREFERENCES, SolveRequest, execute
-from repro.db.cost import CardinalityCostModel, EstimateCostModel
+from repro.core.solve import DATA_PREFERENCES, SolveRequest, execute, preference_object
 from repro.db.database import Database
-from repro.db.executor import BaselineExecutor, DecompositionExecutor, ExecutionMetrics
+from repro.db.executor import BaselineExecutor
 from repro.db.query import ConjunctiveQuery
+from repro.db.yannakakis import YannakakisExecutor, YannakakisRun
 from repro.runtime.budget import Budget
 
 
@@ -41,9 +41,9 @@ class DecompositionEvaluation:
 
     rank: int
     decomposition: TreeDecomposition
-    cardinality_cost: float
-    estimate_cost: float
-    metrics: ExecutionMetrics
+    cost_cardinalities: float
+    cost_estimates: float
+    metrics: YannakakisRun
 
     @property
     def work(self) -> int:
@@ -82,9 +82,7 @@ class QueryExperiment:
         self.hypergraph = query.hypergraph()
         self._soft_bags = None
         self._concov_bags = None
-        self._cardinality_model = CardinalityCostModel(query, database)
-        self._estimate_model = EstimateCostModel(query, database)
-        self._executor = DecompositionExecutor(database, query)
+        self._executor = YannakakisExecutor(database, query)
 
     @classmethod
     def from_benchmark(
@@ -116,43 +114,6 @@ class QueryExperiment:
             query,
             entry.width,
             name=entry.name,
-            budget=budget,
-            data_key=data_key,
-        )
-
-    @classmethod
-    def from_sql(
-        cls,
-        database: Database,
-        sql: str,
-        width: Optional[int] = None,
-        name: Optional[str] = None,
-        budget: Optional[Budget] = None,
-        data_key: Optional[str] = None,
-        cache="auto",
-    ) -> "QueryExperiment":
-        """Build the experiment from raw SQL through the query front door.
-
-        Parses ``sql`` against ``database`` and, when ``width`` is not
-        given, derives it with the front door's least-width search (a
-        cache-served soft-width solve), so batch/throughput callers can
-        schedule ad-hoc SQL without knowing the query's width up front.
-        """
-        from repro.db.frontdoor import plan_query
-
-        plan = plan_query(sql, database, width=width, name=name, cache=cache, budget=budget)
-        if plan.width is None:
-            from repro.runtime.errors import UserError
-
-            raise UserError(
-                f"could not determine a decomposition width for query "
-                f"{plan.query.name!r} (search stopped early)"
-            )
-        return cls(
-            database,
-            plan.query,
-            plan.width,
-            name=name,
             budget=budget,
             data_key=data_key,
         )
@@ -253,24 +214,29 @@ class QueryExperiment:
     # -- evaluation --------------------------------------------------------------------------
 
     def evaluate(self, decompositions: Sequence[TreeDecomposition]) -> List[DecompositionEvaluation]:
-        """Execute each decomposition and attach both cost-function values."""
-        evaluations = []
-        for rank, decomposition in enumerate(decompositions, start=1):
-            metrics = self._executor.execute(decomposition, budget=self.budget)
-            evaluations.append(
-                DecompositionEvaluation(
-                    rank=rank,
-                    decomposition=decomposition,
-                    cardinality_cost=self._cardinality_model.decomposition_cost(decomposition),
-                    estimate_cost=self._estimate_model.decomposition_cost(decomposition),
-                    metrics=metrics,
-                )
-            )
-        return evaluations
+        """Execute each decomposition and attach both cost-function values.
 
-    def baseline(self) -> ExecutionMetrics:
-        """The DBMS-style baseline execution of the query."""
-        return BaselineExecutor(self.database, self.query).execute()
+        Each CTD runs as given, uncontracted, so the figures can key node
+        sizes by its own node ids.  The costs are the keys of the very
+        preferences the ranked solves use (:func:`preference_object`).
+        """
+        cardinalities = preference_object("cardinalities", self.database, self.query)
+        estimates = preference_object("estimates", self.database, self.query)
+        return [
+            DecompositionEvaluation(
+                rank=rank,
+                decomposition=decomposition,
+                cost_cardinalities=cardinalities.key(decomposition),
+                cost_estimates=estimates.key(decomposition),
+                metrics=self._executor.execute(decomposition, budget=self.budget),
+            )
+            for rank, decomposition in enumerate(decompositions, start=1)
+        ]
+
+    def baseline(self) -> YannakakisRun:
+        """The DBMS-style baseline execution of the query, on the experiment's
+        budget (a cut run has ``result=None``)."""
+        return BaselineExecutor(self.database, self.query).execute(budget=self.budget)
 
     # -- Table 1 -----------------------------------------------------------------------------
 

@@ -203,11 +203,6 @@ class VertexIndexer:
         order = self._order
         return frozenset(order[b] for b in iter_bits(mask))
 
-    def to_sorted_vertices(self, mask: int) -> List[Vertex]:
-        """Decode a mask into vertices in bit (string-sorted) order."""
-        order = self._order
-        return [order[b] for b in iter_bits(mask)]
-
 
 class HypergraphBitsets:
     """Cached mask tables for one hypergraph.

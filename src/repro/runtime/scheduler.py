@@ -135,11 +135,6 @@ class BatchSolvePlan:
     def query_count(self) -> int:
         return len(self.items)
 
-    @property
-    def solve_count(self) -> int:
-        """Distinct solves the plan needs (groups + ungrouped queries)."""
-        return len(self.groups) + len(self.ungrouped)
-
     def describe(self) -> str:
         return (
             f"{self.query_count} queries -> {len(self.groups)} shape groups "

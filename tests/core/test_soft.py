@@ -7,7 +7,6 @@ from repro.core.soft import (
     certify_soft_decomposition,
     shw_i_leq,
     shw_leq,
-    soft_decomposition,
     soft_decomposition_to_ghd,
     soft_hypertree_width,
 )
@@ -59,9 +58,9 @@ class TestShwSearch:
         with pytest.raises(ValueError):
             soft_hypertree_width(triangle, max_k=1)
 
-    def test_soft_decomposition_alias(self, triangle):
-        assert soft_decomposition(triangle, 2) is not None
-        assert soft_decomposition(triangle, 1) is None
+    def test_shw_i_leq_decides_the_triangle(self, triangle):
+        assert shw_i_leq(triangle, 2, 0) is not None
+        assert shw_i_leq(triangle, 1, 0) is None
 
 
 class TestIteratedShw:

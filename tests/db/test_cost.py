@@ -7,8 +7,6 @@ from repro.core.enumerate import enumerate_ctds
 from repro.db.cost import (
     CardinalityCostModel,
     EstimateCostModel,
-    cardinality_cost,
-    estimate_cost,
     make_cost_preference,
 )
 from repro.db.database import Database
@@ -68,8 +66,8 @@ class TestCardinalityCostModel:
     def test_decomposition_cost_positive_and_deterministic(self, tpcds):
         database, query = tpcds
         decomposition = decompositions_for(query, limit=1)[0]
-        first = cardinality_cost(decomposition, query, database)
-        second = cardinality_cost(decomposition, query, database)
+        first = CardinalityCostModel(query, database).decomposition_cost(decomposition)
+        second = CardinalityCostModel(query, database).decomposition_cost(decomposition)
         assert first == second > 0
 
 
@@ -81,7 +79,7 @@ class TestEstimateCostModel:
     def test_estimate_cost_positive(self, tpcds):
         database, query = tpcds
         decomposition = decompositions_for(query, limit=1)[0]
-        assert estimate_cost(decomposition, query, database) > 0
+        assert EstimateCostModel(query, database).decomposition_cost(decomposition) > 0
 
     def test_semijoin_extra_cost_at_least_one(self, triangle_database, triangle_query):
         model = EstimateCostModel(triangle_query, triangle_database)
@@ -146,5 +144,6 @@ class TestCostPreferences:
     def test_costs_differ_between_decompositions(self, tpcds):
         database, query = tpcds
         decompositions = decompositions_for(query, limit=6)
-        costs = {round(cardinality_cost(d, query, database), 3) for d in decompositions}
+        model = CardinalityCostModel(query, database)
+        costs = {round(model.decomposition_cost(d), 3) for d in decompositions}
         assert len(costs) > 1

@@ -2,14 +2,13 @@
 
 import pytest
 
-from repro.db.cost import EstimateCostModel
+from repro.db.cost import EstimateCostModel, make_cost_preference
 from repro.db.database import Database
 from repro.db.executor import BaselineExecutor
 from repro.db.frontdoor import run_query
 from repro.db.query import ConjunctiveQuery, atom
 from repro.db.relation import Relation
 from repro.db.stats import CardinalityEstimator
-from repro.experiments.harness import QueryExperiment
 
 
 @pytest.fixture
@@ -49,10 +48,9 @@ class TestOneEstimatorPerDatabase:
         assert database.estimator is shared
         assert BaselineExecutor(database, query).estimator is shared
         assert EstimateCostModel(query, database).estimator is shared
-        assert QueryExperiment(database, query, width=1)._estimate_model.estimator is shared
-        # An explicit estimator still wins.
-        own = CardinalityEstimator(database)
-        assert BaselineExecutor(database, query, own).estimator is own
+        # The harness's cost columns read the one memoised estimate model.
+        preference = make_cost_preference("estimates", query, database)
+        assert preference.node_cost.__self__.estimator is shared
 
     def test_column_statistics_are_computed_once_across_requests(
         self, database, monkeypatch

@@ -14,6 +14,64 @@ from repro.workloads.registry import benchmark_query
 
 SCALE = 0.15
 
+# Pinned figure rows at SCALE with limit=3: every column except wall-clock,
+# costs bit-identical.  Rows: (rank, cost_cardinalities, cost_estimates,
+# work, max_intermediate, result); baselines: (work, max_intermediate,
+# result).  A moved CTD, work count, result or cost fails these pins.
+ROW_COLUMNS = ("rank", "cost_cardinalities", "cost_estimates", "work", "max_intermediate", "result")
+PINNED_FIGURE5 = (
+    [
+        (1, 4070.9304333306272, 592.0, 1135, 117, 0),
+        (2, 4285.061119866255, 593.0, 1219, 117, 0),
+        (3, 4352.119769892216, 1604.5, 1534, 117, 0),
+    ],
+    (683, 65, 0),
+)
+PINNED_FIGURE6 = {
+    "q_hto": (
+        [
+            (1, 25033.576080293256, 1646.3547756305102, 6647, 519, 0),
+            (2, 25387.02390209875, 1646.3547756305102, 6793, 519, 0),
+            (3, 25033.576080293256, 1646.3547756305102, 6647, 519, 0),
+        ],
+        (57967, 18654, 0),
+    ),
+    "q_hto2": (
+        [
+            (1, 22389.517826037572, 1651.097241420534, 6333, 475, 22),
+            (2, 22759.863054454, 1651.097241420534, 6492, 475, 22),
+            (3, 22759.863054454, 1651.097241420534, 6513, 475, 22),
+        ],
+        (58131, 17527, 22),
+    ),
+}
+PINNED_FIGURE15 = (
+    [
+        (1, 13436.533497332039, 1107.006332329625, 3948, 423, 0),
+        (2, 13487.326739991968, 1107.006332329625, 3948, 423, 0),
+        (3, 14021.661396491, 1107.006332329625, 4189, 475, 0),
+    ],
+    (4863, 1564, 0),
+)
+PINNED_TABLE1_QDS = {
+    "query": "q_ds",
+    "concov_shw": 2,
+    "hypergraph_size": 5,
+    "soft_bags": 15,
+    "concov_soft_bags": 14,
+    "num_decompositions": 10,
+}
+
+
+def pinned_view(rows, baseline):
+    """A figure's rows and baseline in the pins' tuple layout."""
+    assert all(set(row) == {*ROW_COLUMNS, "wall_time_s"} for row in rows)
+    assert set(baseline) == {"work", "max_intermediate", "wall_time_s", "result"}
+    return (
+        [tuple(row[column] for column in ROW_COLUMNS) for row in rows],
+        (baseline["work"], baseline["max_intermediate"], baseline["result"]),
+    )
+
 
 @pytest.fixture(scope="module")
 def qds_experiment():
@@ -58,6 +116,11 @@ class TestQueryExperiment:
     def test_concov_shw_matches_width(self, qds_experiment):
         assert qds_experiment.concov_shw(max_k=4) == 2
 
+    def test_table1_row_pinned(self, qds_experiment):
+        row = qds_experiment.table1_row()
+        assert row.pop("top10_seconds") >= 0
+        assert row == PINNED_TABLE1_QDS
+
     def test_table1_row_fields(self, hto3_experiment):
         row = hto3_experiment.table1_row(top_n=3)
         assert row["query"] == "q_hto3"
@@ -89,10 +152,18 @@ class TestFigureGenerators:
         assert baseline["work"] > 0
         ranks = [row["rank"] for row in rows]
         assert ranks == sorted(ranks)
+        assert pinned_view(rows, baseline) == PINNED_FIGURE5
+
+    def test_figure6_rows_pinned(self):
+        result = figures.figure6_rows(scale=SCALE, limit=3)
+        assert {
+            name: pinned_view(rows, baseline) for name, (rows, baseline) in result.items()
+        } == PINNED_FIGURE6
 
     def test_appendix_figure_rows(self):
         rows, baseline = figures.appendix_figure_rows("figure15", scale=SCALE, limit=3)
         assert rows and baseline is not None
+        assert pinned_view(rows, baseline) == PINNED_FIGURE15
         with pytest.raises(KeyError):
             figures.appendix_figure_rows("figure99")
 

@@ -119,6 +119,31 @@ class TestExperimentCommands:
         assert "Baseline" in output
         assert "q_hto3" in output
 
+    def test_experiment_budget_caps_and_charges_the_baseline(self):
+        # The hermetic cache (conftest) keeps the ranked solve's work equal
+        # in both runs.
+        arguments = ["experiment", "q_hto3", "--scale", "0.15", "--limit", "2"]
+
+        def outcome_work(output):
+            line = next(l for l in output.splitlines() if l.startswith("outcome:"))
+            return int(line.split("work=")[1].split()[0])
+
+        code, output = run_cli(arguments + ["--max-work", str(10**9)])
+        assert code == 0
+        total = outcome_work(output)
+        baseline_line = next(l for l in output.splitlines() if l.startswith("Baseline:"))
+        baseline_work = int(baseline_line.split("work=")[1].split(",")[0])
+        before_baseline = total - baseline_work
+        cap = before_baseline + baseline_work // 2
+
+        code, output = run_cli(arguments + ["--max-work", str(cap)])
+        assert code == 125
+        baseline_line = next(l for l in output.splitlines() if l.startswith("Baseline:"))
+        assert baseline_line.startswith("Baseline: not completed (budget_exhausted)")
+        assert "result=" not in baseline_line
+        # The budget ran out inside the baseline: its joins were charged.
+        assert outcome_work(output) >= cap > before_baseline
+
     def test_experiment_reads_dump_files(self, tmp_path):
         from repro.workloads.registry import workload_entry
 

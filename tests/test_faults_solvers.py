@@ -28,7 +28,7 @@ from repro.core.ctd import candidate_td
 from repro.core.enumerate import CTDEnumerator, enumerate_ctds
 from repro.core.preferences import NodeCountPreference
 from repro.core.soft import soft_hypertree_width
-from repro.db.yannakakis import run_yannakakis
+from repro.db.yannakakis import YannakakisExecutor
 from repro.hypergraph.generators import (
     random_cyclic_query_hypergraph,
     random_hypergraph,
@@ -301,11 +301,8 @@ class TestYannakakisGoverned:
 
     def test_partial_run_returns_no_result(self, triangle_database, triangle_query):
         decomposition = self._decomposition(triangle_query)
-        run = run_yannakakis(
-            triangle_database,
-            triangle_query,
-            decomposition,
-            budget=Budget(max_work=3),
+        run = YannakakisExecutor(triangle_database, triangle_query).execute(
+            decomposition, budget=Budget(max_work=3)
         )
         assert run.outcome.status == STATUS_BUDGET
         assert run.outcome.partial
@@ -317,10 +314,12 @@ class TestYannakakisGoverned:
         self, triangle_database, triangle_query
     ):
         decomposition = self._decomposition(triangle_query)
-        reference = run_yannakakis(triangle_database, triangle_query, decomposition)
+        reference = YannakakisExecutor(triangle_database, triangle_query).execute(
+            decomposition
+        )
         budget = Budget(max_work=GENEROUS)
-        governed = run_yannakakis(
-            triangle_database, triangle_query, decomposition, budget=budget
+        governed = YannakakisExecutor(triangle_database, triangle_query).execute(
+            decomposition, budget=budget
         )
         assert governed.result == reference.result
         assert governed.work == reference.work
@@ -334,8 +333,8 @@ class TestYannakakisGoverned:
         budget = Budget(
             deadline=0.0, clock=FakeClock(auto_advance=0.001), check_interval=4
         )
-        run = run_yannakakis(
-            triangle_database, triangle_query, decomposition, budget=budget
+        run = YannakakisExecutor(triangle_database, triangle_query).execute(
+            decomposition, budget=budget
         )
         assert run.outcome.status == STATUS_DEADLINE
         assert run.result is None
@@ -347,8 +346,8 @@ class TestYannakakisGoverned:
         budget = Budget(
             deadline=GENEROUS, clock=InterruptingClock(2), check_interval=1
         )
-        run = run_yannakakis(
-            triangle_database, triangle_query, decomposition, budget=budget
+        run = YannakakisExecutor(triangle_database, triangle_query).execute(
+            decomposition, budget=budget
         )
         assert run.outcome.status == STATUS_INTERRUPTED
         assert run.result is None
