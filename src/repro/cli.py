@@ -42,9 +42,10 @@ ladder, independent result certification) with a durable checkpoint
 ledger: re-running the same batch resumes, skipping certified completed
 tasks.  Exit codes: 0 all ok, 1 some task failed, 130 interrupted.
 
-Expected user-level failures (missing files, unknown names, a corrupt
-ledger) are reported as a one-line ``error: ...`` with exit code 2 via
-the :class:`repro.runtime.errors.ReproError` taxonomy — tracebacks are
+Expected user-level failures (missing or unparseable files, unknown
+names, a corrupt ledger) are reported as a one-line ``error: ...`` with
+exit code 2 via the :class:`repro.runtime.errors.ReproError` taxonomy, and
+out-of-range flags are rejected by argparse (exit 2) — tracebacks are
 reserved for actual bugs.
 """
 
@@ -53,7 +54,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.hypergraph.io import parse_hyperbench
 from repro.hypergraph.stats import hypergraph_statistics
@@ -64,26 +65,92 @@ def _load_hypergraph(path: str):
 
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return parse_hyperbench(handle.read())
+            text = handle.read()
     except OSError as exc:
         raise UserError(f"cannot read hypergraph file {path!r}: {exc}") from exc
+    try:
+        return parse_hyperbench(text)
+    except ValueError as exc:
+        raise UserError(f"cannot parse hypergraph file {path!r}: {exc}") from exc
 
 
-# -- resource governance ---------------------------------------------------
+def _registry_lookup(function, *args, **kwargs):
+    """Call a registry lookup; an unknown name is a :class:`UserError`."""
+    from repro.runtime.errors import UserError
+
+    try:
+        return function(*args, **kwargs)
+    except KeyError as exc:
+        raise UserError(str(exc.args[0]) if exc.args else str(exc)) from exc
+
+
+# -- shared flags -----------------------------------------------------------
+
+
+def _at_least(cast, minimum, *, strict: bool = False):
+    """An argparse ``type=`` parsing ``cast`` and rejecting values below
+    ``minimum`` (or equal to it, when ``strict``), so a bad flag is a usage
+    error (exit 2) naming the flag, not a traceback from deep inside."""
+
+    def parse(text: str):
+        value = cast(text)  # a ValueError is argparse's "invalid int value"
+        if not (value > minimum if strict else value >= minimum):
+            bound = ">" if strict else ">="
+            raise argparse.ArgumentTypeError(f"must be {bound} {minimum}, got {text}")
+        return value
+
+    parse.__name__ = cast.__name__
+    return parse
+
+
+_POSITIVE_INT = _at_least(int, 1)
+_NON_NEGATIVE_INT = _at_least(int, 0)
+_POSITIVE_FLOAT = _at_least(float, 0, strict=True)
+_NON_NEGATIVE_FLOAT = _at_least(float, 0)
+
+
+def _hypergraph_arguments(parser, *, decomposing: bool = False) -> None:
+    """The hypergraph file positional; with ``decomposing``, also the
+    required ``-k/--width`` and ``--concov``."""
+    parser.add_argument("hypergraph", help="HyperBench-format hypergraph file")
+    if decomposing:
+        parser.add_argument("-k", "--width", type=_POSITIVE_INT, required=True)
+        parser.add_argument(
+            "--concov", action="store_true", help="require connected covers"
+        )
+
+
+def _data_arguments(parser, scale: float, *, seed: bool = True) -> None:
+    """``--scale`` (and ``--seed``) of the generated benchmark data."""
+    parser.add_argument("--scale", type=_POSITIVE_FLOAT, default=scale)
+    if seed:
+        parser.add_argument(
+            "--seed", type=int, default=None, help="workload seed (default: per-workload)"
+        )
+
+
+def _cache_argument(parser) -> None:
+    """``--cache DIR``: where the persistent decomposition cache lives."""
+    parser.add_argument(
+        "--cache",
+        default=None,
+        metavar="DIR",
+        help="decomposition cache directory (default: $REPRO_CTD_CACHE)",
+    )
 
 
 def _budget_arguments(parser) -> None:
     """Attach ``--timeout`` / ``--max-work`` to a governed verb."""
     parser.add_argument(
         "--timeout",
-        type=float,
+        type=_NON_NEGATIVE_FLOAT,
         default=None,
         metavar="SECONDS",
         help="wall-clock deadline; stopping yields the anytime result and exit code 124",
     )
     parser.add_argument(
         "--max-work",
-        type=int,
+        type=_NON_NEGATIVE_INT,
         default=None,
         dest="max_work",
         metavar="N",
@@ -203,9 +270,6 @@ def _cmd_enumerate(args, out) -> int:
     from repro.core.solve import SolveRequest, execute
 
     budget = _make_budget(args)
-    if args.limit < 1:
-        print(f"no decomposition of width <= {args.width}", file=out)
-        return _finish(budget, out, ok=1)
     result = execute(
         SolveRequest(
             hypergraph=hypergraph,
@@ -276,10 +340,7 @@ def _cmd_query(args, out) -> int:
     if args.name is not None:
         from repro.workloads.registry import benchmark_query
 
-        try:
-            entry = benchmark_query(args.name)
-        except KeyError as exc:
-            raise UserError(str(exc.args[0]) if exc.args else str(exc)) from exc
+        entry = _registry_lookup(benchmark_query, args.name)
         database, source = entry.load(scale=args.scale, seed=args.seed)
         query_name = args.name
     else:
@@ -295,10 +356,7 @@ def _cmd_query(args, out) -> int:
                 raise UserError(
                     f"cannot read query file {args.file!r}: {exc}"
                 ) from exc
-        try:
-            workload = workload_entry(args.workload)
-        except KeyError as exc:
-            raise UserError(str(exc.args[0]) if exc.args else str(exc)) from exc
+        workload = _registry_lookup(workload_entry, args.workload)
         database = workload.load(scale=args.scale, seed=args.seed)
         query_name = "query"
 
@@ -367,29 +425,23 @@ def default_ledger_path(tasks) -> str:
     return os.path.join("workloads", ".batches", f"batch-{digest}.jsonl")
 
 
-def _batch_tasks(args) -> List[Dict[str, object]]:
-    """The task specs ``repro batch`` and ``repro throughput`` both run."""
-    from repro.experiments.harness import batch_task_specs
-    from repro.runtime.errors import UserError
-
-    try:
-        return batch_task_specs(
-            queries=args.queries or None,
-            scale=args.scale,
-            seed=args.seed,
-            deadline=args.timeout,
-            max_work=args.max_work,
-        )
-    except KeyError as exc:
-        raise UserError(str(exc.args[0]) if exc.args else str(exc)) from exc
-
-
 def _cmd_batch(args, out) -> int:
-    from repro.experiments.harness import BatchCertifier, BatchSolveCache
+    from repro.experiments.harness import (
+        BatchCertifier,
+        BatchSolveCache,
+        batch_task_specs,
+    )
     from repro.runtime.checkpoint import BatchLedger
     from repro.runtime.supervisor import RetryPolicy, Supervisor
 
-    tasks = _batch_tasks(args)
+    tasks = _registry_lookup(
+        batch_task_specs,
+        queries=args.queries or None,
+        scale=args.scale,
+        seed=args.seed,
+        deadline=args.timeout,
+        max_work=args.max_work,
+    )
     ledger = None
     ledger_path = None
     if not args.no_ledger:
@@ -411,34 +463,6 @@ def _cmd_batch(args, out) -> int:
     if ledger_path is not None:
         print(f"ledger: {ledger_path}", file=out)
     return report.exit_code
-
-
-def _cmd_throughput(args, out) -> int:
-    from repro.runtime.scheduler import BatchSolvePlan, run_plan
-
-    tasks = _batch_tasks(args)
-    if args.repeat > 1:
-        # Replicated query sets model a workload that asks the same
-        # shapes repeatedly — the scheduler answers the duplicates by
-        # certified fan-out instead of re-solving.
-        tasks = [dict(task) for _ in range(args.repeat) for task in tasks]
-    plan = BatchSolvePlan.from_tasks(tasks)
-    print(plan.describe(), file=out)
-    report = run_plan(
-        plan,
-        workers=args.workers,
-        cache=None if args.no_cache else "auto",
-    )
-    summary = report.summary()
-    for key in sorted(summary):
-        print(f"{key}: {summary[key]}", file=out)
-    failures = [
-        r for r in report.results if not (isinstance(r, dict) and r.get("ok"))
-    ]
-    if failures:
-        print(f"failed queries: {len(failures)}", file=out)
-        return 1
-    return 0
 
 
 # -- decomposition cache management ------------------------------------------
@@ -519,36 +543,32 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     width = subparsers.add_parser("width", help="compute a width measure of a hypergraph")
-    width.add_argument("hypergraph", help="HyperBench-format hypergraph file")
+    _hypergraph_arguments(width)
     width.add_argument("--measure", choices=["shw", "hw", "ghw", "tw"], default="shw")
-    width.add_argument("-k", "--max-k", type=int, default=None, dest="max_k")
-    width.add_argument("--iterations", type=int, default=0, help="shw_i iteration level")
+    width.add_argument("-k", "--max-k", type=_POSITIVE_INT, default=None, dest="max_k")
+    width.add_argument(
+        "--iterations", type=_NON_NEGATIVE_INT, default=0, help="shw_i iteration level"
+    )
     _budget_arguments(width)
     width.set_defaults(handler=_cmd_width)
 
     decompose = subparsers.add_parser("decompose", help="compute a soft decomposition")
-    decompose.add_argument("hypergraph")
-    decompose.add_argument("-k", "--width", type=int, required=True)
-    decompose.add_argument("--concov", action="store_true", help="require connected covers")
+    _hypergraph_arguments(decompose, decomposing=True)
     _budget_arguments(decompose)
     decompose.set_defaults(handler=_cmd_decompose)
 
     enumerate_parser = subparsers.add_parser(
         "enumerate", help="enumerate ranked soft decompositions"
     )
-    enumerate_parser.add_argument("hypergraph")
-    enumerate_parser.add_argument("-k", "--width", type=int, required=True)
+    _hypergraph_arguments(enumerate_parser, decomposing=True)
     enumerate_parser.add_argument(
-        "--limit", type=int, default=5, help="how many decompositions to print"
-    )
-    enumerate_parser.add_argument(
-        "--concov", action="store_true", help="require connected covers"
+        "--limit", type=_POSITIVE_INT, default=5, help="how many decompositions to print"
     )
     _budget_arguments(enumerate_parser)
     enumerate_parser.set_defaults(handler=_cmd_enumerate)
 
     stats = subparsers.add_parser("stats", help="structural statistics of a hypergraph")
-    stats.add_argument("hypergraph")
+    _hypergraph_arguments(stats)
     stats.set_defaults(handler=_cmd_stats)
 
     query = subparsers.add_parser(
@@ -571,13 +591,10 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DATASET",
         help="dataset --sql/--file queries run against (default: joblite)",
     )
-    query.add_argument("--scale", type=float, default=1.0)
-    query.add_argument(
-        "--seed", type=int, default=None, help="workload seed (default: per-workload)"
-    )
+    _data_arguments(query, scale=1.0)
     query.add_argument(
         "--width",
-        type=int,
+        type=_POSITIVE_INT,
         default=None,
         metavar="K",
         help="decompose at exactly width K (default: least-width search)",
@@ -587,12 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the decomposition and execution plan without executing",
     )
-    query.add_argument(
-        "--cache",
-        default=None,
-        metavar="DIR",
-        help="decomposition cache directory (default: $REPRO_CTD_CACHE)",
-    )
+    _cache_argument(query)
     query.add_argument(
         "--no-cache",
         action="store_true",
@@ -610,11 +622,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["q_ds", "q_hto", "q_hto2", "q_hto3", "q_hto4", "q_lb"]
         + [f"jl{i:02d}" for i in range(1, 11)],
     )
-    experiment.add_argument("--scale", type=float, default=0.5)
-    experiment.add_argument("--limit", type=int, default=5)
-    experiment.add_argument(
-        "--seed", type=int, default=None, help="workload seed (default: per-workload)"
-    )
+    _data_arguments(experiment, scale=0.5)
+    experiment.add_argument("--limit", type=_POSITIVE_INT, default=5)
     experiment.add_argument(
         "--dump",
         default=None,
@@ -625,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.set_defaults(handler=_cmd_experiment)
 
     table1 = subparsers.add_parser("table1", help="reproduce Table 1")
-    table1.add_argument("--scale", type=float, default=0.5)
+    _data_arguments(table1, scale=0.5, seed=False)
     table1.set_defaults(handler=_cmd_table1)
 
     batch = subparsers.add_parser(
@@ -639,14 +648,11 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="QUERY",
         help="benchmark query names (default: all six)",
     )
-    batch.add_argument("--scale", type=float, default=0.5)
-    batch.add_argument(
-        "--seed", type=int, default=None, help="workload seed (default: per-workload)"
-    )
+    _data_arguments(batch, scale=0.5)
     _budget_arguments(batch)
     batch.add_argument(
         "--task-timeout",
-        type=float,
+        type=_POSITIVE_FLOAT,
         default=300.0,
         dest="task_timeout",
         metavar="SECONDS",
@@ -680,59 +686,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.set_defaults(handler=_cmd_batch)
 
-    throughput = subparsers.add_parser(
-        "throughput",
-        help="multi-query batch throughput: shape dedup plus certified fan-out",
-    )
-    throughput.add_argument(
-        "--queries",
-        nargs="*",
-        default=None,
-        metavar="QUERY",
-        help="benchmark query names (default: all six)",
-    )
-    throughput.add_argument("--scale", type=float, default=0.5)
-    throughput.add_argument(
-        "--seed", type=int, default=None, help="workload seed (default: per-workload)"
-    )
-    _budget_arguments(throughput)
-    throughput.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="worker processes for representative solves (0/1 = inline)",
-    )
-    throughput.add_argument(
-        "--repeat",
-        type=int,
-        default=1,
-        help="replicate the query set N times (duplicates answered by fan-out)",
-    )
-    throughput.add_argument(
-        "--no-cache",
-        action="store_true",
-        dest="no_cache",
-        help="skip the persistent decomposition cache",
-    )
-    throughput.set_defaults(handler=_cmd_throughput)
-
     cache_parser = subparsers.add_parser(
         "cache", help="manage the persistent decomposition cache"
     )
     cache_commands = cache_parser.add_subparsers(dest="cache_command", required=True)
 
     cache_list = cache_commands.add_parser("list", help="list cached decompositions")
-    cache_list.add_argument(
-        "--cache", default=None, help="cache directory (default: $REPRO_CTD_CACHE)"
-    )
+    _cache_argument(cache_list)
     cache_list.set_defaults(handler=_cmd_cache_list)
 
     cache_clean = cache_commands.add_parser(
         "clean", help="delete cached decompositions and quarantined entries"
     )
-    cache_clean.add_argument(
-        "--cache", default=None, help="cache directory (default: $REPRO_CTD_CACHE)"
-    )
+    _cache_argument(cache_clean)
     cache_clean.set_defaults(handler=_cmd_cache_clean)
 
     return parser

@@ -407,7 +407,9 @@ def execute_batch_task(payload: Dict[str, object]) -> Dict[str, object]:
 
     The solve itself is one :func:`repro.core.solve.execute` call: the
     worker reconstructs the embedded :class:`SolveRequest`, loads the
-    database only when the request's preference needs data, and emits the
+    database only when the request's preference needs data, solves through
+    the default persistent cache (``REPRO_CTD_CACHE`` /
+    ``REPRO_CTD_CACHE_OFF`` relocate or disable it), and emits the
     :class:`SolveResult` wire dict (decomposition payload to be
     re-certified by the parent, claimed width, governed outcome counters).
     An exhausted budget with no anytime decomposition is reported as
@@ -435,15 +437,7 @@ def execute_batch_task(payload: Dict[str, object]) -> Dict[str, object]:
             scale=float(payload.get("scale") or 1.0),
             seed=payload.get("seed"),
         )
-    result = execute(
-        request,
-        database=database,
-        query=query,
-        budget=budget,
-        # The batch scheduler sets cache_off on cache-less plans so worker
-        # solves mirror the parent's cache decision.
-        cache=None if payload.get("cache_off") else "auto",
-    )
+    result = execute(request, database=database, query=query, budget=budget)
     if result.decomposition is None and result.outcome.partial:
         return {
             "ok": False,

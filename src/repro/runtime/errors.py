@@ -44,16 +44,10 @@ class ReproError(Exception):
     """Base class of all expected, user-reportable failures.
 
     ``exit_code`` is the process exit code the CLI uses when this error
-    terminates a run; subclasses override the class attribute or pass
-    ``exit_code=`` per instance.
+    terminates a run; subclasses override the class attribute.
     """
 
     exit_code = 1
-
-    def __init__(self, message: str, *, exit_code: Optional[int] = None):
-        super().__init__(message)
-        if exit_code is not None:
-            self.exit_code = exit_code
 
 
 class UserError(ReproError):
@@ -139,18 +133,6 @@ class TaskFailure(ReproError):
         if self.detail is not None:
             record["detail"] = self.detail
         return record
-
-    @classmethod
-    def from_record(cls, record: Dict[str, object]) -> "TaskFailure":
-        """Rebuild a failure from its ledger record (resume reporting)."""
-        return cls(
-            str(record.get("kind", FAILURE_CRASHED)),
-            str(record.get("message", "")),
-            fingerprint=record.get("fingerprint"),  # type: ignore[arg-type]
-            level=record.get("level"),  # type: ignore[arg-type]
-            attempt=record.get("attempt"),  # type: ignore[arg-type]
-            detail=record.get("detail"),  # type: ignore[arg-type]
-        )
 
     def __repr__(self) -> str:
         return f"TaskFailure(kind={self.kind!r}, message={str(self)!r})"

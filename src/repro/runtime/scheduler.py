@@ -22,15 +22,13 @@ This module turns such a set into a :class:`BatchSolvePlan`:
    order.  Each is solved once per plan and the persistent cache is keyed
    exactly, so no order saves work; this one is simply deterministic.
 
-:func:`run_plan` executes a plan: representative solves (inline through
-the persistent cache, or on the supervised batch runtime's worker
-processes, :class:`repro.runtime.supervisor.Supervisor`), then fan-out.
-The workers parallelise *independent* representative solves only; a
-single solve is always serial.  Results crossing a process boundary are
-independently re-certified by the parent before they are served.
-Fan-out only ever applies *complete* results — a budget-truncated
-(anytime) representative answer is never replicated to other queries;
-those members are solved individually under their own caps.
+:func:`run_plan` executes a plan in-process: one solve per group
+representative (through the persistent cache), then fan-out.  Fan-out
+only ever applies *complete* results — a budget-truncated (anytime)
+representative answer is never replicated to other queries; those members
+are solved individually under their own caps.  Parallel, isolated solving
+is the supervised batch runtime's job (:class:`repro.runtime.supervisor.
+Supervisor`, ``repro batch``), not this module's.
 """
 
 from __future__ import annotations
@@ -39,12 +37,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.solve import (
-    SolveRequest,
-    _record_for,
-    certify_claim,
-    serve_canonical_record,
-)
+from repro.core.solve import SolveRequest, _record_for, serve_canonical_record
 from repro.hypergraph.canonical import CanonicalForm, canonical_form
 
 __all__ = [
@@ -131,16 +124,6 @@ class BatchSolvePlan:
             )
         return cls(items)
 
-    @property
-    def query_count(self) -> int:
-        return len(self.items)
-
-    def describe(self) -> str:
-        return (
-            f"{self.query_count} queries -> {len(self.groups)} shape groups "
-            f"+ {len(self.ungrouped)} ungrouped solves"
-        )
-
 
 @dataclass
 class BatchReport:
@@ -148,19 +131,6 @@ class BatchReport:
 
     results: List[Optional[Dict[str, object]]]
     counters: Dict[str, int]
-    elapsed: float
-
-    @property
-    def queries_per_second(self) -> float:
-        return len(self.results) / self.elapsed if self.elapsed > 0 else 0.0
-
-    def summary(self) -> Dict[str, object]:
-        return {
-            "queries": len(self.results),
-            "elapsed_s": round(self.elapsed, 6),
-            "queries_per_second": round(self.queries_per_second, 3),
-            **self.counters,
-        }
 
 
 def _wire(item: PlanItem, result, cache_label: str) -> Dict[str, object]:
@@ -217,105 +187,37 @@ def _fan_out(
     return _wire(member, served, label)
 
 
-def _certify_worker_result(item: PlanItem, wire: object):
-    """Certify a worker's wire result against the parent's own request.
-
-    Returns a parent-side :class:`~repro.core.solve.SolveResult`, or
-    ``None`` if the claim does not certify (the caller then solves the
-    representative inline: a lying worker degrades to a retry, never a
-    wrong answer).
-    """
-    try:
-        return certify_claim(item.request, wire)
-    except ValueError:
-        return None
-
-
-def _solve_on_workers(
-    items: List[PlanItem], workers: int, cache
-) -> List[Optional[object]]:
-    """Solve ``items`` on one supervised run of ``workers`` worker processes.
-
-    Returns one parent-certified :class:`~repro.core.solve.SolveResult` per
-    item, or ``None`` where the worker attempts gave none (crash, hard
-    timeout, ``ok: False``, or a claim that does not certify).  The ladder
-    is the top rung alone: a ``decide`` rung answers a different question
-    than an ``enumerate`` request asks, so its result must not be served,
-    let alone fanned out.  Certification happens here, once per result,
-    against the item's own request, so the supervisor runs without a
-    certifier.
-    """
-    from repro.runtime.supervisor import DEFAULT_LADDER, Supervisor
-
-    # The workers must mirror this plan's cache decision: a cache=None run
-    # (benchmarks, equivalence tests) would otherwise read and write the
-    # persistent cache through them.  (Custom cache objects are not
-    # shipped — workers then use their default resolution.)
-    tasks = [
-        dict(item.task, cache_off=True) if cache is None else item.task
-        for item in items
-    ]
-    supervisor = Supervisor(max_workers=workers, ladder=DEFAULT_LADDER[:1])
-    report = supervisor.run(tasks)
-    if report.interrupted:
-        raise KeyboardInterrupt
-    # Distinct groups carry distinct requests, so no task is deduplicated
-    # and the report is in input order.
-    return [
-        _certify_worker_result(item, outcome.result) if outcome.ok else None
-        for item, outcome in zip(items, report.results)
-    ]
-
-
 def run_plan(plan: BatchSolvePlan, workers: int = 0, cache="auto") -> BatchReport:
-    """Execute a plan and return per-query results plus reuse counters.
+    """Execute a plan in-process and return per-query results plus counters.
 
-    ``workers > 1`` solves the group representatives on one
-    :class:`~repro.runtime.supervisor.Supervisor` run (see
-    :func:`_solve_on_workers`); a representative whose worker attempts give
-    no certified result is counted in ``solve_errors`` and solved inline.
-    ``workers <= 1`` solves inline.  ``solves`` counts each query whose
-    answer came from a solve rather than a fan-out, once.
+    ``solves`` counts each query answered by a solve rather than a
+    fan-out; ``fanout`` / ``fanout_rejected`` count the members served
+    from, or refused by, their representative's record.  Results are
+    deterministic in the plan's input order and independent of the group
+    order: grouping, representative choice and fan-out permutations are
+    all fixed by the plan itself.
 
-    Results are deterministic in the plan's input order and independent
-    of ``workers`` and of the group order: grouping, representative
-    choice and fan-out permutations are all fixed by the plan itself.
+    ``workers`` may only be 0 or 1: solving on worker processes is the
+    supervised batch runtime's job (``repro batch --workers N``).
     """
-    started = time.perf_counter()
-    counters = {
-        "solves": 0,
-        "cache_hits": 0,
-        "fanout": 0,
-        "fanout_rejected": 0,
-        "solve_errors": 0,
-        "groups": len(plan.groups),
-        "grouped_queries": sum(len(g.items) for g in plan.groups),
-        "ungrouped_queries": len(plan.ungrouped),
-    }
+    if workers > 1:
+        raise ValueError(
+            f"run_plan solves in-process (workers={workers}); "
+            "use the supervised batch runtime (repro batch --workers N) "
+            "for worker processes"
+        )
+    counters = {"solves": 0, "fanout": 0, "fanout_rejected": 0}
     results: List[Optional[Dict[str, object]]] = [None] * len(plan.items)
 
     def solve_member(item: PlanItem):
         result = _solve_inline(item, cache)
         counters["solves"] += 1
-        if result.cache_status == "hit":
-            counters["cache_hits"] += 1
         results[item.index] = _wire(item, result, result.cache_status)
         return result
 
-    representatives = [group.representative for group in plan.groups]
-    if workers > 1 and representatives:
-        delivered = _solve_on_workers(representatives, workers, cache)
-        counters["solve_errors"] = delivered.count(None)
-    else:
-        delivered = [None] * len(representatives)
-
-    for group, rep_result in zip(plan.groups, delivered):
+    for group in plan.groups:
         rep = group.representative
-        if rep_result is not None:
-            counters["solves"] += 1
-            results[rep.index] = _wire(rep, rep_result, "miss")
-        else:
-            rep_result = solve_member(rep)
+        rep_result = solve_member(rep)
         record = _record_from_result(rep, rep_result)
         if record is not None:
             for member in group.items[1:]:
@@ -345,8 +247,4 @@ def run_plan(plan: BatchSolvePlan, workers: int = 0, cache="auto") -> BatchRepor
     for item in plan.ungrouped:
         solve_member(item)
 
-    return BatchReport(
-        results=results,
-        counters=counters,
-        elapsed=time.perf_counter() - started,
-    )
+    return BatchReport(results=results, counters=counters)

@@ -428,8 +428,7 @@ class Supervisor:
     :class:`repro.core.certify.Certification` applied to every delivered
     result (and to cache hits and ledger-cached results on resume), with
     ``task["mode"]`` set to the rung's mode; ``None`` disables
-    certification here, for callers that certify every result themselves
-    (:func:`repro.runtime.scheduler.run_plan`) and for test harnesses.
+    certification, for test harnesses.
     ``isolation`` is ``"process"`` (the default: spawned
     workers started lazily and all killed when :meth:`run` ends, each
     serving attempts until one times out, crashes, replies ``ok: False``

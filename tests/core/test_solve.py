@@ -399,6 +399,28 @@ class TestCertifyClaim:
         with pytest.raises(ValueError):
             certify_claim(SolveRequest(hypergraph=c5, width=2), claim)
 
+    def test_reply_at_another_width_is_rejected(self, c5):
+        """A width-2 CTD of C5 certifies at width 2, but it is no answer to a
+        width-1 request: the request's width is the claim, not the reply's."""
+        claim = self.claim(c5)
+        assert claim["decided"] and claim["width"] == 2
+        with pytest.raises(ValueError):
+            certify_claim(SolveRequest(hypergraph=c5, width=1), claim)
+        assert certify_claim(SolveRequest(hypergraph=c5, width=2), claim).decided
+
+    def test_decomposition_that_is_not_the_first_entry_is_rejected(self, four_cycle):
+        """``decomposition`` is what the ledger and its readers use, so it must
+        be the first certified entry, not a field nobody checked."""
+        request = SolveRequest(
+            hypergraph=four_cycle, mode="enumerate", width=2, constraint="concov", limit=2
+        )
+        claim = execute(request, cache=None).to_payload()
+        first, second = claim["decompositions"]
+        assert first != second
+        assert certify_claim(request, claim).decided
+        with pytest.raises(ValueError):
+            certify_claim(request, dict(claim, decomposition=second))
+
     @pytest.mark.parametrize("status", ["complete", "deadline"])
     def test_negative_claim_needs_a_complete_search(self, c5, status):
         request = SolveRequest(hypergraph=c5, width=1)

@@ -141,3 +141,39 @@ class TestBatchErrors:
         code, out = run_cli("decompose", str(tmp_path / "missing.json"), "-k", "2")
         assert code == 2
         assert out.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        ("decompose tri.hg -k 2 --timeout -1", "--timeout"),
+        ("query --name jl04 --max-work -5", "--max-work"),
+        ("decompose tri.hg -k 0", "-k/--width"),
+        ("enumerate tri.hg -k 2 --limit 0", "--limit"),
+        ("query --name jl04 --width 0", "--width"),
+        ("width tri.hg --iterations -1", "--iterations"),
+        ("width tri.hg -k 0", "-k/--max-k"),
+        ("experiment q_ds --limit 0", "--limit"),
+        ("stats bad.hg", "bad.hg"),
+        ("batch --queries q_hto --timeout -1 --no-ledger", "--timeout"),
+        ("batch --queries q_hto --task-timeout 0 --no-ledger", "--task-timeout"),
+        ("query --name jl04 --scale -1", "--scale"),
+        ("table1 --scale 0", "--scale"),
+    ],
+)
+def test_bad_input_is_exit_2_without_a_traceback(argv, named, tmp_path, monkeypatch, capsys):
+    """Out-of-range flags are argparse usage errors naming the flag, and an
+    unparseable hypergraph file is a one-line ``error:``; none of them
+    reaches a solver, a worker or the degradation ladder."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tri.hg").write_text("e0(v0,v1), e1(v1,v2), e2(v2,v0)\n")
+    (tmp_path / "bad.hg").write_text("this is not a hypergraph\n")
+    out = io.StringIO()
+    try:
+        code = main(argv.split(), out=out)
+    except SystemExit as exc:
+        code = exc.code
+    text = out.getvalue() + capsys.readouterr().err
+    assert code == 2, text
+    assert named in text
+    assert "Traceback" not in text

@@ -1,15 +1,13 @@
 """Tests for the batch throughput layer (:mod:`repro.runtime.scheduler`).
 
 The scheduler claims *observational identity* with a serial solve loop:
-batch-plan results do not depend on the worker count, per-query answers
-do not depend on the order queries arrive in, and fan-out only ever
-accelerates — a record that does not re-certify degrades to a solve, and a
-worker that crashes, hangs or lies degrades to an inline solve.
+per-query answers do not depend on the order queries arrive in, and
+fan-out only ever accelerates — a record that does not re-certify degrades
+to a solve.  Solving on worker processes is the supervised runtime's job;
+the scheduler refuses it.
 """
 
-import io
 import json
-import multiprocessing
 import random
 
 import pytest
@@ -18,7 +16,6 @@ from repro.cli import main
 from repro.core.certify import certify_ctd, decomposition_from_payload
 from repro.core.solve import SolveRequest, constraint_object, execute
 from repro.hypergraph.hypergraph import Edge, Hypergraph
-from repro.hypergraph.library import cycle_hypergraph
 from repro.runtime import scheduler
 from repro.runtime.scheduler import BatchSolvePlan, run_plan
 from repro.workloads.registry import benchmark_queries
@@ -63,12 +60,10 @@ def _dump(results):
     return json.dumps([_strip(r) for r in results], sort_keys=True, default=str)
 
 
-def test_batch_results_independent_of_worker_count():
-    tasks = _batch_tasks()
-    inline = run_plan(BatchSolvePlan.from_tasks(tasks), workers=0, cache=None)
-    pooled = run_plan(BatchSolvePlan.from_tasks(tasks), workers=2, cache=None)
-    assert _dump(inline.results) == _dump(pooled.results)
-    assert pooled.counters["fanout"] == inline.counters["fanout"] > 0
+def test_worker_processes_are_refused():
+    plan = BatchSolvePlan.from_tasks(_batch_tasks())
+    with pytest.raises(ValueError, match="repro batch"):
+        run_plan(plan, workers=2, cache=None)
 
 
 def _relabeled(hypergraph, seed):
@@ -172,96 +167,8 @@ def test_poisoned_record_degrades_to_a_solve(monkeypatch):
     assert _dump(report.results) == _dump(fresh)
 
 
-def _three_shape_tasks():
-    """:func:`_batch_tasks` plus a 5-cycle group: three groups, six queries."""
-    pentagon = Hypergraph(
-        [Edge(f"g{i}", frozenset({f"v{i}", f"v{(i + 1) % 5}"})) for i in range(5)]
-    )
-    request = SolveRequest(
-        hypergraph=pentagon, mode="optimal", width=2, constraint="concov", label="penta"
-    )
-    return _batch_tasks() + [
-        {"kind": "solve", "query": "penta", "request": request.to_payload()}
-    ]
-
-
-def test_worker_results_failing_certification_count_once():
-    """Every worker attempt lies: each representative is one solve error and
-    one (inline) solve, and the answers are the inline plan's."""
-    lie = {"*": {"kind": "bad_result"}}
-    tasks = [dict(task, faults=lie) for task in _three_shape_tasks()]
-    report = run_plan(BatchSolvePlan.from_tasks(tasks), workers=2, cache=None)
-    groups = report.counters["groups"]
-    assert groups == 3
-    assert report.counters["solves"] == groups
-    assert report.counters["solve_errors"] == groups
-    inline = run_plan(BatchSolvePlan.from_tasks(tasks), workers=0, cache=None)
-    assert _dump(report.results) == _dump(inline.results)
-    assert multiprocessing.active_children() == []
-
-
-def test_crashed_and_hung_representative_is_solved_inline():
-    """A representative's worker is SIGKILLed on its first attempt and hangs
-    past the hard timeout on its retry: the plan still returns, with the
-    answers of the inline plan."""
-    tasks = _batch_tasks()
-    tasks[0] = dict(
-        tasks[0],
-        faults={"1": {"kind": "sigkill"}, "2": {"kind": "hang", "seconds": 60}},
-        hard_timeout=1.0,
-    )
-    report = run_plan(BatchSolvePlan.from_tasks(tasks), workers=2, cache=None)
-    inline = run_plan(BatchSolvePlan.from_tasks(tasks), workers=0, cache=None)
-    assert _dump(report.results) == _dump(inline.results)
-    assert report.counters["solve_errors"] == 1
-    assert report.counters["solves"] == report.counters["groups"] == 2
-    assert multiprocessing.active_children() == []
-
-
-def _plan_item(task):
-    (item,) = BatchSolvePlan.from_tasks([task]).items
-    return item
-
-
-def test_worker_reply_at_another_width_is_rejected():
-    """A width-2 CTD of C5 certifies at width 2, but it is no answer to a
-    width-1 request: the request's width is the claim, not the reply's."""
-    c5 = cycle_hypergraph(5)
-    narrow = SolveRequest(hypergraph=c5, width=1, label="c5")
-    item = _plan_item({"kind": "solve", "query": "c5", "request": narrow.to_payload()})
-    wire = execute(SolveRequest(hypergraph=c5, width=2), cache=None).to_payload()
-    assert wire["decided"] and wire["width"] == 2
-    assert scheduler._certify_worker_result(item, wire) is None
-    wide = SolveRequest(hypergraph=c5, width=2, label="c5")
-    item = _plan_item({"kind": "solve", "query": "c5", "request": wide.to_payload()})
-    assert scheduler._certify_worker_result(item, wire).decided
-
-
-def test_reply_whose_decomposition_is_not_its_first_entry_is_rejected():
-    """``decomposition`` is what the ledger and its readers use, so it must
-    be the first certified entry, not a field nobody checked."""
-    item = _plan_item(_batch_tasks()[0])
-    wire = execute(item.request, cache=None).to_payload()
-    first, second = wire["decompositions"]
-    assert first != second
-    assert scheduler._certify_worker_result(item, wire) is not None
-    forged = dict(wire, decomposition=second)
-    assert scheduler._certify_worker_result(item, forged) is None
-
-
-def test_throughput_verb_reports_fanout():
-    out = io.StringIO()
-    argv = "throughput --queries q_hto --scale 0.3 --repeat 2 --no-cache".split()
-    assert main(argv, out=out) == 0, out.getvalue()
-    lines = out.getvalue().splitlines()
-    summary = dict(line.split(": ", 1) for line in lines if ": " in line)
-    assert int(summary["fanout"]) > 0
-    assert int(summary["solves"]) == 1
-
-
-@pytest.mark.parametrize("verb", ["batch", "throughput"])
-def test_removed_shards_flag_is_a_usage_error(verb, capsys):
+def test_removed_shards_flag_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
-        main([verb, "--queries", "q_hto", "--shards", "2"])
+        main(["batch", "--queries", "q_hto", "--shards", "2"])
     assert excinfo.value.code == 2
     assert "--shards" in capsys.readouterr().err

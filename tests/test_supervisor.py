@@ -344,10 +344,14 @@ class TestReport:
             FAILURE_CRASHED, "died", fingerprint="f", level="tight", attempt=3,
             detail="signal 9",
         )
-        rebuilt = TaskFailure.from_record(failure.as_record())
-        assert rebuilt.kind == FAILURE_CRASHED
-        assert rebuilt.level == "tight" and rebuilt.attempt == 3
-        assert rebuilt.detail == "signal 9"
+        assert failure.as_record() == {
+            "kind": FAILURE_CRASHED,
+            "message": "died",
+            "fingerprint": "f",
+            "level": "tight",
+            "attempt": 3,
+            "detail": "signal 9",
+        }
 
     def test_unknown_failure_kind_is_rejected(self):
         with pytest.raises(ValueError):
