@@ -659,11 +659,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="hard wall-clock allowance per attempt; overrunning workers are killed",
     )
     batch.add_argument(
-        "--workers", type=int, default=1, help="concurrent worker processes"
+        "--workers", type=_POSITIVE_INT, default=1, help="concurrent worker processes"
     )
     batch.add_argument(
         "--retries",
-        type=int,
+        type=_POSITIVE_INT,
         default=2,
         help="attempts per degradation level before descending",
     )

@@ -185,7 +185,14 @@ def enumerate_covers(
     bag_mask = _bag_mask(hypergraph, bag_set)
     if bag_mask is None:
         return
-    tables = _CoverTables(hypergraph, bag_mask)
+    yield from _search_covers(_CoverTables(hypergraph, bag_mask), bag_mask, max_size)
+
+
+def _search_covers(
+    tables: _CoverTables, bag_mask: int, max_size: int
+) -> Iterator[Tuple[Edge, ...]]:
+    """:func:`enumerate_covers` on prebuilt tables: branch on the pivot's
+    covering edges, each distinct edge set yielded once."""
     edge_masks = tables.edge_masks
     edges = tables.edges
     covering = tables.covering_edges
@@ -209,6 +216,34 @@ def enumerate_covers(
             chosen.pop()
 
     yield from search(bag_mask, [], 0)
+
+
+def least_connected_covers(
+    hypergraph: Hypergraph, bag: Iterable[Vertex]
+) -> List[Tuple[Edge, ...]]:
+    """The connected covers :func:`enumerate_covers` yields for ``bag`` at
+    the least size bound that yields one, or ``[]`` when no bound does.
+
+    The bag mask and search tables are built once and the size bound
+    deepens inside them.  A cover uses each relevant edge at most once, so
+    no bound past their number finds another cover.
+    """
+    bag_set = frozenset(bag)
+    if not bag_set:
+        return [()]
+    bag_mask = _bag_mask(hypergraph, bag_set)
+    if bag_mask is None:
+        return []
+    tables = _CoverTables(hypergraph, bag_mask)
+    for size in range(1, len(tables.edges) + 1):
+        connected = [
+            cover
+            for cover in _search_covers(tables, bag_mask, size)
+            if connected_edge_set(cover)
+        ]
+        if connected:
+            return connected
+    return []
 
 
 def connected_edge_set(edges: Sequence[Edge]) -> bool:
@@ -262,14 +297,3 @@ def has_connected_cover(
     if bag_mask is None:
         return False
     return hypergraph.bitsets.has_connected_cover(bag_mask, max_size)
-
-
-def connected_covers(
-    hypergraph: Hypergraph, bag: Iterable[Vertex], max_size: int
-) -> List[Tuple[Edge, ...]]:
-    """All minimal covers of ``bag`` of size ≤ ``max_size`` that are connected."""
-    return [
-        cover
-        for cover in enumerate_covers(hypergraph, bag, max_size)
-        if connected_edge_set(cover)
-    ]

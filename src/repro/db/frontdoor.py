@@ -197,14 +197,17 @@ def _plan(
     name: Optional[str],
     cache: object,
     budget: Optional[Budget],
-) -> Tuple[QueryPlan, Optional[YannakakisExecutor]]:
+) -> Tuple[QueryPlan, YannakakisExecutor]:
     """:func:`plan_query`, plus the executor that lowered the node plans.
 
     :func:`run_query` executes with that executor (covers and plan already
-    derived) instead of building a second one.
+    derived) instead of building a second one.  The solve runs on the
+    executor's query hypergraph, so the canonical form, the certificate and
+    the covers share one set of bitset tables.
     """
     query = _as_query(source, database, name)
-    hypergraph = query.hypergraph()
+    executor = YannakakisExecutor(database, query)
+    hypergraph = executor.hypergraph
     if width is not None:
         request = SolveRequest(hypergraph=hypergraph, mode="decide", width=width)
     else:
@@ -213,14 +216,12 @@ def _plan(
     decomposition = solve.decomposition
     provenance = "none"
     node_plans: List[NodePlan] = []
-    executor = None
     if decomposition is not None:
         provenance = "cache" if solve.cache_status == "hit" else "solve"
         # The certified CTD (CompNF) carries interface bags contained in a
         # neighbour's; each would be built, reduced twice and joined for
         # nothing.  Contraction keeps validity and width by construction.
         decomposition = decomposition.contracted()
-        executor = YannakakisExecutor(database, query)
         node_plans = executor.plan(decomposition)
     plan = QueryPlan(
         query=query,

@@ -13,13 +13,17 @@ space:
 * **projection with dedup** — first occurrence of every key, in row order;
 * **natural join** — build-side stable sort, per-probe-row group lookup,
   probe expansion with ``np.repeat``/fancy indexing;
+* **stable order** — :func:`_stable_order` sorts keys whose span fits in
+  two 16-bit digits with one numpy radix pass per digit, wider keys with
+  ``np.argsort``; the join's build side, the sort dedup kernel and
+  ``sorted_rows`` all order rows through it;
 * **MIN/MAX/COUNT aggregates** — distinct codes via the dedup kernel,
   decoded once.
 
 Membership, dedup and group lookup each have two implementations: a
 *table* kernel that scatters into / gathers from an array indexed by key
-(linear in the rows, no sort) and a *sort* kernel (``np.isin``,
-``np.unique``, ``searchsorted``).  :func:`_dense` picks the table whenever
+(linear in the rows, no sort) and a *sort* kernel (``np.isin``, the
+stable order, ``searchsorted``).  :func:`_dense` picks the table whenever
 it fits in :data:`_TABLE_BYTES_PER_ROW` bytes per input row — a property of
 the input, never a setting — and both give identical rows in identical
 order.
@@ -89,6 +93,12 @@ _PACK_LIMIT = int(np.iinfo(CODE_DTYPE).max)
 #: rows costs as much as sorting them.
 _TABLE_BYTES_PER_ROW = 256
 
+#: Keys below this span are stably ordered by 16-bit digits, one radix pass
+#: each; wider keys take ``np.argsort`` (patched by the kernel tests).  Two
+#: digits, because a third pass lost to ``np.argsort``'s timsort on the
+#: partly sorted 34-63-bit row keys of ``sorted_rows``.
+_DIGIT_SPAN_LIMIT = 1 << 32
+
 
 def _pack_keys(*sides: Sequence[np.ndarray]) -> Tuple[List[np.ndarray], int]:
     """Radix-pack the key columns of each side into one ``int64`` key per row.
@@ -115,6 +125,24 @@ def _pack_keys(*sides: Sequence[np.ndarray]) -> Tuple[List[np.ndarray], int]:
         keys = [key * base + column for key, column in zip(keys, columns)]
         span *= base
     return keys, span
+
+
+def _stable_order(key: np.ndarray, span: int) -> np.ndarray:
+    """Exactly ``np.argsort(key, kind="stable")`` for keys in ``[0, span)``.
+
+    numpy radix-sorts ``uint16`` keys, so a key within
+    :data:`_DIGIT_SPAN_LIMIT` is ordered by its low 16-bit digit, then
+    (stably) by its high one.  A stable order is unique, so both paths give
+    the same permutation.
+    """
+    if span > _DIGIT_SPAN_LIMIT:
+        return np.argsort(key, kind="stable")
+    # ``astype`` keeps the low 16 bits of the non-negative keys.
+    order = np.argsort(key.astype(np.uint16), kind="stable")
+    if span > 1 << 16:
+        high = (key >> 16).astype(np.uint16)
+        order = order[np.argsort(high[order], kind="stable")]
+    return order
 
 
 def _dense(span: int, slot_bytes: int, rows: int) -> bool:
@@ -145,9 +173,12 @@ def _first_occurrences(key: np.ndarray, span: int) -> np.ndarray:
         table = np.empty(span, dtype=index_dtype)
         table[key[::-1]] = index[::-1]
         return np.flatnonzero(table[key] == index)
-    _, first = np.unique(key, return_index=True)
-    first.sort()
-    return first
+    # The first row of every run of equal keys in the stable order.
+    order = _stable_order(key, span)
+    sorted_key = key[order]
+    is_first = np.zeros(len(key), dtype=bool)
+    is_first[order[np.concatenate(([True], sorted_key[1:] != sorted_key[:-1]))]] = True
+    return np.flatnonzero(is_first)
 
 
 def _group_ranges(
@@ -427,12 +458,12 @@ class Relation:
 
     def sorted_rows(self) -> List[Row]:
         """The rows, stably sorted by the interner's canonical value order:
-        a rank gather per column, packed keys and one stable argsort."""
+        a rank gather per column, packed keys and one stable order."""
         if not self._columns or self._length < 2:
             return list(self.rows)
         ranks = self._interner.canonical_ranks()
-        (key,), _ = _pack_keys([ranks[column] for column in self._columns])
-        return self._take(self.name, np.argsort(key, kind="stable")).rows
+        (key,), span = _pack_keys([ranks[column] for column in self._columns])
+        return self._take(self.name, _stable_order(key, span)).rows
 
     # -- joins ------------------------------------------------------------------------
 
@@ -486,7 +517,7 @@ class Relation:
             )
             # Group the build side by key with a stable sort, then expand
             # every probe row by its matching group.
-            order = np.argsort(right_key, kind="stable")
+            order = _stable_order(right_key, span)
             lo, matches = _group_ranges(right_key, order, left_key, span)
             total = int(matches.sum())
             left_index = np.repeat(

@@ -88,6 +88,16 @@ _UNSUPPORTED_CONSTRUCTS: Tuple[Tuple[str, str], ...] = (
     (r"'", "string literals"),
 )
 
+#: Every construct above, and a subquery, needs one of these words (a whole
+#: ``\w+`` run, any case) or one of these marks, so a text with neither
+#: holds none of them.
+_UNSUPPORTED_WORDS = frozenset(
+    "LEFT RIGHT FULL OUTER CROSS GROUP ORDER LIMIT HAVING UNION EXCEPT "
+    "INTERSECT DISTINCT OR NOT IN LIKE BETWEEN EXISTS IS SELECT".split()
+)
+_UNSUPPORTED_MARKS = ("<", ">", "!=", "'")
+_WORD_RE = re.compile(r"\w+")
+
 
 class _UnionFind:
     def __init__(self) -> None:
@@ -121,6 +131,16 @@ def _normalise(sql: str) -> str:
 
 
 def _reject_unsupported(text: str) -> None:
+    # One look at the text's words rules every construct out at once; the
+    # ordered checks below run only when one may be there, so the message
+    # names the first-listed construct.  ``str.upper`` agrees with
+    # ``re.IGNORECASE`` on ASCII text only (``\u0130`` matches ``I``).
+    if (
+        text.isascii()
+        and _UNSUPPORTED_WORDS.isdisjoint(_WORD_RE.findall(text.upper()))
+        and not any(mark in text for mark in _UNSUPPORTED_MARKS)
+    ):
+        return
     for pattern, label in _UNSUPPORTED_CONSTRUCTS:
         if re.search(pattern, text, re.IGNORECASE):
             raise SqlError(

@@ -37,7 +37,7 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 from repro.hypergraph.hypergraph import Hypergraph, Vertex
 from repro.decompositions.td import TreeDecomposition
 from repro.decompositions.tree import TreeNode
-from repro.core.covers import connected_covers, minimum_edge_cover
+from repro.core.covers import least_connected_covers, minimum_edge_cover
 from repro.db.database import Database
 from repro.db.query import Atom, ConjunctiveQuery
 from repro.db.relation import Relation, WorkCounter
@@ -108,12 +108,11 @@ def choose_cover(hypergraph: Hypergraph, bag: Bag) -> List[str]:
     """
     if not bag:
         return []
+    connected = least_connected_covers(hypergraph, bag)
+    if connected:
+        best = min(connected, key=lambda cover: (len(cover), [e.name for e in cover]))
+        return [edge.name for edge in best]
     limit = hypergraph.num_edges()
-    for size in range(1, limit + 1):
-        connected = connected_covers(hypergraph, bag, size)
-        if connected:
-            best = min(connected, key=lambda cover: (len(cover), [e.name for e in cover]))
-            return [edge.name for edge in best]
     cover = minimum_edge_cover(hypergraph, bag, upper_bound=limit)
     if cover is None:
         raise ValueError(f"bag {sorted(map(str, bag))} has no edge cover of size <= {limit}")
@@ -212,9 +211,8 @@ class YannakakisExecutor:
         :mod:`repro.db.cost` read their covers here too, so Eq. 5–9 cost
         exactly the joins execution builds.  Bags repeat across nodes in
         real decompositions (and across the many decompositions one
-        executor ranks), and ``connected_covers`` re-enumerates from scratch
-        on every call — so the cache turns repeat planning into a dict
-        lookup.
+        executor ranks), and the cover search re-enumerates from scratch on
+        every call — so the cache turns repeat planning into a dict lookup.
         """
         cover = self._cover_cache.get(bag)
         if cover is None:

@@ -1,11 +1,11 @@
 """Unit tests for edge covers and the ConCov bag-level machinery."""
 
 from repro.core.covers import (
-    connected_covers,
     connected_edge_set,
     enumerate_covers,
     greedy_edge_cover,
     has_connected_cover,
+    least_connected_covers,
     minimum_edge_cover,
 )
 from repro.hypergraph.hypergraph import Hypergraph
@@ -93,9 +93,13 @@ class TestConnectedness:
         assert has_connected_cover(four_cycle, {"w", "x", "y"}, 2)
 
     def test_connected_covers_listing(self, four_cycle):
-        covers = connected_covers(four_cycle, {"w", "x", "y"}, 2)
+        covers = least_connected_covers(four_cycle, {"w", "x", "y"})
         assert covers
-        assert all(connected_edge_set(cover) for cover in covers)
+        assert all(len(cover) == 2 and connected_edge_set(cover) for cover in covers)
+        # Connected or not, a bag nothing covers has none; the empty bag
+        # has the empty cover.
+        assert least_connected_covers(four_cycle, {"w", "nope"}) == []
+        assert least_connected_covers(four_cycle, set()) == [()]
 
     def test_empty_bag_is_trivially_connected(self, four_cycle):
         assert has_connected_cover(four_cycle, set(), 1)

@@ -73,10 +73,14 @@ class TestEachThingOnce:
     def test_run_query_plans_once_and_canonicalises_once(
         self, database, tmp_path, monkeypatch
     ):
+        from repro.db.query import ConjunctiveQuery
         from repro.db.yannakakis import YannakakisExecutor
         from repro.hypergraph import canonical
+        from repro.hypergraph.bitset import HypergraphBitsets
 
-        calls = {"executors": 0, "plans": 0, "canonical": 0}
+        calls = {
+            "executors": 0, "plans": 0, "canonical": 0, "hypergraphs": 0, "bitsets": 0,
+        }
 
         def counted(key, original):
             def wrapper(*args, **kwargs):
@@ -96,6 +100,18 @@ class TestEachThingOnce:
         monkeypatch.setattr(
             canonical, "_canonical_form", counted("canonical", canonical._canonical_form)
         )
+        # The solve, the fingerprint and the covers share one query hypergraph
+        # and so one set of bitset tables.
+        monkeypatch.setattr(
+            ConjunctiveQuery,
+            "hypergraph",
+            counted("hypergraphs", ConjunctiveQuery.hypergraph),
+        )
+        monkeypatch.setattr(
+            HypergraphBitsets,
+            "__init__",
+            counted("bitsets", HypergraphBitsets.__init__),
+        )
         cache = DecompositionCache(str(tmp_path / "ctd"))
         for expected_provenance in ("solve", "cache"):
             for key in calls:
@@ -104,7 +120,9 @@ class TestEachThingOnce:
             assert result.provenance == expected_provenance
             # The triangle has width 2: the soft-width search probes two
             # levels and the plan takes the fingerprint — one canonical form.
-            assert calls == {"executors": 1, "plans": 1, "canonical": 1}
+            assert calls == {
+                "executors": 1, "plans": 1, "canonical": 1, "hypergraphs": 1, "bitsets": 1,
+            }
             assert result.plan.fingerprint == canonical.hypergraph_fingerprint(
                 result.plan.hypergraph
             )

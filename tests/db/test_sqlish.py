@@ -1,10 +1,57 @@
 """Unit tests for the SQL-ish parser."""
 
-import pytest
+import re
 
+import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+from repro.db import sqlish
 from repro.db.database import Database
 from repro.db.sqlish import SqlError, parse_select_query
 from repro.runtime.errors import UserError
+
+SETTINGS = settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+#: Words and marks that make up rejection-check texts: every construct's
+#: keywords in three cases, keyword look-alikes inside longer words, the
+#: comparison marks and two non-ASCII letters that ``re.IGNORECASE``
+#: matches to ``I`` and ``K``.
+TOKENS = [
+    variant
+    for word in (
+        "left", "outer", "cross", "join", "group", "by", "order", "limit",
+        "having", "union", "except", "intersect", "distinct", "or", "not", "in",
+        "like", "between", "exists", "is", "select", "and", "on", "where",
+    )
+    for variant in (word, word.upper(), word.title())
+] + [
+    "order_id", "isbn", "notes", "r.b", "=", "<", ">", "<>", "!=", "!", "'x'",
+    "(", ")", ",", "\u0130n", "lIm\u0130t", "li\u212aE", "\u0130S", "t\u212aey",
+]
+
+
+def _rejection(text):
+    """The message ``_reject_unsupported`` raises, or ``None``."""
+    try:
+        sqlish._reject_unsupported(text)
+    except SqlError as error:
+        return str(error)
+    return None
+
+
+def _loop_rejection(text):
+    """The per-construct checks alone, without the word check in front."""
+    for pattern, label in sqlish._UNSUPPORTED_CONSTRUCTS:
+        if re.search(pattern, text, re.IGNORECASE):
+            return (
+                f"unsupported SQL construct ({label}); the dialect is "
+                "SELECT MIN|MAX|COUNT(col) FROM tables [WHERE col = col AND ...]"
+            )
+    if re.search(r"\bSELECT\b", text, re.IGNORECASE):
+        return "unsupported SQL construct (subqueries)"
+    return None
 
 
 @pytest.fixture
@@ -158,6 +205,37 @@ class TestHardenedDialect:
     def test_unsupported_constructs_rejected(self, schema, clause):
         with pytest.raises(SqlError):
             parse_select_query(clause, schema)
+
+    def test_two_constructs_report_the_first_listed(self, schema):
+        # OR comes first in the text, ORDER BY first in the construct list.
+        with pytest.raises(SqlError, match=r"\(ORDER BY\)"):
+            parse_select_query(
+                "SELECT MIN(a) FROM R, S WHERE R.b = S.b OR R.a = S.c ORDER BY a",
+                schema,
+            )
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "select min(a) from R join S on R.b = S.b where S.c = S.c",
+            'SELECT COUNT("a") FROM "R" AS "x" JOIN `S` ON "x"."b" = `S`.`b`',
+        ],
+    )
+    def test_supported_text_passes_the_word_check(self, schema, monkeypatch, sql):
+        # The per-construct checks would reject anything: only the word
+        # check can let the text through.
+        monkeypatch.setattr(
+            sqlish, "_UNSUPPORTED_CONSTRUCTS", (("", "any text"),)
+        )
+        assert len(parse_select_query(sql, schema).atoms) == 2
+
+    @SETTINGS
+    @given(st.lists(st.sampled_from(TOKENS), max_size=12).map(" ".join))
+    @example("R.b != S.b")
+    @example("R.b<S.b")
+    @example("b = 'x'")
+    def test_word_check_rejects_as_the_construct_loop(self, text):
+        assert _rejection(text) == _loop_rejection(text)
 
     def test_select_star_full_join(self, schema):
         query = parse_select_query("SELECT * FROM R, S WHERE R.b = S.b", schema)

@@ -21,6 +21,11 @@ and every violation, in order) must equal that of the checker before the
 kernel — steps 4 and 5 on a subtree copy per node with the seed search,
 and through ``enumerate_covers`` — on the corruptions of
 ``tests/test_certify.py`` and on single-bag mutants of solver outputs.
+
+:func:`~repro.db.yannakakis.choose_cover` searches one bag's cover tables
+under a deepening size bound; it must pick the cover of the loop it
+replaced, a fresh ``enumerate_covers`` search per size, on the query
+shapes' bags and on random hypergraphs.
 """
 
 import json
@@ -33,8 +38,15 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.candidate_bags import soft_candidate_bags
 from repro.core.certify import Certification, certify_ctd
 from repro.core.constraints import ConnectedCoverConstraint, SubtreeConstraint
-from repro.core.covers import enumerate_covers, has_connected_cover, has_cover
+from repro.core.covers import (
+    connected_edge_set,
+    enumerate_covers,
+    has_connected_cover,
+    has_cover,
+    minimum_edge_cover,
+)
 from repro.core.reference import reference_has_connected_cover
+from repro.db.yannakakis import choose_cover
 from repro.decompositions.td import TreeDecomposition
 from repro.hypergraph.generators import random_cyclic_query_hypergraph, random_hypergraph
 from repro.hypergraph.hypergraph import Edge, Hypergraph
@@ -152,6 +164,53 @@ def test_random_hypergraph_verdicts_match_the_spec(case):
     hypergraph, k, subsets = case
     bags = sorted(soft_candidate_bags(hypergraph, k), key=lambda bag: sorted(map(str, bag)))
     assert_kernel_matches_spec(hypergraph, bags + subsets, k)
+
+
+# -- choose_cover against the size-by-size loop --------------------------------
+
+
+def size_by_size_cover(hypergraph: Hypergraph, bag):
+    """``choose_cover`` as a fresh ``enumerate_covers`` search per size
+    bound, each rebuilding its bag mask and tables (``None``: no cover)."""
+    if not bag:
+        return []
+    limit = hypergraph.num_edges()
+    for size in range(1, limit + 1):
+        connected = [
+            cover
+            for cover in enumerate_covers(hypergraph, bag, size)
+            if connected_edge_set(cover)
+        ]
+        if connected:
+            best = min(connected, key=lambda cover: (len(cover), [e.name for e in cover]))
+            return [edge.name for edge in best]
+    cover = minimum_edge_cover(hypergraph, bag, upper_bound=limit)
+    return None if cover is None else [edge.name for edge in cover]
+
+
+def assert_cover_choice_matches_loop(hypergraph: Hypergraph, bags) -> None:
+    for bag in bags:
+        expected = size_by_size_cover(hypergraph, bag)
+        if expected is None:
+            with pytest.raises(ValueError):
+                choose_cover(hypergraph, bag)
+        else:
+            assert choose_cover(hypergraph, bag) == expected, sorted(map(str, bag))
+
+
+@pytest.mark.parametrize("name", sorted(name for name in SHAPES if name.startswith("query/")))
+def test_query_shape_cover_choice_matches_the_loop(name):
+    hypergraph = hypergraph_of(name)
+    for k in (2, 3):
+        assert_cover_choice_matches_loop(hypergraph, sampled_bags(hypergraph, k))
+
+
+@SETTINGS
+@given(hypergraphs_with_bags())
+def test_random_cover_choice_matches_the_loop(case):
+    hypergraph, k, subsets = case
+    bags = sorted(soft_candidate_bags(hypergraph, k), key=lambda bag: sorted(map(str, bag)))
+    assert_cover_choice_matches_loop(hypergraph, bags + subsets)
 
 
 # -- certify_ctd against the checker before the kernel ------------------------

@@ -575,6 +575,115 @@ class TestKernelPathEquivalence:
         )
 
 
+# -- the stable order -----------------------------------------------------------
+
+#: (name, _DIGIT_SPAN_LIMIT); ``None`` keeps the two-digit limit.
+DIGIT_PATHS = (("digits", None), ("argsort", 0))
+
+
+@pytest.fixture(params=DIGIT_PATHS, ids=lambda path: path[0])
+def digit_path(request, monkeypatch):
+    """Let the stable order sort by 16-bit digits, or refuse it every key."""
+    name, limit = request.param
+    if limit is not None:
+        monkeypatch.setattr(relation_module, "_DIGIT_SPAN_LIMIT", limit)
+    return name
+
+
+def _keys(shape, span, rng):
+    """``shape`` keys below ``span``, touching both ends of the range."""
+    if shape == "empty":
+        return np.empty(0, dtype=CODE_DTYPE)
+    if shape == "single":
+        return np.array([span - 1], dtype=CODE_DTYPE)
+    if shape == "duplicated":
+        pool = np.unique([0, 1, span // 2, span - 2, span - 1])
+        return rng.choice(pool[(pool >= 0) & (pool < span)], 3_000)
+    return rng.integers(0, span, 3_000, dtype=CODE_DTYPE)
+
+
+class TestStableOrder:
+    """``_stable_order`` is ``np.argsort(kind="stable")`` on every path."""
+
+    SPANS = [1, 2**16 - 1, 2**16, 2**16 + 1, 2**32, 2**32 + 1, 2**40, 2**63 - 1]
+
+    @pytest.mark.parametrize("shape", ["empty", "single", "duplicated", "random"])
+    @pytest.mark.parametrize("span", SPANS)
+    def test_equals_the_stable_argsort(self, digit_path, span, shape):
+        # One 16-bit digit up to 2**16, two up to 2**32, np.argsort beyond.
+        assert relation_module._DIGIT_SPAN_LIMIT == (
+            1 << 32 if digit_path == "digits" else 0
+        )
+        key = _keys(shape, span, np.random.default_rng(span % 9973))
+        order = relation_module._stable_order(key, span)
+        expected = np.argsort(key, kind="stable")
+        assert order.dtype == expected.dtype
+        assert np.array_equal(order, expected)
+
+    def test_digit_boundaries_order_across_the_high_digit(self):
+        # Keys that differ only in the high digit, or only in the low one.
+        key = np.array(
+            [2**16, 2**16 - 1, 0, 2**32 - 1, 2**16, 1, 2**31, 2**16 + 1, 0],
+            dtype=CODE_DTYPE,
+        )
+        assert np.array_equal(
+            relation_module._stable_order(key, 2**32), np.argsort(key, kind="stable")
+        )
+
+
+def _digit_rows(rng, attributes, keys, domain, count):
+    """Rows drawing their key columns from ``keys`` (a shared pool, so the
+    sides join) or fresh from ``domain`` (so the key span grows)."""
+    rows = []
+    for _ in range(count):
+        key = rng.choice(keys) if rng.random() < 0.7 else tuple(
+            rng.randrange(domain) for _ in range(3)
+        )
+        rows.append(key + tuple(rng.randrange(domain) for _ in attributes[3:]))
+    return rows
+
+
+class TestDigitPathEquivalence:
+    """Rows and row order of the operators that order through the stable
+    order, with the digit path taken and refused.  Three key columns over
+    3, 80 and 5 000 values give spans of one digit, two digits and past
+    the two-digit limit."""
+
+    @pytest.mark.parametrize("domain", [3, 80, 5_000])
+    @pytest.mark.parametrize("seed", SEEDS[:4])
+    def test_join_project_and_sorted_rows_match_reference(
+        self, digit_path, kernel_path, domain, seed
+    ):
+        rng = random.Random(f"digits-{seed}-{domain}")
+        keys = [tuple(rng.randrange(domain) for _ in range(3)) for _ in range(25)]
+        left_attrs, right_attrs = ["a", "b", "c", "l"], ["a", "b", "c", "r"]
+        left_rows = _digit_rows(rng, left_attrs, keys, domain, 240)
+        right_rows = _digit_rows(rng, right_attrs, keys, domain, rng.randint(1, 240))
+        left_c, left_r = _pair("L", left_attrs, left_rows)
+        right_c, right_r = _pair("R", right_attrs, right_rows)
+
+        # The spec builds its hash table on the smaller side; with the right
+        # side no larger, its row order is the columnar join's.
+        cc, rc = WorkCounter(), WorkCounter()
+        join_c = left_c.natural_join(right_c, counter=cc)
+        join_r = left_r.natural_join(right_r, counter=rc)
+        assert join_c.rows == join_r.rows
+        _assert_same_counter(cc, rc)
+
+        for subset in (["a", "b", "c"], ["c", "l", "a"], left_attrs):
+            cc, rc = WorkCounter(), WorkCounter()
+            assert (
+                left_c.project(subset, counter=cc).rows
+                == left_r.project(subset, counter=rc).rows
+            )
+            _assert_same_counter(cc, rc)
+
+        for columnar, reference in ((left_c, left_r), (join_c, join_r)):
+            assert columnar.sorted_rows() == reference.sorted_rows()
+        for function in ("MIN", "MAX"):
+            assert left_c.aggregate(function, "l") == left_r.aggregate(function, "l")
+
+
 class TestDistinctnessTracking:
     """``_distinct`` is only ever set on relations without duplicate rows."""
 

@@ -157,6 +157,10 @@ class TestBatchErrors:
         ("stats bad.hg", "bad.hg"),
         ("batch --queries q_hto --timeout -1 --no-ledger", "--timeout"),
         ("batch --queries q_hto --task-timeout 0 --no-ledger", "--task-timeout"),
+        ("batch --queries q_hto --workers 0 --no-ledger", "--workers"),
+        ("batch --queries q_hto --workers -2 --no-ledger", "--workers"),
+        ("batch --queries q_hto --retries 0 --no-ledger", "--retries"),
+        ("batch --queries q_hto --retries -1 --no-ledger", "--retries"),
         ("query --name jl04 --scale -1", "--scale"),
         ("table1 --scale 0", "--scale"),
     ],
