@@ -11,6 +11,7 @@ import pytest
 
 from conftest import BENCH_SCALE
 
+from repro.core.solve import constraint_object
 from repro.experiments.harness import QueryExperiment
 from repro.workloads.registry import benchmark_queries
 
@@ -32,7 +33,7 @@ def test_top10_enumeration_time(benchmark, name):
 
     decompositions = benchmark(enumerate_top10)
     assert decompositions
-    constraint = experiment.concov_constraint()
+    constraint = constraint_object("concov", experiment.hypergraph, experiment.width)
     for decomposition in decompositions:
         assert decomposition.is_valid()
         assert constraint.holds_recursively(decomposition)

@@ -1,26 +1,24 @@
-"""Constrained decompositions: Cartesian products and distributed partitions.
+"""Constrained decompositions: Cartesian products and shallow cyclicity.
 
 Run with ``python examples/constrained_distributed.py``.
 
-This example reproduces the motivation of Section 6:
+This example reproduces the motivation of Section 6.  Every solve is one
+``SolveRequest`` that names its constraint and preference:
 
 * Example 3 — the 4-cycle query has minimal-width decompositions that force
-  a Cartesian product; the ConCov constraint rules them out.
-* Example 4 — in a distributed setting with vertically partitioned
-  relations, the PartClust constraint asks for decompositions whose subtrees
-  stay within one partition.
-* the ShallowCyc constraint and its preference-complete toptd.
+  a Cartesian product; the ConCov constraint (``"concov"``) rules them out.
+* the ShallowCyc constraint (``"shallowcyc:<d>"``) with its
+  preference-complete toptd (``"shallowcyc"``, Example 5).
 """
 
-from repro.core.candidate_bags import soft_candidate_bags
-from repro.core.constrained import constrained_candidate_td
-from repro.core.constraints import (
-    ConnectedCoverConstraint,
-    PartitionClusteringConstraint,
-    ShallowCyclicityConstraint,
-)
-from repro.core.preferences import ShallowCyclicityPreference
-from repro.hypergraph.library import cycle_hypergraph, example4_query, four_cycle_query
+from repro.core.solve import SolveRequest, execute
+from repro.hypergraph.library import cycle_hypergraph, four_cycle_query
+
+
+def solve(hypergraph, k, mode="optimal", **names):
+    """The width-``k`` CTD a request names, or ``None``."""
+    request = SolveRequest(hypergraph=hypergraph, mode=mode, width=k, **names)
+    return execute(request, cache=None).decomposition
 
 
 def show(decomposition, indent="    ") -> None:
@@ -36,47 +34,25 @@ def show(decomposition, indent="    ") -> None:
 def connected_cover_example() -> None:
     print("== Example 3: avoiding Cartesian products (ConCov) ==")
     four_cycle = four_cycle_query()
-    bags = soft_candidate_bags(four_cycle, 2)
 
-    unconstrained = constrained_candidate_td(four_cycle, bags)
     print("  an unconstrained width-2 decomposition:")
-    show(unconstrained)
+    show(solve(four_cycle, 2, mode="decide"))
 
-    constrained = constrained_candidate_td(
-        four_cycle, bags, constraint=ConnectedCoverConstraint(four_cycle, 2)
-    )
     print("  a ConCov width-2 decomposition (no Cartesian-product bags):")
-    show(constrained)
+    show(solve(four_cycle, 2, constraint="concov"))
 
     # For the 5-cycle the constraint genuinely increases the width (Section 6).
     c5 = cycle_hypergraph(5)
     for k in (2, 3):
-        result = constrained_candidate_td(
-            c5, soft_candidate_bags(c5, k), constraint=ConnectedCoverConstraint(c5, k)
-        )
-        status = "exists" if result is not None else "does not exist"
+        found = solve(c5, k, constraint="concov") is not None
+        status = "exists" if found else "does not exist"
         print(f"  C5: a ConCov decomposition of width {k} {status}")
-
-
-def partition_clustering_example() -> None:
-    print("\n== Example 4: distributed evaluation (PartClust) ==")
-    hypergraph, partition = example4_query()
-    print(f"  relation partitions: {partition}")
-    bags = soft_candidate_bags(hypergraph, 2)
-    constraint = PartitionClusteringConstraint(hypergraph, partition, k=2)
-    decomposition = constrained_candidate_td(hypergraph, bags, constraint=constraint)
-    print("  a decomposition whose subtrees stay within one partition:")
-    show(decomposition)
 
 
 def shallow_cyclicity_example() -> None:
     print("\n== ShallowCyc: cyclic core with acyclic attachments ==")
-    four_cycle = four_cycle_query()
-    bags = soft_candidate_bags(four_cycle, 2)
-    constraint = ShallowCyclicityConstraint(four_cycle, depth=0)
-    preference = ShallowCyclicityPreference(four_cycle)
-    decomposition = constrained_candidate_td(
-        four_cycle, bags, constraint=constraint, preference=preference
+    decomposition = solve(
+        four_cycle_query(), 2, constraint="shallowcyc:0", preference="shallowcyc"
     )
     print("  a decomposition with the cyclic core at the root:")
     show(decomposition)
@@ -84,5 +60,4 @@ def shallow_cyclicity_example() -> None:
 
 if __name__ == "__main__":
     connected_cover_example()
-    partition_clustering_example()
     shallow_cyclicity_example()

@@ -24,10 +24,8 @@ from repro.core import (
     soft_candidate_bags,
     soft_hypertree_width,
     shw_leq,
-    shw_i_leq,
     ConnectedCoverConstraint,
     ShallowCyclicityConstraint,
-    PartitionClusteringConstraint,
     CostPreference,
 )
 
@@ -46,10 +44,8 @@ __all__ = [
     "soft_candidate_bags",
     "soft_hypertree_width",
     "shw_leq",
-    "shw_i_leq",
     "ConnectedCoverConstraint",
     "ShallowCyclicityConstraint",
-    "PartitionClusteringConstraint",
     "CostPreference",
     "__version__",
 ]

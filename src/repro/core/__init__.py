@@ -5,8 +5,8 @@
 * the CandidateTD solver (Algorithm 1) and its constrained / preference-aware
   variant (Algorithm 2),
 * soft hypertree width ``shw`` and the hierarchy ``shw_i``,
-* subtree constraints (ConCov, ShallowCyc_d, PartClust) and preference
-  orders (toptds),
+* subtree constraints (ConCov, ShallowCyc_d) and preference orders
+  (toptds),
 * exact lazy any-k (top-k) enumeration of candidate tree decompositions
   ranked by a preference, on the same shared solver core as Algorithms 1
   and 2,
@@ -32,17 +32,14 @@ from repro.core.blocks import Block, BlockIndex
 from repro.core.options import FragmentEvaluator, SolverCore
 from repro.core.ctd import candidate_td
 from repro.core.constraints import (
-    AndConstraint,
     ConnectedCoverConstraint,
     NoConstraint,
-    PartitionClusteringConstraint,
     ShallowCyclicityConstraint,
     SubtreeConstraint,
 )
 from repro.core.preferences import (
     CostPreference,
     LexicographicPreference,
-    MaxBagSizePreference,
     MonotoneCostPreference,
     NodeCountPreference,
     NoPreference,
@@ -54,7 +51,6 @@ from repro.core.enumerate import CTDEnumerator, enumerate_ctds
 from repro.core.soft import (
     soft_decomposition_to_ghd,
     soft_hypertree_width,
-    shw_i_leq,
     shw_leq,
 )
 from repro.core.solve import SolveRequest, SolveResult, execute, lookup
@@ -83,16 +79,13 @@ __all__ = [
     "candidate_td",
     "SubtreeConstraint",
     "NoConstraint",
-    "AndConstraint",
     "ConnectedCoverConstraint",
     "ShallowCyclicityConstraint",
-    "PartitionClusteringConstraint",
     "Preference",
     "CostPreference",
     "MonotoneCostPreference",
     "NoPreference",
     "NodeCountPreference",
-    "MaxBagSizePreference",
     "ShallowCyclicityPreference",
     "LexicographicPreference",
     "ConstrainedCTDSolver",
@@ -108,7 +101,6 @@ __all__ = [
     "soft_hypertree_width",
     "soft_decomposition_to_ghd",
     "shw_leq",
-    "shw_i_leq",
     "marshals_width",
     "marshals_have_winning_strategy",
     "irmg_width",

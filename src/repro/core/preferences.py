@@ -7,6 +7,14 @@ by a key function: ``a ≤ b`` iff ``key(a) ≤ key(b)``, which covers cost
 functions (the paper's main use case), shallow-cyclicity preferences and
 lexicographic combinations.
 
+A solve names its preference in its :class:`~repro.core.solve.SolveRequest`:
+:func:`repro.core.solve.preference_object` builds ``"nodecount"`` and
+``"shallowcyc"`` (the preference-complete partner of ``"shallowcyc:<d>"``,
+Example 5), and :func:`repro.db.cost.make_cost_preference` the data-ranked
+``"estimates"`` / ``"cardinalities"``.  :class:`LexicographicPreference` has
+no request name; it is the tuple-keyed preference the probe-bound contract
+is stated for.
+
 Monotone preferences
 --------------------
 
@@ -50,14 +58,13 @@ the **same root bag**:
   ever differ.)
 
 Strictness is what protects the tie component: under a non-strict (max-type)
-key such as :class:`MaxBagSizePreference`, a deviation can raise a child's
-key yet be absorbed into an *equal* parent key while the structural
-tie-break moves backwards, so parents would be emitted out of order.  Such
-preferences — max bag size, shallow cyclicity (whose composition state the
-key does not even determine), arbitrary cost callables, lexicographic
-combinations with a non-strict component — keep ``order_monotone = False``
-and the enumerator falls back to its exhaustive (but still
-fragment-memoised) exact path.
+key such as the largest bag size, a deviation can raise a child's key yet be
+absorbed into an *equal* parent key while the structural tie-break moves
+backwards, so parents would be emitted out of order.  Such preferences —
+max-type keys, shallow cyclicity (whose composition state the key does not
+even determine), arbitrary cost callables, lexicographic combinations with
+a non-strict component — keep ``order_monotone = False`` and the enumerator
+falls back to its exhaustive (but still fragment-memoised) exact path.
 
 ``child_rank_key(parent_bag, state)`` defaults to ``state_key(state)``; the
 Equation (6) cost overrides it to fold the parent→child edge term in, which
@@ -329,26 +336,6 @@ class NodeCountPreference(Preference):
 
     def probe_bound(self, parent_bag, bag, child_keys: Sequence) -> int:
         return 1 + sum(1 if key is None else key for key in child_keys)
-
-
-class MaxBagSizePreference(Preference):
-    """Prefer decompositions whose largest bag is small (treewidth-style).
-
-    Not order monotone: the max-type key is not strict — a worse child can
-    be absorbed by a larger sibling or the parent's own bag into an equal
-    key while the structural tie-break regresses — so the exact enumerator
-    uses its exhaustive path for this preference.
-    """
-
-    monotone = True
-
-    def key(self, partial_td: TreeDecomposition) -> int:
-        # A bag-less partial decomposition (e.g. the placeholder option of a
-        # trivially satisfied block) has no bags to measure.
-        return max((len(bag) for bag in partial_td.bags()), default=0)
-
-    def fragment_state(self, bag, child_states: Sequence) -> int:
-        return max([len(bag), *child_states])
 
 
 class ShallowCyclicityPreference(Preference):

@@ -11,12 +11,15 @@ a single frozen :class:`SolveRequest`:
   (Algorithm 2, the single best CTD under the constraint/preference),
   ``enumerate`` (exact any-k ranked enumeration, ``limit`` results), or
   ``soft-width`` (search ``k = 1.. width`` for the least width with a CTD);
-* ``constraint`` / ``preference`` — *names*, not objects (``"concov"``;
-  ``"nodecount"``, ``"cardinalities"``, ``"estimates"``), so a request is
-  a plain JSON-able value with a deterministic canonical serialisation
+* ``constraint`` / ``preference`` — *names*, not objects (``"concov"``,
+  ``"shallowcyc:<d>"``; ``"nodecount"``, ``"shallowcyc"``,
+  ``"cardinalities"``, ``"estimates"``), so a request is a plain JSON-able
+  value with a deterministic canonical serialisation
   (:meth:`SolveRequest.to_payload`) and a stable fingerprint
   (:meth:`SolveRequest.fingerprint`, same idiom as the batch ledger's
-  ``task_fingerprint``);
+  ``task_fingerprint``).  :func:`constraint_object` and
+  :func:`preference_object` are the only places the Section 6 constraint
+  and preference objects are built from a name;
 * ``data_key`` — cost preferences depend on database *data*, not just the
   query shape; a request carrying one is only cacheable when the caller
   names the data (e.g. ``"tpcds:1:7:q_ds:cardinalities"``), because two
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple, Union
@@ -53,7 +57,12 @@ from repro.core.certify import (
     decomposition_from_payload,
     decomposition_to_payload,
 )
-from repro.core.constraints import SubtreeConstraint
+from repro.core.constraints import (
+    ConnectedCoverConstraint,
+    ShallowCyclicityConstraint,
+    SubtreeConstraint,
+)
+from repro.core.preferences import NodeCountPreference, ShallowCyclicityPreference
 from repro.runtime.budget import EXIT_CODES, Budget, SolveOutcome, completed_outcome
 
 __all__ = [
@@ -73,7 +82,11 @@ __all__ = [
 
 MODES = ("decide", "optimal", "enumerate", "soft-width")
 CONSTRAINTS = (None, "concov")
-PREFERENCES = (None, "nodecount", "cardinalities", "estimates")
+PREFERENCES = (None, "nodecount", "shallowcyc", "cardinalities", "estimates")
+
+#: ``shallowcyc:<d>`` names ShallowCyc_d; ``d`` is a decimal without leading
+#: zeros, so each constraint has one spelling (and one cache kind).
+_SHALLOWCYC = re.compile(r"shallowcyc:(0|[1-9][0-9]*)")
 
 #: Preferences whose ranking depends on database contents, not just the
 #: hypergraph shape.  Requests carrying one need ``database``/``query`` at
@@ -90,6 +103,12 @@ _CACHE_STATUS = ("hit", "miss", "stored", "uncacheable", "off")
 
 def _vertex_sort_key(vertex) -> Tuple[str, str]:
     return (str(type(vertex)), str(vertex))
+
+
+def _shallowcyc_depth(spec: object) -> Optional[int]:
+    """``d`` of a ``shallowcyc:<d>`` constraint name, else ``None``."""
+    match = _SHALLOWCYC.fullmatch(spec) if isinstance(spec, str) else None
+    return int(match.group(1)) if match else None
 
 
 @dataclass(frozen=True)
@@ -119,13 +138,22 @@ class SolveRequest:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        if self.constraint not in CONSTRAINTS:
+        shallowcyc = _shallowcyc_depth(self.constraint) is not None
+        if self.constraint not in CONSTRAINTS and not shallowcyc:
             raise ValueError(
-                f"unknown constraint {self.constraint!r}; expected one of {CONSTRAINTS}"
+                f"unknown constraint {self.constraint!r}; expected one of "
+                f"{CONSTRAINTS} or 'shallowcyc:<d>'"
             )
         if self.preference not in PREFERENCES:
             raise ValueError(
                 f"unknown preference {self.preference!r}; expected one of {PREFERENCES}"
+            )
+        if shallowcyc and self.preference != "shallowcyc":
+            # Algorithm 2 keeps one least CTD per block, which is only sound
+            # for a preference-complete pair (Example 5); under another
+            # preference it can answer "no CTD" where one exists.
+            raise ValueError(
+                f"constraint {self.constraint!r} needs preference 'shallowcyc'"
             )
         if self.mode == "soft-width":
             if self.width is not None and self.width < 1:
@@ -322,24 +350,30 @@ def constraint_object(
     if spec is None:
         return None
     if spec == "concov":
-        from repro.core.constraints import ConnectedCoverConstraint
-
         return ConnectedCoverConstraint(hypergraph, width)
+    depth = _shallowcyc_depth(spec)
+    if depth is not None:
+        return ShallowCyclicityConstraint(hypergraph, depth)
     raise ValueError(f"unknown constraint {spec!r}")
 
 
-def preference_object(spec: Optional[str], database=None, query=None):
+def preference_object(
+    spec: Optional[str], database=None, query=None, hypergraph=None
+):
     """The preference instance a spec names.
 
-    Cost preferences (``cardinalities`` / ``estimates``) rank by database
+    ``shallowcyc`` measures cyclicity depth in ``hypergraph``; cost
+    preferences (``cardinalities`` / ``estimates``) rank by database
     statistics and therefore need ``database`` and ``query``.
     """
     if spec is None:
         return None
     if spec == "nodecount":
-        from repro.core.preferences import NodeCountPreference
-
         return NodeCountPreference()
+    if spec == "shallowcyc":
+        if hypergraph is None:
+            raise ValueError("preference 'shallowcyc' needs hypergraph=")
+        return ShallowCyclicityPreference(hypergraph)
     if spec in DATA_PREFERENCES:
         if database is None or query is None:
             raise ValueError(
@@ -373,7 +407,9 @@ def _solve_fixed_width(
     width = int(request.width)  # type: ignore[arg-type]
     bags = _candidate_bags(request, width, budget)
     constraint = constraint_object(request.constraint, hypergraph, width)
-    preference = preference_object(request.preference, database, query)
+    preference = preference_object(
+        request.preference, database, query, hypergraph=hypergraph
+    )
     if request.mode == "enumerate":
         from repro.core.enumerate import enumerate_ctds
 

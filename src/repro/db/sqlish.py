@@ -201,8 +201,13 @@ def _parse_tables(from_clause: str) -> Tuple[List[Tuple[str, str]], str]:
     return tables, " AND ".join(conditions)
 
 
-def _check_tables(tables: List[Tuple[str, str]], database: Database) -> None:
-    """Unknown tables and duplicate aliases are schema errors, not crashes."""
+def _check_tables(
+    tables: List[Tuple[str, str]], database: Database
+) -> Dict[str, str]:
+    """The FROM clause's alias -> table map.
+
+    Unknown tables and duplicate aliases are schema errors, not crashes.
+    """
     seen: Dict[str, str] = {}
     for table, alias in tables:
         if table not in database:
@@ -216,15 +221,26 @@ def _check_tables(tables: List[Tuple[str, str]], database: Database) -> None:
                 "give each occurrence a distinct alias"
             )
         seen[alias] = table
+    return seen
+
+
+def _column_aliases(
+    tables: List[Tuple[str, str]], database: Database
+) -> Dict[str, List[str]]:
+    """Per column name, the aliases whose table has it, in FROM order."""
+    index: Dict[str, List[str]] = {}
+    for table, alias in tables:
+        for column in dict.fromkeys(database.relation(table).attributes):
+            index.setdefault(column, []).append(alias)
+    return index
 
 
 def _resolve_column(
     reference: str,
-    tables: List[Tuple[str, str]],
-    database: Database,
+    alias_to_table: Dict[str, str],
+    column_aliases: Dict[str, List[str]],
 ) -> Tuple[str, str]:
     """Resolve a column reference to (alias, column)."""
-    alias_to_table = dict((alias, table) for table, alias in tables)
     if "." in reference:
         alias, column = reference.split(".", 1)
         if alias not in alias_to_table:
@@ -232,24 +248,21 @@ def _resolve_column(
                 f"unknown table alias in column reference {reference!r}; "
                 f"FROM binds: {sorted(alias_to_table)}"
             )
-        if column not in database.relation(alias_to_table[alias]).attributes:
+        if alias not in column_aliases.get(column, ()):
             raise SqlError(
                 f"table {alias_to_table[alias]!r} (alias {alias!r}) has no "
                 f"column {column!r}"
             )
         return alias, column
-    candidates = []
-    for table, alias in tables:
-        if reference in database.relation(table).attributes:
-            candidates.append((alias, reference))
-    if not candidates:
+    aliases = column_aliases.get(reference)
+    if not aliases:
         raise SqlError(f"column {reference!r} not found in any FROM table")
-    if len({alias for alias, _ in candidates}) > 1:
+    if len(aliases) > 1:
         raise SqlError(
             f"column {reference!r} is ambiguous; qualify it with one of: "
-            f"{sorted({alias for alias, _ in candidates})}"
+            f"{sorted(aliases)}"
         )
-    return candidates[0]
+    return aliases[0], reference
 
 
 def _parse_conditions(condition_text: str) -> List[Tuple[str, str]]:
@@ -299,17 +312,20 @@ def parse_select_query(
     _reject_unsupported(rest)
     from_clause, where_clause = _split_from_where(rest)
     tables, join_conditions = _parse_tables(from_clause)
-    _check_tables(tables, database)
+    alias_to_table = _check_tables(tables, database)
+    column_aliases = _column_aliases(tables, database)
     condition_text = " AND ".join(filter(None, [join_conditions, where_clause]))
 
     union_find = _UnionFind()
     for left, right in _parse_conditions(condition_text):
-        left_ref = _resolve_column(left, tables, database)
-        right_ref = _resolve_column(right, tables, database)
+        left_ref = _resolve_column(left, alias_to_table, column_aliases)
+        right_ref = _resolve_column(right, alias_to_table, column_aliases)
         union_find.union(left_ref, right_ref)
     aggregate_ref: Optional[Tuple[str, str]] = None
     if aggregate_function is not None:
-        aggregate_ref = _resolve_column(aggregate_column, tables, database)
+        aggregate_ref = _resolve_column(
+            aggregate_column, alias_to_table, column_aliases
+        )
         union_find.add(aggregate_ref)
 
     # Assign variable names per equivalence class.

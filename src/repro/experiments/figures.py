@@ -187,8 +187,8 @@ def width_hierarchy_rows(include_h3: bool = False) -> List[Dict[str, object]]:
     """
     from repro.baselines.detkdecomp import hypertree_width
     from repro.baselines.ghw import generalized_hypertree_width
-    from repro.core.constraints import ConnectedCoverConstraint
-    from repro.core.soft import shw_leq, soft_hypertree_width
+    from repro.core.soft import soft_hypertree_width
+    from repro.core.solve import SolveRequest, execute
     from repro.hypergraph.library import cycle_hypergraph, hypergraph_h2
 
     rows: List[Dict[str, object]] = []
@@ -203,19 +203,14 @@ def width_hierarchy_rows(include_h3: bool = False) -> List[Dict[str, object]]:
         }
     )
     c5 = cycle_hypergraph(5)
-    concov_shw = None
-    for k in range(1, 6):
-        constraint = ConnectedCoverConstraint(c5, k)
-        if shw_leq(c5, k, constraint=constraint) is not None:
-            concov_shw = k
-            break
+    concov = SolveRequest(hypergraph=c5, mode="soft-width", width=5, constraint="concov")
     rows.append(
         {
             "hypergraph": "C5 (Section 6)",
             "ghw": generalized_hypertree_width(c5)[0],
             "shw": soft_hypertree_width(c5)[0],
             "hw": hypertree_width(c5),
-            "concov_shw": concov_shw,
+            "concov_shw": execute(concov, cache=None).width,
             "paper": "hw = 2, ConCov-hw = ConCov-shw = ConCov-ghw = 3",
         }
     )

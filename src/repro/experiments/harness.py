@@ -26,7 +26,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.decompositions.td import TreeDecomposition
 from repro.core.candidate_bags import filter_bags_by_cover, soft_candidate_bags
-from repro.core.constraints import ConnectedCoverConstraint
 from repro.core.solve import DATA_PREFERENCES, SolveRequest, execute, preference_object
 from repro.db.database import Database
 from repro.db.executor import BaselineExecutor
@@ -135,9 +134,6 @@ class QueryExperiment:
                 self.hypergraph, self.soft_bags, self.width, connected=True
             )
         return self._concov_bags
-
-    def concov_constraint(self) -> ConnectedCoverConstraint:
-        return ConnectedCoverConstraint(self.hypergraph, self.width)
 
     # -- decomposition enumeration ------------------------------------------------------
 

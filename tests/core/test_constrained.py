@@ -4,12 +4,10 @@ from repro.core.candidate_bags import soft_candidate_bags
 from repro.core.constrained import ConstrainedCTDSolver, constrained_candidate_td
 from repro.core.constraints import (
     ConnectedCoverConstraint,
-    PartitionClusteringConstraint,
     ShallowCyclicityConstraint,
 )
 from repro.core.preferences import (
     CostPreference,
-    MaxBagSizePreference,
     MonotoneCostPreference,
     NodeCountPreference,
     ShallowCyclicityPreference,
@@ -17,7 +15,9 @@ from repro.core.preferences import (
 from repro.core.reference import reference_constrained_ctd
 from repro.core.soft import shw_leq, soft_hypertree_width
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.hypergraph.library import cycle_hypergraph, example4_query
+from repro.hypergraph.library import cycle_hypergraph
+
+from tests.preference_fixtures import MaxBagSizePreference
 
 
 class TestUnconstrainedBehaviour:
@@ -91,17 +91,6 @@ class TestShallowCyclicity:
             four_cycle, bags, constraint=constraint, preference=preference
         )
         assert result is not None
-        assert constraint.holds_recursively(result)
-
-
-class TestPartitionClustering:
-    def test_example4_partitioned_decomposition(self):
-        hypergraph, partition = example4_query()
-        bags = soft_candidate_bags(hypergraph, 2)
-        constraint = PartitionClusteringConstraint(hypergraph, partition, k=2)
-        result = constrained_candidate_td(hypergraph, bags, constraint=constraint)
-        assert result is not None
-        assert result.is_valid()
         assert constraint.holds_recursively(result)
 
 

@@ -11,12 +11,13 @@ from repro.core.candidate_bags import soft_candidate_bags
 from repro.core.constraints import ConnectedCoverConstraint
 from repro.core.enumerate import CTDEnumerator, enumerate_ctds, fragment_to_decomposition
 from repro.core.preferences import (
-    MaxBagSizePreference,
     MonotoneCostPreference,
     NodeCountPreference,
 )
 from repro.core.reference import reference_enumerate_ctds
 from repro.hypergraph.hypergraph import Hypergraph
+
+from tests.preference_fixtures import MaxBagSizePreference
 
 
 class TestEnumerateBasics:

@@ -4,7 +4,6 @@ from repro.core.fragments import fragment_to_decomposition, make_fragment
 from repro.core.preferences import (
     CostPreference,
     LexicographicPreference,
-    MaxBagSizePreference,
     MonotoneCostPreference,
     NodeCountPreference,
     NoPreference,
@@ -12,6 +11,8 @@ from repro.core.preferences import (
 )
 from repro.decompositions.td import TreeDecomposition
 from repro.decompositions.tree import RootedTree
+
+from tests.preference_fixtures import MaxBagSizePreference
 
 
 def two_decompositions(four_cycle):

@@ -24,7 +24,6 @@ from repro.core.enumerate import CTDEnumerator, enumerate_ctds
 from repro.core.options import FragmentEvaluator
 from repro.core.preferences import (
     LexicographicPreference,
-    MaxBagSizePreference,
     MonotoneCostPreference,
     NodeCountPreference,
     NoPreference,
@@ -36,6 +35,8 @@ from repro.hypergraph.generators import (
     random_hypergraph,
 )
 from repro.hypergraph.library import cycle_hypergraph, grid_hypergraph, hypergraph_h2
+
+from tests.preference_fixtures import MaxBagSizePreference
 
 #: Every preference class that overrides ``probe_bound``.
 BOUNDED_CLASSES = (

@@ -23,6 +23,12 @@ from repro.core.solve import (
     execute,
     lookup,
 )
+from repro.core.candidate_bags import soft_candidate_bags
+from repro.core.certify import decomposition_to_payload
+from repro.core.constrained import constrained_candidate_td
+from repro.core.constraints import ShallowCyclicityConstraint
+from repro.decompositions.td import TreeDecomposition
+from repro.hypergraph.generators import random_hypergraph
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.runtime.budget import Budget
 
@@ -52,6 +58,14 @@ class TestRequestContract:
             {"limit": 0},
             {"mode": "decide", "constraint": "concov"},
             {"mode": "decide", "preference": "nodecount"},
+            # ShallowCyc_d only with its preference-complete toptd.
+            {"mode": "optimal", "constraint": "shallowcyc:1"},
+            {"mode": "optimal", "constraint": "shallowcyc:1", "preference": "nodecount"},
+            # One spelling per depth: a decimal without sign or leading zeros.
+            {"mode": "optimal", "constraint": "shallowcyc:", "preference": "shallowcyc"},
+            {"mode": "optimal", "constraint": "shallowcyc:-1", "preference": "shallowcyc"},
+            {"mode": "optimal", "constraint": "shallowcyc:01", "preference": "shallowcyc"},
+            {"mode": "optimal", "constraint": "shallowcyc:x", "preference": "shallowcyc"},
         ],
     )
     def test_invalid_requests_are_rejected(self, triangle, kwargs):
@@ -59,6 +73,36 @@ class TestRequestContract:
         spec.update(kwargs)
         with pytest.raises(ValueError):
             SolveRequest(**spec)
+
+    @pytest.mark.parametrize("constraint", ["shallowcyc:0", "shallowcyc:1", "shallowcyc:10"])
+    def test_shallowcyc_names_are_accepted(self, triangle, constraint):
+        request = SolveRequest(
+            hypergraph=triangle,
+            mode="optimal",
+            width=2,
+            constraint=constraint,
+            preference="shallowcyc",
+        )
+        assert constraint in request.cache_kind()
+
+    def test_shallowcyc_needs_its_preference_complete_pair(self):
+        """Why the guard exists: Algorithm 2 keeps one least CTD per block,
+        so under ShallowCyc_1 without the ShallowCyc preference it misses a
+        CTD that the preference-complete pair (Example 5) finds."""
+        hypergraph = random_hypergraph(8, 7, seed=2)
+        constraint = ShallowCyclicityConstraint(hypergraph, 1)
+        bags = soft_candidate_bags(hypergraph, 2)
+        assert constrained_candidate_td(hypergraph, bags, constraint=constraint) is None
+        request = SolveRequest(
+            hypergraph=hypergraph,
+            mode="optimal",
+            width=2,
+            constraint="shallowcyc:1",
+            preference="shallowcyc",
+        )
+        found = execute(request, cache=None).decomposition
+        assert found is not None and found.is_valid()
+        assert constraint.holds_recursively(found)
 
     def test_payload_round_trip(self, triangle):
         request = SolveRequest(
@@ -420,6 +464,47 @@ class TestCertifyClaim:
         assert certify_claim(request, claim).decided
         with pytest.raises(ValueError):
             certify_claim(request, dict(claim, decomposition=second))
+
+    @pytest.mark.parametrize(
+        "bags,parents,names",
+        [
+            # Example 3's D1: the root bag's only 2-edge covers are
+            # disconnected, a Cartesian product.
+            (
+                [{"w", "x", "y", "z"}, {"x", "y"}],
+                [None, 0],
+                {"constraint": "concov"},
+            ),
+            # The cyclic bag sits at depth 1, below an edge-covered root.
+            (
+                [{"x", "y"}, {"w", "x", "y", "z"}],
+                [None, 0],
+                {"constraint": "shallowcyc:0", "preference": "shallowcyc"},
+            ),
+        ],
+        ids=["concov", "shallowcyc:0"],
+    )
+    def test_claim_violating_the_constraint_is_rejected(
+        self, four_cycle, bags, parents, names
+    ):
+        """The CTD certifies without a constraint, so only the request's
+        constraint can reject it."""
+        payload = decomposition_to_payload(
+            TreeDecomposition.from_bags(four_cycle, bags, parents)
+        )
+        claim = {
+            "decided": True,
+            "width": 2,
+            "decompositions": [payload],
+            "decomposition": payload,
+        }
+        plain = SolveRequest(hypergraph=four_cycle, mode="optimal", width=2)
+        assert certify_claim(plain, claim).decided
+        constrained = SolveRequest(
+            hypergraph=four_cycle, mode="optimal", width=2, **names
+        )
+        with pytest.raises(ValueError, match="claimed constraint does not hold"):
+            certify_claim(constrained, claim)
 
     @pytest.mark.parametrize("status", ["complete", "deadline"])
     def test_negative_claim_needs_a_complete_search(self, c5, status):

@@ -7,6 +7,7 @@ fast; the benchmark targets run the same code at full scale.
 
 import pytest
 
+from repro.core.solve import constraint_object
 from repro.experiments.harness import QueryExperiment
 from repro.experiments.report import format_figure_rows, format_table
 from repro.experiments import figures
@@ -103,7 +104,9 @@ class TestQueryExperiment:
 
     def test_decompositions_respect_concov(self, qds_experiment):
         decompositions, _ = qds_experiment.ranked_decompositions(limit=4, constrained=True)
-        constraint = qds_experiment.concov_constraint()
+        constraint = constraint_object(
+            "concov", qds_experiment.hypergraph, qds_experiment.width
+        )
         for decomposition in decompositions:
             assert constraint.holds_recursively(decomposition)
 

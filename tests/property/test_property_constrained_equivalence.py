@@ -21,18 +21,18 @@ from repro.core.constraints import (
 )
 from repro.core.preferences import (
     LexicographicPreference,
-    MaxBagSizePreference,
     MonotoneCostPreference,
     NodeCountPreference,
     NoPreference,
     ShallowCyclicityPreference,
 )
 from repro.core.reference import reference_constrained_ctd
-from repro.core.soft import shw_leq
+from repro.core.solve import SolveRequest, execute
 from repro.db.cost import EstimateCostModel
 from repro.hypergraph.library import cycle_hypergraph, hypergraph_h2
 from repro.workloads.tpcds import build_tpcds_database, tpcds_query_qds
 
+from tests.preference_fixtures import MaxBagSizePreference
 from tests.property.test_property_invariants import small_hypergraphs
 
 SETTINGS = settings(
@@ -160,9 +160,16 @@ class TestConstrainedEquivalence:
         hypergraph = query.hypergraph()
         constraint = ConnectedCoverConstraint(hypergraph, 2)
         preference = EstimateCostModel(query, database).as_preference()
-        decomposition = shw_leq(
-            hypergraph, 2, constraint=constraint, preference=preference
+        request = SolveRequest(
+            hypergraph=hypergraph,
+            mode="optimal",
+            width=2,
+            constraint="concov",
+            preference="estimates",
         )
+        decomposition = execute(
+            request, database=database, query=query, cache=None
+        ).decomposition
         assert decomposition is not None and decomposition.is_valid()
         assert constraint.holds_recursively(decomposition)
 

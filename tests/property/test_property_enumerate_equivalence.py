@@ -22,7 +22,6 @@ from repro.core.constraints import (
 )
 from repro.core.preferences import (
     LexicographicPreference,
-    MaxBagSizePreference,
     MonotoneCostPreference,
     NodeCountPreference,
     NoPreference,
@@ -32,6 +31,7 @@ from repro.db.cost import EstimateCostModel
 from repro.hypergraph.library import cycle_hypergraph
 from repro.workloads.registry import benchmark_queries, benchmark_query
 
+from tests.preference_fixtures import MaxBagSizePreference
 from tests.property.test_property_invariants import small_hypergraphs
 
 # The reference enumerator is exhaustive (it materialises every option of

@@ -17,12 +17,12 @@ from repro.core.enumerate import enumerate_ctds
 from repro.core.preferences import (
     CostPreference,
     LexicographicPreference,
-    MaxBagSizePreference,
     MonotoneCostPreference,
     NodeCountPreference,
 )
 from repro.core.reference import reference_satisfied_blocks
 
+from tests.preference_fixtures import MaxBagSizePreference
 from tests.property.test_property_invariants import small_hypergraphs
 
 SETTINGS = settings(
