@@ -62,8 +62,15 @@ def gyo_reduction(hypergraph: Hypergraph) -> List[FrozenSet[Vertex]]:
 
 
 def is_alpha_acyclic(hypergraph: Hypergraph) -> bool:
-    """``True`` iff the hypergraph is α-acyclic (GYO reduces to nothing)."""
-    return not gyo_reduction(hypergraph)
+    """``True`` iff the hypergraph is α-acyclic (GYO reduces to nothing).
+
+    The verdict is memoised on the (immutable) hypergraph, so an interned
+    query shape runs the reduction once, not once per request.
+    """
+    acyclic = hypergraph._acyclic
+    if acyclic is None:
+        acyclic = hypergraph._acyclic = not gyo_reduction(hypergraph)
+    return acyclic
 
 
 def join_tree(hypergraph: Hypergraph) -> Optional[TreeDecomposition]:

@@ -13,9 +13,9 @@ hypergraph; lower cost should mean faster decomposition-guided execution.
   each child before it is probed.
 
 Both cost the λ-cover join the Yannakakis executor builds for each bag: the
-models read covers from :meth:`YannakakisExecutor.cover_of`, the query
-layer's one cover decision.  Both are strongly monotone in the sense of
-Section 6.1, so wrapping them in a
+models read covers from :func:`repro.db.yannakakis.bag_cover`, the query
+layer's one cover decision, memoised on the (interned) query hypergraph.
+Both are strongly monotone in the sense of Section 6.1, so wrapping them in a
 :class:`repro.core.preferences.CostPreference` yields a preference-complete
 toptd usable by Algorithm 2 and the ranked enumerator.
 :func:`make_cost_preference` is the one constructor: ranking and the
@@ -33,7 +33,7 @@ from repro.decompositions.tree import TreeNode
 from repro.core.preferences import CostPreference, MonotoneCostPreference
 from repro.db.database import Database
 from repro.db.query import Atom, ConjunctiveQuery
-from repro.db.yannakakis import YannakakisExecutor, atom_relation
+from repro.db.yannakakis import atom_relation, bag_cover
 
 Bag = FrozenSet[Vertex]
 
@@ -48,7 +48,10 @@ class _CostModelBase:
     def __init__(self, query: ConjunctiveQuery, database: Database):
         self.query = query
         self.database = database
-        self.cover_of = YannakakisExecutor(database, query).cover_of
+        self.hypergraph = query.hypergraph()
+
+    def cover_of(self, bag: Bag) -> Tuple[str, ...]:
+        return bag_cover(self.hypergraph, bag)
 
     def cover_atoms(self, bag: Bag) -> List[Atom]:
         return [self.query.atom(alias) for alias in self.cover_of(bag)]

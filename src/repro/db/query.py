@@ -14,6 +14,12 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.hypergraph.hypergraph import Hypergraph
 
+#: How many query shapes :meth:`ConjunctiveQuery.hypergraph` keeps interned.
+INTERNED_SHAPES = 256
+
+# Edge spec -> its interned hypergraph, least recently used first.
+_INTERNED: Dict[Tuple[Tuple[str, Tuple[str, ...]], ...], Hypergraph] = {}
+
 
 @dataclass(frozen=True)
 class Atom:
@@ -75,10 +81,27 @@ class ConjunctiveQuery:
         return seen
 
     def hypergraph(self) -> Hypergraph:
-        """The query hypergraph: one edge per atom, vertices are variables."""
-        return Hypergraph(
-            {atom.alias: list(dict.fromkeys(atom.variables)) for atom in self.atoms}
+        """The query hypergraph: one edge per atom, vertices are variables.
+
+        Interned per shape: every query whose atoms give the same edge spec
+        — ``(alias, variables deduplicated in order)`` per atom, in atom
+        order — gets the same immutable :class:`Hypergraph`, so its bitset
+        tables, canonical form, acyclicity verdict and λ-covers (memoised
+        on it) are derived once per shape, not once per request.  The spec
+        keeps names and order, which ``Hypergraph.__eq__`` ignores, so two
+        shapes that differ in an alias never share a memo.  The table holds
+        the :data:`INTERNED_SHAPES` most recently used shapes.
+        """
+        spec = tuple(
+            (atom.alias, tuple(dict.fromkeys(atom.variables))) for atom in self.atoms
         )
+        hypergraph = _INTERNED.pop(spec, None)
+        if hypergraph is None:
+            hypergraph = Hypergraph(dict(spec))
+            while len(_INTERNED) >= INTERNED_SHAPES:
+                del _INTERNED[next(iter(_INTERNED))]
+        _INTERNED[spec] = hypergraph
+        return hypergraph
 
     def partition_labels(
         self, relation_partition: Mapping[str, str]

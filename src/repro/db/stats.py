@@ -42,6 +42,9 @@ class CardinalityEstimator:
     def __init__(self, database: Database):
         self.database = database
         self._stats: Dict[str, TableStatistics] = {}
+        # greedy_join_order's answers per atom tuple: they read only the
+        # statistics, which never change for a database.
+        self._orders: Dict[Tuple[Atom, ...], Tuple[Atom, ...]] = {}
 
     # -- statistics --------------------------------------------------------------
 
@@ -154,8 +157,18 @@ class CardinalityEstimator:
 
         Starts from the smallest relation and repeatedly adds the atom whose
         inclusion yields the smallest estimated intermediate result.  This is
-        the plan the baseline executor runs.
+        the plan the baseline executor runs, and the member order of every
+        Yannakakis bag join.  The order is memoised per atom tuple: it is
+        the one per-database piece of planning a query shape, so a warm
+        request looks it up.
         """
+        key = tuple(atoms)
+        order = self._orders.get(key)
+        if order is None:
+            order = self._orders[key] = tuple(self._greedy_order(key))
+        return list(order)
+
+    def _greedy_order(self, atoms: Sequence[Atom]) -> List[Atom]:
         remaining = list(atoms)
         if not remaining:
             return []

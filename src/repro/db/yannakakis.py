@@ -100,23 +100,47 @@ def atom_relation(database: Database, atom: Atom) -> Relation:
     )
 
 
+def bag_cover(hypergraph: Hypergraph, bag: Bag) -> Tuple[str, ...]:
+    """The λ-cover (atom aliases) Yannakakis joins for ``bag``.
+
+    The query layer's one cover decision: the executor plans with it and
+    the cost models of :mod:`repro.db.cost` cost it, so Eq. 5–9 cost
+    exactly the joins execution builds.  The answer depends on the
+    hypergraph alone, so it is memoised on it (``Hypergraph._covers``):
+    bags repeat across nodes, across the decompositions one query ranks
+    and — the query hypergraph being interned per shape — across requests,
+    while the search re-enumerates from scratch on every call.
+    """
+    covers = hypergraph._covers
+    if covers is None:
+        covers = hypergraph._covers = {}
+    cover = covers.get(bag)
+    if cover is None:
+        cover = covers[bag] = _search_cover(hypergraph, bag)
+    return cover
+
+
 def choose_cover(hypergraph: Hypergraph, bag: Bag) -> List[str]:
-    """Pick a λ-cover (list of atom aliases) for a bag.
+    """Pick a λ-cover (list of atom aliases) for a bag (:func:`bag_cover`).
 
     Prefers a connected cover of minimal size when one exists (matching the
     ConCov constraint's intent); falls back to a minimum cover otherwise.
     """
+    return list(bag_cover(hypergraph, frozenset(bag)))
+
+
+def _search_cover(hypergraph: Hypergraph, bag: Bag) -> Tuple[str, ...]:
     if not bag:
-        return []
+        return ()
     connected = least_connected_covers(hypergraph, bag)
     if connected:
         best = min(connected, key=lambda cover: (len(cover), [e.name for e in cover]))
-        return [edge.name for edge in best]
+        return tuple(edge.name for edge in best)
     limit = hypergraph.num_edges()
     cover = minimum_edge_cover(hypergraph, bag, upper_bound=limit)
     if cover is None:
         raise ValueError(f"bag {sorted(map(str, bag))} has no edge cover of size <= {limit}")
-    return [edge.name for edge in cover]
+    return tuple(edge.name for edge in cover)
 
 
 @dataclass
@@ -199,26 +223,16 @@ class YannakakisExecutor:
         self.database = database
         self.query = query
         self.hypergraph = query.hypergraph()
-        self._cover_cache: Dict[Bag, Tuple[str, ...]] = {}
         self._last_plan: Optional[Tuple[TreeDecomposition, List[NodePlan]]] = None
 
     # -- planning -----------------------------------------------------------------
 
     def cover_of(self, bag: Bag) -> Tuple[str, ...]:
-        """The λ-cover the executor joins for ``bag``, memoised per bag.
-
-        The one cover decision of the query layer: the cost models of
-        :mod:`repro.db.cost` read their covers here too, so Eq. 5–9 cost
-        exactly the joins execution builds.  Bags repeat across nodes in
-        real decompositions (and across the many decompositions one
-        executor ranks), and the cover search re-enumerates from scratch on
-        every call — so the cache turns repeat planning into a dict lookup.
-        """
-        cover = self._cover_cache.get(bag)
-        if cover is None:
-            cover = tuple(choose_cover(self.hypergraph, bag))
-            self._cover_cache[bag] = cover
-        return cover
+        """The λ-cover the executor joins for ``bag``: :func:`bag_cover` on
+        the query hypergraph, read from the memo that hypergraph carries —
+        shared by every request of the same query shape and by the cost
+        models over it."""
+        return bag_cover(self.hypergraph, bag)
 
     def plan(self, decomposition: TreeDecomposition) -> List[NodePlan]:
         """Assign covers and atom enforcement to decomposition nodes.

@@ -70,7 +70,7 @@ class Hypergraph:
 
     __slots__ = (
         "_edges", "_edge_tuple", "_vertices", "_incidence", "_edge_order", "_bitsets",
-        "_canonical", "__weakref__",
+        "_canonical", "_acyclic", "_covers", "__weakref__",
     )
 
     def __init__(
@@ -107,9 +107,18 @@ class Hypergraph:
                 incidence[v].append(e)
         self._incidence = {v: tuple(es) for v, es in incidence.items()}
         self._bitsets = None
-        #: Memo of :func:`repro.hypergraph.canonical.canonical_form` (safe for
-        #: the same reason as ``_bitsets``: the hypergraph is immutable).
+        # Memos of functions of the hypergraph alone, safe for the same reason
+        # as ``_bitsets``: the hypergraph is immutable.  They live as long as
+        # it does, so an interned query hypergraph
+        # (:meth:`repro.db.query.ConjunctiveQuery.hypergraph`) derives each
+        # once per query shape, not once per request.
+        #: :func:`repro.hypergraph.canonical.canonical_form`'s answer.
         self._canonical = None
+        #: :func:`repro.baselines.acyclic.is_alpha_acyclic`'s verdict.
+        self._acyclic: Optional[bool] = None
+        #: :func:`repro.db.yannakakis.bag_cover`'s answers, bag -> aliases
+        #: (a dict on first use).
+        self._covers: Optional[Dict[FrozenSet[Vertex], Tuple[str, ...]]] = None
 
     # -- basic accessors ---------------------------------------------------
 

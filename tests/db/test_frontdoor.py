@@ -28,13 +28,17 @@ from repro.workloads.registry import (
 )
 
 
-@pytest.fixture
-def database():
+def _database():
     db = Database()
     db.create_table_columns("R", ["a", "b"], [[1, 2, 3, 3], [10, 20, 30, 31]])
     db.create_table_columns("S", ["b", "c"], [[10, 20, 20, 31], [5, 6, 7, 8]])
     db.create_table_columns("T", ["c", "d"], [[5, 6, 6], [0, 6, 2]])
     return db
+
+
+@pytest.fixture
+def database():
+    return _database()
 
 
 TRIANGLE_SQL = (
@@ -73,13 +77,23 @@ class TestEachThingOnce:
     def test_run_query_plans_once_and_canonicalises_once(
         self, database, tmp_path, monkeypatch
     ):
+        """Per request: one plan and one (traced) ``hypergraph()`` call.  Per
+        query shape: one hypergraph, bitset build, canonical form, GYO
+        reduction and cover search per bag.  Per database: member orders."""
+        from repro.baselines import acyclic
+        from repro.db import query as query_module
+        from repro.db import yannakakis
         from repro.db.query import ConjunctiveQuery
+        from repro.db.stats import CardinalityEstimator
         from repro.db.yannakakis import YannakakisExecutor
         from repro.hypergraph import canonical
         from repro.hypergraph.bitset import HypergraphBitsets
 
+        # Another test may have interned the triangle already.
+        monkeypatch.setattr(query_module, "_INTERNED", {})
         calls = {
-            "executors": 0, "plans": 0, "canonical": 0, "hypergraphs": 0, "bitsets": 0,
+            "executors": 0, "plans": 0, "hypergraphs": 0, "canonical": 0,
+            "bitsets": 0, "covers": 0, "gyo": 0, "orders": 0,
         }
 
         def counted(key, original):
@@ -89,44 +103,59 @@ class TestEachThingOnce:
 
             return wrapper
 
-        monkeypatch.setattr(
-            YannakakisExecutor,
-            "__init__",
-            counted("executors", YannakakisExecutor.__init__),
-        )
-        monkeypatch.setattr(
-            YannakakisExecutor, "plan", counted("plans", YannakakisExecutor.plan)
-        )
-        monkeypatch.setattr(
-            canonical, "_canonical_form", counted("canonical", canonical._canonical_form)
-        )
-        # The solve, the fingerprint and the covers share one query hypergraph
-        # and so one set of bitset tables.
-        monkeypatch.setattr(
-            ConjunctiveQuery,
-            "hypergraph",
-            counted("hypergraphs", ConjunctiveQuery.hypergraph),
-        )
-        monkeypatch.setattr(
-            HypergraphBitsets,
-            "__init__",
-            counted("bitsets", HypergraphBitsets.__init__),
-        )
+        for owner, name, key in (
+            (YannakakisExecutor, "__init__", "executors"),
+            (YannakakisExecutor, "plan", "plans"),
+            (ConjunctiveQuery, "hypergraph", "hypergraphs"),
+            (canonical, "_canonical_form", "canonical"),
+            (HypergraphBitsets, "__init__", "bitsets"),
+            (yannakakis, "_search_cover", "covers"),
+            (acyclic, "gyo_reduction", "gyo"),
+            (CardinalityEstimator, "_greedy_order", "orders"),
+        ):
+            monkeypatch.setattr(owner, name, counted(key, getattr(owner, name)))
         cache = DecompositionCache(str(tmp_path / "ctd"))
-        for expected_provenance in ("solve", "cache"):
+
+        def run(db):
             for key in calls:
                 calls[key] = 0
-            result = run_query(TRIANGLE_SQL, database, cache=cache)
-            assert result.provenance == expected_provenance
-            # The triangle has width 2: the soft-width search probes two
-            # levels and the plan takes the fingerprint — one canonical form.
-            assert calls == {
-                "executors": 1, "plans": 1, "canonical": 1, "hypergraphs": 1, "bitsets": 1,
-            }
+            result = run_query(TRIANGLE_SQL, db, cache=cache)
             assert result.plan.fingerprint == canonical.hypergraph_fingerprint(
                 result.plan.hypergraph
             )
-        assert calls["canonical"] == 1  # ... and the memo served that, too
+            return result, dict(calls)
+
+        cold, cold_calls = run(database)
+        assert cold.provenance == "solve"
+        # The triangle has width 2: GYO settles level 1, level 2 solves, and
+        # the solve, the fingerprint and the covers share one hypergraph —
+        # one canonical form and one set of bitset tables.
+        assert {key: cold_calls[key] for key in ("executors", "plans", "hypergraphs")} == {
+            "executors": 1, "plans": 1, "hypergraphs": 1,
+        }
+        assert cold_calls["canonical"] == cold_calls["bitsets"] == cold_calls["gyo"] == 1
+        assert cold_calls["covers"] >= len(cold.plan.node_plans)
+        assert cold_calls["orders"] >= 1
+
+        warm, warm_calls = run(database)
+        assert warm.provenance == "cache"
+        assert warm.plan.hypergraph is cold.plan.hypergraph
+        # The traced hypergraph() binding still runs once; everything that
+        # depends only on the shape or on the database is a lookup.
+        assert warm_calls == {
+            "executors": 1, "plans": 1, "hypergraphs": 1, "canonical": 0,
+            "bitsets": 0, "covers": 0, "gyo": 0, "orders": 0,
+        }
+
+        elsewhere, elsewhere_calls = run(_database())
+        assert elsewhere.provenance == "cache"
+        assert elsewhere.plan.hypergraph is cold.plan.hypergraph
+        assert elsewhere.value == cold.value == warm.value
+        # The shape's covers carry over; member orders are the new
+        # database's own.
+        assert elsewhere_calls["canonical"] == elsewhere_calls["covers"] == 0
+        assert elsewhere_calls["bitsets"] == elsewhere_calls["gyo"] == 0
+        assert elsewhere_calls["orders"] >= 1
 
     def test_canonical_keys_once_per_interned_value(self, database, monkeypatch):
         from repro.db import interner
