@@ -426,11 +426,7 @@ def default_ledger_path(tasks) -> str:
 
 
 def _cmd_batch(args, out) -> int:
-    from repro.experiments.harness import (
-        BatchCertifier,
-        BatchSolveCache,
-        batch_task_specs,
-    )
+    from repro.experiments.harness import BatchCertifier, batch_task_specs
     from repro.runtime.checkpoint import BatchLedger
     from repro.runtime.supervisor import RetryPolicy, Supervisor
 
@@ -454,9 +450,6 @@ def _cmd_batch(args, out) -> int:
         max_workers=args.workers,
         hard_timeout=args.task_timeout,
         retry=RetryPolicy(max_attempts=args.retries),
-        # Pre-launch probe into the persistent decomposition cache: a
-        # certified hit satisfies a task without a worker process.
-        cache_lookup=BatchSolveCache().lookup,
     )
     report = supervisor.run(tasks, ledger=ledger)
     print(report.describe(), file=out)

@@ -53,7 +53,7 @@ from repro.core.soft import (
     soft_hypertree_width,
     shw_leq,
 )
-from repro.core.solve import SolveRequest, SolveResult, execute, lookup
+from repro.core.solve import SolveRequest, SolveResult, execute
 from repro.core.cache import DecompositionCache, resolve_cache
 from repro.core.games import (
     irmg_width,
@@ -95,7 +95,6 @@ __all__ = [
     "SolveRequest",
     "SolveResult",
     "execute",
-    "lookup",
     "DecompositionCache",
     "resolve_cache",
     "soft_hypertree_width",

@@ -73,7 +73,6 @@ __all__ = [
     "SolveRequest",
     "SolveResult",
     "execute",
-    "lookup",
     "certify_claim",
     "serve_canonical_record",
     "constraint_object",
@@ -650,25 +649,6 @@ def execute(
         cache_stats=store.stats.as_dict() if store is not None else None,
         elapsed=time.perf_counter() - started,
     )
-
-
-def lookup(
-    request: SolveRequest,
-    cache: Union[str, DecompositionCache, None] = "auto",
-) -> Optional[SolveResult]:
-    """A cache-only probe: the certified cached result on a hit, else ``None``.
-
-    Never solves.  The batch supervisor uses this to satisfy a task without
-    spawning a worker; the same trust rules as :func:`execute` apply — a
-    hit is mapped back through the caller's permutation and re-certified,
-    and an entry that fails certification is quarantined (the probe then
-    reports a miss).
-    """
-    store = resolve_cache(cache)
-    kind = request.cache_kind()
-    if store is None or kind is None:
-        return None
-    return _probe(request, store, kind, time.perf_counter())[1]
 
 
 def _execute_soft_width(

@@ -281,17 +281,15 @@ class QueryExperiment:
 #   inside each persistent worker process, which serves attempts until one
 #   fails), a thin shell around core.solve.execute,
 # * BatchCertifier    — the parent-side certifier that rebuilds every
-#   query hypergraph *itself* and never trusts worker-supplied structure,
-# * BatchSolveCache   — the supervisor's pre-launch cache probe against the
-#   persistent decomposition cache.
+#   query hypergraph *itself* and never trusts worker-supplied structure.
 
 
 #: Module-level memo of workload rebuilds, shared by every consumer that
 #: needs a benchmark's (database, query, width) for the same deterministic
-#: coordinates — the batch certifier's trusted hypergraphs, the
-#: supervisor's cache probe and task-spec construction, the worker-side
-#: runner.  Generation is deterministic per ``(name, scale, seed)``, so
-#: one rebuild serves every task of a batch instead of one per task.
+#: coordinates — the batch certifier's trusted hypergraphs, task-spec
+#: construction, the worker-side runner and the batch scheduler.
+#: Generation is deterministic per ``(name, scale, seed)``, so one rebuild
+#: serves every task of a batch instead of one per task.
 _WORKLOAD_MEMO: Dict[Tuple[str, float, object], Tuple[object, object, int]] = {}
 
 
@@ -307,6 +305,15 @@ def load_benchmark_workload(
         database, query = entry.load(scale=scale, seed=seed)
         _WORKLOAD_MEMO[key] = (database, query, entry.width)
     return _WORKLOAD_MEMO[key]
+
+
+def load_task_workload(task: Dict[str, object]) -> Tuple[object, object, int]:
+    """:func:`load_benchmark_workload` at a batch task's coordinates."""
+    return load_benchmark_workload(
+        str(task["query"]),
+        scale=float(task.get("scale") or 1.0),
+        seed=task.get("seed"),
+    )
 
 
 def clear_workload_memo() -> None:
@@ -380,16 +387,6 @@ def batch_task_specs(
     return specs
 
 
-def _batch_result_wire(result, request, mode: str, payload: Dict[str, object]):
-    """The worker result dict: SolveResult wire format + batch envelope."""
-    wire = result.to_payload()
-    wire["query"] = payload.get("query")
-    wire["mode"] = mode
-    wire["level"] = payload.get("level")
-    wire["width"] = request.width
-    return wire
-
-
 def execute_batch_task(payload: Dict[str, object]) -> Dict[str, object]:
     """The worker-side runner of one supervised batch task.
 
@@ -428,11 +425,7 @@ def execute_batch_task(payload: Dict[str, object]) -> Dict[str, object]:
     if request.preference in DATA_PREFERENCES:
         # Memoised per worker process: a worker that runs several tasks of
         # the same (name, scale, seed) rebuilds the database once.
-        database, query, _ = load_benchmark_workload(
-            str(payload["query"]),
-            scale=float(payload.get("scale") or 1.0),
-            seed=payload.get("seed"),
-        )
+        database, query, _ = load_task_workload(payload)
     result = execute(request, database=database, query=query, budget=budget)
     if result.decomposition is None and result.outcome.partial:
         return {
@@ -441,44 +434,12 @@ def execute_batch_task(payload: Dict[str, object]) -> Dict[str, object]:
             "error": "budget exhausted before any decomposition was found "
             f"({result.outcome.describe()})",
         }
-    return _batch_result_wire(result, request, mode, payload)
-
-
-class BatchSolveCache:
-    """The supervisor's pre-launch probe into the decomposition cache.
-
-    ``lookup(task)`` reconstructs the task's embedded
-    :class:`~repro.core.solve.SolveRequest` and asks the persistent cache
-    for a certified hit (:func:`repro.core.solve.lookup` — probe only,
-    never solves); on a hit the supervisor records the worker-format
-    result without running an attempt.  Storing needs no seam: the workers
-    themselves persist every complete cacheable solve through
-    :func:`repro.core.solve.execute`.
-    """
-
-    def __init__(self, cache="auto"):
-        from repro.core.cache import resolve_cache
-
-        self.cache = resolve_cache(cache)
-
-    def lookup(self, task: Dict[str, object]) -> Optional[Dict[str, object]]:
-        from repro.core.solve import lookup
-
-        if self.cache is None or not isinstance(task, dict):
-            return None
-        if task.get("kind") != "solve":
-            return None
-        try:
-            request = SolveRequest.from_payload(task.get("request"))
-        except ValueError:
-            return None
-        result = lookup(request, cache=self.cache)
-        if result is None:
-            return None
-        mode = "decide" if request.mode == "decide" else "ranked"
-        return _batch_result_wire(
-            result, request, mode, {**task, "level": "cache"}
-        )
+    wire = result.to_payload()  # the SolveResult wire format + batch envelope
+    wire["query"] = payload.get("query")
+    wire["mode"] = mode
+    wire["level"] = payload.get("level")
+    wire["width"] = request.width
+    return wire
 
 
 class BatchCertifier:
@@ -502,11 +463,7 @@ class BatchCertifier:
             request = SolveRequest.from_payload(task.get("request"))
         except ValueError as exc:
             return certify.Certification(False, (f"malformed task request: {exc}",))
-        _, query, _ = load_benchmark_workload(
-            str(task["query"]),
-            scale=float(task.get("scale") or 1.0),
-            seed=task.get("seed"),
-        )
+        _, query, _ = load_task_workload(task)
         if request.hypergraph != query.hypergraph():
             return certify.Certification(
                 False,

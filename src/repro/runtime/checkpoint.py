@@ -46,8 +46,9 @@ __all__ = [
 LEDGER_VERSION = 1
 
 #: Task-spec keys excluded from the fingerprint: they direct *how* a run
-#: is exercised (fault injection, labels), not *what* is computed, and a
-#: resumed run must recognise its tasks regardless of them.
+#: is exercised (the fault directives test runners read, labels), not
+#: *what* is computed, and a resumed run must recognise its tasks
+#: regardless of them.
 NON_SEMANTIC_TASK_KEYS = frozenset(
     {
         "faults",
@@ -59,12 +60,12 @@ NON_SEMANTIC_TASK_KEYS = frozenset(
     }
 )
 
-#: Terminal record statuses: a task with one of these has finished for
-#: this batch (``ok`` results are reused verbatim on resume; ``failed``
-#: and ``interrupted`` tasks are retried).
+#: Terminal record statuses: a task with one of these (or with
+#: :data:`repro.runtime.budget.STATUS_INTERRUPTED`) has finished for this
+#: batch (``ok`` results are reused verbatim on resume; ``failed`` and
+#: ``interrupted`` tasks are retried).
 STATUS_OK = "ok"
 STATUS_FAILED = "failed"
-STATUS_INTERRUPTED = "interrupted"
 
 
 def task_fingerprint(task: Mapping[str, object]) -> str:

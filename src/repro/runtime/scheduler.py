@@ -149,13 +149,9 @@ def _solve_inline(item: PlanItem, cache) -> "object":
         # Cost preferences rank by database statistics; benchmark tasks
         # carry their workload coordinates, and the module-level memo in
         # the harness makes repeated loads of one workload free.
-        from repro.experiments.harness import load_benchmark_workload
+        from repro.experiments.harness import load_task_workload
 
-        database, query, _ = load_benchmark_workload(
-            str(item.task["query"]),
-            scale=float(item.task.get("scale") or 1.0),
-            seed=item.task.get("seed"),
-        )
+        database, query, _ = load_task_workload(item.task)
     return execute(item.request, database=database, query=query, cache=cache)
 
 

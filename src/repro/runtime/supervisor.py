@@ -22,40 +22,33 @@ fresh process and a worker only carries state from successful attempts.
   descends: full solve → tighter budget → decide-only → recorded
   ``failed``.  Every result is tagged with the level that produced it.
 * **independent certification** — every result crossing the process
-  boundary is checked by the parent-side ``certifier`` against the
-  question the parent asked — the task with ``mode`` set to the mode of
-  the rung the parent ran (see :meth:`Supervisor._rejection`); a result
-  that fails is quarantined into the ledger as an ``invalid_result``
-  failure and the attempt retried.
-* **pre-launch cache probe** — an optional ``cache_lookup`` callable
-  (``task -> result dict | None``, e.g.
-  :class:`repro.experiments.harness.BatchSolveCache`) is consulted before
-  a virgin task's first attempt is launched; a returned payload still runs
-  the full certifier (the cache is an accelerator, never an authority)
-  and lands as an ``ok`` result at level ``cache``, while a miss or a
-  failed certification falls through to a normal launch without burning
-  an attempt.
+  boundary (a fresh solve, or a hit the worker served from the
+  decomposition cache) is checked by the parent-side ``certifier``
+  against the question the parent asked — the task with ``mode`` set to
+  the mode of the rung the parent ran (see :meth:`Supervisor._rejection`);
+  a result that fails is quarantined into the ledger as an
+  ``invalid_result`` failure and the attempt retried.
 * **checkpoint/resume** — with a :class:`~repro.runtime.checkpoint.BatchLedger`
   every terminal outcome is durably journaled; a re-run skips tasks with
   recorded ``ok`` results (re-certified, returned byte-for-byte) and
   retries ``failed``/``interrupted`` ones.  SIGINT/SIGTERM mid-batch
   kills the workers and lands as a clean ``interrupted`` checkpoint
-  (batch exit code 130, consistent with the ``SolveOutcome`` codes).
+  (batch exit code ``EXIT_CODES[STATUS_INTERRUPTED]``, 130, as for a
+  ``SolveOutcome``).
 
 The supervisor is agnostic about what a task computes: ``task_runner``
 names a ``module:function`` resolved *inside the worker* that maps a task
 payload dict to a JSON-able result dict (the default is the experiment
-harness's :func:`repro.experiments.harness.execute_batch_task`).  Fault
-injection for the test suites rides on the task spec itself: a ``faults``
-mapping of attempt numbers to directives (``sigkill``, ``hang``,
-``raise``, ``garbage``, ``bad_result``) is applied by the worker, which
-makes every containment path deterministically reproducible.
+harness's :func:`repro.experiments.harness.execute_batch_task`, whose
+solve probes the persistent decomposition cache first).  Every task runs
+through that runner, and every reply crosses the pipe once and is
+certified once.  The worker reads no fault directives: the fault suites
+script crashes, hangs and wrong answers inside their own task runners.
 """
 
 from __future__ import annotations
 
 import importlib
-import os
 import random
 import signal
 import threading
@@ -66,9 +59,9 @@ from multiprocessing import connection as mp_connection
 from multiprocessing import get_context
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.runtime.budget import EXIT_CODES, STATUS_INTERRUPTED
 from repro.runtime.checkpoint import (
     STATUS_FAILED,
-    STATUS_INTERRUPTED,
     STATUS_OK,
     BatchLedger,
     task_fingerprint,
@@ -92,9 +85,6 @@ __all__ = [
 
 #: The default worker-side task runner (resolved inside the worker).
 DEFAULT_TASK_RUNNER = "repro.experiments.harness:execute_batch_task"
-
-#: Exit code of an interrupted batch, matching ``EXIT_CODES[STATUS_INTERRUPTED]``.
-INTERRUPTED_EXIT_CODE = 130
 
 
 @dataclass(frozen=True)
@@ -222,7 +212,7 @@ class BatchReport:
     @property
     def exit_code(self) -> int:
         if self.interrupted:
-            return INTERRUPTED_EXIT_CODE
+            return EXIT_CODES[STATUS_INTERRUPTED]
         return 1 if any(r.status != STATUS_OK for r in self.results) else 0
 
     def counts(self) -> Dict[str, int]:
@@ -282,71 +272,30 @@ def _resolve_runner(path: str) -> Callable[[Dict[str, object]], Dict[str, object
     return getattr(importlib.import_module(module_name), attribute)
 
 
-def _corrupt_result(result: Dict[str, object]) -> Dict[str, object]:
-    """Fault directive ``bad_result``: a well-formed but *wrong* payload.
-
-    Drops one vertex from the largest bag (breaking edge cover and/or
-    connectedness) so the parent-side certifier — and nothing earlier —
-    must catch it.  The wrong decomposition replaces both the
-    ``decomposition`` claim and the ``decompositions`` list, so a check
-    that reads either one sees it.
-    """
-    corrupted = dict(result)
-    decomposition = corrupted.get("decomposition")
-    if isinstance(decomposition, dict) and decomposition.get("bags"):
-        bags = [list(bag) for bag in decomposition["bags"]]
-        largest = max(range(len(bags)), key=lambda i: len(bags[i]))
-        if bags[largest]:
-            bags[largest] = bags[largest][:-1]
-        wrong = {"bags": bags, "parents": decomposition["parents"]}
-    else:
-        wrong = {"bags": [[]], "parents": [None]}
-        corrupted["decided"] = True
-    corrupted["decomposition"] = wrong
-    corrupted["decompositions"] = [wrong]
-    return corrupted
-
-
 def _error_reply(exc: BaseException) -> Dict[str, object]:
     return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
 
 
 def _run_attempt(runner_path: str, payload: Dict[str, object]) -> object:
-    """Run one attempt with its ``raise``/``garbage``/``bad_result`` fault.
-
-    Everything the runner can *catch* becomes a structured
-    ``{"ok": False}`` reply (failure kind ``crashed``).
-    """
-    fault = payload.get("fault") or {}
+    """Run one attempt; everything the runner can *catch* becomes a
+    structured ``{"ok": False}`` reply (failure kind ``crashed``)."""
     try:
-        if fault.get("kind") == "raise":
-            raise RuntimeError(str(fault.get("message", "injected worker fault")))
-        if fault.get("kind") == "garbage":
-            return ["this", "is", "not", "a", "result"]
-        result = _resolve_runner(runner_path)(payload)
+        return _resolve_runner(runner_path)(payload)
     except Exception as exc:
         return _error_reply(exc)
-    if fault.get("kind") == "bad_result" and isinstance(result, dict):
-        result = _corrupt_result(result)
-    return result
 
 
 def _serve(conn) -> None:
     """Worker process entry point: serve ``(runner_path, payload)`` requests.
 
     Replies to each request on the same pipe until it receives ``None``
-    or hits EOF.  What the worker cannot catch (SIGKILL, segfault, OOM,
-    the ``sigkill``/``hang`` faults) the parent detects through the
-    worker's sentinel or its hard deadline.
+    or hits EOF.  What the worker cannot catch (SIGKILL, segfault, OOM, a
+    wedged loop) the parent detects through the worker's sentinel or its
+    hard deadline.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent owns Ctrl-C
     try:
         for runner_path, payload in iter(conn.recv, None):
-            fault = payload.get("fault") or {}
-            if fault.get("kind") == "sigkill":
-                os.kill(os.getpid(), signal.SIGKILL)
-            elif fault.get("kind") == "hang":
-                time.sleep(float(fault.get("seconds", 3600.0)))
             reply = _run_attempt(runner_path, payload)
             try:
                 conn.send(reply)
@@ -354,14 +303,6 @@ def _serve(conn) -> None:
                 conn.send(_error_reply(exc))
     except EOFError:
         pass
-
-
-def _fault_for_attempt(task: Mapping[str, object], attempt: int):
-    """The injected fault directive for global attempt number ``attempt``."""
-    faults = task.get("faults")
-    if not isinstance(faults, Mapping):
-        return None
-    return faults.get(str(attempt), faults.get("*"))
 
 
 # -- parent side -------------------------------------------------------------
@@ -392,6 +333,24 @@ class _TaskState:
         self.failures: List[Dict[str, object]] = []
         self.ready_at = 0.0
         self.elapsed = 0.0
+
+    def outcome(
+        self,
+        status: str,
+        level: Optional[str],
+        result: Optional[Dict[str, object]] = None,
+    ) -> TaskResult:
+        """This task's terminal :class:`TaskResult` as it stands."""
+        return TaskResult(
+            task=self.task,
+            fingerprint=self.fingerprint,
+            status=status,
+            level=level,
+            attempts=self.total_attempts,
+            result=result,
+            failures=self.failures,
+            elapsed=self.elapsed,
+        )
 
 
 class _Worker:
@@ -426,7 +385,7 @@ class Supervisor:
 
     ``certifier`` is a callable ``(task, result_payload) ->``
     :class:`repro.core.certify.Certification` applied to every delivered
-    result (and to cache hits and ledger-cached results on resume), with
+    result (and to ledger-cached results on resume), with
     ``task["mode"]`` set to the rung's mode; ``None`` disables
     certification, for test harnesses.
     ``isolation`` is ``"process"`` (the default: spawned
@@ -436,11 +395,6 @@ class Supervisor:
     retry gets a fresh worker) or ``"inline"`` (the attempt runs in this
     process — no crash containment or timeout enforcement, used by
     deterministic scheduling tests and overhead baselines).
-
-    ``cache_lookup`` is an optional ``task -> result dict | None`` probe
-    consulted before a virgin task's first attempt is launched (see
-    :meth:`_try_cache`); the supervisor stays agnostic about where the
-    payload comes from and certifies it like any worker result.
 
     ``clock``/``sleep`` are injectable for the fault suites
     (:class:`repro.runtime.faults.FakeClock` drives the backoff schedule
@@ -456,7 +410,6 @@ class Supervisor:
         retry: Optional[RetryPolicy] = None,
         ladder: Sequence[DegradationLevel] = DEFAULT_LADDER,
         isolation: str = "process",
-        cache_lookup: Optional[Callable] = None,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
     ):
@@ -466,7 +419,6 @@ class Supervisor:
             raise ValueError("the degradation ladder needs at least one level")
         self.task_runner = task_runner
         self.certifier = certifier
-        self.cache_lookup = cache_lookup
         self.max_workers = max(1, int(max_workers))
         self.hard_timeout = float(hard_timeout)
         self.retry = retry if retry is not None else RetryPolicy()
@@ -495,18 +447,14 @@ class Supervisor:
     def _attempt_payload(self, state: _TaskState) -> Dict[str, object]:
         level = self.ladder[state.level_index]
         deadline, max_work = self._level_caps(state.task, level)
-        payload = {
-            key: value for key, value in state.task.items() if key != "faults"
-        }
-        payload["level"] = level.name
-        payload["mode"] = level.mode
-        payload["deadline"] = deadline
-        payload["max_work"] = max_work
-        payload["attempt"] = state.total_attempts + 1
-        fault = _fault_for_attempt(state.task, state.total_attempts + 1)
-        if fault is not None:
-            payload["fault"] = dict(fault)
-        return payload
+        return dict(
+            state.task,
+            level=level.name,
+            mode=level.mode,
+            deadline=deadline,
+            max_work=max_work,
+            attempt=state.total_attempts + 1,
+        )
 
     # -- failure accounting ------------------------------------------------
 
@@ -514,18 +462,35 @@ class Supervisor:
         self,
         state: _TaskState,
         ledger: Optional[BatchLedger],
-        failure: TaskFailure,
+        kind: str,
+        message: str,
+        detail: Optional[str] = None,
     ) -> None:
-        state.failures.append(failure.as_record())
+        """Charge the attempt in flight with a failure of ``kind``.
+
+        A rejected result is journaled as quarantined; a rung whose
+        retries are spent is left for the next one; the retry waits out
+        its backoff.
+        """
+        level = self.ladder[state.level_index].name
         state.total_attempts += 1
         state.level_failures += 1
-        if failure.kind == FAILURE_INVALID_RESULT and ledger is not None:
+        failure = TaskFailure(
+            kind,
+            message,
+            fingerprint=state.fingerprint,
+            level=level,
+            attempt=state.total_attempts,
+            detail=detail,
+        )
+        state.failures.append(failure.as_record())
+        if kind == FAILURE_INVALID_RESULT and ledger is not None:
             ledger.append(
                 {
                     "type": "quarantine",
                     "fingerprint": state.fingerprint,
                     "attempt": state.total_attempts,
-                    "level": self.ladder[state.level_index].name,
+                    "level": level,
                     "reason": str(failure),
                 }
             )
@@ -548,15 +513,7 @@ class Supervisor:
             attempt=state.total_attempts,
         )
         state.failures.append(failure.as_record())
-        return TaskResult(
-            task=state.task,
-            fingerprint=state.fingerprint,
-            status=STATUS_FAILED,
-            level=self.ladder[-1].name,
-            attempts=state.total_attempts,
-            failures=state.failures,
-            elapsed=state.elapsed,
-        )
+        return state.outcome(STATUS_FAILED, self.ladder[-1].name)
 
     # -- result handling ---------------------------------------------------
 
@@ -566,9 +523,10 @@ class Supervisor:
         """Why ``payload`` fails as the answer of rung ``level``, or ``None``.
 
         The certifier sees ``task["mode"]`` set to that rung's mode, so the
-        parent, never the reply, says which question was asked; ``cache``
-        and unknown levels read as the top rung.  A certifier that raises
-        rejects.
+        parent, never the reply, says which question was asked.  Unknown
+        levels read as the top rung: among them ``cache``, the level older
+        ledgers recorded for a cache hit served without a worker.  A
+        certifier that raises rejects.
         """
         if self.certifier is None:
             return None
@@ -579,39 +537,6 @@ class Supervisor:
             return f"certifier raised {type(exc).__name__}: {exc}"
         return None if certification else certification.describe()
 
-    def _try_cache(
-        self, state: _TaskState, ledger: Optional[BatchLedger]
-    ) -> Optional[TaskResult]:
-        """Try to satisfy a virgin task from ``cache_lookup`` before launching it.
-
-        Only tasks with no attempts at the top ladder level are eligible —
-        a retrying/degrading task already proved the cache (or the cached
-        answer) insufficient.  A returned payload must carry ``ok: True``
-        and pass the full certifier; anything else (miss, lookup error,
-        certification failure) simply falls through to a normal launch
-        without recording a failure or burning an attempt.
-        """
-        if self.cache_lookup is None or state.total_attempts or state.level_index:
-            return None
-        try:
-            payload = self.cache_lookup(state.task)
-        except Exception:
-            return None
-        if not isinstance(payload, dict) or payload.get("ok") is not True:
-            return None
-        if self._rejection(state.task, payload, "cache") is not None:
-            return None
-        return TaskResult(
-            task=state.task,
-            fingerprint=state.fingerprint,
-            status=STATUS_OK,
-            level="cache",
-            attempts=0,
-            result=payload,
-            failures=state.failures,
-            elapsed=state.elapsed,
-        )
-
     def _accept_payload(
         self,
         state: _TaskState,
@@ -620,18 +545,12 @@ class Supervisor:
     ) -> Optional[TaskResult]:
         """Validate + certify a delivered payload; a ``TaskResult`` when
         accepted, ``None`` when the attempt failed (failure recorded)."""
-        level = self.ladder[state.level_index]
         if not isinstance(payload, dict):
             self._record_failure(
                 state,
                 ledger,
-                TaskFailure(
-                    FAILURE_INVALID_RESULT,
-                    f"worker returned {type(payload).__name__}, not a result dict",
-                    fingerprint=state.fingerprint,
-                    level=level.name,
-                    attempt=state.total_attempts + 1,
-                ),
+                FAILURE_INVALID_RESULT,
+                f"worker returned {type(payload).__name__}, not a result dict",
             )
             return None
         if payload.get("ok") is False:
@@ -644,43 +563,24 @@ class Supervisor:
             self._record_failure(
                 state,
                 ledger,
-                TaskFailure(
-                    kind,
-                    payload.get("error")
-                    or f"worker gave up: {reason or 'unspecified'}",
-                    fingerprint=state.fingerprint,
-                    level=level.name,
-                    attempt=state.total_attempts + 1,
-                    detail=reason or None,
-                ),
+                kind,
+                payload.get("error") or f"worker gave up: {reason or 'unspecified'}",
+                detail=reason or None,
             )
             return None
-        detail = self._rejection(state.task, payload, level.name)
+        level = self.ladder[state.level_index].name
+        detail = self._rejection(state.task, payload, level)
         if detail is not None:
             self._record_failure(
                 state,
                 ledger,
-                TaskFailure(
-                    FAILURE_INVALID_RESULT,
-                    f"result failed certification: {detail}",
-                    fingerprint=state.fingerprint,
-                    level=level.name,
-                    attempt=state.total_attempts + 1,
-                    detail=detail,
-                ),
+                FAILURE_INVALID_RESULT,
+                f"result failed certification: {detail}",
+                detail=detail,
             )
             return None
         state.total_attempts += 1
-        return TaskResult(
-            task=state.task,
-            fingerprint=state.fingerprint,
-            status=STATUS_OK,
-            level=level.name,
-            attempts=state.total_attempts,
-            result=payload,
-            failures=state.failures,
-            elapsed=state.elapsed,
-        )
+        return state.outcome(STATUS_OK, level, payload)
 
     # -- process plumbing --------------------------------------------------
 
@@ -745,17 +645,7 @@ class Supervisor:
                 message = f"worker exited with code {exitcode}"
             else:
                 message = "worker exited without delivering a result"
-            self._record_failure(
-                state,
-                ledger,
-                TaskFailure(
-                    FAILURE_CRASHED,
-                    message,
-                    fingerprint=state.fingerprint,
-                    level=self.ladder[state.level_index].name,
-                    attempt=state.total_attempts + 1,
-                ),
-            )
+            self._record_failure(state, ledger, FAILURE_CRASHED, message)
             return None
         return self._accept_payload(state, payload, ledger)
 
@@ -767,14 +657,9 @@ class Supervisor:
         self._record_failure(
             state,
             ledger,
-            TaskFailure(
-                FAILURE_TIMEOUT,
-                f"worker exceeded the hard wall-clock timeout "
-                f"({attempt.deadline - attempt.started_at:.3g}s) and was killed",
-                fingerprint=state.fingerprint,
-                level=self.ladder[state.level_index].name,
-                attempt=state.total_attempts + 1,
-            ),
+            FAILURE_TIMEOUT,
+            f"worker exceeded the hard wall-clock timeout "
+            f"({attempt.deadline - attempt.started_at:.3g}s) and was killed",
         )
 
     def _run_inline(self, state: _TaskState, ledger: Optional[BatchLedger]):
@@ -870,11 +755,6 @@ class Supervisor:
                         break
                     state = min(ready, key=lambda s: s.order)
                     pending.remove(state)
-                    cached = self._try_cache(state, ledger)
-                    if cached is not None:
-                        self._settle(state, cached, pending, results, ledger)
-                        now = self._clock()
-                        continue
                     try:
                         if self.isolation == "inline":
                             outcome = self._run_inline(state, ledger)
@@ -937,14 +817,9 @@ class Supervisor:
         if interrupted:
             pending.extend(a.state for a in running)
             for state in pending:
-                result = TaskResult(
-                    task=state.task,
-                    fingerprint=state.fingerprint,
-                    status=STATUS_INTERRUPTED,
-                    level=self.ladder[min(state.level_index, len(self.ladder) - 1)].name,
-                    attempts=state.total_attempts,
-                    failures=state.failures,
-                    elapsed=state.elapsed,
+                result = state.outcome(
+                    STATUS_INTERRUPTED,
+                    self.ladder[min(state.level_index, len(self.ladder) - 1)].name,
                 )
                 results[state.fingerprint] = result
                 if ledger is not None:

@@ -21,7 +21,6 @@ from repro.core.solve import (
     SolveRequest,
     certify_claim,
     execute,
-    lookup,
 )
 from repro.core.candidate_bags import soft_candidate_bags
 from repro.core.certify import decomposition_to_payload
@@ -521,36 +520,3 @@ class TestCertifyClaim:
         else:
             with pytest.raises(ValueError, match="incomplete"):
                 certify_claim(request, negative)
-
-
-class TestLookup:
-    def test_miss_and_disabled_probes(self, triangle, tmp_path):
-        request = SolveRequest(hypergraph=triangle, width=2)
-        assert lookup(request, cache=None) is None
-        assert lookup(request, cache=str(tmp_path)) is None
-        assert (
-            lookup(SolveRequest(hypergraph=triangle, mode="soft-width"), cache=str(tmp_path))
-            is None
-        )
-
-    def test_probe_serves_stored_result_without_solving(self, triangle, tmp_path):
-        store = DecompositionCache(str(tmp_path))
-        request = SolveRequest(hypergraph=triangle, width=2)
-        execute(request, cache=store)
-        result = lookup(request, cache=store)
-        assert result is not None
-        assert result.cache_status == "hit" and result.decided and result.width == 2
-
-    def test_probe_quarantines_poison_and_reports_miss(self, triangle, tmp_path):
-        store = DecompositionCache(str(tmp_path))
-        request = SolveRequest(hypergraph=triangle, width=2)
-        execute(request, cache=store)
-        (info,) = store.entries()
-        with open(info.path, "r", encoding="utf-8") as handle:
-            record = json.load(handle)
-        record["decompositions"] = [{"bags": [[0]], "parents": [None]}]
-        with open(info.path, "w", encoding="utf-8") as handle:
-            json.dump(record, handle)
-        assert lookup(request, cache=store) is None
-        assert store.stats.rejected == 1
-        assert not os.path.exists(info.path)

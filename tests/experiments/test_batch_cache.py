@@ -1,10 +1,10 @@
 """The batch runtime's binding to the decomposition cache.
 
 Covers the task-spec contract (each spec embeds its canonical
-``SolveRequest`` wire payload), the worker shell (``execute_batch_task``),
-the supervisor's pre-spawn probe (``BatchSolveCache``) and the hardened
-``BatchCertifier`` — including the end-to-end path where a warmed cache
-satisfies a supervised task without any worker at all.
+``SolveRequest`` wire payload), the worker shell (``execute_batch_task``)
+and the hardened ``BatchCertifier`` — including the end-to-end path where
+a warmed cache answers a supervised task through its worker, and the
+parent certifies the hit like any other reply.
 """
 
 import pytest
@@ -15,13 +15,18 @@ from repro.core.constraints import ConnectedCoverConstraint
 from repro.core.solve import SolveRequest, execute
 from repro.experiments.harness import (
     BatchCertifier,
-    BatchSolveCache,
     batch_task_specs,
     benchmark_data_key,
     execute_batch_task,
 )
-from repro.runtime.checkpoint import BatchLedger
-from repro.runtime.supervisor import DegradationLevel, RetryPolicy, Supervisor
+from repro.runtime.checkpoint import BatchLedger, task_fingerprint
+from repro.runtime.supervisor import (
+    DEFAULT_LADDER,
+    DegradationLevel,
+    RetryPolicy,
+    Supervisor,
+    TaskResult,
+)
 from repro.workloads.registry import benchmark_query
 
 QUERY = "q_hto"
@@ -29,7 +34,7 @@ SCALE = 0.3
 
 
 def forbidden_runner(payload):
-    raise AssertionError("the supervisor must not spawn a worker for this task")
+    raise AssertionError("the supervisor must not run an attempt for this task")
 
 
 def non_concov_payload(request):
@@ -112,29 +117,6 @@ class TestWorkerShell:
         assert result["decomposition"] is not None
 
 
-class TestBatchSolveCache:
-    def test_guards_report_a_miss(self, spec, tmp_path):
-        probe = BatchSolveCache(cache=None)
-        assert probe.lookup(spec) is None  # no cache resolved
-        probe = BatchSolveCache(cache=str(tmp_path))
-        assert probe.lookup("not a task") is None
-        assert probe.lookup({"kind": "toy"}) is None
-        assert probe.lookup({"kind": "solve"}) is None  # no request payload
-        assert probe.lookup({**spec, "request": {"bad": True}}) is None
-        assert probe.lookup(spec) is None  # cold cache: honest miss
-
-    def test_hit_is_the_worker_wire_format(self, spec, warm_store):
-        wire = BatchSolveCache(cache=warm_store).lookup(spec)
-        assert wire is not None
-        assert wire["ok"] is True and wire["query"] == QUERY
-        assert wire["mode"] == "ranked" and wire["level"] == "cache"
-        assert wire["width"] == spec["width"]
-        assert wire["decomposition"] is not None
-        assert wire["cache"] == "hit"
-        # And the parent-side certifier accepts it like any worker result.
-        assert BatchCertifier()(spec, wire)
-
-
 class TestBatchCertifier:
     def test_tampered_request_hypergraph_is_rejected(self, spec):
         certifier = BatchCertifier()
@@ -212,18 +194,65 @@ class TestBatchCertifier:
         assert any("malformed" in reason for reason in certification.violations)
 
 
-class TestSupervisedCacheHit:
-    def test_warm_cache_satisfies_the_task_with_no_worker(self, spec, warm_store):
+class TestSupervisedRuns:
+    """Every task runs in a worker through its runner, and every reply is
+    certified once by the parent."""
+
+    @staticmethod
+    def supervised(spec):
         supervisor = Supervisor(
+            certifier=BatchCertifier(),
+            retry=RetryPolicy(max_attempts=1, base_delay=0.01, jitter=0.0),
+        )
+        (result,) = supervisor.run([spec]).results
+        return result
+
+    def test_warm_cache_hit_is_served_by_the_worker(
+        self, spec, warm_store, monkeypatch
+    ):
+        cold = self.supervised(spec)  # the default cache is off (conftest)
+        assert cold.result["cache"] == "off"
+        monkeypatch.delenv("REPRO_CTD_CACHE_OFF")
+        monkeypatch.setenv("REPRO_CTD_CACHE", warm_store.directory)
+        warm = self.supervised(spec)
+        assert (warm.status, warm.level, warm.attempts) == ("ok", "full", 1)
+        assert not warm.failures and warm.result["cache"] == "hit"
+        assert warm.result["decomposition"] == cold.result["decomposition"]
+
+    def test_workers_ignore_fault_keys(self, spec):
+        # A forged or stale spec cannot make a production worker crash
+        # itself: fault directives are read by test runners only.
+        result = self.supervised(dict(spec, faults={"1": {"kind": "raise"}}))
+        assert (result.status, result.level, result.attempts) == ("ok", "full", 1)
+        assert not result.failures
+
+    def test_ledger_record_at_the_old_cache_level_resumes(self, spec, tmp_path):
+        # Older ledgers recorded a hit served without a worker at level
+        # "cache" with 0 attempts.  Such a record still resumes, certified
+        # as the answer of the top rung.
+        wire = execute_batch_task(dict(spec, mode="ranked", level="cache"))
+        path = str(tmp_path / "ledger.jsonl")
+        record = TaskResult(
+            task=spec,
+            fingerprint=task_fingerprint(spec),
+            status="ok",
+            level="cache",
+            attempts=0,
+            result=wire,
+        ).as_record()
+        with BatchLedger(path) as ledger:
+            ledger.append(record)
+        modes = []
+
+        def certifier(task, result):
+            modes.append(task["mode"])
+            return BatchCertifier()(task, result)
+
+        (resumed,) = Supervisor(
             task_runner="tests.experiments.test_batch_cache:forbidden_runner",
             isolation="inline",
-            retry=RetryPolicy(max_attempts=1, base_delay=0.01, jitter=0.0),
-            certifier=BatchCertifier(),
-            cache_lookup=BatchSolveCache(cache=warm_store).lookup,
-        )
-        report = supervisor.run([spec])
-        result = report.results[0]
-        assert result.status == "ok" and result.level == "cache"
-        assert result.attempts == 0 and not result.failures
-        assert result.result["decomposition"] is not None
-        assert report.exit_code == 0
+            certifier=certifier,
+        ).run([spec], ledger=BatchLedger(path)).results
+        assert resumed.cached and (resumed.level, resumed.attempts) == ("cache", 0)
+        assert resumed.result == wire and not resumed.failures
+        assert modes == [DEFAULT_LADDER[0].mode]

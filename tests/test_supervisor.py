@@ -9,7 +9,9 @@ uninterrupted run.
 
 Tests that exercise real process isolation use :func:`toy_runner` (an
 instant, scriptable task runner resolved inside the spawned worker) so a
-supervisor test costs process startup, not a decomposition solve.
+supervisor test costs process startup, not a decomposition solve.  The
+worker faults the supervisor must contain are scripted there too: the
+supervisor and its workers read no fault directives themselves.
 Scheduling-logic tests run with ``isolation="inline"`` and the injectable
 ``FakeClock``, which makes the backoff schedule exact.
 """
@@ -46,9 +48,27 @@ FAST_RETRY = RetryPolicy(max_attempts=2, base_delay=0.01, jitter=0.0)
 
 
 def toy_runner(payload):
-    """A scriptable stand-in for the harness runner (spawn-importable)."""
+    """A scriptable stand-in for the harness runner (spawn-importable).
+
+    ``faults`` maps a global attempt number (or ``"*"``) to the worker
+    fault that attempt plays: ``sigkill`` (the worker SIGKILLs itself),
+    ``hang`` (sleeps past the hard timeout), ``raise``, ``garbage`` (a
+    non-dict reply) or ``bad_result`` (a well-formed reply carrying a
+    wrong decomposition, which only certification catches).
+    """
     import time as _time
 
+    faults = payload.get("faults") or {}
+    fault = faults.get(str(payload["attempt"]), faults.get("*")) or {}
+    kind = fault.get("kind")
+    if kind == "sigkill":
+        os.kill(os.getpid(), signal.SIGKILL)
+    if kind == "hang":
+        _time.sleep(float(fault.get("seconds", 3600.0)))
+    if kind == "raise":
+        raise RuntimeError(str(fault.get("message", "injected worker fault")))
+    if kind == "garbage":
+        return ["this", "is", "not", "a", "result"]
     if payload.get("work_seconds"):
         _time.sleep(float(payload["work_seconds"]))
     if payload.get("counter_path"):
@@ -62,7 +82,7 @@ def toy_runner(payload):
             "reason": "budget_exhausted",
             "error": f"simulated exhaustion at {payload['level']}",
         }
-    return {
+    result = {
         "ok": True,
         "query": payload.get("query"),
         "level": payload["level"],
@@ -71,6 +91,9 @@ def toy_runner(payload):
         "max_work": payload.get("max_work"),
         "attempt": payload.get("attempt"),
     }
+    if kind == "bad_result":
+        result.update(decided=True, decomposition={"bags": [[]], "parents": [None]})
+    return result
 
 
 def task(name="t1", **overrides):
@@ -356,76 +379,6 @@ class TestReport:
     def test_unknown_failure_kind_is_rejected(self):
         with pytest.raises(ValueError):
             TaskFailure("melted", "?")
-
-
-class TestCacheSeam:
-    """The pre-spawn cache probe: hits skip the worker, anything else
-    falls through to a normal launch without burning an attempt."""
-
-    def test_hit_satisfies_the_task_without_a_worker(self, tmp_path):
-        counter = str(tmp_path / "ran")
-        hit = {"ok": True, "query": "a", "level": "cache"}
-        report = supervisor(
-            isolation="inline", cache_lookup=lambda task: dict(hit)
-        ).run([task("a", counter_path=counter)])
-        result = report.results[0]
-        assert result.status == "ok" and result.level == "cache"
-        assert result.attempts == 0 and not result.failures
-        assert result.result["query"] == "a"
-        assert not result.cached  # "cached" is the ledger-resume flag
-        assert not os.path.exists(counter)  # the runner never executed
-        assert report.exit_code == 0
-
-    def test_miss_and_lookup_error_fall_through(self, tmp_path):
-        for probe in (lambda t: None, lambda t: {"ok": False}, None):
-            report = supervisor(isolation="inline", cache_lookup=probe).run(
-                [task("a")]
-            )
-            result = report.results[0]
-            assert result.status == "ok" and result.level == "full"
-            assert result.attempts == 1 and not result.failures
-
-        def explode(t):
-            raise RuntimeError("cache directory on fire")
-
-        report = supervisor(isolation="inline", cache_lookup=explode).run([task("a")])
-        result = report.results[0]
-        assert result.status == "ok" and result.level == "full"
-        assert result.attempts == 1 and not result.failures
-
-    def test_certifier_rejected_hit_burns_no_attempt(self):
-        def probe(t):
-            return {"ok": True, "query": t.get("query"), "poisoned": True}
-
-        def certifier(spec, payload):
-            return Certification(
-                not payload.get("poisoned"), ("stale cache entry",)
-            )
-
-        report = supervisor(
-            isolation="inline", cache_lookup=probe, certifier=certifier
-        ).run([task("a")])
-        result = report.results[0]
-        # The poisoned hit was silently discarded: the real run happened on
-        # attempt 1 at the top rung with no recorded failure.
-        assert result.status == "ok" and result.level == "full"
-        assert result.attempts == 1 and not result.failures
-
-    def test_only_virgin_tasks_consult_the_cache(self):
-        calls = []
-
-        def probe(t):
-            calls.append(t.get("query"))
-            return None
-
-        report = supervisor(isolation="inline", cache_lookup=probe).run(
-            [task("a", fail_levels=["full"])]
-        )
-        result = report.results[0]
-        assert result.status == "ok" and result.level == "tight"
-        # Retries and degraded rungs re-enter the pending queue, but only
-        # the first (virgin) pick probed the cache.
-        assert calls == ["a"]
 
 
 PID = "tests.test_supervisor:pid_runner"
