@@ -7,12 +7,15 @@ a warmed cache answers a supervised task through its worker, and the
 parent certifies the hit like any other reply.
 """
 
+import json
+
 import pytest
 
 from repro.core.cache import DecompositionCache
 from repro.core.certify import certify_ctd, decomposition_to_payload
 from repro.core.constraints import ConnectedCoverConstraint
 from repro.core.solve import SolveRequest, execute
+from repro.experiments import harness
 from repro.experiments.harness import (
     BatchCertifier,
     batch_task_specs,
@@ -115,6 +118,59 @@ class TestWorkerShell:
         assert result["ok"] is True and result["mode"] == "decide"
         assert result["decided"] is True
         assert result["decomposition"] is not None
+
+    def test_cold_store_then_certified_hit(self, spec, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_CTD_CACHE_OFF", raising=False)
+        monkeypatch.setenv("REPRO_CTD_CACHE", str(tmp_path))
+        cold = execute_batch_task(dict(spec, mode="ranked", level="full"))
+        assert cold["ok"] is True and cold["cache"] == "stored"
+        warm = execute_batch_task(dict(spec, mode="ranked", level="full"))
+        assert warm["ok"] is True and warm["cache"] == "hit"
+        assert (warm["query"], warm["mode"], warm["level"]) == (QUERY, "ranked", "full")
+        assert warm["width"] == spec["width"]
+        assert warm["decomposition"] == cold["decomposition"]
+        # The parent certifies the hit like any worker reply.
+        assert BatchCertifier()(dict(spec, mode="ranked"), warm)
+
+    def test_poisoned_entry_is_quarantined_and_resolved(
+        self, spec, tmp_path, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_CTD_CACHE_OFF", raising=False)
+        monkeypatch.setenv("REPRO_CTD_CACHE", str(tmp_path))
+        cold = execute_batch_task(dict(spec, mode="ranked", level="full"))
+        store = DecompositionCache(str(tmp_path))
+        (info,) = store.entries()
+        with open(info.path, "r", encoding="utf-8") as handle:
+            record = json.load(handle)
+        record["decompositions"] = [{"bags": [[0]], "parents": [None]}]
+        with open(info.path, "w", encoding="utf-8") as handle:
+            json.dump(record, handle)
+        resolved = execute_batch_task(dict(spec, mode="ranked", level="full"))
+        assert resolved["ok"] is True and resolved["cache"] == "stored"
+        assert resolved["decomposition"] == cold["decomposition"]
+        assert any(p.endswith(".corrupt") for p in store.quarantined())
+        assert BatchCertifier()(dict(spec, mode="ranked"), resolved)
+
+
+class TestTaskWorkload:
+    def test_task_coordinates_reach_the_loader(self, monkeypatch):
+        calls = []
+
+        def loader(name, scale=1.0, seed=None):
+            calls.append((name, scale, seed))
+            return (None, None, 0)
+
+        monkeypatch.setattr(harness, "load_benchmark_workload", loader)
+        harness.load_task_workload({"query": QUERY})
+        harness.load_task_workload({"query": QUERY, "scale": None, "seed": None})
+        harness.load_task_workload({"query": QUERY, "scale": "0.5", "seed": 7})
+        assert calls == [(QUERY, 1.0, None), (QUERY, 1.0, None), (QUERY, 0.5, 7)]
+
+    def test_task_loader_shares_the_memo(self, spec):
+        loaded = harness.load_task_workload(spec)
+        assert loaded is harness.load_benchmark_workload(QUERY, scale=SCALE)
+        database, query, width = loaded
+        assert width == spec["width"] == benchmark_query(QUERY).width
 
 
 class TestBatchCertifier:

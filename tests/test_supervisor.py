@@ -24,6 +24,7 @@ import time
 import pytest
 
 from repro.core.certify import Certification
+from repro.runtime.budget import EXIT_CODES, STATUS_INTERRUPTED
 from repro.runtime.checkpoint import BatchLedger, task_fingerprint
 from repro.runtime.errors import (
     FAILURE_CRASHED,
@@ -381,6 +382,96 @@ class TestReport:
             TaskFailure("melted", "?")
 
 
+def plain_runner(payload):
+    """A production-shaped runner: it answers and reads no fault keys."""
+    return {"ok": True, "query": payload.get("query"), "level": payload["level"]}
+
+
+class TestAttemptAccounting:
+    """Every attempt runs through the task runner; every failure is charged
+    to its task, rung and attempt number; and every outcome carries the
+    task's whole history."""
+
+    def test_every_failure_names_its_task_rung_and_attempt(self):
+        rejected = []
+
+        def certifier(spec, result):
+            if result["level"] == "tight" and not rejected:
+                rejected.append(result["attempt"])
+                return Certification(False, ("injected rejection",))
+            return Certification(True)
+
+        spec = task("a", fail_levels=["full"])
+        report = supervisor(isolation="inline", certifier=certifier).run([spec])
+        result = report.results[0]
+        assert (result.status, result.level, result.attempts) == ("ok", "tight", 4)
+        assert result.result["attempt"] == 4 and rejected == [3]
+        assert [
+            (f["kind"], f["level"], f["attempt"], f["fingerprint"])
+            for f in result.failures
+        ] == [
+            (FAILURE_TIMEOUT, "full", 1, task_fingerprint(spec)),
+            (FAILURE_TIMEOUT, "full", 2, task_fingerprint(spec)),
+            (FAILURE_INVALID_RESULT, "tight", 3, task_fingerprint(spec)),
+        ]
+        assert result.failures[0]["detail"] == "budget_exhausted"
+        assert result.failures[2]["detail"] == "injected rejection"
+
+    def test_a_certifier_that_raises_rejects(self, tmp_path):
+        calls = []
+
+        def certifier(spec, result):
+            calls.append(spec["mode"])
+            if len(calls) == 1:
+                raise RuntimeError("checker on fire")
+            return Certification(True)
+
+        path = str(tmp_path / "ledger.jsonl")
+        report = supervisor(isolation="inline", certifier=certifier).run(
+            [task("a")], ledger=BatchLedger(path)
+        )
+        result = report.results[0]
+        assert result.status == "ok" and result.attempts == 2
+        (failure,) = result.failures
+        assert failure["kind"] == FAILURE_INVALID_RESULT
+        assert "certifier raised RuntimeError: checker on fire" in failure["message"]
+        (quarantined,) = BatchLedger(path).quarantined()
+        assert quarantined["attempt"] == 1 and quarantined["level"] == "full"
+        assert calls == [DEFAULT_LADDER[0].mode] * 2
+
+    def test_failed_outcome_round_trips_through_the_ledger(self, tmp_path):
+        spec = task("a", fail_levels=["full", "tight", "decide"])
+        path = str(tmp_path / "ledger.jsonl")
+        report = supervisor(isolation="inline").run([spec], ledger=BatchLedger(path))
+        result = report.results[0]
+        assert result.status == "failed" and result.level == DEFAULT_LADDER[-1].name
+        assert result.result is None and result.fingerprint == task_fingerprint(spec)
+        exhausted = result.failures[-1]
+        assert exhausted["kind"] == FAILURE_EXHAUSTED_RETRIES
+        assert exhausted["attempt"] == result.attempts == 2 * len(DEFAULT_LADDER)
+        (record,) = BatchLedger(path).task_records().values()
+        restored = TaskResult.from_record(record)
+        assert restored.as_record() == result.as_record()
+
+    def test_interrupted_exit_code_is_the_budget_code(self):
+        interrupted = TaskResult(task("a"), "f1", STATUS_INTERRUPTED)
+        report = BatchReport([interrupted], interrupted=True)
+        assert report.exit_code == EXIT_CODES[STATUS_INTERRUPTED]
+        assert report.counts() == {STATUS_INTERRUPTED: 1}
+
+    @pytest.mark.parametrize("isolation", ["process", "inline"])
+    def test_workers_ignore_fault_keys(self, isolation):
+        # Fault directives are played by test runners only: a spec that
+        # carries them cannot make a production worker crash itself.
+        spec = task("a", faults={"*": {"kind": "sigkill"}, "1": {"kind": "raise"}})
+        report = supervisor(task_runner=PLAIN, isolation=isolation).run([spec])
+        result = report.results[0]
+        assert (result.status, result.level, result.attempts) == ("ok", "full", 1)
+        assert not result.failures
+        assert multiprocessing.active_children() == []
+
+
+PLAIN = "tests.test_supervisor:plain_runner"
 PID = "tests.test_supervisor:pid_runner"
 
 
