@@ -45,10 +45,17 @@ class SubtreeConstraint:
     #: materialising partial decompositions for them entirely.
     trivial = False
 
+    #: Bag-local constraints hold iff every bag passes :meth:`filter_bags`,
+    #: so one ``holds`` decides every subtree, and a fragment the solvers
+    #: build over filtered bags holds without being materialised.
+    bag_local = False
+
     def holds(self, partial_td: TreeDecomposition) -> bool:
         raise NotImplementedError
 
     def holds_recursively(self, td: TreeDecomposition) -> bool:
+        if self.bag_local:
+            return self.holds(td)
         for node in td.tree.nodes():
             sub = _subtree_decomposition(td, node)
             if not self.holds(sub):
@@ -91,6 +98,8 @@ class NoConstraint(SubtreeConstraint):
 class ConnectedCoverConstraint(SubtreeConstraint):
     """``ConCov``: every bag has a connected edge cover of size ≤ k."""
 
+    bag_local = True
+
     def __init__(self, hypergraph: Hypergraph, k: int):
         self.hypergraph = hypergraph
         self.k = k
@@ -104,10 +113,6 @@ class ConnectedCoverConstraint(SubtreeConstraint):
 
     def holds(self, partial_td: TreeDecomposition) -> bool:
         return all(self._bag_ok(bag) for bag in partial_td.bags())
-
-    def holds_recursively(self, td: TreeDecomposition) -> bool:
-        # Bag-local: every subtree complies iff every bag does.
-        return self.holds(td)
 
     def filter_bags(self, bags: Iterable[Bag]) -> Set[Bag]:
         return {bag for bag in bags if self._bag_ok(bag)}

@@ -23,8 +23,8 @@ control flow:
 The per-fragment memo tables rely on one invariant, shared by both
 consumers: *a fragment is only ever built from constraint-compliant child
 fragments*, so compliance of the whole fragment reduces to ``𝒞.holds`` on
-the fragment itself and a monotone preference key composes from the memoised
-child states.
+the fragment itself (to nothing for a bag-local 𝒞, whose bags are filtered)
+and a monotone preference key composes from the memoised child states.
 """
 
 from __future__ import annotations
@@ -76,8 +76,12 @@ class FragmentEvaluator:
         return decomposition
 
     def compliant(self, fragment: Fragment) -> bool:
-        """``𝒞.holds`` on the fragment itself (children compliant by invariant)."""
-        if self.constraint.trivial:
+        """``𝒞.holds`` on the fragment itself (children compliant by invariant).
+
+        Trivial and bag-local constraints hold of every fragment without a
+        check: its bags all passed ``𝒞.filter_bags`` in :class:`SolverCore`.
+        """
+        if self.constraint.trivial or self.constraint.bag_local:
             return True
         verdict = self._compliant.get(fragment)
         if verdict is None:

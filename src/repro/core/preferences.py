@@ -28,7 +28,9 @@ preference sets ``monotone = True`` and implements :meth:`fragment_state` /
 * ``fragment_state(bag, child_states)`` folds the root bag and the already
   computed child states into the state of the combined partial decomposition
   (states are opaque to the solver — a scalar for simple preferences, a
-  ``(bag, cost)`` pair when edge terms need the child's root bag);
+  ``(bag, cost)`` pair when edge terms need the child's root bag, Equations
+  (7)–(9)'s ``(cost, ReducedSz, reducing variables)`` in
+  :class:`repro.db.cost.CardinalityPreference`);
 * ``state_key(state)`` projects a state to the comparable key, and must agree
   with ``key`` on the materialised decomposition.
 
@@ -61,10 +63,11 @@ Strictness is what protects the tie component: under a non-strict (max-type)
 key such as the largest bag size, a deviation can raise a child's key yet be
 absorbed into an *equal* parent key while the structural tie-break moves
 backwards, so parents would be emitted out of order.  Such preferences —
-max-type keys, shallow cyclicity (whose composition state the key does not
-even determine), arbitrary cost callables, lexicographic combinations with
-a non-strict component — keep ``order_monotone = False`` and the enumerator
-falls back to its exhaustive (but still fragment-memoised) exact path.
+max-type keys, shallow cyclicity and the Equation (7)–(9) fold (whose
+composition states the keys do not determine), arbitrary cost callables,
+lexicographic combinations with a non-strict component — keep
+``order_monotone = False`` and the enumerator falls back to its exhaustive
+(but still fragment-memoised) exact path.
 
 ``child_rank_key(parent_bag, state)`` defaults to ``state_key(state)``; the
 Equation (6) cost overrides it to fold the parent→child edge term in, which
@@ -96,7 +99,8 @@ to right over non-negative floats cannot round above the composed key.
 The bounds here are ``0`` (:class:`NoPreference`), ``1 + Σ(key, or 1 for an
 unknown sub)`` (:class:`NodeCountPreference`), ``node_cost(bag) + Σ known keys
 (+ edge_cost(parent_bag, bag))`` (:class:`MonotoneCostPreference`, whose node
-and edge costs must be ≥ 0), and the tuple of the component bounds
+and edge costs must be ≥ 0; the Equation (7)–(9) fold's bound has no edge
+term), and the tuple of the component bounds
 (:class:`LexicographicPreference`, ``None`` if any component has none).
 """
 

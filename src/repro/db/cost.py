@@ -15,9 +15,11 @@ hypergraph; lower cost should mean faster decomposition-guided execution.
 Both cost the λ-cover join the Yannakakis executor builds for each bag: the
 models read covers from :func:`repro.db.yannakakis.bag_cover`, the query
 layer's one cover decision, memoised on the (interned) query hypergraph.
-Both are strongly monotone in the sense of Section 6.1, so wrapping them in a
-:class:`repro.core.preferences.CostPreference` yields a preference-complete
-toptd usable by Algorithm 2 and the ranked enumerator.
+Both are strongly monotone in the sense of Section 6.1, so their keys
+compose bottom-up for Algorithm 2 and the ranked enumerator: Equation (6) as
+a :class:`repro.core.preferences.MonotoneCostPreference`, Equations (7)–(9)
+as the :class:`CardinalityPreference` fold.  Each ``decomposition_cost``
+walks a materialised decomposition and stays the executable spec (``key``).
 :func:`make_cost_preference` is the one constructor: ranking and the
 experiment harness's cost columns read the same memoised model.
 """
@@ -144,6 +146,7 @@ class CardinalityCostModel(_CostModelBase):
     def __init__(self, query: ConjunctiveQuery, database: Database):
         super().__init__(query, database)
         self._bag_size_cache: Dict[Bag, int] = {}
+        self._reducing_cache: Dict[Bag, FrozenSet[Vertex]] = {}
 
     # -- actual bag cardinalities -------------------------------------------------
 
@@ -242,6 +245,72 @@ class CardinalityCostModel(_CostModelBase):
     def decomposition_cost(self, decomposition: TreeDecomposition) -> float:
         return self.subtree_cost(decomposition, decomposition.tree.root)
 
+    def reducing_variables(self, bag: Bag) -> FrozenSet[Vertex]:
+        """Variables at a non-primary-key attribute of a cover atom of ``bag``."""
+        variables = self._reducing_cache.get(bag)
+        if variables is None:
+            found = set()
+            for atom in self.cover_atoms(bag):
+                primary_key = self.database.primary_key(atom.relation)
+                found.update(
+                    variable
+                    for attribute, variable in zip(atom.attributes, atom.variables)
+                    if attribute != primary_key
+                )
+            variables = self._reducing_cache[bag] = frozenset(found)
+        return variables
+
+    def as_preference(self) -> "CardinalityPreference":
+        """Equations (7)–(9) as a monotone fold for Algorithm 2 and ranking."""
+        return CardinalityPreference(self)
+
+
+class CardinalityPreference(CostPreference):
+    """Equations (7)–(9) composed bottom-up from the children's states.
+
+    A fragment's state is ``(cost, ReducedSz, reducing variables)``, the
+    last being :meth:`CardinalityCostModel.reducing_variables` over every
+    bag of the subtree, so ``ReduceAttrs(p)`` is the root bag ∩ the union
+    of the children's.  A parent reads more of a child than its key, so the
+    fold is monotone but not order monotone.  It adds the terms of
+    :meth:`CardinalityCostModel.subtree_cost` in its order — node cost, scan
+    cost, then per child in fragment order its cost and ``r·log r`` — so the
+    composed key is bit-identical to :meth:`key`, the materialising spec.
+    """
+
+    monotone = True
+
+    def __init__(self, model: CardinalityCostModel):
+        super().__init__(model.decomposition_cost)
+        self.model = model
+
+    def fragment_state(self, bag: Bag, child_states: Sequence) -> Tuple:
+        model = self.model
+        cardinality = model.bag_cardinality(bag)
+        blocked = any(reduced == 0 for _, reduced, _ in child_states)
+        total = model.node_cost(bag)
+        total += 0.0 if blocked else cardinality * _log(cardinality)
+        for cost, reduced, _ in child_states:
+            total += cost
+            total += reduced * _log(reduced)
+        below = frozenset().union(*(variables for _, _, variables in child_states))
+        if blocked or cardinality == 0:
+            reduced = 0.0
+        else:
+            reduced = cardinality / (1 + len(bag & below))
+        return (total, reduced, below | model.reducing_variables(bag))
+
+    def state_key(self, state: Tuple) -> float:
+        return state[0]
+
+    def probe_bound(self, parent_bag, bag: Bag, child_keys: Sequence) -> float:
+        # Left to right like fragment_state, which only adds terms ≥ 0.
+        total = self.model.node_cost(bag)
+        for child_key in child_keys:
+            if child_key is not None:
+                total += child_key
+        return total
+
 
 def make_cost_preference(
     kind: str, query: ConjunctiveQuery, database: Database
@@ -252,17 +321,14 @@ def make_cost_preference(
     (Appendix C.2.2).  The preference is memoised per query in
     :meth:`Database.derived`, so every solve ranking the query and every
     cost column the experiment harness reports share one model and its
-    per-bag caches.  The estimate cost composes bottom-up (Equation (6) is
-    node costs plus parent→child semi-join terms), so it is returned as a
-    monotone preference; the cardinality cost's ``ReducedSz`` model
-    inspects whole subtrees and stays a materialising
-    :class:`CostPreference`.
+    per-bag caches.  Both costs compose bottom-up, so neither solver
+    materialises a fragment to rank it: Equation (6) is node costs plus
+    parent→child semi-join terms, and Equations (7)–(9) fold the children's
+    ``(cost, ReducedSz, reducing variables)`` states.
     """
     builders = {
         "estimates": lambda: EstimateCostModel(query, database).as_preference(),
-        "cardinalities": lambda: CostPreference(
-            CardinalityCostModel(query, database).decomposition_cost
-        ),
+        "cardinalities": lambda: CardinalityCostModel(query, database).as_preference(),
     }
     if kind not in builders:
         raise ValueError(

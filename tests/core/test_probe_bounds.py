@@ -30,11 +30,13 @@ from repro.core.preferences import (
     Preference,
 )
 from repro.core.reference import reference_constrained_ctd, reference_enumerate_ctds
+from repro.db.cost import CardinalityPreference, make_cost_preference
 from repro.hypergraph.generators import (
     random_cyclic_query_hypergraph,
     random_hypergraph,
 )
 from repro.hypergraph.library import cycle_hypergraph, grid_hypergraph, hypergraph_h2
+from repro.workloads.registry import benchmark_queries
 
 from tests.preference_fixtures import MaxBagSizePreference
 
@@ -44,6 +46,7 @@ BOUNDED_CLASSES = (
     NodeCountPreference,
     MonotoneCostPreference,
     LexicographicPreference,
+    CardinalityPreference,
 )
 
 
@@ -109,12 +112,12 @@ def ranked(decompositions, preference):
     ]
 
 
-def solve_both_ways(hypergraph, bags, constraint, preference):
+def solve_both_ways(hypergraph, bags, constraint, preference, limit=6):
     solver = ConstrainedCTDSolver(hypergraph, bags, constraint, preference)
     optimum = solver.solve()
     optimal = ranked([optimum] if optimum is not None else [], preference)
     top = enumerate_ctds(
-        hypergraph, bags, constraint=constraint, preference=preference, limit=6
+        hypergraph, bags, constraint=constraint, preference=preference, limit=limit
     )
     return optimal, solver.optimal_key(), ranked(top, preference)
 
@@ -162,6 +165,24 @@ class TestBoundedEqualsUnbounded:
         bounded = answer()
         with unbounded(monkeypatch):
             assert answer() == bounded
+
+    @pytest.mark.parametrize(
+        "entry", [pytest.param(entry, id=entry.name) for entry in benchmark_queries()]
+    )
+    def test_cardinality_fold_on_benchmark_queries(self, entry, monkeypatch):
+        database, query = entry.load(scale=0.3)
+        hypergraph = query.hypergraph()
+        bags = SoftBagGenerator(hypergraph, entry.width).candidate_bags()
+        preference = make_cost_preference("cardinalities", query, database)
+
+        def answers():
+            constraint = ConnectedCoverConstraint(hypergraph, entry.width)
+            return solve_both_ways(hypergraph, bags, constraint, preference, limit=10)
+
+        bounded = answers()
+        assert bounded[0]
+        with unbounded(monkeypatch):
+            assert answers() == bounded
 
 
 class TestWorkPins:

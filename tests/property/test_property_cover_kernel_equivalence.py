@@ -220,6 +220,8 @@ class SeedConnectedCover(ConnectedCoverConstraint):
     """ConCov as certify checked it before the kernel: the seed search per
     bag, and ``holds`` on a subtree copy per node."""
 
+    bag_local = False
+
     def _bag_ok(self, bag):
         return reference_has_connected_cover(self.hypergraph, bag, self.k)
 
