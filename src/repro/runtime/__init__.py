@@ -28,7 +28,6 @@ from repro.runtime.errors import (
     FAILURE_TIMEOUT,
     LedgerError,
     ReproError,
-    TaskFailure,
     UserError,
 )
 
@@ -45,7 +44,6 @@ __all__ = [
     "ReproError",
     "UserError",
     "LedgerError",
-    "TaskFailure",
     "FAILURE_TIMEOUT",
     "FAILURE_CRASHED",
     "FAILURE_INVALID_RESULT",

@@ -13,8 +13,8 @@ fresh process and a worker only carries state from successful attempts.
   :class:`~repro.runtime.budget.Budget` (cooperative, can be defeated by
   a wedged C loop or a kernel bug); the parent's kill cannot be.
 * **crash containment** — a worker that segfaults, is OOM-killed, raises,
-  or returns garbage becomes a structured
-  :class:`~repro.runtime.errors.TaskFailure` and the batch keeps going.
+  or returns garbage becomes a structured failure record (a ``kind`` from
+  :data:`~repro.runtime.errors.FAILURE_KINDS`) and the batch keeps going.
 * **bounded retries** — each failure schedules a retry after an
   exponential backoff with deterministic jitter (:class:`RetryPolicy`);
   other tasks keep the worker slots busy during the wait.
@@ -25,16 +25,22 @@ fresh process and a worker only carries state from successful attempts.
   boundary (a fresh solve, or a hit the worker served from the
   decomposition cache) is checked by the parent-side ``certifier``
   against the question the parent asked — the task with ``mode`` set to
-  the mode of the rung the parent ran (see :meth:`Supervisor._rejection`);
+  the mode of the rung the parent ran (see :meth:`BatchCore._rejection`);
   a result that fails is quarantined into the ledger as an
   ``invalid_result`` failure and the attempt retried.
 * **checkpoint/resume** — with a :class:`~repro.runtime.checkpoint.BatchLedger`
   every terminal outcome is durably journaled; a re-run skips tasks with
-  recorded ``ok`` results (re-certified, returned byte-for-byte) and
-  retries ``failed``/``interrupted`` ones.  SIGINT/SIGTERM mid-batch
-  kills the workers and lands as a clean ``interrupted`` checkpoint
-  (batch exit code ``EXIT_CODES[STATUS_INTERRUPTED]``, 130, as for a
+  recorded ``ok`` results (every one re-certified, returned byte-for-byte)
+  and retries ``failed``/``interrupted`` ones.  SIGINT/SIGTERM mid-batch
+  — during an attempt or a retry's backoff alike — kills the workers
+  within a second and lands as a clean ``interrupted`` checkpoint (batch
+  exit code ``EXIT_CODES[STATUS_INTERRUPTED]``, 130, as for a
   ``SolveOutcome``).
+
+Every decision above is made by one pure core, :class:`BatchCore`, which
+turns events into actions and never touches a process, a signal, a clock
+or a file; :meth:`Supervisor.run` is the one shell that carries the
+actions out.
 
 The supervisor is agnostic about what a task computes: ``task_runner``
 names a ``module:function`` resolved *inside the worker* that maps a task
@@ -54,24 +60,19 @@ import signal
 import threading
 import time
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
 from multiprocessing import get_context
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.runtime.budget import EXIT_CODES, STATUS_INTERRUPTED
-from repro.runtime.checkpoint import (
-    STATUS_FAILED,
-    STATUS_OK,
-    BatchLedger,
-    task_fingerprint,
-)
+from repro.runtime.checkpoint import STATUS_FAILED, STATUS_OK, BatchLedger, task_fingerprint
 from repro.runtime.errors import (
     FAILURE_CRASHED,
     FAILURE_EXHAUSTED_RETRIES,
     FAILURE_INVALID_RESULT,
     FAILURE_TIMEOUT,
-    TaskFailure,
 )
 
 __all__ = [
@@ -80,6 +81,11 @@ __all__ = [
     "DEFAULT_LADDER",
     "TaskResult",
     "BatchReport",
+    "BatchCore",
+    "Launch",
+    "Retire",
+    "Record",
+    "Finish",
     "Supervisor",
 ]
 
@@ -136,12 +142,8 @@ class DegradationLevel:
 #: full solve → tighter budget → decide-only → (recorded ``failed``).
 DEFAULT_LADDER: Tuple[DegradationLevel, ...] = (
     DegradationLevel("full", mode="ranked", budget_scale=1.0),
-    DegradationLevel(
-        "tight", mode="ranked", budget_scale=0.25, fallback_max_work=2_000_000
-    ),
-    DegradationLevel(
-        "decide", mode="decide", budget_scale=0.25, fallback_max_work=2_000_000
-    ),
+    DegradationLevel("tight", mode="ranked", budget_scale=0.25, fallback_max_work=2_000_000),
+    DegradationLevel("decide", mode="decide", budget_scale=0.25, fallback_max_work=2_000_000),
 )
 
 
@@ -159,10 +161,6 @@ class TaskResult:
     elapsed: float = 0.0
     cached: bool = False  # satisfied from the ledger on resume
 
-    @property
-    def ok(self) -> bool:
-        return self.status == STATUS_OK
-
     def as_record(self) -> Dict[str, object]:
         return {
             "type": "task",
@@ -177,9 +175,7 @@ class TaskResult:
         }
 
     @classmethod
-    def from_record(
-        cls, record: Mapping[str, object], cached: bool = False
-    ) -> "TaskResult":
+    def from_record(cls, record: Mapping[str, object], cached: bool = False) -> "TaskResult":
         return cls(
             task=dict(record.get("task") or {}),
             fingerprint=str(record.get("fingerprint")),
@@ -202,14 +198,6 @@ class BatchReport:
     torn_tail: bool = False
 
     @property
-    def ok(self) -> List[TaskResult]:
-        return [r for r in self.results if r.status == STATUS_OK]
-
-    @property
-    def failed(self) -> List[TaskResult]:
-        return [r for r in self.results if r.status == STATUS_FAILED]
-
-    @property
     def exit_code(self) -> int:
         if self.interrupted:
             return EXIT_CODES[STATUS_INTERRUPTED]
@@ -220,19 +208,13 @@ class BatchReport:
 
     def failure_kinds(self) -> Dict[str, int]:
         """How often each failure kind occurred, across all attempts."""
-        return dict(
-            Counter(
-                str(f.get("kind", "?")) for r in self.results for f in r.failures
-            )
-        )
+        return dict(Counter(str(f.get("kind", "?")) for r in self.results for f in r.failures))
 
     def describe(self) -> str:
         """The failure-summary report printed by ``repro batch``."""
         lines = []
         for result in self.results:
-            label = result.task.get("label") or result.task.get(
-                "query", result.fingerprint
-            )
+            label = result.task.get("label") or result.task.get("query", result.fingerprint)
             parts = [f"{label}: {result.status}"]
             if result.level and result.level != "full":
                 parts.append(f"level={result.level}")
@@ -241,24 +223,17 @@ class BatchReport:
                 parts.append("(resumed from ledger)")
             if result.failures:
                 kinds = Counter(str(f.get("kind", "?")) for f in result.failures)
-                parts.append(
-                    "failures=" + ",".join(f"{k}x{n}" for k, n in sorted(kinds.items()))
-                )
+                parts.append("failures=" + ",".join(f"{k}x{n}" for k, n in sorted(kinds.items())))
             lines.append("  ".join(parts))
-        counts = self.counts()
-        summary = [
-            f"{len(self.results)} task(s):",
-            ", ".join(f"{counts.get(s, 0)} {s}" for s in (STATUS_OK, STATUS_FAILED, STATUS_INTERRUPTED)),
-        ]
-        kinds = self.failure_kinds()
+        counts, kinds = self.counts(), self.failure_kinds()
+        statuses = (STATUS_OK, STATUS_FAILED, STATUS_INTERRUPTED)
+        summary = f"{len(self.results)} task(s): "
+        summary += ", ".join(f"{counts.get(s, 0)} {s}" for s in statuses)
         if kinds:
-            summary.append(
-                "failure kinds: "
-                + ", ".join(f"{k}={n}" for k, n in sorted(kinds.items()))
-            )
+            summary += "; failure kinds: " + ", ".join(f"{k}={n}" for k, n in sorted(kinds.items()))
         if self.interrupted:
-            summary.append("batch interrupted — resume with the same ledger")
-        lines.append(" ".join(summary[:2]) + ("; " + "; ".join(summary[2:]) if summary[2:] else ""))
+            summary += "; batch interrupted — resume with the same ledger"
+        lines.append(summary)
         return "\n".join(lines)
 
 
@@ -286,13 +261,10 @@ def _run_attempt(runner_path: str, payload: Dict[str, object]) -> object:
 
 
 def _serve(conn) -> None:
-    """Worker process entry point: serve ``(runner_path, payload)`` requests.
-
-    Replies to each request on the same pipe until it receives ``None``
-    or hits EOF.  What the worker cannot catch (SIGKILL, segfault, OOM, a
-    wedged loop) the parent detects through the worker's sentinel or its
-    hard deadline.
-    """
+    """Worker process entry point: reply to each ``(runner_path, payload)``
+    request on the same pipe until ``None`` or EOF.  What the worker cannot
+    catch (SIGKILL, segfault, OOM, a wedged loop) the parent detects through
+    the worker's sentinel or its hard deadline."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent owns Ctrl-C
     try:
         for runner_path, payload in iter(conn.recv, None):
@@ -305,62 +277,268 @@ def _serve(conn) -> None:
         pass
 
 
-# -- parent side -------------------------------------------------------------
+# -- the policy core ---------------------------------------------------------
 
 
+#: The core's actions, carried out in order by the shell: send ``payload``
+#: (the task at one rung) to a worker; SIGKILL the worker that ran the task's
+#: last attempt; append ``record`` to the ledger, if the batch has one; end
+#: the batch with ``report``.
+Launch = NamedTuple("Launch", [("fingerprint", str), ("payload", Dict[str, object])])
+Retire = NamedTuple("Retire", [("fingerprint", str)])
+Record = NamedTuple("Record", [("record", Dict[str, object])])
+Finish = NamedTuple("Finish", [("report", BatchReport)])
+
+
+def _failure(kind, message, fingerprint, attempt, level=None, detail=None) -> Dict[str, object]:
+    """The one failure record (``kind`` from
+    :data:`~repro.runtime.errors.FAILURE_KINDS`) the ledger and report store."""
+    record = dict(kind=kind, message=message, fingerprint=fingerprint, level=level)
+    record.update(attempt=attempt, detail=detail)
+    return {key: value for key, value in record.items() if value is not None}
+
+
+@dataclass(eq=False)
 class _TaskState:
     """Mutable per-task bookkeeping inside one batch run."""
 
-    __slots__ = (
-        "task",
-        "fingerprint",
-        "order",
-        "level_index",
-        "level_failures",
-        "total_attempts",
-        "failures",
-        "ready_at",
-        "elapsed",
-    )
+    task: Dict[str, object]
+    fingerprint: str
+    order: int
+    level_index: int = 0
+    level_failures: int = 0  # failures at the current rung
+    total_attempts: int = 0
+    failures: List[Dict[str, object]] = field(default_factory=list)
+    ready_at: float = 0.0  # when the next attempt may start
+    started_at: float = 0.0  # when the attempt in flight started
+    elapsed: float = 0.0
 
-    def __init__(self, task: Dict[str, object], fingerprint: str, order: int):
-        self.task = task
-        self.fingerprint = fingerprint
-        self.order = order
-        self.level_index = 0
-        self.level_failures = 0  # failures at the current ladder level
-        self.total_attempts = 0
-        self.failures: List[Dict[str, object]] = []
-        self.ready_at = 0.0
-        self.elapsed = 0.0
-
-    def outcome(
-        self,
-        status: str,
-        level: Optional[str],
-        result: Optional[Dict[str, object]] = None,
-    ) -> TaskResult:
+    def outcome(self, status: str, level: Optional[str], result=None) -> TaskResult:
         """This task's terminal :class:`TaskResult` as it stands."""
-        return TaskResult(
-            task=self.task,
-            fingerprint=self.fingerprint,
-            status=status,
-            level=level,
-            attempts=self.total_attempts,
-            result=result,
-            failures=self.failures,
-            elapsed=self.elapsed,
+        return TaskResult(self.task, self.fingerprint, status, level, self.total_attempts,
+                          result, self.failures, self.elapsed)
+
+
+class BatchCore:
+    """The supervisor's decisions for one batch run, as a pure state machine.
+
+    ``config`` is the :class:`Supervisor` whose settings the run follows;
+    ``completed`` maps fingerprints to the ledger's ``ok`` records.  Each
+    event — :meth:`add`, :meth:`reply`, :meth:`death`, :meth:`advance`
+    (time reaching ``now``, which times out overdue attempts),
+    :meth:`interrupt` — returns the actions the shell carries out, in
+    order.  The caller supplies every time: the core never touches a
+    process, a signal, a clock or a file.
+    """
+
+    def __init__(self, config: "Supervisor", completed: Mapping = (), torn_tail: bool = False):
+        self.config = config
+        self.completed = dict(completed)
+        self.torn_tail = torn_tail
+        self.order: List[str] = []
+        self.results: Dict[str, TaskResult] = {}
+        self.pending: List[_TaskState] = []
+        self.running: Dict[str, _TaskState] = {}  # in launch order
+        self.interrupted = False
+
+    # -- events ------------------------------------------------------------
+
+    def add(self, task: Mapping[str, object]) -> List[object]:
+        """A task of the batch.  An ``ok`` ledger record whose result
+        re-certifies finishes it; any other record is quarantined and the
+        task queued like a new one."""
+        task = dict(task)
+        fingerprint = task_fingerprint(task)
+        if fingerprint in self.order:
+            return []  # duplicate spec: one outcome per fingerprint
+        self.order.append(fingerprint)
+        actions: List[object] = []
+        if fingerprint in self.completed:
+            cached = TaskResult.from_record(self.completed[fingerprint], cached=True)
+            detail = self._rejection(task, cached.result, cached.level)
+            if detail is None:
+                self.results[fingerprint] = cached
+                return actions
+            # The ledger lied (bit rot, version skew): quarantine the
+            # record and re-run the task.
+            reason = f"ledger result failed re-certification: {detail}"
+            actions.append(Record(self._quarantine(fingerprint, 0, cached.level, reason)))
+        self.pending.append(_TaskState(task, fingerprint, len(self.order)))
+        return actions
+
+    def reply(self, fingerprint: str, payload: object, now: float) -> List[object]:
+        """The worker running ``fingerprint``'s attempt replied ``payload``.
+
+        A certifier that raises ``KeyboardInterrupt`` leaves the attempt
+        running, so that :meth:`interrupt` records it.
+        """
+        state = self.running[fingerprint]
+        level = self.config.ladder[state.level_index].name
+        failure = self._verdict(state.task, payload, level)
+        self._end(fingerprint, now)
+        if failure is not None:
+            return self._fail(state, now, *failure)
+        state.total_attempts += 1
+        return self._settle(state.outcome(STATUS_OK, level, payload))
+
+    def death(self, fingerprint: str, message: str, now: float) -> List[object]:
+        """The worker running ``fingerprint``'s attempt died without a reply."""
+        return self._fail(self._end(fingerprint, now), now, FAILURE_CRASHED, message)
+
+    def advance(self, now: float) -> List[object]:
+        """Time reaches ``now``: attempts past the hard timeout fail, free
+        worker slots take the ready tasks in task order, and a batch with
+        nothing left to run finishes."""
+        actions: List[object] = []
+        hard = self.config.hard_timeout
+        for fingerprint, state in list(self.running.items()):
+            if now >= state.started_at + hard:
+                message = (
+                    f"worker exceeded the hard wall-clock timeout ({hard:.3g}s) and was killed"
+                )
+                actions += self._fail(self._end(fingerprint, now), now, FAILURE_TIMEOUT, message)
+        while len(self.running) < self.config.max_workers:
+            ready = [s for s in self.pending if s.ready_at <= now]
+            if not ready:
+                break
+            state = min(ready, key=lambda s: s.order)
+            self.pending.remove(state)
+            state.started_at = now
+            self.running[state.fingerprint] = state
+            actions.append(Launch(state.fingerprint, self._attempt_payload(state)))
+        if not self.pending and not self.running:
+            actions.append(Finish(self._report()))
+        return actions
+
+    def interrupt(self, now: float) -> List[object]:
+        """SIGINT/SIGTERM: every unfinished task is recorded ``interrupted``
+        (a resumed batch retries it) and the batch finishes."""
+        self.interrupted = True
+        states = self.pending + [self._end(f, now) for f in list(self.running)]
+        self.pending = []
+        actions: List[object] = []
+        for state in states:
+            level = self.config.ladder[min(state.level_index, len(self.config.ladder) - 1)]
+            actions += self._settle(state.outcome(STATUS_INTERRUPTED, level.name))
+        actions.append(Record({"type": "batch", "event": "interrupted"}))
+        return actions + [Finish(self._report())]
+
+    def wake_at(self) -> float:
+        """When :meth:`advance` next has work: the earliest hard timeout
+        or, while a worker slot is free, the earliest retry."""
+        times = [s.started_at + self.config.hard_timeout for s in self.running.values()]
+        if len(self.running) < self.config.max_workers:
+            times += [s.ready_at for s in self.pending]
+        return min(times)
+
+    # -- policy ------------------------------------------------------------
+
+    def _attempt_payload(self, state: _TaskState) -> Dict[str, object]:
+        """The task at its rung: the rung's mode and scaled budget caps."""
+        level = self.config.ladder[state.level_index]
+        deadline, max_work = state.task.get("deadline"), state.task.get("max_work")
+        if deadline is not None:
+            deadline = float(deadline) * level.budget_scale
+        if max_work is not None:
+            max_work = max(1, int(int(max_work) * level.budget_scale))
+        elif level.fallback_max_work is not None and level.budget_scale < 1.0:
+            max_work = level.fallback_max_work
+        return dict(state.task, level=level.name, mode=level.mode, deadline=deadline,
+                    max_work=max_work, attempt=state.total_attempts + 1)
+
+    def _verdict(self, task, payload: object, level: str) -> Optional[Tuple]:
+        """``(kind, message, detail)`` of a reply that fails, else ``None``."""
+        if not isinstance(payload, dict):
+            message = f"worker returned {type(payload).__name__}, not a result dict"
+            return FAILURE_INVALID_RESULT, message, None
+        if payload.get("ok") is False:
+            reason = str(payload.get("reason", ""))
+            gave_up = reason in ("deadline", "budget_exhausted")
+            kind = FAILURE_TIMEOUT if gave_up else FAILURE_CRASHED
+            message = payload.get("error") or f"worker gave up: {reason or 'unspecified'}"
+            return kind, message, reason or None
+        detail = self._rejection(task, payload, level)
+        if detail is not None:
+            return FAILURE_INVALID_RESULT, f"result failed certification: {detail}", detail
+        return None
+
+    def _rejection(self, task, payload: object, level: Optional[str]) -> Optional[str]:
+        """Why ``payload`` fails as the answer of rung ``level``, or ``None``.
+
+        Anything but a result dict fails.  The certifier sees
+        ``task["mode"]`` set to that rung's mode, so the parent, never the
+        reply, says which question was asked.  Unknown levels read as the
+        top rung: among them ``cache``, the level older ledgers recorded
+        for a cache hit served without a worker.  A certifier that raises
+        rejects.
+        """
+        if not isinstance(payload, dict):
+            return f"{type(payload).__name__} is not a result dict"
+        certifier, ladder = self.config.certifier, self.config.ladder
+        if certifier is None:
+            return None
+        rung = next((r for r in ladder if r.name == level), ladder[0])
+        try:
+            certification = certifier(dict(task, mode=rung.mode), payload)
+        except Exception as exc:
+            return f"certifier raised {type(exc).__name__}: {exc}"
+        return None if certification else certification.describe()
+
+    def _fail(self, state: _TaskState, now: float, kind, message, detail=None) -> List[object]:
+        """Charge the attempt that just ended with a failure of ``kind``.
+
+        Its worker is retired and a rejected result quarantined.  A rung
+        whose retries are spent hands over to the next one, and the retry
+        waits out its backoff; past the last rung the task is ``failed``.
+        """
+        ladder, fingerprint = self.config.ladder, state.fingerprint
+        level = ladder[state.level_index].name
+        state.total_attempts += 1
+        state.level_failures += 1
+        attempt = state.total_attempts
+        state.failures.append(_failure(kind, message, fingerprint, attempt, level, detail))
+        actions: List[object] = [Retire(fingerprint)]
+        if kind == FAILURE_INVALID_RESULT:
+            actions.append(Record(self._quarantine(fingerprint, attempt, level, message)))
+        if state.level_failures >= self.config.retry.max_attempts:
+            state.level_index += 1
+            state.level_failures = 0
+        if state.level_index < len(ladder):
+            state.ready_at = now + self.config.retry.delay(fingerprint, len(state.failures))
+            self.pending.append(state)
+            return actions
+        message = f"task {fingerprint} failed at every degradation level"
+        state.failures.append(_failure(FAILURE_EXHAUSTED_RETRIES, message, fingerprint, attempt))
+        return actions + self._settle(state.outcome(STATUS_FAILED, ladder[-1].name))
+
+    @staticmethod
+    def _quarantine(fingerprint, attempt, level, reason) -> Dict[str, object]:
+        return dict(
+            type="quarantine", fingerprint=fingerprint, attempt=attempt, level=level, reason=reason
         )
 
+    def _end(self, fingerprint: str, now: float) -> _TaskState:
+        state = self.running.pop(fingerprint)
+        state.elapsed += now - state.started_at
+        return state
 
-class _Worker:
+    def _settle(self, outcome: TaskResult) -> List[object]:
+        self.results[outcome.fingerprint] = outcome
+        return [Record(outcome.as_record())]
+
+    def _report(self) -> BatchReport:
+        results = [self.results[f] for f in self.order]
+        return BatchReport(results, interrupted=self.interrupted, torn_tail=self.torn_tail)
+
+
+# -- the process shell -------------------------------------------------------
+
+
+class _Worker(NamedTuple):
     """One persistent worker process and the parent's end of its pipe."""
 
-    __slots__ = ("process", "conn")
-
-    def __init__(self, process, conn):
-        self.process = process
-        self.conn = conn
+    process: Any
+    conn: Any
 
     def retire(self) -> None:
         self.process.kill()
@@ -368,16 +546,14 @@ class _Worker:
         self.conn.close()
 
 
-class _Attempt:
-    """One attempt in flight on a worker."""
-
-    __slots__ = ("state", "worker", "started_at", "deadline")
-
-    def __init__(self, state, worker, started_at, deadline):
-        self.state = state
-        self.worker = worker
-        self.started_at = started_at
-        self.deadline = deadline
+def _death_message(exitcode: Optional[int]) -> str:
+    if exitcode and exitcode < 0:
+        known = -exitcode in signal.Signals.__members__.values()
+        name = f" ({signal.Signals(-exitcode).name})" if known else ""
+        return f"worker killed by signal {-exitcode}{name}"
+    if exitcode:
+        return f"worker exited with code {exitcode}"
+    return "worker exited without delivering a result"
 
 
 class Supervisor:
@@ -385,20 +561,12 @@ class Supervisor:
 
     ``certifier`` is a callable ``(task, result_payload) ->``
     :class:`repro.core.certify.Certification` applied to every delivered
-    result (and to ledger-cached results on resume), with
+    result and to every ``ok`` ledger record on resume, with
     ``task["mode"]`` set to the rung's mode; ``None`` disables
-    certification, for test harnesses.
-    ``isolation`` is ``"process"`` (the default: spawned
-    workers started lazily and all killed when :meth:`run` ends, each
-    serving attempts until one times out, crashes, replies ``ok: False``
-    or garbage, or fails certification — then it is SIGKILLed and the
-    retry gets a fresh worker) or ``"inline"`` (the attempt runs in this
-    process — no crash containment or timeout enforcement, used by
-    deterministic scheduling tests and overhead baselines).
-
-    ``clock``/``sleep`` are injectable for the fault suites
-    (:class:`repro.runtime.faults.FakeClock` drives the backoff schedule
-    deterministically); real batches use ``time.monotonic``/``time.sleep``.
+    certification, for test harnesses.  ``hard_timeout`` is each
+    attempt's wall-clock allowance.  Workers are spawned as the batch
+    needs them and all killed when :meth:`run` ends.  Every decision is
+    :class:`BatchCore`'s; :meth:`run` is the shell that carries it out.
     """
 
     def __init__(
@@ -409,12 +577,7 @@ class Supervisor:
         hard_timeout: float = 300.0,
         retry: Optional[RetryPolicy] = None,
         ladder: Sequence[DegradationLevel] = DEFAULT_LADDER,
-        isolation: str = "process",
-        clock: Callable[[], float] = time.monotonic,
-        sleep: Callable[[float], None] = time.sleep,
     ):
-        if isolation not in ("process", "inline"):
-            raise ValueError(f"unknown isolation {isolation!r}")
         if not ladder:
             raise ValueError("the degradation ladder needs at least one level")
         self.task_runner = task_runner
@@ -423,253 +586,104 @@ class Supervisor:
         self.hard_timeout = float(hard_timeout)
         self.retry = retry if retry is not None else RetryPolicy()
         self.ladder = tuple(ladder)
-        self.isolation = isolation
-        self._clock = clock
-        self._sleep = sleep
         self._context = get_context("spawn")
         self._interrupt_requested = False
 
-    # -- budget shaping ----------------------------------------------------
+    def run(
+        self, tasks: Sequence[Mapping[str, object]], ledger: Optional[BatchLedger] = None
+    ) -> BatchReport:
+        """Run ``tasks`` to terminal outcomes; never raises for task failures.
 
-    def _level_caps(
-        self, task: Mapping[str, object], level: DegradationLevel
-    ) -> Tuple[Optional[float], Optional[int]]:
-        deadline = task.get("deadline")
-        max_work = task.get("max_work")
-        if deadline is not None:
-            deadline = float(deadline) * level.budget_scale
-        if max_work is not None:
-            max_work = max(1, int(int(max_work) * level.budget_scale))
-        elif level.fallback_max_work is not None and level.budget_scale < 1.0:
-            max_work = level.fallback_max_work
-        return deadline, max_work
+        With a ``ledger``, terminal outcomes are journaled as they land and
+        recorded ``ok`` results are reused (re-certified) instead of
+        re-running their tasks.  Each turn waits once, at most a second, on
+        the busy workers' pipes and sentinels, so a signal is acted on within
+        a second, even while a retry waits out its backoff."""
+        completed: Dict[str, Dict[str, object]] = {}
+        torn_tail = False
+        if ledger is not None and ledger.exists():
+            _, torn_tail = ledger.records()
+            completed = ledger.completed()
+        core = BatchCore(self, completed, torn_tail)
+        busy: Dict[str, _Worker] = {}
+        idle: List[_Worker] = []
+        reports: List[BatchReport] = []
 
-    def _attempt_payload(self, state: _TaskState) -> Dict[str, object]:
-        level = self.ladder[state.level_index]
-        deadline, max_work = self._level_caps(state.task, level)
-        return dict(
-            state.task,
-            level=level.name,
-            mode=level.mode,
-            deadline=deadline,
-            max_work=max_work,
-            attempt=state.total_attempts + 1,
-        )
+        def apply(actions: List[object]) -> None:
+            for action in actions:
+                if isinstance(action, Launch):
+                    busy[action.fingerprint] = self._launch(action.payload, idle)
+                elif isinstance(action, Retire):
+                    busy.pop(action.fingerprint).retire()
+                elif isinstance(action, Record):
+                    if ledger is not None:
+                        ledger.append(action.record)
+                else:
+                    reports.append(action.report)
 
-    # -- failure accounting ------------------------------------------------
-
-    def _record_failure(
-        self,
-        state: _TaskState,
-        ledger: Optional[BatchLedger],
-        kind: str,
-        message: str,
-        detail: Optional[str] = None,
-    ) -> None:
-        """Charge the attempt in flight with a failure of ``kind``.
-
-        A rejected result is journaled as quarantined; a rung whose
-        retries are spent is left for the next one; the retry waits out
-        its backoff.
-        """
-        level = self.ladder[state.level_index].name
-        state.total_attempts += 1
-        state.level_failures += 1
-        failure = TaskFailure(
-            kind,
-            message,
-            fingerprint=state.fingerprint,
-            level=level,
-            attempt=state.total_attempts,
-            detail=detail,
-        )
-        state.failures.append(failure.as_record())
-        if kind == FAILURE_INVALID_RESULT and ledger is not None:
-            ledger.append(
-                {
-                    "type": "quarantine",
-                    "fingerprint": state.fingerprint,
-                    "attempt": state.total_attempts,
-                    "level": level,
-                    "reason": str(failure),
-                }
-            )
-        if state.level_failures >= self.retry.max_attempts:
-            # Exhausted this rung: descend the ladder.
-            state.level_index += 1
-            state.level_failures = 0
-        state.ready_at = self._clock() + self.retry.delay(
-            state.fingerprint, len(state.failures)
-        )
-
-    def _exhausted(self, state: _TaskState) -> bool:
-        return state.level_index >= len(self.ladder)
-
-    def _finalise_failure(self, state: _TaskState) -> TaskResult:
-        failure = TaskFailure(
-            FAILURE_EXHAUSTED_RETRIES,
-            f"task {state.fingerprint} failed at every degradation level",
-            fingerprint=state.fingerprint,
-            attempt=state.total_attempts,
-        )
-        state.failures.append(failure.as_record())
-        return state.outcome(STATUS_FAILED, self.ladder[-1].name)
-
-    # -- result handling ---------------------------------------------------
-
-    def _rejection(
-        self, task: Dict[str, object], payload: object, level: Optional[str]
-    ) -> Optional[str]:
-        """Why ``payload`` fails as the answer of rung ``level``, or ``None``.
-
-        The certifier sees ``task["mode"]`` set to that rung's mode, so the
-        parent, never the reply, says which question was asked.  Unknown
-        levels read as the top rung: among them ``cache``, the level older
-        ledgers recorded for a cache hit served without a worker.  A
-        certifier that raises rejects.
-        """
-        if self.certifier is None:
-            return None
-        rung = next((r for r in self.ladder if r.name == level), self.ladder[0])
+        for task in tasks:
+            apply(core.add(task))
+        self._interrupt_requested = False
+        previous_handlers = self._install_signal_handlers()
         try:
-            certification = self.certifier(dict(task, mode=rung.mode), payload)
-        except Exception as exc:
-            return f"certifier raised {type(exc).__name__}: {exc}"
-        return None if certification else certification.describe()
+            apply(core.advance(time.monotonic()))
+            while not reports:
+                ready = mp_connection.wait(
+                    [w.conn for w in busy.values()] + [w.process.sentinel for w in busy.values()],
+                    timeout=min(1.0, max(0.0, core.wake_at() - time.monotonic())),
+                )
+                now = time.monotonic()
+                for fingerprint, worker in list(busy.items()):
+                    if worker.conn in ready or worker.process.sentinel in ready:
+                        apply(self._collect(core, fingerprint, worker, now))
+                        if fingerprint in busy:  # accepted: the worker serves on
+                            idle.append(busy.pop(fingerprint))
+                apply(core.interrupt(now) if self._interrupt_requested else core.advance(now))
+        except KeyboardInterrupt:
+            apply(core.interrupt(time.monotonic()))
+        finally:
+            self._restore_signal_handlers(previous_handlers)
+            for worker in idle + list(busy.values()):
+                worker.retire()
+        if ledger is not None:
+            ledger.compact()
+            ledger.close()
+        return reports[0]
 
-    def _accept_payload(
-        self,
-        state: _TaskState,
-        payload: object,
-        ledger: Optional[BatchLedger],
-    ) -> Optional[TaskResult]:
-        """Validate + certify a delivered payload; a ``TaskResult`` when
-        accepted, ``None`` when the attempt failed (failure recorded)."""
-        if not isinstance(payload, dict):
-            self._record_failure(
-                state,
-                ledger,
-                FAILURE_INVALID_RESULT,
-                f"worker returned {type(payload).__name__}, not a result dict",
-            )
-            return None
-        if payload.get("ok") is False:
-            reason = str(payload.get("reason", ""))
-            kind = (
-                FAILURE_TIMEOUT
-                if reason in ("deadline", "budget_exhausted")
-                else FAILURE_CRASHED
-            )
-            self._record_failure(
-                state,
-                ledger,
-                kind,
-                payload.get("error") or f"worker gave up: {reason or 'unspecified'}",
-                detail=reason or None,
-            )
-            return None
-        level = self.ladder[state.level_index].name
-        detail = self._rejection(state.task, payload, level)
-        if detail is not None:
-            self._record_failure(
-                state,
-                ledger,
-                FAILURE_INVALID_RESULT,
-                f"result failed certification: {detail}",
-                detail=detail,
-            )
-            return None
-        state.total_attempts += 1
-        return state.outcome(STATUS_OK, level, payload)
-
-    # -- process plumbing --------------------------------------------------
-
-    def _spawn(self) -> _Worker:
-        conn, child_conn = self._context.Pipe()
-        process = self._context.Process(target=_serve, args=(child_conn,), daemon=True)
-        process.start()
-        child_conn.close()  # EOF on ``conn`` then tracks the child
-        return _Worker(process, conn)
-
-    def _launch(self, state: _TaskState, idle: List[_Worker]) -> _Attempt:
-        """Send the attempt to an idle worker, or to a fresh one.
-
-        An idle worker that died since its last reply is replaced without
-        charging the task; a fresh worker that dies before reading is
-        reported by :meth:`_reap` like any crash.
-        """
-        request = (self.task_runner, self._attempt_payload(state))
+    def _launch(self, payload: Dict[str, object], idle: List[_Worker]) -> _Worker:
+        """Send the attempt to an idle worker, or to a fresh one.  An idle
+        worker that died since its last reply is replaced without charging
+        the task; a fresh one that dies before reading is a crash."""
+        request = (self.task_runner, payload)
         while idle:
             worker = idle.pop()
             try:
                 if worker.process.is_alive():
                     worker.conn.send(request)
-                    break
+                    return worker
             except OSError:
                 pass
             worker.retire()
-        else:
-            worker = self._spawn()
-            try:
-                worker.conn.send(request)
-            except OSError:
-                pass
-        started = self._clock()
-        hard = float(state.task.get("hard_timeout", self.hard_timeout))
-        return _Attempt(state, worker, started, started + hard)
+        conn, child_conn = self._context.Pipe()
+        process = self._context.Process(target=_serve, args=(child_conn,), daemon=True)
+        process.start()
+        child_conn.close()  # EOF on ``conn`` then tracks the child
+        with suppress(OSError):  # a worker that died at start is reported as a crash
+            conn.send(request)
+        return _Worker(process, conn)
 
-    def _reap(self, attempt: _Attempt, ledger: Optional[BatchLedger]):
-        """Collect an attempt whose worker replied or died; returns a
-        TaskResult, or None when the attempt failed (failure recorded)."""
-        state = attempt.state
-        state.elapsed += self._clock() - attempt.started_at
-        payload = None
-        delivered = False
+    @staticmethod
+    def _collect(core: BatchCore, fingerprint: str, worker: _Worker, now: float) -> List[object]:
+        """The event of a busy worker whose pipe or sentinel is ready."""
         try:
-            if attempt.worker.conn.poll():
-                payload = attempt.worker.conn.recv()
-                delivered = True
+            delivered = worker.conn.poll()
+            payload = worker.conn.recv() if delivered else None
         except (EOFError, OSError):
             delivered = False
-        if not delivered:
-            attempt.worker.process.join()
-            exitcode = attempt.worker.process.exitcode
-            if exitcode and exitcode < 0:
-                message = (
-                    f"worker killed by signal {-exitcode}"
-                    f" ({signal.Signals(-exitcode).name})"
-                    if -exitcode in signal.Signals.__members__.values()
-                    else f"worker killed by signal {-exitcode}"
-                )
-            elif exitcode:
-                message = f"worker exited with code {exitcode}"
-            else:
-                message = "worker exited without delivering a result"
-            self._record_failure(state, ledger, FAILURE_CRASHED, message)
-            return None
-        return self._accept_payload(state, payload, ledger)
-
-    def _overrun(self, attempt: _Attempt, ledger: Optional[BatchLedger]) -> None:
-        """Hard-timeout enforcement: record the failure; the caller SIGKILLs
-        the worker, as it does after every failed attempt."""
-        state = attempt.state
-        state.elapsed += self._clock() - attempt.started_at
-        self._record_failure(
-            state,
-            ledger,
-            FAILURE_TIMEOUT,
-            f"worker exceeded the hard wall-clock timeout "
-            f"({attempt.deadline - attempt.started_at:.3g}s) and was killed",
-        )
-
-    def _run_inline(self, state: _TaskState, ledger: Optional[BatchLedger]):
-        """The ``inline`` isolation path: no process, no timeout backstop."""
-        started = self._clock()
-        result = _run_attempt(self.task_runner, self._attempt_payload(state))
-        state.elapsed += self._clock() - started
-        return self._accept_payload(state, result, ledger)
-
-    # -- signals -----------------------------------------------------------
+        if delivered:
+            return core.reply(fingerprint, payload, now)
+        worker.process.join()
+        return core.death(fingerprint, _death_message(worker.process.exitcode), now)
 
     def _install_signal_handlers(self):
         if threading.current_thread() is not threading.main_thread():
@@ -678,175 +692,9 @@ class Supervisor:
         def handler(signum, frame):
             self._interrupt_requested = True
 
-        previous = {}
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            previous[signum] = signal.signal(signum, handler)
-        return previous
+        return {s: signal.signal(s, handler) for s in (signal.SIGINT, signal.SIGTERM)}
 
     @staticmethod
     def _restore_signal_handlers(previous) -> None:
-        if previous:
-            for signum, old in previous.items():
-                signal.signal(signum, old)
-
-    # -- the batch loop ----------------------------------------------------
-
-    def run(
-        self,
-        tasks: Sequence[Mapping[str, object]],
-        ledger: Optional[BatchLedger] = None,
-    ) -> BatchReport:
-        """Run ``tasks`` to terminal outcomes; never raises for task failures.
-
-        With a ``ledger``, terminal outcomes are journaled as they land and
-        recorded ``ok`` results are reused (re-certified) instead of
-        re-running their tasks.
-        """
-        self._interrupt_requested = False
-        results: Dict[str, TaskResult] = {}
-        order: List[str] = []
-        states: List[_TaskState] = []
-        completed: Dict[str, Dict[str, object]] = {}
-        torn_tail = False
-        if ledger is not None and ledger.exists():
-            _, torn_tail = ledger.records()
-            completed = ledger.completed()
-        for task in tasks:
-            task = dict(task)
-            fingerprint = task_fingerprint(task)
-            if fingerprint in results or any(
-                s.fingerprint == fingerprint for s in states
-            ):
-                continue  # duplicate spec: one outcome per fingerprint
-            order.append(fingerprint)
-            record = completed.get(fingerprint)
-            if record is not None:
-                cached = TaskResult.from_record(record, cached=True)
-                detail = None
-                if cached.result is not None:
-                    detail = self._rejection(task, cached.result, cached.level)
-                if detail is None:
-                    results[fingerprint] = cached
-                    continue
-                # The ledger lied (bit rot, version skew): quarantine the
-                # record and re-run the task.
-                ledger.append(
-                    {
-                        "type": "quarantine",
-                        "fingerprint": fingerprint,
-                        "attempt": 0,
-                        "level": cached.level,
-                        "reason": f"ledger result failed re-certification: {detail}",
-                    }
-                )
-            states.append(_TaskState(task, fingerprint, len(order)))
-
-        previous_handlers = self._install_signal_handlers()
-        pending: List[_TaskState] = list(states)
-        running: List[_Attempt] = []
-        idle: List[_Worker] = []
-        try:
-            while (pending or running) and not self._interrupt_requested:
-                now = self._clock()
-                # Fill free worker slots with ready tasks (FIFO by order).
-                while len(running) < self.max_workers:
-                    ready = [s for s in pending if s.ready_at <= now]
-                    if not ready:
-                        break
-                    state = min(ready, key=lambda s: s.order)
-                    pending.remove(state)
-                    try:
-                        if self.isolation == "inline":
-                            outcome = self._run_inline(state, ledger)
-                            self._settle(state, outcome, pending, results, ledger)
-                            now = self._clock()
-                        else:
-                            running.append(self._launch(state, idle))
-                    except KeyboardInterrupt:
-                        # Mid-attempt interrupt: the task is neither pending
-                        # nor running — put it back so the checkpoint below
-                        # records it as interrupted.
-                        pending.append(state)
-                        raise
-                if self._interrupt_requested:
-                    break
-                if not running:
-                    if not pending:
-                        break
-                    wake_at = min(s.ready_at for s in pending)
-                    delay = wake_at - self._clock()
-                    if delay > 0:
-                        self._sleep(delay)
-                    continue
-                # Wait for a reply, a worker death or the earliest deadline.
-                horizon = min(a.deadline for a in running)
-                for state in pending:
-                    horizon = min(horizon, state.ready_at)
-                timeout = max(0.0, horizon - self._clock())
-                events = mp_connection.wait(
-                    [a.worker.conn for a in running]
-                    + [a.worker.process.sentinel for a in running],
-                    timeout=min(timeout, 1.0),
-                )
-                now = self._clock()
-                for attempt in list(running):
-                    worker = attempt.worker
-                    if worker.conn in events or worker.process.sentinel in events:
-                        outcome = self._reap(attempt, ledger)
-                    elif now >= attempt.deadline:
-                        self._overrun(attempt, ledger)
-                        outcome = None
-                    else:
-                        continue
-                    running.remove(attempt)
-                    # Only an accepted result returns its worker to the pool:
-                    # every retry runs in a fresh process.
-                    if outcome is None:
-                        worker.retire()
-                    else:
-                        idle.append(worker)
-                    self._settle(attempt.state, outcome, pending, results, ledger)
-        except KeyboardInterrupt:
-            self._interrupt_requested = True
-        finally:
-            self._restore_signal_handlers(previous_handlers)
-            for worker in idle + [a.worker for a in running]:
-                worker.retire()
-
-        interrupted = self._interrupt_requested
-        if interrupted:
-            pending.extend(a.state for a in running)
-            for state in pending:
-                result = state.outcome(
-                    STATUS_INTERRUPTED,
-                    self.ladder[min(state.level_index, len(self.ladder) - 1)].name,
-                )
-                results[state.fingerprint] = result
-                if ledger is not None:
-                    ledger.append(result.as_record())
-            if ledger is not None:
-                ledger.append({"type": "batch", "event": "interrupted"})
-
-        if ledger is not None:
-            ledger.compact()
-            ledger.close()
-        ordered = [results[f] for f in order if f in results]
-        return BatchReport(ordered, interrupted=interrupted, torn_tail=torn_tail)
-
-    def _settle(
-        self,
-        state: _TaskState,
-        outcome: Optional[TaskResult],
-        pending: List[_TaskState],
-        results: Dict[str, TaskResult],
-        ledger: Optional[BatchLedger],
-    ) -> None:
-        """Route one attempt's outcome: done, retry, or terminal failure."""
-        if outcome is None and self._exhausted(state):
-            outcome = self._finalise_failure(state)
-        if outcome is None:
-            pending.append(state)  # retry after its backoff delay
-            return
-        results[state.fingerprint] = outcome
-        if ledger is not None:
-            ledger.append(outcome.as_record())
+        for signum, old in (previous or {}).items():
+            signal.signal(signum, old)

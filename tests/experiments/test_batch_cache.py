@@ -31,6 +31,7 @@ from repro.runtime.supervisor import (
     TaskResult,
 )
 from repro.workloads.registry import benchmark_query
+from tests.batch_driver import drive
 
 QUERY = "q_hto"
 SCALE = 0.3
@@ -205,11 +206,10 @@ class TestBatchCertifier:
     def test_the_reply_cannot_choose_its_rung(self, spec):
         supervisor = Supervisor(
             task_runner="tests.experiments.test_batch_cache:forged_runner",
-            isolation="inline",
             retry=RetryPolicy(max_attempts=1, base_delay=0.01, jitter=0.0),
             certifier=BatchCertifier(),
         )
-        (result,) = supervisor.run([spec]).results
+        (result,) = drive(supervisor, [spec]).results
         # The full and tight rungs asked for a ConCov CTD, whatever the
         # reply says; only the decide rung asked the question it answers.
         assert [(f["kind"], f["level"]) for f in result.failures] == [
@@ -225,18 +225,13 @@ class TestBatchCertifier:
         path = str(tmp_path / "ledger.jsonl")
         options = dict(
             task_runner="tests.experiments.test_batch_cache:forged_runner",
-            isolation="inline",
             retry=RetryPolicy(max_attempts=1, base_delay=0.01, jitter=0.0),
             certifier=BatchCertifier(),
         )
         lenient = (DegradationLevel("full", mode="decide"),)
-        (first,) = Supervisor(ladder=lenient, **options).run(
-            [spec], ledger=BatchLedger(path)
-        ).results
+        (first,) = drive(Supervisor(ladder=lenient, **options), [spec], BatchLedger(path)).results
         assert first.level == "full"
-        (resumed,) = Supervisor(**options).run(
-            [spec], ledger=BatchLedger(path)
-        ).results
+        (resumed,) = drive(Supervisor(**options), [spec], BatchLedger(path)).results
         assert not resumed.cached and resumed.level == "decide"
         recorded, *attempts = BatchLedger(path).quarantined()
         assert recorded["attempt"] == 0 and "re-certification" in recorded["reason"]
@@ -304,11 +299,11 @@ class TestSupervisedRuns:
             modes.append(task["mode"])
             return BatchCertifier()(task, result)
 
-        (resumed,) = Supervisor(
+        supervisor = Supervisor(
             task_runner="tests.experiments.test_batch_cache:forbidden_runner",
-            isolation="inline",
             certifier=certifier,
-        ).run([spec], ledger=BatchLedger(path)).results
+        )
+        (resumed,) = drive(supervisor, [spec], BatchLedger(path)).results
         assert resumed.cached and (resumed.level, resumed.attempts) == ("cache", 0)
         assert resumed.result == wire and not resumed.failures
         assert modes == [DEFAULT_LADDER[0].mode]

@@ -70,6 +70,7 @@ class TestFingerprint:
         still match — by fingerprint and by derived ledger path."""
         from repro.cli import default_ledger_path
         from repro.runtime.supervisor import Supervisor
+        from tests.batch_driver import drive
 
         counter = str(tmp_path / "runs.txt")
         today = {"kind": "toy", "query": "a", "counter_path": counter}
@@ -77,10 +78,8 @@ class TestFingerprint:
         assert default_ledger_path([legacy]) == default_ledger_path([today])
 
         def run(spec):
-            supervisor = Supervisor(
-                task_runner="tests.test_supervisor:toy_runner", isolation="inline"
-            )
-            return supervisor.run([spec], ledger=BatchLedger(path)).results[0]
+            supervisor = Supervisor(task_runner="tests.test_supervisor:toy_runner")
+            return drive(supervisor, [spec], BatchLedger(path)).results[0]
 
         path = str(tmp_path / "ledger.jsonl")
         first = run(legacy)
