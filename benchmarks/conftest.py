@@ -5,8 +5,9 @@ experiment index in docs/ARCHITECTURE.md, § "Experiments & benchmarks"),
 prints the reproduced rows/series and also writes them to
 ``benchmarks/results/`` so they can be inspected after a run.
 
-``benchmark.pedantic(..., rounds=1, iterations=1)`` is used throughout: the
-quantities of interest are the *relative* numbers inside each figure (which
+``benchmark.pedantic(..., rounds=1, iterations=1)`` is used throughout
+(five rounds for the millisecond-scale enumeration of
+``test_bench_decomposition_time.py``): the quantities of interest are the *relative* numbers inside each figure (which
 decomposition wins, by what factor, how cost correlates with measured
 effort), not the wall-clock time of regenerating the figure itself;
 wall-clock is measured by the end-to-end benchmark in ``benchmarks/e2e/``.

@@ -1,7 +1,8 @@
 """Baseline width algorithms the paper compares against.
 
 * hypertree width via a det-k-decomp-style backtracking search,
-* generalised hypertree width via the ``shw_∞`` fixpoint (Theorem 7) for
+* generalised hypertree width as ``shw_∞`` (Theorem 7): one soft-width
+  request through the solve door at the Lemma 6 iteration count, for
   small instances,
 * α-acyclicity (GYO reduction) and join trees,
 * treewidth (exact dynamic program for small hypergraphs and a min-fill

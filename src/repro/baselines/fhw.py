@@ -9,9 +9,10 @@ needs the hierarchy ``fhw ≤ ghw ≤ shw ≤ hw``, which we can exhibit by
 evaluating ``ρ*`` on the bags of the decompositions the other algorithms
 produce.
 
-The LP is solved with ``scipy.optimize.linprog`` when SciPy is importable and
-with a small exact simplex-free fallback (brute force over vertex subsets of
-the dual) otherwise, so the module works in minimal environments too.
+The LP is solved with ``scipy.optimize.linprog`` when SciPy is importable.
+Without SciPy the fallback returns the integral edge cover number ``ρ(B)``,
+which is an upper bound on ``ρ*(B)``, not ``ρ*`` itself; the module works in
+minimal environments, but its numbers there are upper bounds only.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ def fractional_cover_number(
     try:
         return _lp_cover(relevant, bag_set, vertex_index)
     except ImportError:
-        return _greedy_cover_bound(hypergraph, bag_set)
+        return _integral_cover_number(hypergraph, bag_set)
 
 
 def _lp_cover(relevant, bag_set, vertex_index) -> float:
@@ -58,8 +59,8 @@ def _lp_cover(relevant, bag_set, vertex_index) -> float:
     return float(result.fun)
 
 
-def _greedy_cover_bound(hypergraph: Hypergraph, bag_set: FrozenSet[Vertex]) -> float:
-    """Fallback: the (integral) greedy cover size, an upper bound on ρ*."""
+def _integral_cover_number(hypergraph: Hypergraph, bag_set: FrozenSet[Vertex]) -> float:
+    """Fallback: the integral edge cover number ``ρ(B)``, an upper bound on ρ*."""
     from repro.core.covers import minimum_edge_cover
 
     cover = minimum_edge_cover(hypergraph, bag_set)

@@ -3,10 +3,11 @@
 Deciding ``ghw(H) ≤ k`` is NP-complete even for ``k = 2``, so there is no
 polynomial algorithm to implement.  For the small hypergraphs used in the
 paper's examples and the benchmark queries, we exploit Theorem 7 of the
-paper: ``ghw(H) = shw_∞(H)``.  We iterate the candidate-bag construction to
-its fixpoint (Lemma 6 bounds the number of iterations) and run the
-CandidateTD solver.  A ``max_subedges`` cap keeps the computation bounded on
-larger inputs; when the cap is hit, the result is an upper bound on ``ghw``.
+paper: ``ghw(H) = shw_∞(H)``.  Lemma 6 bounds the number of iterations
+before ``Soft^i_{H,k}`` reaches its fixpoint, so ghw is the soft width at
+that iteration count (:func:`ghw_iterations`), asked through the one solve
+door (:mod:`repro.core.soft`).  The answer is exact; the candidate-bag
+generator stops iterating at the fixpoint by itself.
 """
 
 from __future__ import annotations
@@ -15,45 +16,23 @@ from typing import Optional, Tuple
 
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.decompositions.td import TreeDecomposition
-from repro.core.candidate_bags import SoftBagGenerator
-from repro.core.ctd import candidate_td
-from repro.baselines.acyclic import is_alpha_acyclic
+from repro.core.soft import shw_leq, soft_hypertree_width
 
 
-def ghw_leq(
-    hypergraph: Hypergraph,
-    k: int,
-    max_iterations: Optional[int] = None,
-    max_subedges: Optional[int] = 20000,
-) -> Optional[TreeDecomposition]:
-    """A width-``k`` GHD-style decomposition (as a CTD), or ``None``.
+def ghw_iterations(hypergraph: Hypergraph) -> int:
+    """The Lemma 6 iteration count ``3·max(|V|, |E|)`` at which ``shw_i = ghw``."""
+    return 3 * max(hypergraph.num_vertices(), hypergraph.num_edges())
 
-    Exact for hypergraphs small enough that the subedge fixpoint is reached
-    within the caps; otherwise the check is sound but not complete (``None``
-    does not prove ``ghw > k``).
-    """
-    if k < 1:
-        return None
-    if k == 1:
-        if not is_alpha_acyclic(hypergraph):
-            return None
-    generator = SoftBagGenerator(hypergraph, k, max_subedges=max_subedges)
-    limit = max_iterations
-    if limit is None:
-        limit = 3 * max(hypergraph.num_vertices(), hypergraph.num_edges())
-    bags = generator.fixpoint_candidate_bags(max_level=limit)
-    return candidate_td(hypergraph, bags)
+
+def ghw_leq(hypergraph: Hypergraph, k: int) -> Optional[TreeDecomposition]:
+    """A width-``k`` GHD-style decomposition (as a CTD), or ``None``."""
+    return shw_leq(hypergraph, k, iterations=ghw_iterations(hypergraph))
 
 
 def generalized_hypertree_width(
-    hypergraph: Hypergraph,
-    max_k: Optional[int] = None,
-    max_subedges: Optional[int] = 20000,
+    hypergraph: Hypergraph, max_k: Optional[int] = None
 ) -> Tuple[int, TreeDecomposition]:
     """``ghw(H)`` (for small hypergraphs) with a witnessing decomposition."""
-    limit = max_k if max_k is not None else max(1, hypergraph.num_edges())
-    for k in range(1, limit + 1):
-        decomposition = ghw_leq(hypergraph, k, max_subedges=max_subedges)
-        if decomposition is not None:
-            return k, decomposition
-    raise ValueError(f"generalised hypertree width exceeds {limit}")
+    return soft_hypertree_width(
+        hypergraph, max_k, iterations=ghw_iterations(hypergraph)
+    )

@@ -193,16 +193,19 @@ def _print_decomposition(decomposition, out) -> None:
 
 def _cmd_width(args, out) -> int:
     hypergraph = _load_hypergraph(args.hypergraph)
-    if args.measure == "shw":
+    limit = args.max_k if args.max_k is not None else max(1, hypergraph.num_edges())
+    if args.measure in ("shw", "ghw"):
+        from repro.baselines.ghw import ghw_iterations
         from repro.core.solve import SolveRequest, execute
 
         budget = _make_budget(args)
+        soft = args.measure == "shw"
         result = execute(
             SolveRequest(
                 hypergraph=hypergraph,
                 mode="soft-width",
                 width=args.max_k,
-                iterations=args.iterations,
+                iterations=args.iterations if soft else ghw_iterations(hypergraph),
             ),
             budget=budget,
         )
@@ -210,25 +213,26 @@ def _cmd_width(args, out) -> int:
             if budget is not None and budget.exhausted:
                 print("width undetermined: run stopped early", file=out)
                 return _finish(budget, out)
-            print(f"no soft decomposition of width <= {args.max_k}", file=out)
+            kind = "soft" if soft else "generalized hypertree"
+            print(f"no {kind} decomposition of width <= {limit}", file=out)
             return 1
         print(f"{args.measure} = {result.width}", file=out)
         return _finish(budget, out)
     if args.measure == "hw":
         from repro.baselines.detkdecomp import hypertree_width
 
-        width = hypertree_width(hypergraph, max_k=args.max_k)
-    elif args.measure == "ghw":
-        from repro.baselines.ghw import generalized_hypertree_width
-
-        width, _ = generalized_hypertree_width(hypergraph, max_k=args.max_k)
+        try:
+            width = hypertree_width(hypergraph, max_k=args.max_k)
+        except ValueError:
+            print(f"no hypertree decomposition of width <= {limit}", file=out)
+            return 1
     else:
         from repro.baselines.treewidth import treewidth_min_fill
 
         width = treewidth_min_fill(hypergraph)
     if args.timeout is not None or args.max_work is not None:
         print(
-            f"note: --timeout/--max-work only govern --measure shw; "
+            f"note: --timeout/--max-work only govern --measure shw and ghw; "
             f"{args.measure} ran unbounded",
             file=out,
         )

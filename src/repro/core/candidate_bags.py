@@ -159,34 +159,30 @@ class SoftBagGenerator:
 
     The generator keeps the intermediate subedge sets ``E^(i)`` so that both
     the candidate bags and the subedges (needed e.g. to check the claims of
-    Example 2) can be inspected.  ``max_subedges`` guards against the
-    worst-case blow-up of Lemma 4 on larger hypergraphs; when the bound is
-    hit, the computed sets are still sound under-approximations of
-    ``Soft^i_{H,k}`` (the resulting width is an upper bound of ``shw_i``).
+    Example 2) can be inspected.  Once ``E^(i+1) = E^(i)`` every later level
+    is that fixpoint (Lemma 6) and is not recomputed, so ``candidate_bags(L)``
+    for any ``L`` past the fixpoint is ``Soft^∞_{H,k}``.
 
     Internally every level is a set of int masks; conversions to frozensets
     only happen in the public accessors.
 
-    A ``budget`` (:class:`repro.runtime.Budget`) governs the enumeration
-    loops cooperatively: when it exhausts, the generator stops enumerating,
-    sets ``truncated`` (the same sound-under-approximation semantics as
-    ``max_subedges``) and every returned bag set is a subset of the full
-    one — any decomposition found over it is still a valid soft
-    decomposition, only a "no" answer becomes inconclusive.
+    A ``budget`` (:class:`repro.runtime.Budget`) is the one bound on the
+    enumeration: when it exhausts, the generator stops enumerating, sets
+    ``truncated`` and every returned bag set is a subset of the full one —
+    any decomposition found over it is still a valid soft decomposition,
+    only a "no" answer becomes inconclusive.
     """
 
     def __init__(
         self,
         hypergraph: Hypergraph,
         k: int,
-        max_subedges: Optional[int] = None,
         budget: Optional[Budget] = None,
     ):
         if k < 1:
             raise ValueError("k must be at least 1")
         self.hypergraph = hypergraph
         self.k = k
-        self.max_subedges = max_subedges
         self.budget = budget
         self._indexer = hypergraph.bitsets.indexer
         self._component_masks: Tuple[int, ...] = tuple(
@@ -197,6 +193,7 @@ class SoftBagGenerator:
         self._soft_levels: List[Set[int]] = [
             self._soft_from_subedges(self._subedge_levels[0])
         ]
+        self._fixpoint = False
         self.truncated = budget is not None and budget.exhausted
 
     # -- internals -------------------------------------------------------------
@@ -231,44 +228,24 @@ class SoftBagGenerator:
     def _next_subedges(self, level: int) -> Set[int]:
         """``E^(i+1) = E^(i) ⋂× Soft^i_{H,k}`` (non-empty intersections)."""
         current = self._subedge_levels[level]
-        max_subedges = self.max_subedges
-        if max_subedges is None:
-            if not self._pre_charge(len(current)):
-                return set(current)
-            result = pairwise_and_masks(
-                list(current), list(self._soft_levels[level])
-            )
-            result.update(current)
-            return result
-        # Sorted iteration makes the truncation cut-off deterministic.
-        soft = sorted(self._soft_levels[level])
-        result = set(current)
-        add = result.add
-        budget = self.budget
-        for subedge in sorted(current):
-            for bag in soft:
-                if budget is not None and not budget.try_tick():
-                    self.truncated = True
-                    return result
-                intersection = subedge & bag
-                if intersection:
-                    add(intersection)
-                    if len(result) >= max_subedges:
-                        self.truncated = True
-                        return result
+        if not self._pre_charge(len(current)):
+            return set(current)
+        result = pairwise_and_masks(list(current), list(self._soft_levels[level]))
+        result.update(current)
         return result
 
     def _ensure_level(self, level: int) -> None:
         while len(self._soft_levels) <= level:
-            i = len(self._subedge_levels) - 1
-            next_subedges = self._next_subedges(i)
-            if next_subedges == self._subedge_levels[i]:
-                # Fixpoint reached: all further levels coincide.
-                self._subedge_levels.append(next_subedges)
-                self._soft_levels.append(self._soft_levels[i])
-                continue
-            self._subedge_levels.append(next_subedges)
-            self._soft_levels.append(self._soft_from_subedges(next_subedges))
+            subedges, soft = self._subedge_levels[-1], self._soft_levels[-1]
+            if not self._fixpoint:
+                # Once E^(i+1) = E^(i), every later level is the same fixpoint.
+                next_subedges = self._next_subedges(len(self._subedge_levels) - 1)
+                self._fixpoint = next_subedges == subedges
+                if not self._fixpoint:
+                    subedges = next_subedges
+                    soft = self._soft_from_subedges(next_subedges)
+            self._subedge_levels.append(subedges)
+            self._soft_levels.append(soft)
 
     def _to_bags(self, masks: Iterable[int]) -> Set[Bag]:
         to_frozenset = self._indexer.to_frozenset
@@ -278,11 +255,8 @@ class SoftBagGenerator:
 
     def subedges(self, level: int = 0) -> Set[Bag]:
         """The subedge set ``E^(level)`` (as vertex sets)."""
-        if level > 0:
-            self._ensure_level(level)
-        return self._to_bags(
-            self._subedge_levels[min(level, len(self._subedge_levels) - 1)]
-        )
+        self._ensure_level(level)
+        return self._to_bags(self._subedge_levels[level])
 
     def candidate_bags(self, level: int = 0) -> Set[Bag]:
         """The candidate-bag set ``Soft^level_{H,k}``."""
@@ -294,28 +268,15 @@ class SoftBagGenerator:
         self._ensure_level(level)
         return set(self._soft_levels[level])
 
-    def fixpoint_candidate_bags(self, max_level: int = 20) -> Set[Bag]:
-        """``Soft^∞_{H,k}`` up to ``max_level`` iterations (Lemma 6 fixpoint)."""
-        previous: Optional[Set[int]] = None
-        for level in range(max_level + 1):
-            self._ensure_level(level)
-            current = self._soft_levels[level]
-            if previous is not None and current == previous:
-                return self._to_bags(current)
-            previous = current
-        return self._to_bags(previous) if previous is not None else set()
-
 
 def iterated_soft_candidate_bags(
     hypergraph: Hypergraph,
     k: int,
     iterations: int = 0,
-    max_subedges: Optional[int] = None,
     budget: Optional[Budget] = None,
 ) -> Set[Bag]:
     """``Soft^iterations_{H,k}`` — convenience wrapper over :class:`SoftBagGenerator`."""
-    generator = SoftBagGenerator(hypergraph, k, max_subedges=max_subedges, budget=budget)
-    return generator.candidate_bags(iterations)
+    return SoftBagGenerator(hypergraph, k, budget=budget).candidate_bags(iterations)
 
 
 def filter_bags_by_cover(

@@ -37,12 +37,9 @@ from typing import (
     Tuple,
 )
 
-Vertex = Hashable
+import numpy as np
 
-try:  # numpy accelerates the pairwise mask products on ≤64-vertex graphs
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    _np = None
+Vertex = Hashable
 
 __all__ = [
     "VertexIndexer",
@@ -66,13 +63,13 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _masks_to_limbs(masks: Sequence[int], limbs: int) -> "_np.ndarray":
+def _masks_to_limbs(masks: Sequence[int], limbs: int) -> np.ndarray:
     """Decompose big-int masks into an ``(n, limbs)`` uint64 array.
 
     Limb ``j`` of row ``i`` holds bits ``64*j .. 64*j+63`` of ``masks[i]``.
     """
     word = (1 << 64) - 1
-    array = _np.empty((len(masks), limbs), dtype=_np.uint64)
+    array = np.empty((len(masks), limbs), dtype=np.uint64)
     for j in range(limbs):
         array[:, j] = [(mask >> (64 * j)) & word for mask in masks]
     return array
@@ -91,7 +88,7 @@ def _pairwise_and_limbs(
         block = left_arr[start : start + chunk, None, :] & right_arr[None, :, :]
         flat = block.reshape(-1, limbs)
         nonzero = flat[flat.any(axis=1)]
-        for row in _np.unique(nonzero, axis=0):
+        for row in np.unique(nonzero, axis=0):
             mask = 0
             for j in range(limbs - 1, -1, -1):
                 mask = (mask << 64) | int(row[j])
@@ -107,24 +104,24 @@ def pairwise_and_masks(left: Sequence[int], right: Sequence[int]) -> "set[int]":
     chunked numpy outer AND: single uint64 words when every mask fits in 64
     bits, an n-limb ``(n, ⌈bits/64⌉)`` uint64 layout for larger vertex sets
     (LSQB/Hetionet-sized hypergraphs), so the big-int double loop is only
-    ever used for small inputs or when numpy is unavailable.
+    ever used for small inputs.
     """
     if not left or not right:
         return set()
-    if _np is not None and len(left) * len(right) >= 16384:  # numpy wins only at volume
+    if len(left) * len(right) >= 16384:  # numpy wins only at volume
         bits = max(max(left).bit_length(), max(right).bit_length())
         limbs = max(1, (bits + 63) // 64)
         if limbs > 1:
             return _pairwise_and_limbs(left, right, limbs)
-        left_arr = _np.fromiter(left, dtype=_np.uint64, count=len(left))
-        right_arr = _np.fromiter(right, dtype=_np.uint64, count=len(right))
+        left_arr = np.fromiter(left, dtype=np.uint64, count=len(left))
+        right_arr = np.fromiter(right, dtype=np.uint64, count=len(right))
         result: set = set()
         # Chunk the outer product so memory stays bounded (~8 MB per chunk).
         chunk = max(1, (1 << 20) // max(1, len(right_arr)))
         for start in range(0, len(left_arr), chunk):
             block = left_arr[start : start + chunk, None] & right_arr[None, :]
             flat = block.ravel()
-            result.update(_np.unique(flat[flat != 0]).tolist())
+            result.update(np.unique(flat[flat != 0]).tolist())
         return result
     result = set()
     add = result.add

@@ -30,7 +30,7 @@ import hashlib
 import json
 import os
 import tempfile
-from typing import Dict, IO, List, Mapping, Optional, Tuple
+from typing import Dict, IO, List, Mapping, Optional, Sequence, Tuple
 
 from repro.runtime.errors import LedgerError
 from repro.runtime.faults import maybe_fail
@@ -222,29 +222,26 @@ class BatchLedger:
 
     # -- compaction --------------------------------------------------------
 
-    def compact(self) -> int:
+    def compact(self, order: Sequence[str] = ()) -> int:
         """Atomically rewrite the journal to its minimal resume state.
 
-        Keeps the latest ``task`` record per fingerprint (in first-seen
-        task order) and drops transient events; quarantine records are
-        preserved.  Uses the fsync'd temp-file + rename idiom so a crash
-        mid-compaction leaves the previous journal intact.  Returns the
-        number of records written (header excluded).
+        Keeps the latest ``task`` record per fingerprint and drops transient
+        events; quarantine records are preserved after the task records.
+        Both are written in ``order`` (the batch's task fingerprints; one it
+        does not name follows in first-seen order), so the compacted ledger
+        of a batch does not depend on which task finished first.  Uses the
+        fsync'd temp-file + rename idiom so a crash mid-compaction leaves
+        the previous journal intact.  Returns the number of records written
+        (header excluded).
         """
         self.close()
-        records, _ = self.records()
-        latest = self.task_records()
-        kept: List[Dict[str, object]] = []
-        seen: set = set()
-        for record in records:
-            if record.get("type") == "task":
-                fingerprint = str(record.get("fingerprint"))
-                if fingerprint in seen:
-                    continue
-                seen.add(fingerprint)
-                kept.append(latest[fingerprint])
-            elif record.get("type") == "quarantine":
-                kept.append(record)
+        rank = {fingerprint: index for index, fingerprint in enumerate(order)}
+
+        def position(record: Dict[str, object]) -> int:
+            return rank.get(str(record.get("fingerprint")), len(rank))
+
+        kept = sorted(self.task_records().values(), key=position)
+        kept += sorted(self.quarantined(), key=position)
         directory = os.path.dirname(self.path) or "."
         handle, temp_path = tempfile.mkstemp(dir=directory, suffix=".jsonl.tmp")
         try:

@@ -646,7 +646,7 @@ class Supervisor:
             for worker in idle + list(busy.values()):
                 worker.retire()
         if ledger is not None:
-            ledger.compact()
+            ledger.compact(core.order)
             ledger.close()
         return reports[0]
 

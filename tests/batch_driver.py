@@ -25,6 +25,6 @@ def drive(supervisor, tasks, ledger=None):
                 ledger.append(action.record)
             elif isinstance(action, Finish):
                 if ledger is not None:
-                    ledger.compact()
+                    ledger.compact(core.order)
                     ledger.close()
                 return action.report

@@ -96,14 +96,25 @@ class TestIteratedSoft:
 
     def test_fixpoint_reached(self, triangle):
         generator = SoftBagGenerator(triangle, 2)
-        fixpoint = generator.fixpoint_candidate_bags(max_level=10)
-        assert fixpoint == generator.candidate_bags(5)
+        assert generator.candidate_bags(10) == generator.candidate_bags(5)
+        assert generator.subedges(10) == generator.subedges(5)
 
-    def test_max_subedges_caps_growth(self, h2):
-        generator = SoftBagGenerator(h2, 2, max_subedges=20)
-        generator.candidate_bags(1)
-        assert len(generator.subedges(1)) <= 20 + 1
-        assert generator.truncated
+    def test_levels_past_the_fixpoint_are_not_recomputed(self, h2, monkeypatch):
+        # Lemma 6: once E^(i+1) = E^(i), every later level is the fixpoint.
+        probe = SoftBagGenerator(h2, 2)
+        fixpoint = next(i for i in range(30) if probe.subedges(i + 1) == probe.subedges(i))
+        calls = []
+        next_subedges = SoftBagGenerator._next_subedges
+
+        def counted(self, level):
+            calls.append(level)
+            return next_subedges(self, level)
+
+        monkeypatch.setattr(SoftBagGenerator, "_next_subedges", counted)
+        generator = SoftBagGenerator(h2, 2)
+        assert generator.candidate_bags(30) == probe.candidate_bags(fixpoint)
+        assert len(calls) <= fixpoint + 1
+        assert generator.subedges(30) == probe.subedges(fixpoint)
 
 
 class TestBagFilters:

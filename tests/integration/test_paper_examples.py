@@ -137,8 +137,7 @@ class TestWidthHierarchy:
     def test_soft_fixpoint_reaches_ghw_on_h2(self, h2):
         # Theorem 7: shw_∞ = ghw; for H2 the fixpoint candidate bags admit a
         # width-2 CTD (= ghw(H2)).
-        generator = SoftBagGenerator(h2, 2)
-        bags = generator.fixpoint_candidate_bags(max_level=4)
+        bags = SoftBagGenerator(h2, 2).candidate_bags(4)
         from repro.core.ctd import candidate_td
 
         assert candidate_td(h2, bags) is not None

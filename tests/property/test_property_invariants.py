@@ -189,7 +189,7 @@ class TestSoftBagProperties:
     @SETTINGS
     @given(small_hypergraphs())
     def test_soft_levels_are_monotone(self, hypergraph):
-        generator = SoftBagGenerator(hypergraph, 2, max_subedges=300)
+        generator = SoftBagGenerator(hypergraph, 2)
         level0 = generator.candidate_bags(0)
         level1 = generator.candidate_bags(1)
         assert level0 <= level1

@@ -182,10 +182,8 @@ class TestCandidateBagEquivalence:
     @pytest.mark.parametrize("name,hypergraph", INSTANCES[:4])
     def test_fixpoint_matches_reference(self, name, hypergraph):
         k = 2
-        assert SoftBagGenerator(hypergraph, k).fixpoint_candidate_bags(
-            max_level=5
-        ) == ReferenceSoftBagGenerator(hypergraph, k).fixpoint_candidate_bags(
-            max_level=5
+        assert SoftBagGenerator(hypergraph, k).candidate_bags(5) == (
+            ReferenceSoftBagGenerator(hypergraph, k).fixpoint_candidate_bags(max_level=5)
         )
 
 
@@ -266,10 +264,8 @@ class TestCandidateTDEquivalence:
         k = 2
         bags = SoftBagGenerator(hypergraph, k).candidate_bags(0)
         assert bags == ReferenceSoftBagGenerator(hypergraph, k).candidate_bags(0)
-        assert SoftBagGenerator(hypergraph, k).fixpoint_candidate_bags(
-            max_level=3
-        ) == ReferenceSoftBagGenerator(hypergraph, k).fixpoint_candidate_bags(
-            max_level=3
+        assert SoftBagGenerator(hypergraph, k).candidate_bags(3) == (
+            ReferenceSoftBagGenerator(hypergraph, k).fixpoint_candidate_bags(max_level=3)
         )
         assert (candidate_td(hypergraph, bags) is not None) == (
             reference_candidate_td_decide(hypergraph, bags)

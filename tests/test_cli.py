@@ -55,6 +55,14 @@ class TestWidthCommand:
         assert code == 0
         assert "ghw = 2" in output
 
+    @pytest.mark.parametrize(
+        "measure,kind", [("hw", "hypertree"), ("ghw", "generalized hypertree")]
+    )
+    def test_width_above_the_bound_is_one_line_exit_1(self, triangle_file, measure, kind):
+        code, output = run_cli(["width", triangle_file, "--measure", measure, "-k", "1"])
+        assert code == 1
+        assert output == f"no {kind} decomposition of width <= 1\n"
+
     def test_treewidth_heuristic(self, triangle_file):
         code, output = run_cli(["width", triangle_file, "--measure", "tw"])
         assert code == 0

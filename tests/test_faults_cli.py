@@ -122,6 +122,14 @@ class TestGovernedWidth:
         assert "shw = 2" in output
         assert "outcome: complete" in output
 
+    def test_ghw_search_is_governed(self, triangle_file):
+        code, output = run_cli(
+            ["width", triangle_file, "--measure", "ghw", "--max-work", "1"]
+        )
+        assert code == 125
+        assert "undetermined" in output and "ran unbounded" not in output
+        assert "outcome: budget_exhausted" in output
+
     def test_baseline_measures_note_unbounded(self, triangle_file):
         code, output = run_cli(
             ["width", triangle_file, "--measure", "tw", "--timeout", "60"]

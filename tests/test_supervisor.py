@@ -4,8 +4,9 @@ Each test here checks what only real processes show: a worker SIGKILLed
 mid-attempt, a hang killed at the hard timeout, garbage on the pipe, a
 worker that died while idle, a reply larger than the pipe buffer, no
 worker outliving an interrupted run, a signal acted on during a retry's
-backoff, and the production runner's wire payloads at one and two
-workers.  The policy — ladder, retries, backoff, certification, resume,
+backoff, a compacted ledger that keeps task order while two workers
+finish out of order, and the production runner's wire payloads at one
+and two workers.  The policy — ladder, retries, backoff, certification, resume,
 interrupt — is tested without processes against the supervisor's core
 (:class:`~repro.runtime.supervisor.BatchCore`) in
 ``tests/test_supervisor_core.py``.
@@ -61,6 +62,9 @@ def toy_runner(payload):
         return ["this", "is", "not", "a", "result"]
     if payload.get("work_seconds"):
         _time.sleep(float(payload["work_seconds"]))
+    if payload.get("delays_path"):  # per-query seconds, read when the attempt runs
+        with open(payload["delays_path"], encoding="utf-8") as handle:
+            _time.sleep(float(json.load(handle).get(payload.get("query"), 0.0)))
     if payload.get("counter_path"):
         with open(payload["counter_path"], "a", encoding="utf-8") as handle:
             handle.write(f"{payload.get('query', '?')}\n")
@@ -255,6 +259,23 @@ class TestPersistentWorkers:
         report = json.loads(out.decode().splitlines()[-1])
         assert report == {"interrupted": True, "exit_code": 130, "statuses": ["interrupted"]}
         assert waited < 5.0
+
+    def test_compacted_ledger_does_not_depend_on_completion_order(self, tmp_path):
+        # The same batch twice at two workers, each time with the other task
+        # finishing first: the compacted ledgers list both in task order.
+        delays = tmp_path / "delays.json"
+        specs = [task("a", delays_path=str(delays)), task("b", delays_path=str(delays))]
+        ledgers = []
+        for slow in ("a", "b"):
+            delays.write_text(json.dumps({slow: 0.5}))
+            path = tmp_path / f"slow-{slow}.jsonl"
+            supervisor(max_workers=2).run(specs, ledger=BatchLedger(str(path)))
+            records = [json.loads(line) for line in path.read_text().splitlines()]
+            for record in records:
+                record.pop("elapsed", None)
+            ledgers.append(records)
+        assert ledgers[0] == ledgers[1]
+        assert [r.get("task", {}).get("query") for r in ledgers[0][1:]] == ["a", "b"]
 
     def test_wire_payloads_match_direct_calls_at_one_and_two_workers(self):
         # The spec: one execute_batch_task call per task at the top rung,
