@@ -13,7 +13,7 @@ Usage (also available as ``python -m repro``)::
     python -m repro query --sql "SELECT MIN(t_year) FROM title, movie_companies ..."
     python -m repro query --name jl04 --explain
     python -m repro experiment q_hto3 --limit 5
-    python -m repro table1
+    python -m repro reproduce
     python -m repro batch --queries q_hto q_hto2 --timeout 30 --workers 2
     python -m repro cache list
     python -m repro cache clean
@@ -34,7 +34,9 @@ and maps it to the exit code: 0 for ``complete``, 124 for ``deadline``
 (as ``timeout(1)``), 125 for ``budget_exhausted``, 130 for
 ``interrupted`` (Ctrl-C).  Results printed by a non-complete run are
 anytime results: valid as far as they go, not necessarily the full
-answer.
+answer.  ``width`` names every flag its measure does not read in one
+``note:`` line.  ``reproduce`` takes no flags: it checks the paper's
+claims at scale 1.0 and prints ``docs/REPRODUCTION.md``.
 
 ``batch`` runs a set of benchmark queries under the supervised batch
 runtime (worker processes, hard timeouts, retries with a degradation
@@ -120,13 +122,12 @@ def _hypergraph_arguments(parser, *, decomposing: bool = False) -> None:
         )
 
 
-def _data_arguments(parser, scale: float, *, seed: bool = True) -> None:
-    """``--scale`` (and ``--seed``) of the generated benchmark data."""
+def _data_arguments(parser, scale: float) -> None:
+    """``--scale`` and ``--seed`` of the generated benchmark data."""
     parser.add_argument("--scale", type=_POSITIVE_FLOAT, default=scale)
-    if seed:
-        parser.add_argument(
-            "--seed", type=int, default=None, help="workload seed (default: per-workload)"
-        )
+    parser.add_argument(
+        "--seed", type=int, default=None, help="workload seed (default: per-workload)"
+    )
 
 
 def _cache_argument(parser) -> None:
@@ -191,9 +192,27 @@ def _print_decomposition(decomposition, out) -> None:
     walk(decomposition.tree.root)
 
 
+#: The ``width`` flags (by dest) each measure does not read: ghw solves at
+#: its own Lemma 6 iteration count, hw and tw are unbounded baselines, and
+#: tw's min-fill heuristic takes no width bound either.
+_IGNORED_WIDTH_FLAGS = {
+    "shw": (),
+    "ghw": ("iterations",),
+    "hw": ("iterations", "timeout", "max_work"),
+    "tw": ("max_k", "iterations", "timeout", "max_work"),
+}
+
+
 def _cmd_width(args, out) -> int:
     hypergraph = _load_hypergraph(args.hypergraph)
     limit = args.max_k if args.max_k is not None else max(1, hypergraph.num_edges())
+    ignored = [
+        "-k" if dest == "max_k" else "--" + dest.replace("_", "-")
+        for dest in _IGNORED_WIDTH_FLAGS[args.measure]
+        if getattr(args, dest) is not None
+    ]
+    if ignored:
+        print(f"note: --measure {args.measure} ignores {', '.join(ignored)}", file=out)
     if args.measure in ("shw", "ghw"):
         from repro.baselines.ghw import ghw_iterations
         from repro.core.solve import SolveRequest, execute
@@ -205,7 +224,7 @@ def _cmd_width(args, out) -> int:
                 hypergraph=hypergraph,
                 mode="soft-width",
                 width=args.max_k,
-                iterations=args.iterations if soft else ghw_iterations(hypergraph),
+                iterations=(args.iterations or 0) if soft else ghw_iterations(hypergraph),
             ),
             budget=budget,
         )
@@ -230,12 +249,6 @@ def _cmd_width(args, out) -> int:
         from repro.baselines.treewidth import treewidth_min_fill
 
         width = treewidth_min_fill(hypergraph)
-    if args.timeout is not None or args.max_work is not None:
-        print(
-            f"note: --timeout/--max-work only govern --measure shw and ghw; "
-            f"{args.measure} ran unbounded",
-            file=out,
-        )
     print(f"{args.measure} = {width}", file=out)
     return 0
 
@@ -307,7 +320,7 @@ def _cmd_stats(args, out) -> int:
 def _cmd_experiment(args, out) -> int:
     from repro.experiments.figures import evaluation_rows
     from repro.experiments.harness import QueryExperiment
-    from repro.experiments.report import format_figure_rows
+    from repro.experiments.report import format_table
     from repro.workloads.registry import benchmark_query
 
     entry = benchmark_query(args.query)
@@ -322,14 +335,14 @@ def _cmd_experiment(args, out) -> int:
         baseline_line = f"Baseline: not completed ({baseline.outcome.status}), work={baseline.work}"
     else:
         baseline_line = f"Baseline: work={baseline.work}, result={baseline.result}"
-    text = format_figure_rows(
+    print(
         f"{entry.name}: top-{len(rows)} ConCov-shw {entry.width} decompositions "
-        f"(enumerated in {elapsed * 1000:.1f} ms)",
-        rows,
-        ["rank", "cost_cardinalities", "cost_estimates", "work", "result"],
-        ["", baseline_line],
+        f"(enumerated in {elapsed * 1000:.1f} ms)\n",
+        format_table(rows, ["rank", "cost_cardinalities", "cost_estimates", "work", "result"]),
+        f"\n{baseline_line}",
+        sep="\n",
+        file=out,
     )
-    print(text, file=out)
     return _finish(budget, out)
 
 
@@ -403,10 +416,10 @@ def _cmd_query(args, out) -> int:
     return _finish(budget, out)
 
 
-def _cmd_table1(args, out) -> int:
-    from repro.experiments.figures import render_table1
+def _cmd_reproduce(args, out) -> int:
+    from repro.experiments.figures import reproduction
 
-    print(render_table1(scale=args.scale), file=out)
+    print(reproduction(), file=out)
     return 0
 
 
@@ -544,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     width.add_argument("--measure", choices=["shw", "hw", "ghw", "tw"], default="shw")
     width.add_argument("-k", "--max-k", type=_POSITIVE_INT, default=None, dest="max_k")
     width.add_argument(
-        "--iterations", type=_NON_NEGATIVE_INT, default=0, help="shw_i iteration level"
+        "--iterations", type=_NON_NEGATIVE_INT, default=None, help="shw_i iteration level, default 0"
     )
     _budget_arguments(width)
     width.set_defaults(handler=_cmd_width)
@@ -630,9 +643,9 @@ def build_parser() -> argparse.ArgumentParser:
     _budget_arguments(experiment)
     experiment.set_defaults(handler=_cmd_experiment)
 
-    table1 = subparsers.add_parser("table1", help="reproduce Table 1")
-    _data_arguments(table1, scale=0.5, seed=False)
-    table1.set_defaults(handler=_cmd_table1)
+    subparsers.add_parser(
+        "reproduce", help="check the paper's claims at scale 1 and print docs/REPRODUCTION.md"
+    ).set_defaults(handler=_cmd_reproduce)
 
     batch = subparsers.add_parser(
         "batch",

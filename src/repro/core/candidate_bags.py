@@ -22,7 +22,7 @@ frozenset reference implementation lives in :mod:`repro.core.reference`.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.hypergraph.bitset import pairwise_and_masks
 from repro.hypergraph.hypergraph import Edge, Hypergraph, Vertex
@@ -198,18 +198,18 @@ class SoftBagGenerator:
 
     # -- internals -------------------------------------------------------------
 
-    def _pre_charge(self, units: int) -> bool:
-        """Charge a vectorised batch to the budget before running it.
+    def _pre_charge(self, left: Collection[int], right: Collection[int]) -> bool:
+        """Charge a ``pairwise_and_masks(left, right)`` batch before running it.
 
-        ``pairwise_and_masks`` is one numpy-ish bulk step; it cannot tick
-        per element, so the batch is charged up front and skipped entirely
-        when the budget cannot afford it.  The amortization window of the
-        generator is therefore one batch.
+        The product is one numpy-ish bulk step; it cannot tick per AND, so
+        its ``len(left) * len(right)`` pairs are charged up front and the
+        batch is skipped entirely when the budget cannot afford it.  The
+        amortization window of the generator is therefore one batch.
         """
         budget = self.budget
         if budget is None:
             return True
-        if not budget.try_tick(max(1, units)):
+        if not budget.try_tick(max(1, len(left) * len(right))):
             self.truncated = True
             return False
         return True
@@ -219,7 +219,7 @@ class SoftBagGenerator:
         unions = _cover_union_masks(subedge_masks, self.k, self.budget)
         if self.budget is not None and self.budget.exhausted:
             self.truncated = True
-        if not self._pre_charge(len(unions)):
+        if not self._pre_charge(unions, self._component_masks):
             # Intersecting a subset of the unions would yield a sound
             # partial set too, but an exhausted budget should stop cheaply.
             return set()
@@ -228,9 +228,10 @@ class SoftBagGenerator:
     def _next_subedges(self, level: int) -> Set[int]:
         """``E^(i+1) = E^(i) ⋂× Soft^i_{H,k}`` (non-empty intersections)."""
         current = self._subedge_levels[level]
-        if not self._pre_charge(len(current)):
+        soft = self._soft_levels[level]
+        if not self._pre_charge(current, soft):
             return set(current)
-        result = pairwise_and_masks(list(current), list(self._soft_levels[level]))
+        result = pairwise_and_masks(list(current), list(soft))
         result.update(current)
         return result
 

@@ -4,14 +4,10 @@ from repro.experiments.harness import (
     DecompositionEvaluation,
     QueryExperiment,
 )
-from repro.experiments.report import (
-    format_figure_rows,
-    format_table,
-)
+from repro.experiments.report import format_table
 
 __all__ = [
     "QueryExperiment",
     "DecompositionEvaluation",
-    "format_figure_rows",
     "format_table",
 ]

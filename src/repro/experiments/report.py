@@ -1,31 +1,25 @@
-"""Plain-text rendering of experiment results (the "figures" of this repo).
+"""Table rendering of experiment results (the "figures" of this repo).
 
 The original paper presents its evaluation as scatter/bar charts; in an
 offline, dependency-free reproduction we print the underlying series as
-aligned text tables so the benchmark output can be compared to the paper's
-figures directly (who wins, by what factor, how costs correlate with
-measured effort).
+Markdown tables (``repro experiment``, ``docs/REPRODUCTION.md``) so they can
+be compared to the paper's figures directly (who wins, by what factor, how
+costs correlate with measured effort).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Sequence
 
 
 def format_table(rows: Sequence[Dict[str, object]], columns: Sequence[str]) -> str:
-    """Render dictionaries as an aligned text table."""
+    """Render dictionaries as a Markdown table (cells must not hold ``|``)."""
     if not rows:
         return "(no rows)"
-    header = list(columns)
-    rendered: List[List[str]] = [header]
+    lines = ["| " + " | ".join(columns) + " |", "|" + " --- |" * len(columns)]
     for row in rows:
-        rendered.append([_format_value(row.get(column)) for column in header])
-    widths = [max(len(line[i]) for line in rendered) for i in range(len(header))]
-    lines = []
-    for index, line in enumerate(rendered):
-        lines.append("  ".join(value.ljust(widths[i]) for i, value in enumerate(line)))
-        if index == 0:
-            lines.append("  ".join("-" * widths[i] for i in range(len(header))))
+        cells = (_format_value(row.get(column)) for column in columns)
+        lines.append("| " + " | ".join(cells) + " |")
     return "\n".join(lines)
 
 
@@ -37,15 +31,3 @@ def _format_value(value: object) -> str:
             return f"{value:,.0f}"
         return f"{value:.3f}"
     return str(value)
-
-
-def format_figure_rows(
-    title: str,
-    rows: Sequence[Dict[str, object]],
-    columns: Sequence[str],
-    footer_lines: Iterable[str] = (),
-) -> str:
-    """A titled table plus optional footer lines (e.g. the baseline)."""
-    parts = [title, "=" * len(title), format_table(rows, columns)]
-    parts.extend(footer_lines)
-    return "\n".join(parts)

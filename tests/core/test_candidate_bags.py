@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import candidate_bags as candidate_bags_module
 from repro.core.candidate_bags import (
     SoftBagGenerator,
     filter_bags_by_cover,
@@ -11,6 +12,7 @@ from repro.core.candidate_bags import (
 )
 from repro.core.covers import minimum_edge_cover
 from repro.hypergraph.library import hypergraph_h2
+from repro.runtime.budget import Budget
 
 
 class TestSoftCandidateBags:
@@ -115,6 +117,22 @@ class TestIteratedSoft:
         assert generator.candidate_bags(30) == probe.candidate_bags(fixpoint)
         assert len(calls) <= fixpoint + 1
         assert generator.subedges(30) == probe.subedges(fixpoint)
+
+    def test_budget_is_charged_every_pair_of_a_product(self, h2, monkeypatch):
+        # A bulk ``pairwise_and_masks`` cannot tick per AND, so its whole
+        # pair count is charged up front: ``--max-work`` bounds the ANDs.
+        pairs = []
+        product = candidate_bags_module.pairwise_and_masks
+
+        def counted(left, right):
+            pairs.append(len(left) * len(right))
+            return product(left, right)
+
+        monkeypatch.setattr(candidate_bags_module, "pairwise_and_masks", counted)
+        budget = Budget()
+        SoftBagGenerator(h2, 2, budget=budget).candidate_bags(1)
+        assert len(pairs) >= 2
+        assert budget.work >= sum(pairs)
 
 
 class TestBagFilters:

@@ -162,7 +162,7 @@ class TestBatchErrors:
         ("batch --queries q_hto --retries 0 --no-ledger", "--retries"),
         ("batch --queries q_hto --retries -1 --no-ledger", "--retries"),
         ("query --name jl04 --scale -1", "--scale"),
-        ("table1 --scale 0", "--scale"),
+        ("reproduce --scale 1", "--scale"),
     ],
 )
 def test_bad_input_is_exit_2_without_a_traceback(argv, named, tmp_path, monkeypatch, capsys):

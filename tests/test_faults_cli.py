@@ -127,7 +127,7 @@ class TestGovernedWidth:
             ["width", triangle_file, "--measure", "ghw", "--max-work", "1"]
         )
         assert code == 125
-        assert "undetermined" in output and "ran unbounded" not in output
+        assert "undetermined" in output and "note:" not in output
         assert "outcome: budget_exhausted" in output
 
     def test_baseline_measures_note_unbounded(self, triangle_file):
@@ -135,8 +135,26 @@ class TestGovernedWidth:
             ["width", triangle_file, "--measure", "tw", "--timeout", "60"]
         )
         assert code == 0
-        assert "ran unbounded" in output
-        assert "tw = 2" in output
+        assert output.splitlines() == ["note: --measure tw ignores --timeout", "tw = 2"]
+
+    @pytest.mark.parametrize(
+        "measure, ignored",
+        [
+            ("shw", None),
+            ("ghw", "--iterations"),
+            ("hw", "--iterations, --max-work"),
+            ("tw", "-k, --iterations, --max-work"),
+        ],
+    )
+    def test_one_note_names_every_ignored_flag(self, triangle_file, measure, ignored):
+        code, output = run_cli(
+            ["width", triangle_file, "--measure", measure, "-k", "3",
+             "--iterations", "3", "--max-work", "1000000000"]
+        )
+        assert code == 0
+        notes = [line for line in output.splitlines() if line.startswith("note:")]
+        assert notes == ([f"note: --measure {measure} ignores {ignored}"] if ignored else [])
+        assert f"{measure} = 2" in output
 
 
 class TestInterruptHandling:

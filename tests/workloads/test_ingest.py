@@ -202,7 +202,4 @@ class TestDumpRoundTrip:
         generated = QueryExperiment.from_benchmark(entry, scale=0.1)
         _write_dump(generated.database, entry.workload.schema, tmp_path)
         dumped = QueryExperiment.from_benchmark(entry, dump_path=str(tmp_path))
-        # Dumps carry no generator coordinates, so they get no data key.
-        assert dumped.data_key is None
-        assert generated.data_key is not None
         assert dumped.baseline().result == generated.baseline().result
