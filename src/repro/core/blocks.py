@@ -16,14 +16,24 @@ The solvers resolve blocks top-down and reach a small share of them, so the
 index pays per *reached* block: a :class:`Block` object (with its two
 frozensets) is built the first time a caller asks for it, and a block's
 needed mask (its component and the edges meeting it) the first time it is
-probed.  The satisfaction-*independent* basis conditions (1) and (2)
-are evaluated for all candidates of a block in one vectorised numpy pass
-over an n-limb uint64 layout (``⌈|V(H)| / 64⌉`` words per mask, so large
-vertex sets take the same path), memoised per block
-(:meth:`BlockIndex.candidate_probes`); only the feasible pairs become Python
-tuples, and only condition (3) is left to the solvers.
-:meth:`BlockIndex.basis_sub_ids` is the per-pair specification of that scan.
-The public API still speaks :class:`Block` objects and frozensets.
+probed.
+
+The satisfaction-*independent* basis conditions (1) and (2) reduce to a
+test against the block's *boundary* ``N(C)``, the vertices outside ``C`` of
+the edges that meet ``C``: they hold for ``X`` iff
+``N(C) ⊆ X ⊆ S ∪ C`` and ``X ≠ S``.  Proof: the blocks headed by
+``X ⊆ S ∪ C`` are the [X]-components, which partition ``V(H) ∖ X``, and
+such a block is ≤ ``(S, C)`` iff its component lies inside ``C``; the
+vertices to cover are ``C ∪ N(C)``.  A vertex of ``N(C)`` lies outside
+``C``, so only ``X`` can cover it.  Conversely, if ``N(C) ⊆ X`` then an
+[X]-path leaving ``C`` would have to step, along an edge meeting ``C``,
+onto a vertex of ``N(C) ⊆ X``; so every [X]-component meeting ``C`` lies
+inside it, and those components cover ``C ∖ X``.
+:meth:`BlockIndex.candidate_probes` applies the test to all candidates of
+a block at once — an AND of per-vertex candidate sets over ``N(C)`` — and
+memoises the result per block; only condition (3) is left to the solvers.
+:meth:`BlockIndex.basis_sub_ids` is the per-pair specification of that
+scan.  The public API still speaks :class:`Block` objects and frozensets.
 """
 
 from __future__ import annotations
@@ -32,14 +42,10 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-import numpy as np
-
-from repro.hypergraph.bitset import _masks_to_limbs
+from repro.hypergraph.bitset import iter_bits
 from repro.hypergraph.hypergraph import Hypergraph, Vertex
 
 Bag = FrozenSet[Vertex]
-
-_WORD = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -111,7 +117,8 @@ class BlockIndex:
         self._blocks: List[Optional[Block]] = [None] * len(head_masks)
         self.root_block = Block(frozenset(), frozenset(hypergraph.vertices))
         self._blocks[self.block_id(self.root_block)] = self.root_block
-        self._scan_layout: Optional[tuple] = None
+        # The scan's per-vertex candidate sets and per-candidate sub ids.
+        self._tables: Optional[Tuple[List[int], List[range]]] = None
         # block id -> statically feasible (candidate id, live sub ids) probes.
         self._probe_cache: Dict[int, Tuple[Tuple[int, Tuple[int, ...]], ...]] = {}
 
@@ -255,65 +262,68 @@ class BlockIndex:
             return None
         return tuple(subs)
 
-    def _layout(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[tuple]]:
-        """``(candidate rows, sub rows, sub owners, sub ids by candidate)``.
+    def _scan_tables(self) -> Tuple[List[int], List[range]]:
+        """``(candidates holding each vertex, each candidate's sub-block ids)``.
 
-        The scan's n-limb layout, one row per 64-bit limb: the candidate
-        masks, and the components of the blocks headed by a candidate that
-        have one (the only blocks that can be live subs or cover vertices),
-        in id order, with each sub's candidate id alongside.
+        Bit ``i`` of entry ``v`` of the first list is set iff candidate ``i``
+        holds vertex bit ``v``; entry ``i`` of the second is the id range of
+        the blocks headed by candidate ``i`` that have a component.  Built on
+        the first scan.
         """
-        if self._scan_layout is None:
-            limbs = max(1, (len(self._indexer) + 63) // 64)
+        if self._tables is None:
+            containing = [0] * len(self._indexer)
+            for cand_id, mask in enumerate(self.candidate_masks):
+                for vertex_bit in iter_bits(mask):
+                    containing[vertex_bit] |= 1 << cand_id
             subs = [self._head_ids[mask][1:] for mask in self.candidate_masks]
-            sub_masks = [self.component_masks[i] for ids in subs for i in ids]
-            self._scan_layout = (
-                _masks_to_limbs(self.candidate_masks, limbs).T,
-                _masks_to_limbs(sub_masks, limbs).T,
-                np.repeat(np.arange(len(subs)), [len(ids) for ids in subs]),
-                subs,
-            )
-        return self._scan_layout
+            self._tables = (containing, subs)
+        return self._tables
 
     def candidate_probes(self, block_id: int) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
         """The statically feasible ``(candidate id, live sub-block ids)`` pairs.
 
         A pair appears, in candidate order, iff basis conditions 1+2 hold for
-        the candidate and the block (:meth:`basis_sub_ids`, evaluated for
-        all candidates in one numpy pass), with the trivially satisfied
-        empty-component sub-blocks dropped: only the remaining *live* subs
-        gate condition 3 and contribute subtrees to the induced partial
-        decomposition.  This is the one candidate scan of the block DP — the
-        solver and the enumerator call it for each block they reach — so it
-        is memoised per block.
+        the candidate and the block (:meth:`basis_sub_ids`), with the
+        trivially satisfied empty-component sub-blocks dropped: only the
+        remaining *live* subs gate condition 3 and contribute subtrees to the
+        induced partial decomposition.  This is the one candidate scan of the
+        block DP — the solver and the enumerator call it for each block they
+        reach — so it is memoised per block.
+
+        The scan is the boundary test of the module docstring: with
+        ``N(C)`` the vertices outside ``C`` of the edges meeting ``C``,
+        conditions 1+2 hold iff ``N(C) ⊆ X ⊆ S ∪ C`` and ``X ≠ S``.  A
+        vertex of ``N(C)`` is in no component inside ``C``, so ``X`` must
+        hold it; and once ``X`` holds ``N(C)``, no [X]-path can leave ``C``
+        (its step out would land on ``N(C)``), so the [X]-components
+        meeting ``C`` lie inside it, cover ``C ∖ X``, and are exactly the
+        live subs.  The candidates holding all of ``N(C)`` are the AND of
+        their per-vertex sets, walked in ascending candidate order; each
+        survivor is checked against ``S ∪ C`` and ``S``.
         """
         cached = self._probe_cache.get(block_id)
         if cached is not None:
             return cached
-        candidates, sub_components, owners, subs = self._layout()
         head_mask = self._head_masks[block_id]
         component_mask = self.component_masks[block_id]
-        not_component = ~component_mask
-        feasible = _meets(candidates, ~(head_mask | component_mask)) == 0
-        # The sub-blocks headed by a candidate X ⊆ S ∪ C are the [X]-components,
-        # which partition V(H) ∖ X, and such a sub is live iff its component
-        # lies inside C.  So X covers the needed vertices (conditions 1+2) iff
-        # no component that meets them leaves C.  The minimum of two uint64
-        # words is non-zero iff both are.
-        escapes = np.minimum(
-            _meets(sub_components, not_component),
-            _meets(sub_components, self._needed_mask(component_mask)),
-        )
-        feasible[owners[escapes != 0]] = False
+        boundary = self._needed_mask(component_mask) & ~component_mask
+        containing, subs = self._scan_tables()
+        survivors = (1 << len(self.candidate_masks)) - 1
+        for vertex_bit in iter_bits(boundary):
+            survivors &= containing[vertex_bit]
+        outside = ~(head_mask | component_mask)
         candidate_masks = self.candidate_masks
         component_masks = self.component_masks
         probes = []
-        for cand_id in np.flatnonzero(feasible).tolist():
-            if candidate_masks[cand_id] != head_mask:
-                live = [
-                    i for i in subs[cand_id] if not component_masks[i] & not_component
-                ]
+        # The survivors' bits, lowest first: one scan of the binary string.
+        bits = bin(survivors)[:1:-1]
+        cand_id = bits.find("1")
+        while cand_id >= 0:
+            mask = candidate_masks[cand_id]
+            if not mask & outside and mask != head_mask:
+                live = [i for i in subs[cand_id] if component_masks[i] & component_mask]
                 probes.append((cand_id, tuple(live)))
+            cand_id = bits.find("1", cand_id + 1)
         result = tuple(probes)
         self._probe_cache[block_id] = result
         return result
@@ -357,14 +367,3 @@ class _BlockView(Sequence):
     def __getitem__(self, block_id: int) -> Block:
         return self._index.block_at(range(len(self))[block_id])
 
-
-def _meets(rows: np.ndarray, mask: int) -> np.ndarray:
-    """Per column of an n-limb layout, its AND with ``mask`` ORed over the limbs.
-
-    Non-zero exactly where the column's mask meets ``mask``.
-    """
-    met = None
-    for limb, row in enumerate(rows):
-        part = row & ((mask >> (64 * limb)) & _WORD)
-        met = part if met is None else met | part
-    return met

@@ -264,11 +264,6 @@ class SoftBagGenerator:
         self._ensure_level(level)
         return self._to_bags(self._soft_levels[level])
 
-    def candidate_bag_masks(self, level: int = 0) -> Set[int]:
-        """``Soft^level_{H,k}`` as masks over this hypergraph's indexer."""
-        self._ensure_level(level)
-        return set(self._soft_levels[level])
-
 
 def iterated_soft_candidate_bags(
     hypergraph: Hypergraph,

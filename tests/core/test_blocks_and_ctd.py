@@ -10,6 +10,7 @@ from repro.core.candidate_bags import soft_candidate_bags
 from repro.core.constrained import ConstrainedCTDSolver
 from repro.core.ctd import candidate_td
 from repro.core.reference import _reference_blocks
+from repro.core.solve import SolveRequest, execute
 from repro.hypergraph.generators import (
     random_cyclic_query_hypergraph,
     random_hypergraph,
@@ -18,15 +19,18 @@ from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.library import (
     cycle_hypergraph,
     four_cycle_query,
+    grid_hypergraph,
     hypergraph_h2,
 )
 
 
 def _probe_instances():
-    """``(name, hypergraph, k)``: five library shapes, four seeded random.
+    """``(name, hypergraph, k)``: six fixed shapes, four seeded random.
 
-    ``ring9x9`` (a cycle of nine size-9 edges, 72 vertices) needs two
-    64-bit limbs per mask.
+    ``ring9x9`` (a cycle of nine size-9 edges, 72 vertices) needs masks
+    wider than one 64-bit word.  ``disconnected`` (a triangle, a path and
+    an isolated vertex) has no [∅]-component equal to ``V(H)``, so its root
+    block ``(∅, V)`` is registered on its own.
     """
     instances = [
         ("four-cycle", four_cycle_query(), 2),
@@ -37,6 +41,14 @@ def _probe_instances():
             "ring9x9",
             Hypergraph(
                 {f"e{i}": [f"v{(8 * i + j) % 72}" for j in range(9)] for i in range(9)}
+            ),
+            2,
+        ),
+        (
+            "disconnected",
+            Hypergraph(
+                {"t0": ["a", "b"], "t1": ["b", "c"], "t2": ["c", "a"], "p0": ["x", "y"]},
+                vertices=["iso"],
             ),
             2,
         ),
@@ -114,6 +126,18 @@ class TestBlocks:
                         (cand_id, tuple(s for s in subs if component_masks[s]))
                     )
             assert index.candidate_probes(block_id) == tuple(expected), block_id
+
+    def test_probe_grid_has_a_disconnected_instance(self):
+        """The grid reaches the separately registered ``(∅, V)`` block."""
+        hypergraph = {name: h for name, h, _ in _probe_instances()}["disconnected"]
+        assert hypergraph.has_isolated_vertices()
+        bitsets = hypergraph.bitsets
+        assert len(bitsets.components(0)) == 3
+        assert bitsets.universe not in bitsets.components(0)
+        index = BlockIndex(hypergraph, soft_candidate_bags(hypergraph, 2))
+        root_id = index.block_id(index.root_block)
+        assert index.component_masks[root_id] == bitsets.universe
+        assert root_id == index.block_count() - 1
 
     @probe_grid
     def test_lazy_blocks_match_the_eager_blocks(self, hypergraph, k):
@@ -253,6 +277,91 @@ class TestCandidateTDSolver:
         assert td.bags() == [frozenset({"v"})]
         assert td.is_valid()
         assert candidate_td(single, []) is None
+
+
+#: The ten ``solve_cold`` requests of the end-to-end benchmark, built from
+#: the same generators and request fields without relabelling, with the
+#: number of distinct blocks each scans and the probes those scans list.
+SOLVE_COLD_SCANS = (
+    ("cycle24-decide", lambda: cycle_hypergraph(24), dict(mode="decide", width=2), 45, 1388),
+    (
+        "random26-decide",
+        lambda: random_hypergraph(26, 18, seed=3),
+        dict(mode="decide", width=2),
+        39,
+        890,
+    ),
+    (
+        "cyclic12-decide",
+        lambda: random_cyclic_query_hypergraph(12, 3, seed=5),
+        dict(mode="decide", width=2),
+        33,
+        665,
+    ),
+    (
+        "grid4x4-decide-negative",
+        lambda: grid_hypergraph(4, 4),
+        dict(mode="decide", width=2),
+        518,
+        4257,
+    ),
+    (
+        "cyclic7-enumerate-concov",
+        lambda: random_cyclic_query_hypergraph(7, 2, seed=1),
+        dict(mode="enumerate", width=4, constraint="concov", preference="nodecount", limit=5),
+        217,
+        4207,
+    ),
+    (
+        "h2-optimal-concov",
+        hypergraph_h2,
+        dict(mode="optimal", width=3, constraint="concov", preference="nodecount"),
+        413,
+        8351,
+    ),
+    (
+        "cyclic10-optimal",
+        lambda: random_cyclic_query_hypergraph(10, 3, seed=2),
+        dict(mode="optimal", width=2, preference="nodecount"),
+        597,
+        5686,
+    ),
+    (
+        "cycle12-enumerate-top10",
+        lambda: cycle_hypergraph(12),
+        dict(mode="enumerate", width=2, limit=10),
+        20,
+        398,
+    ),
+    ("grid3x4-softwidth", lambda: grid_hypergraph(3, 4), dict(mode="soft-width"), 33, 435),
+    (
+        "random18-softwidth",
+        lambda: random_hypergraph(18, 15, seed=7),
+        dict(mode="soft-width"),
+        34,
+        561,
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "build,fields,blocks,probes",
+    [pytest.param(*case[1:], id=case[0]) for case in SOLVE_COLD_SCANS],
+)
+def test_solve_cold_scan_counts(monkeypatch, build, fields, blocks, probes):
+    """How a block is scanned may change; which blocks and probes may not."""
+    listed = {}
+    original = BlockIndex.candidate_probes
+
+    def spy(index, block_id):
+        found = original(index, block_id)
+        listed[index, block_id] = len(found)
+        return found
+
+    monkeypatch.setattr(BlockIndex, "candidate_probes", spy)
+    result = execute(SolveRequest(hypergraph=build(), **fields), cache=None)
+    assert result.complete
+    assert (len(listed), sum(listed.values())) == (blocks, probes)
 
 
 def _stack_depth() -> int:
