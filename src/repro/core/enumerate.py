@@ -9,45 +9,52 @@ option space is.  (The pre-PR-4 eager beam and its truncation knobs are
 gone entirely; ``enumerate_ctds`` has no approximation parameters.)
 
 The enumeration runs over the same blocks as Algorithms 1 and 2, via the
-shared :class:`repro.core.options.SolverCore`:
+shared :class:`repro.core.options.SolverCore`, and splits each block's
+options by *interface class* — what an ancestor can read of an option
+beyond its rank (:meth:`repro.core.preferences.Preference.interface`, whose
+contract is in :mod:`repro.core.preferences`).  Grouping partial answers by
+what they share with their parent follows Tziavelis et al., "Optimal
+Algorithms for Ranked Enumeration of Answers to Full Conjunctive Queries"
+(PVLDB 2020).
 
 * every block with a component that the enumeration reaches has one
   *option stream* per statically feasible probe ``(candidate, live
   sub-blocks)`` (:meth:`repro.core.blocks.BlockIndex.candidate_probes`,
-  memoised per block): the fragments rooted at the candidate, in
-  ``(preference key, canonical tie key)`` order;
-* a probe stream is produced Lawler-style: a heap of *configurations*
-  (one option index per live sub-block) seeded with ``(0, …, 0)``; popping
-  the best configuration emits its fragment and pushes the one-step
-  *deviations* (one index advanced).  Constraint-rejected fragments are
-  skipped but still expanded, so their successors are never lost;
-* a probe's child slot does not consume the sub-block's options in the
-  sub-block's own key order but in *parent-contribution* order — the
-  sub-block's probe streams merged by
-  :meth:`repro.core.preferences.Preference.child_rank_key` under the
-  parent's bag.  This is what keeps Equation (6) costs exact: two subtrees
-  with equal cost but different root bags contribute differently to the
-  parent through the parent→child edge term;
-* a probe's stream is opened only when it can win: the merged stream
-  holds a placeholder per probe at the probe's
-  :meth:`~repro.core.preferences.Preference.probe_bound` (tie: the bag's
+  memoised per block) and combination of its live sub-blocks' classes:
+  the fragments rooted at the candidate, in ``(preference key, canonical
+  tie key)`` order.  With ``interface = None`` each probe is one
+  combination;
+* a combination's stream is produced Lawler-style: a heap of
+  *configurations* (one option index per live sub-block) seeded with
+  ``(0, …, 0)``; popping the best configuration emits its fragment and
+  pushes the one-step *deviations* (one index advanced).
+  Constraint-rejected fragments are skipped but still expanded, so their
+  successors are never lost;
+* a child slot consumes the sub-block's options of one class in
+  *parent-contribution* order — the sub-block's streams of that class
+  merged by :meth:`repro.core.preferences.Preference.child_rank_key` under
+  the parent's bag.  This is what keeps Equation (6) costs exact: two
+  subtrees with equal cost but different root bags contribute differently
+  to the parent through the parent→child edge term;
+* a combination's stream is opened only when it can win: the merged
+  stream holds a placeholder per combination (tie: the bag's
   :func:`~repro.core.fragments.bag_sort_key`, a strict prefix of every
-  option tie of that probe) and opens the stream when the placeholder is
-  popped.  A probe without a bound opens eagerly;
-* the root block's merged stream (ranked by the fragments' own keys) yields
-  the final decompositions, deduplicated by canonical form.
+  option tie) and opens the stream when it is popped.  With one class the
+  placeholder sits at the probe's
+  :meth:`~repro.core.preferences.Preference.probe_bound`; with several, a
+  block's classes are known bottom-up before its streams open, each with
+  its least option, and a combination's placeholder sits at the rank of
+  its least option: its bag over its sub classes' least options;
+* the root block's merged stream (ranked by the fragments' own keys, over
+  every class) yields the final decompositions, deduplicated by canonical
+  form.
 
 Keys compose bottom-up through the shared fragment memo tables
 (:class:`repro.core.options.FragmentEvaluator`) for monotone preferences —
 a candidate fragment is never materialised as a :class:`TreeDecomposition`
-unless a non-trivial constraint needs to inspect it.
-
-Laziness requires the preference to certify the ``order_monotone`` contract
-(see :mod:`repro.core.preferences`).  Preferences that cannot — arbitrary
-non-monotone cost callables, shallow cyclicity, unsafe lexicographic
-combinations — take the exhaustive path instead: every block's full option
-list is built bottom-up (no beam, no caps) and sorted by the same composite
-order, which is equally exact, merely not lazy.  Ties are always broken by
+unless a non-trivial constraint needs to inspect it.  A preference that is
+not monotone is classed by the option itself, so its streams run the full
+product of options, exact and memoised.  Ties are always broken by
 :func:`repro.core.fragments.fragment_sort_key` — canonical sorted-vertex
 tuples, never ``repr`` — so the ranking is reproducible across processes
 and hash seeds.  The brute-force specification this module is
@@ -59,7 +66,7 @@ from __future__ import annotations
 
 
 from heapq import heappop, heappush
-from itertools import islice, product
+from itertools import count, islice, product, takewhile
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from repro.hypergraph.hypergraph import Hypergraph, Vertex
@@ -85,21 +92,22 @@ _Entry = Tuple
 
 
 class _ProbeStream:
-    """One block probe's fragments in exact ``(key, tie)`` order.
+    """One probe's options over one combination of its live subs' classes.
 
-    Lawler-style successor enumeration: a configuration assigns each live
-    sub-block an index into its merged (parent-contribution ordered) option
-    list; the heap pops configurations by the composed fragment's exact
-    ``(key, tie)`` and pushes the one-step deviations of whatever it pops.
-    The ``order_monotone`` contract guarantees a deviation never composes a
-    fragment that sorts before its origin, so emission order is exact.
+    Lawler-style successor enumeration in exact ``(key, tie)`` order: a
+    configuration assigns each live sub-block an index into its merged
+    stream of one class; the heap pops configurations by the composed
+    fragment's ``(key, tie)`` and pushes the one-step deviations of
+    whatever it pops.  Inside one combination a parent's key strictly
+    tracks each child's rank, so a deviation never sorts before its origin.
     """
 
-    def __init__(self, enumerator: "CTDEnumerator", cand_id: int, live_subs):
+    def __init__(self, enumerator: "CTDEnumerator", cand_id: int, live_subs, classes):
         self._enumerator = enumerator
         self._bag = enumerator.core.index.candidate_bags[cand_id]
         self._merges = [
-            enumerator._merged_stream(sub, self._bag) for sub in live_subs
+            enumerator._merged_stream(sub, self._bag, cls)
+            for sub, cls in zip(live_subs, classes)
         ]
         self._heap: List[Tuple] = []
         self._emitted: List[_Entry] = []
@@ -143,41 +151,38 @@ class _ProbeStream:
 
 
 class _MergedStream:
-    """A block's options across all its probes, in parent-contribution order.
+    """A block's options of one interface class, in parent-contribution order.
 
     ``parent_bag`` identifies the consumer: options are ranked by
     ``preference.child_rank_key(parent_bag, state)`` (the fragments' own
-    keys when ``parent_bag`` is ``None``, i.e. at the root).  Each probe
-    stream is already sorted consistently with any parent's contribution
-    order (rank is a strictly monotone function of the key for a fixed root
-    bag), so a heap of per-probe cursors yields the exact merged order.
-
-    A probe with a :meth:`~repro.core.preferences.Preference.probe_bound`
-    enters the heap as a placeholder ``(bound, (bag_sort_key(bag),), probe,
-    -1)`` and its stream is opened only when the placeholder is popped.  The
-    bound is at most every option's rank and the placeholder's tie is a
-    strict prefix of every option's tie, so the placeholder sorts before all
-    of its probe's options and the emission order is exact.
+    keys at the root, whose stream merges every class).  Each combination's
+    stream is sorted consistently with that rank (a strictly monotone
+    function of the key for a fixed root bag), so a heap of cursors yields
+    the exact merged order.  A combination enters the heap as a placeholder
+    ``(bound, (bag_sort_key(bag),), member, -1)`` and is opened when it is
+    popped.  ``bound`` — the rank of its least option, else its
+    :meth:`~repro.core.preferences.Preference.probe_bound`, else none and
+    opened at once — is at most every option's rank, and the tie is a
+    strict prefix of every option's tie.
     """
 
-    def __init__(self, enumerator: "CTDEnumerator", block_id: int, parent_bag):
+    def __init__(self, enumerator: "CTDEnumerator", block_id: int, parent_bag, cls):
         self._enumerator = enumerator
         self._block_id = block_id
         self._parent_bag = parent_bag
+        self._class = cls
+        self._members: List[Tuple] = []  # the combinations, as _combinations lists them
         self._heap: Optional[List[Tuple]] = None
         self._entries: List[_Entry] = []
 
-    def _rank(self, entry: _Entry):
-        return self._enumerator.core.preference.child_rank_key(
-            self._parent_bag, entry[2]
-        )
-
-    def _push(self, probe_idx: int, position: int) -> None:
-        """Push the probe's ``position``-th option, if it has one."""
-        stream = self._enumerator._probe_stream(self._block_id, probe_idx)
+    def _push(self, member: int, position: int) -> None:
+        """Push the member combination's ``position``-th option, if it has one."""
+        probe_idx, classes, _ = self._members[member]
+        stream = self._enumerator._probe_stream(self._block_id, probe_idx, classes)
         entry = stream.get(position)
         if entry is not None:
-            heappush(self._heap, (self._rank(entry), entry[1], probe_idx, position))
+            rank = self._enumerator._rank(self._parent_bag, entry[0], entry[2])
+            heappush(self._heap, (rank, entry[1], member, position))
 
     def _initialise(self) -> None:
         self._heap = []
@@ -187,28 +192,37 @@ class _MergedStream:
         budget = enumerator.core.budget
         if budget is not None:
             budget.tick()
-        probe_bound = enumerator.core.preference.probe_bound
+        probe_bound = enumerator.preference.probe_bound
         candidate_bags = enumerator.index.candidate_bags
         probes = enumerator.index.candidate_probes(self._block_id)
-        for probe_idx, (cand_id, live_subs) in enumerate(probes):
-            bag = candidate_bags[cand_id]
-            bound = probe_bound(self._parent_bag, bag, [None] * len(live_subs))
-            if bound is None:
-                self._push(probe_idx, 0)
+        combos = enumerator._combinations(self._block_id)
+        if self._parent_bag is None:
+            self._members = [combo for members in combos.values() for combo in members]
+        else:
+            self._members = combos.get(self._class, [])
+        for member, (probe_idx, classes, least) in enumerate(self._members):
+            bag = candidate_bags[probes[probe_idx][0]]
+            if least is None:
+                bound = probe_bound(self._parent_bag, bag, [None] * len(classes))
             else:
-                heappush(self._heap, (bound, (bag_sort_key(bag),), probe_idx, -1))
+                bound = enumerator._rank(self._parent_bag, *least)
+            if bound is None:
+                self._push(member, 0)
+            else:
+                heappush(self._heap, (bound, (bag_sort_key(bag),), member, -1))
 
     def get(self, i: int) -> Optional[_Entry]:
-        """The ``i``-th option over all probes, or ``None`` if fewer exist."""
+        """The ``i``-th option of the class, or ``None`` if fewer exist."""
         if self._heap is None:
             self._initialise()
         entries = self._entries
         while len(entries) <= i and self._heap:
-            _, _, probe_idx, position = heappop(self._heap)
+            _, _, member, position = heappop(self._heap)
             if position >= 0:
-                stream = self._enumerator._probe_stream(self._block_id, probe_idx)
+                probe_idx, classes, _ = self._members[member]
+                stream = self._enumerator._probe_stream(self._block_id, probe_idx, classes)
                 entries.append(stream.get(position))
-            self._push(probe_idx, position + 1)
+            self._push(member, position + 1)
         return entries[i] if i < len(entries) else None
 
 
@@ -235,10 +249,12 @@ class CTDEnumerator:
         self.constraint = self.core.constraint
         self.preference = self.core.preference
         self.index = self.core.index
-        self._lazy = self.preference.monotone and self.preference.order_monotone
-        self._probe_streams: Dict[Tuple[int, int], _ProbeStream] = {}
-        self._merged_streams: Dict[Tuple[int, Bag], _MergedStream] = {}
-        self._exhaustive: Optional[List[List[_Entry]]] = None
+        self._probe_streams: Dict[Tuple, _ProbeStream] = {}
+        self._merged_streams: Dict[Tuple, _MergedStream] = {}
+        # block id -> its combinations; -> {class: (rank, least fragment)}.
+        self._combos: Dict[int, Dict] = {}
+        self._least: Dict[int, Dict] = {}
+        self._products: Dict[Tuple, List[Tuple]] = {}
 
     @property
     def outcome(self) -> SolveOutcome:
@@ -246,84 +262,88 @@ class CTDEnumerator:
         budget = self.budget
         return budget.outcome() if budget is not None else completed_outcome()
 
+    def _rank(self, parent_bag, key, state):
+        if not self.preference.monotone:
+            return key  # the state is the option itself
+        return self.preference.child_rank_key(parent_bag, state)
+
+    def _combinations(self, block_id: int) -> Dict:
+        """Class -> ``(probe index, live subs' classes, least)`` per combination.
+
+        Without an interface a block has one class, ``None``, and each probe
+        is one combination with no ``least``.  Otherwise a combination's
+        least option is its bag over its sub classes' least-ranked options
+        under that bag (its key strictly tracks each child's rank), and
+        ``least`` is that option's ``(key, state)``; its interface is the
+        combination's class.
+        """
+        combos = self._combos.get(block_id)
+        if combos is not None:
+            return combos
+        probes = self.index.candidate_probes(block_id)
+        interface = self.preference.interface
+        if interface is None:
+            combos = {
+                None: [
+                    (probe_idx, (None,) * len(live_subs), None)
+                    for probe_idx, (_, live_subs) in enumerate(probes)
+                ]
+            }
+        else:
+            combos, least = {}, {}
+            block = self.index.block_at(block_id)
+            for probe_idx, (cand_id, live_subs) in enumerate(probes):
+                for classes, key, state, fragment in self._product(cand_id, live_subs):
+                    cls = interface(block.component, state)
+                    rank = self._rank(block.head, key, state)
+                    if cls not in least or rank < least[cls][0]:
+                        least[cls] = (rank, fragment)
+                    combos.setdefault(cls, []).append((probe_idx, classes, (key, state)))
+            self._least[block_id] = least
+        self._combos[block_id] = combos
+        return combos
+
+    def _product(self, cand_id: int, live_subs) -> List[Tuple]:
+        """``(sub classes, key, state, least fragment)`` per combination.
+
+        The same for every block that lists the probe, so built once.
+        """
+        found = self._products.get((cand_id, live_subs))
+        if found is None:
+            found = []
+            for sub in live_subs:
+                self._combinations(sub)
+            bag = self.index.candidate_bags[cand_id]
+            state_of = self.core.evaluator.state_of
+            for combination in product(*[self._least[sub].items() for sub in live_subs]):
+                if self.budget is not None:
+                    self.budget.tick()
+                fragment = make_fragment(bag, [least[1] for _, least in combination])
+                classes = tuple(cls for cls, _ in combination)
+                found.append((classes, *state_of(fragment), fragment))
+            self._products[cand_id, live_subs] = found
+        return found
+
     # -- lazy streams ----------------------------------------------------------
 
-    def _probe_stream(self, block_id: int, probe_idx: int) -> _ProbeStream:
-        key = (block_id, probe_idx)
+    def _probe_stream(self, block_id: int, probe_idx: int, classes) -> _ProbeStream:
+        key = (block_id, probe_idx, classes)
         stream = self._probe_streams.get(key)
         if stream is None:
             cand_id, live_subs = self.index.candidate_probes(block_id)[probe_idx]
-            stream = _ProbeStream(self, cand_id, live_subs)
+            stream = _ProbeStream(self, cand_id, live_subs, classes)
             self._probe_streams[key] = stream
         return stream
 
-    def _merged_stream(self, block_id: int, parent_bag) -> _MergedStream:
-        key = (block_id, parent_bag)
+    def _merged_stream(self, block_id: int, parent_bag, cls) -> _MergedStream:
+        key = (block_id, parent_bag, cls)
         stream = self._merged_streams.get(key)
         if stream is None:
-            stream = _MergedStream(self, block_id, parent_bag)
+            stream = _MergedStream(self, block_id, parent_bag, cls)
             self._merged_streams[key] = stream
         return stream
 
-    # -- exhaustive fallback ---------------------------------------------------
-
-    def _exhaustive_options(self) -> List[List[_Entry]]:
-        """Full sorted option tables, bottom-up — exact without laziness.
-
-        Used when the preference cannot certify ``order_monotone``.  Keys
-        still compose through the shared fragment memo (or the memoised
-        materialisation for non-monotone preferences); nothing is truncated.
-        """
-        if self._exhaustive is not None:
-            return self._exhaustive
-        index = self.index
-        budget = self.budget
-        evaluator = self.core.evaluator
-        component_masks = index.component_masks
-        candidate_bags = index.candidate_bags
-        options: List[List[_Entry]] = [[] for _ in range(index.block_count())]
-        for block_id in index.topological_order_ids():
-            if not component_masks[block_id]:
-                continue
-            if budget is not None:
-                budget.tick()
-            block_options: List[_Entry] = []
-            for cand_id, live_subs in index.candidate_probes(block_id):
-                child_lists = [options[sub] for sub in live_subs]
-                if any(not child_list for child_list in child_lists):
-                    continue
-                bag = candidate_bags[cand_id]
-                for combination in product(*child_lists):
-                    if budget is not None:
-                        budget.tick()
-                    fragment = make_fragment(
-                        bag, [entry[3] for entry in combination]
-                    )
-                    if not evaluator.compliant(fragment):
-                        continue
-                    key, state = evaluator.state_of(fragment)
-                    block_options.append(
-                        (key, fragment_sort_key(fragment), state, fragment)
-                    )
-            block_options.sort(key=lambda entry: (entry[0], entry[1]))
-            options[block_id] = block_options
-        self._exhaustive = options
-        return options
-
     # -- enumeration -----------------------------------------------------------
-
-    def _root_entries(self, root_id: int) -> Iterator[_Entry]:
-        if self._lazy:
-            stream = self._merged_stream(root_id, None)
-            position = 0
-            while True:
-                entry = stream.get(position)
-                if entry is None:
-                    return
-                yield entry
-                position += 1
-        else:
-            yield from self._exhaustive_options()[root_id]
 
     def iter_decompositions(self) -> Iterator[TreeDecomposition]:
         """All distinct CTDs in exact ``(preference, canonical tie)`` order.
@@ -345,8 +365,9 @@ class CTDEnumerator:
                 yield trivial
             return
         seen = set()
+        entries = map(self._merged_stream(root_id, None, None).get, count())
         try:
-            for entry in self._root_entries(root_id):
+            for entry in takewhile(lambda entry: entry is not None, entries):
                 decomposition = self.core.evaluator.materialise(entry[3])
                 canonical = decomposition.canonical_form()
                 if canonical in seen:

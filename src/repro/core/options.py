@@ -95,6 +95,8 @@ class FragmentEvaluator:
         Monotone preferences compose the state from the children's memoised
         states without materialising the fragment; the children's states are
         always present because every consumer evaluates fragments bottom-up.
+        Any other preference keys the materialised fragment, and its state
+        is the fragment itself.
         """
         cached = self._state.get(fragment)
         if cached is not None:
@@ -106,7 +108,7 @@ class FragmentEvaluator:
             state = preference.fragment_state(bag, child_states)
             result = (preference.state_key(state), state)
         else:
-            result = (preference.key(self.materialise(fragment)), None)
+            result = (preference.key(self.materialise(fragment)), fragment)
         self._state[fragment] = result
         return result
 

@@ -38,36 +38,34 @@ Non-monotone preferences keep ``monotone = False`` and are evaluated by
 materialising each (memoised) fragment — correct for arbitrary key functions,
 just without the incremental fast path.
 
-Order-monotone preferences
---------------------------
+Interface classes
+-----------------
 
-The exact lazy any-k enumerator (:mod:`repro.core.enumerate`) streams each
-block's options best-first and composes parent options out of ranked child
-streams (Lawler-style deviations).  The enumeration order is the composite
-``(key, canonical structural tie)``, so laziness is only sound when
-replacing a child option with a later-ranked one can never make the parent
-sort earlier — *including on ties*.  A preference certifies this with
-``order_monotone = True``, which promises, for partial decompositions with
-the **same root bag**:
+The exact lazy any-k enumerator (:mod:`repro.core.enumerate`) composes
+parent options out of ranked child streams by Lawler-style deviations in
+``(key, canonical structural tie)`` order, so replacing a child option with
+a later-ranked one must never make the parent sort earlier, *ties
+included*.  :meth:`Preference.interface` ``(component, state)`` is the
+class of an option of block ``(S, C)``: what its ancestors can read of it
+beyond its rank.  The enumerator deviates only inside one combination of
+the live subs' classes, and a preference promises, within one class:
 
-* ``child_rank_key(P, ·)`` is a strictly monotone function of ``state_key``
-  for every parent bag ``P``: equal keys get equal ranks, strictly larger
-  keys strictly larger ranks, and
-* a parent's key depends on each child slot only through the child's
-  ``child_rank_key`` under the parent's bag, *strictly* increasing in it:
-  equal ranks compose equal parent keys, a strictly larger rank a strictly
-  larger parent key.  (Constant keys satisfy this vacuously — no two ranks
-  ever differ.)
+* for every parent bag ``P``, ``child_rank_key(P, ·)`` is a strictly
+  monotone function of ``state_key`` among options with the same root bag;
+* a parent's key depends on a child slot only through the child's
+  ``child_rank_key`` under ``P``, *strictly* increasing in it (a key that
+  is constant on a combination qualifies vacuously);
+* a parent's class is a function of its bag and its children's classes.
 
-Strictness is what protects the tie component: under a non-strict (max-type)
-key such as the largest bag size, a deviation can raise a child's key yet be
-absorbed into an *equal* parent key while the structural tie-break moves
-backwards, so parents would be emitted out of order.  Such preferences —
-max-type keys, shallow cyclicity and the Equation (7)–(9) fold (whose
-composition states the keys do not determine), arbitrary cost callables,
-lexicographic combinations with a non-strict component — keep
-``order_monotone = False`` and the enumerator falls back to its exhaustive
-(but still fragment-memoised) exact path.
+Strictness protects the tie: a max-type key, such as the largest bag size,
+can absorb a worse child into an equal parent key while the tie moves
+backwards, so such a key is classed by its state.  The classes are:
+``interface = None``, one class per block, where parents read only a
+child's rank (no preference, the node count, Equation (6)); the state
+itself, the default (shallow cyclicity, max-type keys); the option itself
+for a preference that is not monotone, whose state is the fragment; and
+``(ReducedSz, reducing variables − C)`` for the Equation (7)–(9) fold
+(:class:`repro.db.cost.CardinalityPreference`).
 
 ``child_rank_key(parent_bag, state)`` defaults to ``state_key(state)``; the
 Equation (6) cost overrides it to fold the parent→child edge term in, which
@@ -115,21 +113,14 @@ from repro.decompositions.td import TreeDecomposition
 class Preference:
     """Base class: a total quasiorder given by a comparable key.
 
-    Subclasses must implement :meth:`key`.  Two optional capability flags
-    unlock solver fast paths — each is a *promise* about the key function,
-    and claiming one falsely silently produces wrong optima/orders (the
-    equivalence property tests are the safety net):
-
-    * ``monotone = True`` additionally requires :meth:`fragment_state` (and
-      :meth:`state_key` when the state is not itself the key) —
-      Algorithm 2 and the enumerator then compose keys bottom-up without
-      re-walking or materialising subtrees;
-    * ``order_monotone = True`` (requires ``monotone``) certifies the
-      strictness contract below — the any-k enumerator may then stream
-      options lazily best-first instead of building full option tables.
-
-    Overriding :meth:`probe_bound` (see "Probe bounds" in the module
-    docstring) lets Algorithm 2 skip and the enumerator defer probes.
+    Subclasses must implement :meth:`key`.  ``monotone = True`` is a
+    *promise* that unlocks the solvers' fast path (claiming it falsely
+    silently produces wrong optima/orders; the equivalence property tests
+    are the safety net): with :meth:`fragment_state` (and :meth:`state_key`
+    when the state is not itself the key), Algorithm 2 and the enumerator
+    compose keys bottom-up without re-walking or materialising subtrees.
+    :meth:`interface` and :meth:`probe_bound` are the module docstring's
+    "Interface classes" and "Probe bounds".
     """
 
     #: Contract (``monotone = True``): for partial decompositions rooted at
@@ -140,20 +131,6 @@ class Preference:
     #: solvers fall back to evaluating ``key`` on memoised materialised
     #: decompositions.
     monotone = False
-
-    #: Contract (``order_monotone = True``, requires ``monotone``): for
-    #: same-rooted partial decompositions, (a) ``child_rank_key(P, ·)`` is a
-    #: strictly monotone function of ``state_key`` for every parent bag
-    #: ``P``, and (b) a parent's key depends on each child slot only through
-    #: that child's ``child_rank_key`` under the parent's bag, *strictly*
-    #: increasing in it (equal ranks ⇒ equal parent keys, larger rank ⇒
-    #: strictly larger parent key; constant keys qualify vacuously).
-    #: Strictness protects the canonical tie-break: a non-strict (max-type)
-    #: key can absorb a worse child into an equal parent key while the tie
-    #: regresses, emitting results out of order.  Keeping ``False`` is
-    #: always sound — the enumerator uses its exhaustive (still exact,
-    #: still memoised) path.
-    order_monotone = False
 
     def key(self, partial_td: TreeDecomposition):
         """The comparable key of a (partial) decomposition; lower is better.
@@ -191,19 +168,26 @@ class Preference:
         """
         return state
 
-    # -- lazy enumeration (only for ``order_monotone = True``) -----------------
+    # -- lazy enumeration (see "Interface classes" above) ----------------------
+
+    def interface(self, component, state):
+        """The class of an option of block ``(S, component)``: hashable, ``==``.
+
+        Defaults to the state itself (the option itself when not monotone);
+        ``interface = None`` puts every option of a block in one class.
+        """
+        return state
 
     def child_rank_key(self, parent_bag, state):
         """Rank of a child option when streamed below ``parent_bag``.
 
-        The enumerator feeds each child slot's options to its parent in
-        increasing ``child_rank_key`` order (``parent_bag is None`` at the
-        root).  Defaults to ``state_key(state)``; preferences whose parent
-        keys see more than the child's own key override it — the
-        Equation (6) cost folds the parent→child edge term in, which is
+        The enumerator feeds each child slot's options of one class to its
+        parent in increasing ``child_rank_key`` order (``parent_bag is
+        None`` at the root).  Defaults to ``state_key(state)``; preferences
+        whose parent keys see more than the child's own key override it —
+        the Equation (6) cost folds the parent→child edge term in, which is
         what makes equal-cost subtrees with different root bags rank
-        correctly.  Subject to the strictness contract on
-        ``order_monotone``.
+        correctly.  Subject to the strictness contract above.
         """
         return self.state_key(state)
 
@@ -224,8 +208,8 @@ class NoPreference(Preference):
     """All decompositions are equally preferred."""
 
     monotone = True
-    # All ranks are equal, so the strictness requirement holds vacuously.
-    order_monotone = True
+    # All keys are equal, so the strictness requirement holds vacuously.
+    interface = None
 
     def key(self, partial_td: TreeDecomposition):
         return 0
@@ -262,7 +246,7 @@ class MonotoneCostPreference(CostPreference):
     ``cost(T_u) = node_cost(B(u)) + Σ_c [cost(T_c) + edge_cost(B(u), B(c))]``
     — exactly the recursive shape of the paper's Equation (6), so the key of
     a fragment composes from its children's ``(bag, cost)`` states without
-    revisiting the subtree.  The cost is also order monotone: under a parent
+    revisiting the subtree.  One interface class suffices: under a parent
     bag ``P`` a child option of state ``(bag, cost)`` contributes exactly
     ``cost + edge_cost(P, bag)``, and the parent's total is the sum of those
     contributions plus terms the children do not touch, so
@@ -276,7 +260,7 @@ class MonotoneCostPreference(CostPreference):
     """
 
     monotone = True
-    order_monotone = True
+    interface = None
 
     def __init__(
         self,
@@ -330,7 +314,7 @@ class NodeCountPreference(Preference):
     """Prefer decompositions with fewer nodes (a simple tie-breaker)."""
 
     monotone = True
-    order_monotone = True
+    interface = None
 
     def key(self, partial_td: TreeDecomposition) -> int:
         return partial_td.tree.num_nodes()
@@ -384,12 +368,8 @@ class LexicographicPreference(Preference):
     def __init__(self, preferences: Sequence[Preference]):
         self.preferences = list(preferences)
         self.monotone = all(p.monotone for p in self.preferences)
-        # Strictness composes componentwise: if every component's parent key
-        # strictly tracks its rank, the first component whose rank moves
-        # decides the tuple.  One non-strict component (e.g. max bag size)
-        # poisons the whole combination — it can absorb a rank increase into
-        # an equal tuple prefix while later components regress.
-        self.order_monotone = all(p.order_monotone for p in self.preferences)
+        if all(p.interface is None for p in self.preferences):
+            self.interface = None
 
     def key(self, partial_td: TreeDecomposition) -> Tuple:
         return tuple(p.key(partial_td) for p in self.preferences)
@@ -402,6 +382,16 @@ class LexicographicPreference(Preference):
 
     def state_key(self, state) -> Tuple:
         return tuple(p.state_key(s) for p, s in zip(self.preferences, state))
+
+    def interface(self, component, state):
+        # Strictness composes componentwise: inside a combination of the
+        # component classes, the first component whose rank moves decides.
+        if not self.monotone:
+            return state
+        return tuple(
+            p.interface and p.interface(component, s)
+            for p, s in zip(self.preferences, state)
+        )
 
     def child_rank_key(self, parent_bag, state) -> Tuple:
         return tuple(

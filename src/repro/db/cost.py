@@ -146,6 +146,7 @@ class CardinalityCostModel(_CostModelBase):
     def __init__(self, query: ConjunctiveQuery, database: Database):
         super().__init__(query, database)
         self._bag_size_cache: Dict[Bag, int] = {}
+        self._node_cost_cache: Dict[Bag, float] = {}
         self._reducing_cache: Dict[Bag, FrozenSet[Vertex]] = {}
 
     # -- actual bag cardinalities -------------------------------------------------
@@ -171,13 +172,16 @@ class CardinalityCostModel(_CostModelBase):
     # -- Equation (7): node cost ----------------------------------------------------
 
     def node_cost(self, bag: Bag) -> float:
-        aliases = self.cover_of(bag)
-        if len(aliases) <= 1:
-            return 0.0
-        cost = float(self.bag_cardinality(bag))
-        for alias in aliases:
-            size = len(self.database.relation(self.query.atom(alias).relation))
-            cost += size * _log(size)
+        cost = self._node_cost_cache.get(bag)
+        if cost is None:
+            aliases = self.cover_of(bag)
+            cost = 0.0
+            if len(aliases) > 1:
+                cost = float(self.bag_cardinality(bag))
+                for alias in aliases:
+                    size = len(self.database.relation(self.query.atom(alias).relation))
+                    cost += size * _log(size)
+            self._node_cost_cache[bag] = cost
         return cost
 
     # -- Equation (8): reduced sizes -----------------------------------------------------
@@ -271,11 +275,18 @@ class CardinalityPreference(CostPreference):
     A fragment's state is ``(cost, ReducedSz, reducing variables)``, the
     last being :meth:`CardinalityCostModel.reducing_variables` over every
     bag of the subtree, so ``ReduceAttrs(p)`` is the root bag ∩ the union
-    of the children's.  A parent reads more of a child than its key, so the
-    fold is monotone but not order monotone.  It adds the terms of
+    of the children's.  It adds the terms of
     :meth:`CardinalityCostModel.subtree_cost` in its order — node cost, scan
     cost, then per child in fragment order its cost and ``r·log r`` — so the
     composed key is bit-identical to :meth:`key`, the materialising spec.
+
+    An option of block ``(S, C)`` presents the :meth:`interface`
+    ``(ReducedSz, reducing variables − C)``: ancestors read ReducedSz (the
+    ``r·log r`` term; a zero blocks the parent's scan) and their bags ∩ the
+    reducing variables, which come from the cover atoms' full variable
+    lists and may leave the subtree's bags, even ``S``.  Only ``C`` is safe
+    to drop: no ancestor bag meets it.  Given its children's classes, a
+    parent's cost is a constant plus theirs, and its class is fixed.
     """
 
     monotone = True
@@ -302,6 +313,9 @@ class CardinalityPreference(CostPreference):
 
     def state_key(self, state: Tuple) -> float:
         return state[0]
+
+    def interface(self, component: Bag, state: Tuple) -> Tuple:
+        return state[1], state[2] - component
 
     def probe_bound(self, parent_bag, bag: Bag, child_keys: Sequence) -> float:
         # Left to right like fragment_state, which only adds terms ≥ 0.

@@ -3,8 +3,7 @@
 These are the concrete decompositions the paper exhibits:
 
 * Figure 1b — a width-2 soft hypertree decomposition of ``H2``;
-* Figure 9 — a width-3 soft hypertree decomposition of ``H3``;
-* Figure 2b — a width-3 GHD of ``H3'`` whose bags lie in ``Soft^1``.
+* Figure 9 — a width-3 soft hypertree decomposition of ``H3``.
 
 Having them as code lets the tests verify the paper's width claims without
 running the (for ``H3`` expensive) full candidate-bag search: validity of the
@@ -41,22 +40,6 @@ def h3_soft_decomposition(hypergraph: Hypergraph) -> TreeDecomposition:
     Every bag is ``G ∪ H`` plus a few of the cycle vertices; primed vertices
     use the ``p`` suffix of :func:`repro.hypergraph.library.hypergraph_h3`.
     """
-    gh = _G + _H
-    bags = [
-        set(gh + ["3", "0p", "0"]),
-        set(gh + ["3", "0", "1"]),
-        set(gh + ["3", "1", "2"]),
-        set(gh + ["4", "2"]),
-        set(gh + ["3p", "0p", "1p"]),
-        set(gh + ["3p", "1p", "2p"]),
-        set(gh + ["3p", "2p", "4p"]),
-    ]
-    parent_of = [None, 0, 1, 2, 0, 4, 5]
-    return TreeDecomposition.from_bags(hypergraph, bags, parent_of)
-
-
-def h3_prime_order1_decomposition(hypergraph: Hypergraph) -> TreeDecomposition:
-    """The width-3 GHD of ``H3'`` from Figure 2b (bags lie in ``Soft^1``)."""
     gh = _G + _H
     bags = [
         set(gh + ["3", "0p", "0"]),

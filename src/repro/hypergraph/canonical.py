@@ -98,10 +98,6 @@ class CanonicalForm:
 
     # -- permutation --------------------------------------------------------
 
-    def index_of(self, vertex: Vertex) -> int:
-        """The canonical index of one of the caller's vertices."""
-        return self._index[vertex]
-
     def to_canonical_bag(self, bag: Iterable[Vertex]) -> List[int]:
         """Translate a vertex set into sorted canonical indices.
 

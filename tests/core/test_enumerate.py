@@ -15,7 +15,9 @@ from repro.core.preferences import (
     NodeCountPreference,
 )
 from repro.core.reference import reference_enumerate_ctds
+from repro.hypergraph.generators import random_cyclic_query_hypergraph
 from repro.hypergraph.hypergraph import Hypergraph
+from repro.hypergraph.library import cycle_hypergraph
 
 from tests.preference_fixtures import MaxBagSizePreference
 
@@ -217,3 +219,85 @@ class TestFragments:
         )
         assert with_head.tree.num_nodes() == 2
         assert with_head.bag(with_head.tree.root) == frozenset({"x"})
+
+
+def _spy_enumerators(monkeypatch):
+    """Every :class:`CTDEnumerator` built from now on, in order."""
+    built = []
+    original = CTDEnumerator.__init__
+
+    def spy(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(CTDEnumerator, "__init__", spy)
+    return built
+
+
+#: The eight ``batch_supervised`` tasks of the end-to-end benchmark (scale
+#: 0.3, each workload's default seed): fragments evaluated and streams
+#: opened by the ConCov + ``cardinalities`` enumeration at the registry
+#: width.  Building every option of every block took 174 / 4 532 / 4 532 /
+#: 174 / 403 / 5 630 / 1 228 / 13 options and 9 305 evaluated fragments.
+SUPERVISED_COUNTS = (
+    ("q_ds", 56, 2),
+    ("q_hto", 306, 8),
+    ("q_hto2", 279, 8),
+    ("q_hto3", 53, 2),
+    ("q_hto4", 114, 2),
+    ("q_lb", 337, 2),
+    ("jl04", 170, 3),
+    ("jl08", 7, 1),
+)
+
+
+@pytest.mark.parametrize(
+    "name,fragments,streams",
+    SUPERVISED_COUNTS,
+    ids=[case[0] for case in SUPERVISED_COUNTS],
+)
+def test_supervised_enumeration_counts(monkeypatch, name, fragments, streams):
+    """Eq. 7-9 ranking builds one option per interface combination, not all."""
+    from repro.core.solve import SolveRequest, execute
+    from repro.experiments.harness import batch_task_specs, load_task_workload
+    from repro.workloads.registry import benchmark_query
+
+    entry = benchmark_query(name)
+    seed = entry.workload.default_seed
+    spec = batch_task_specs(queries=[name], scale=0.3, seed=seed)[0]
+    database, query, _ = load_task_workload(spec)
+    built = _spy_enumerators(monkeypatch)
+    request = SolveRequest.from_payload(spec["request"])
+    assert execute(request, database=database, query=query, cache=None).decided
+    (enumerator,) = built
+    assert len(enumerator.core.evaluator._state) == fragments
+    assert len(enumerator._probe_streams) == streams
+
+
+@pytest.mark.parametrize(
+    "build,fields,streams",
+    [
+        pytest.param(
+            lambda: random_cyclic_query_hypergraph(7, 2, seed=1),
+            dict(width=4, constraint="concov", preference="nodecount", limit=5),
+            1147,
+            id="cyclic7-enumerate-concov",
+        ),
+        pytest.param(
+            lambda: cycle_hypergraph(12),
+            dict(width=2, limit=10),
+            39,
+            id="cycle12-enumerate-top10",
+        ),
+    ],
+)
+def test_single_class_streams_of_solve_cold(monkeypatch, build, fields, streams):
+    """No preference and the node count are one class per block: each probe
+    opens as one stream, exactly as many as before interface classes."""
+    from repro.core.solve import SolveRequest, execute
+
+    built = _spy_enumerators(monkeypatch)
+    request = SolveRequest(hypergraph=build(), mode="enumerate", **fields)
+    assert execute(request, cache=None).complete
+    (enumerator,) = built
+    assert len(enumerator._probe_streams) == streams

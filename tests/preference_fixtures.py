@@ -13,10 +13,10 @@ from repro.decompositions.td import TreeDecomposition
 class MaxBagSizePreference(Preference):
     """Prefer decompositions whose largest bag is small (treewidth-style).
 
-    The non-strict, max-type fixture: monotone, but not order monotone — a
-    worse child can be absorbed by a larger sibling or the parent's own bag
-    into an equal key while the structural tie-break regresses — so the
-    exact enumerator uses its exhaustive path for it.
+    The non-strict, max-type fixture: monotone, but a worse child can be
+    absorbed by a larger sibling or the parent's own bag into an equal key
+    while the structural tie-break regresses — so the exact enumerator
+    classes its options by their state, the key itself.
     """
 
     monotone = True

@@ -8,7 +8,7 @@ fragment without materialising it, and ``holds_recursively`` checks the
 bags once instead of once per subtree.  Both shortcuts are checked here
 against the checks they replace:
 
-* every fragment the lazy and exhaustive enumerators and Algorithm 2 build
+* every fragment the enumerator and Algorithm 2 build
   over ConCov-filtered bags of random hypergraphs (k ∈ {2, 3}) passes
   ``holds`` and ``holds_recursively`` on its materialised decomposition;
 * on random tree decompositions ConCov's ``holds_recursively`` equals the

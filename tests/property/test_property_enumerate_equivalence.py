@@ -1,11 +1,11 @@
 """Equivalence of the exact lazy any-k enumerator with its brute-force spec.
 
-The rewritten enumerator in :mod:`repro.core.enumerate` (lazy Lawler-style
-successor streams for order-monotone preferences, exhaustive fragment-memoised
-tables otherwise) and :func:`repro.core.reference.reference_enumerate_ctds`
-(exhaustive generation + sort, materialising a full decomposition per option)
-are two routes to the same ranking.  Across random hypergraphs and the
-constraint/preference grid they must return the *same decompositions in the
+The enumerator in :mod:`repro.core.enumerate` (lazy Lawler-style successor
+streams per combination of interface classes) and
+:func:`repro.core.reference.reference_enumerate_ctds` (exhaustive generation
++ sort, materialising a full decomposition per option) are two routes to
+the same ranking.  Across random hypergraphs and the constraint/preference
+grid they must return the *same decompositions in the
 same order* — keys use exact integer arithmetic and ties are broken by the
 canonical fragment sort key, so the sequences are compared structurally,
 element by element, not merely as key multisets.
@@ -53,6 +53,7 @@ PREFERENCE_KINDS = [
     "bag-size",
     "lexicographic",
     "lexicographic-bounded",
+    "lexicographic-edge",
 ]
 
 
@@ -93,6 +94,12 @@ def make_preference(kind):
         # Every component has a probe bound, so the tuple bound is live.
         return LexicographicPreference(
             [NodeCountPreference(), synthetic_cost_preference()]
+        )
+    if kind == "lexicographic-edge":
+        # Classed by the bag size, ranked under each parent by the Eq. 6
+        # edge term: a class's least option is the least ranked one.
+        return LexicographicPreference(
+            [MaxBagSizePreference(), synthetic_cost_preference()]
         )
     raise ValueError(kind)
 

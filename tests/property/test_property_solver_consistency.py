@@ -123,7 +123,7 @@ class TestSolverAgreement:
     @SETTINGS
     @given(small_hypergraphs(max_vertices=5, max_edges=5))
     def test_lazy_enumerator_head_matches_constrained_optimum(self, hypergraph):
-        # The lazy (order-monotone, Eq. 6-shaped) path of the enumerator
+        # The single-class (Eq. 6-shaped) path of the enumerator
         # against Algorithm 2's monotone fast path; integer costs compare
         # exactly.
         bags = soft_candidate_bags(hypergraph, 2)
@@ -146,7 +146,7 @@ class TestSolverAgreement:
         self, hypergraph
     ):
         # A cost callable that never declares the monotone protocol: the
-        # enumerator's exhaustive fallback and Algorithm 2's materialising
+        # enumerator's one-option classes and Algorithm 2's materialising
         # path must still agree on the optimal key.  (The cost is a sum over
         # bags, so the per-block dynamic program is exact for it.)
         bags = soft_candidate_bags(hypergraph, 2)

@@ -28,6 +28,7 @@ from repro.core.ctd import candidate_td
 from repro.core.enumerate import CTDEnumerator, enumerate_ctds
 from repro.core.preferences import NodeCountPreference
 from repro.core.soft import soft_hypertree_width
+from repro.db.cost import make_cost_preference
 from repro.db.yannakakis import YannakakisExecutor
 from repro.hypergraph.generators import (
     random_cyclic_query_hypergraph,
@@ -42,6 +43,7 @@ from repro.runtime.budget import (
     STATUS_INTERRUPTED,
 )
 from repro.runtime.faults import FakeClock
+from repro.workloads.registry import benchmark_query
 
 GENEROUS = 10**9
 
@@ -247,6 +249,27 @@ class TestEnumeratorGoverned:
             lengths.add(len(budgeted))
         # Some cap cuts the ranking after a non-empty, proper prefix.
         assert any(0 < length < len(full) for length in lengths)
+
+    def test_cardinality_ranking_answers_before_its_budget_runs_out(self):
+        # Equations (7)-(9) on q_hto: building every option of every block
+        # before the first answer takes 4 570 work units, so a 500-unit cap
+        # got nothing.  Streamed by interface class, the first answer costs
+        # about 320 units, and the cap cuts a non-empty exact prefix.
+        entry = benchmark_query("q_hto")
+        database, query = entry.load(scale=0.3)
+        hypergraph = query.hypergraph()
+        bags = SoftBagGenerator(hypergraph, entry.width).candidate_bags()
+        options = dict(
+            constraint=ConnectedCoverConstraint(hypergraph, entry.width),
+            preference=make_cost_preference("cardinalities", query, database),
+            limit=100,
+        )
+        full = enumerate_ctds(hypergraph, bags, **options)
+        budget = Budget(max_work=500)
+        budgeted = enumerate_ctds(hypergraph, bags, budget=budget, **options)
+        assert budget.status == STATUS_BUDGET
+        assert 0 < len(budgeted) < len(full)
+        assert forms(budgeted) == forms(full)[: len(budgeted)]
 
     def test_generous_budget_matches_ungoverned(self, four_cycle):
         bags = soft_candidate_bags(four_cycle, 2)
