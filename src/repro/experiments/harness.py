@@ -273,8 +273,9 @@ class QueryExperiment:
 # * batch_task_specs  — a workload's query set as plain task dicts, each
 #   embedding its canonical SolveRequest wire payload,
 # * execute_batch_task — the worker-side runner (resolved by dotted path
-#   inside each persistent worker process, which serves attempts until one
-#   fails), a thin shell around core.solve.execute,
+#   inside each persistent worker process, a fork of the parent that
+#   serves attempts until one fails), a thin shell around
+#   core.solve.execute,
 # * BatchCertifier    — the parent-side certifier that rebuilds every
 #   query hypergraph *itself* and never trusts worker-supplied structure.
 

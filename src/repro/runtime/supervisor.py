@@ -1,11 +1,15 @@
 """Supervised, fault-tolerant execution of batch solve tasks.
 
 One :class:`Supervisor` runs a batch of independent tasks on up to
-``max_workers`` **persistent worker processes** (``multiprocessing`` spawn
-context) that live for one :meth:`Supervisor.run`, and survives anything a
-worker can do.  A worker serves attempts until one does not end in an
-accepted result; that worker is then SIGKILLed, so every retry runs in a
-fresh process and a worker only carries state from successful attempts.
+``max_workers`` **persistent worker processes** that live for one
+:meth:`Supervisor.run`, and survives anything a worker can do.  A worker
+serves attempts until one does not end in an accepted result; that worker
+is then SIGKILLed, so every retry runs in a fresh process and a worker only
+carries state from successful attempts.  A fresh worker is a ``fork`` of
+the parent, which never runs an attempt itself, and before it serves it
+sheds what it inherited: the parent's ends of every worker pipe (so it sees
+EOF once the parent is gone), the parent's SIGTERM handler and any
+:mod:`repro.runtime.faults` plan.
 
 * **hard wall-clock timeout** — enforced from the parent: a worker that
   overruns its allowance is SIGKILLed and the attempt becomes a
@@ -66,6 +70,7 @@ from multiprocessing import connection as mp_connection
 from multiprocessing import get_context
 from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
+from repro.runtime import faults
 from repro.runtime.budget import EXIT_CODES, STATUS_INTERRUPTED
 from repro.runtime.checkpoint import STATUS_FAILED, STATUS_OK, BatchLedger, task_fingerprint
 from repro.runtime.errors import (
@@ -260,21 +265,29 @@ def _run_attempt(runner_path: str, payload: Dict[str, object]) -> object:
         return _error_reply(exc)
 
 
-def _serve(conn) -> None:
+def _serve(conn, inherited) -> None:
     """Worker process entry point: reply to each ``(runner_path, payload)``
-    request on the same pipe until ``None`` or EOF.  What the worker cannot
-    catch (SIGKILL, segfault, OOM, a wedged loop) the parent detects through
-    the worker's sentinel or its hard deadline."""
+    request on the same pipe until ``None``, EOF or a broken pipe, which
+    end it quietly.  What the worker cannot catch (SIGKILL, segfault, OOM,
+    a wedged loop) the parent detects through the worker's sentinel or its
+    hard deadline.  ``inherited`` are the parent's ends of the worker pipes,
+    this one's included, which the fork copied."""
+    for end in inherited:
+        end.close()
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent owns Ctrl-C
+    faults._active_plan = None  # fault plans are process-local
     try:
         for runner_path, payload in iter(conn.recv, None):
             reply = _run_attempt(runner_path, payload)
             try:
                 conn.send(reply)
+            except OSError:  # the pipe failed, not the result: never send again
+                raise
             except Exception as exc:  # e.g. an unpicklable result
                 conn.send(_error_reply(exc))
-    except EOFError:
-        pass
+    except (OSError, EOFError):
+        pass  # the parent is gone
 
 
 # -- the policy core ---------------------------------------------------------
@@ -564,9 +577,12 @@ class Supervisor:
     result and to every ``ok`` ledger record on resume, with
     ``task["mode"]`` set to the rung's mode; ``None`` disables
     certification, for test harnesses.  ``hard_timeout`` is each
-    attempt's wall-clock allowance.  Workers are spawned as the batch
-    needs them and all killed when :meth:`run` ends.  Every decision is
-    :class:`BatchCore`'s; :meth:`run` is the shell that carries it out.
+    attempt's wall-clock allowance.  Workers are forked as the batch
+    needs them and all killed when :meth:`run` ends; a fork copies only
+    the calling thread, so no other thread may hold a lock a worker needs
+    (Python >= 3.12 warns when a process with threads forks).  Every
+    decision is :class:`BatchCore`'s; :meth:`run` is the shell that
+    carries it out.
     """
 
     def __init__(
@@ -586,7 +602,7 @@ class Supervisor:
         self.hard_timeout = float(hard_timeout)
         self.retry = retry if retry is not None else RetryPolicy()
         self.ladder = tuple(ladder)
-        self._context = get_context("spawn")
+        self._context = get_context("fork")
         self._interrupt_requested = False
 
     def run(
@@ -612,7 +628,7 @@ class Supervisor:
         def apply(actions: List[object]) -> None:
             for action in actions:
                 if isinstance(action, Launch):
-                    busy[action.fingerprint] = self._launch(action.payload, idle)
+                    busy[action.fingerprint] = self._launch(action.payload, idle, busy)
                 elif isinstance(action, Retire):
                     busy.pop(action.fingerprint).retire()
                 elif isinstance(action, Record):
@@ -650,10 +666,11 @@ class Supervisor:
             ledger.close()
         return reports[0]
 
-    def _launch(self, payload: Dict[str, object], idle: List[_Worker]) -> _Worker:
+    def _launch(self, payload: Dict[str, object], idle: List[_Worker], busy) -> _Worker:
         """Send the attempt to an idle worker, or to a fresh one.  An idle
         worker that died since its last reply is replaced without charging
-        the task; a fresh one that dies before reading is a crash."""
+        the task; a fresh one that dies before reading is a crash.  ``busy``
+        maps fingerprints to the workers running attempts."""
         request = (self.task_runner, payload)
         while idle:
             worker = idle.pop()
@@ -665,7 +682,8 @@ class Supervisor:
                 pass
             worker.retire()
         conn, child_conn = self._context.Pipe()
-        process = self._context.Process(target=_serve, args=(child_conn,), daemon=True)
+        inherited = [conn] + [w.conn for w in busy.values()]  # no worker is idle now
+        process = self._context.Process(target=_serve, args=(child_conn, inherited), daemon=True)
         process.start()
         child_conn.close()  # EOF on ``conn`` then tracks the child
         with suppress(OSError):  # a worker that died at start is reported as a crash

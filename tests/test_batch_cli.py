@@ -83,7 +83,7 @@ class TestBatchRuns:
         assert tasks[0]["status"] == "ok"
         assert tasks[0]["result"]["query"] == QUERY
 
-        # The spawned worker returned what the bare in-process call
+        # The forked worker returned what the bare in-process call
         # computes, and both certify against a trusted rebuild.
         (record,) = tasks
         assert record["level"] == "full"

@@ -2,20 +2,22 @@
 
 Each test here checks what only real processes show: a worker SIGKILLed
 mid-attempt, a hang killed at the hard timeout, garbage on the pipe, a
-worker that died while idle, a reply larger than the pipe buffer, no
-worker outliving an interrupted run, a signal acted on during a retry's
-backoff, a compacted ledger that keeps task order while two workers
-finish out of order, and the production runner's wire payloads at one
-and two workers.  The policy — ladder, retries, backoff, certification, resume,
-interrupt — is tested without processes against the supervisor's core
-(:class:`~repro.runtime.supervisor.BatchCore`) in
+reply the pipe cannot carry, a worker that died while idle, a reply larger than the pipe buffer, no
+worker outliving an interrupted run or the death of its parent, what a
+forked worker does not inherit from the parent, a signal acted on during
+a retry's backoff, a compacted ledger that keeps task order while two
+workers finish out of order, and the production runner's wire payloads
+at one and two workers.  The policy — ladder, retries, backoff,
+certification, resume, interrupt — is tested without processes against
+the supervisor's core (:class:`~repro.runtime.supervisor.BatchCore`) in
 ``tests/test_supervisor_core.py``.
 
 :func:`toy_runner` is an instant, scriptable task runner resolved inside
-the spawned worker, so a test here costs process startup, not a
-decomposition solve.  The worker faults the supervisor must contain are
-scripted there too: the supervisor and its workers read no fault
-directives themselves.
+the worker, so a test here costs a fork, not a decomposition solve.  A
+fresh worker is a copy of the parent and sheds the parent's worker pipes,
+its SIGTERM handler and any fault plan before it serves.  The worker
+faults the supervisor must contain are scripted there too: the supervisor
+and its workers read no fault directives themselves.
 """
 
 import json
@@ -25,9 +27,12 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
+from contextlib import suppress
 
 from repro.core.certify import Certification
 from repro.experiments import harness
+from repro.runtime import faults
 from repro.runtime.checkpoint import BatchLedger, task_fingerprint
 from repro.runtime.errors import FAILURE_CRASHED, FAILURE_INVALID_RESULT, FAILURE_TIMEOUT
 from repro.runtime.supervisor import RetryPolicy, Supervisor, TaskResult
@@ -39,18 +44,22 @@ FAST_RETRY = RetryPolicy(max_attempts=2, base_delay=0.01, jitter=0.0)
 
 
 def toy_runner(payload):
-    """A scriptable stand-in for the harness runner (spawn-importable).
+    """A scriptable stand-in for the harness runner (importable by path).
 
     ``faults`` maps a global attempt number (or ``"*"``) to the worker
     fault that attempt plays: ``sigkill`` (the worker SIGKILLs itself),
     ``hang`` (sleeps past the hard timeout), ``raise``, ``garbage`` (a
-    non-dict reply) or ``bad_result`` (a well-formed reply carrying a
+    non-dict reply), ``unpicklable`` (a reply the pipe cannot carry) or
+    ``bad_result`` (a well-formed reply carrying a
     wrong decomposition, which only certification catches).
     """
     import time as _time
 
-    faults = payload.get("faults") or {}
-    fault = faults.get(str(payload["attempt"]), faults.get("*")) or {}
+    if payload.get("pid_path"):  # which worker runs the attempt, as it starts
+        with open(payload["pid_path"], "a", encoding="utf-8") as handle:
+            handle.write(f"{payload.get('query', '?')} {os.getpid()}\n")
+    script = payload.get("faults") or {}
+    fault = script.get(str(payload["attempt"]), script.get("*")) or {}
     kind = fault.get("kind")
     if kind == "sigkill":
         os.kill(os.getpid(), signal.SIGKILL)
@@ -60,6 +69,8 @@ def toy_runner(payload):
         raise RuntimeError(str(fault.get("message", "injected worker fault")))
     if kind == "garbage":
         return ["this", "is", "not", "a", "result"]
+    if kind == "unpicklable":
+        return {"ok": True, "result": lambda: None}
     if payload.get("work_seconds"):
         _time.sleep(float(payload["work_seconds"]))
     if payload.get("delays_path"):  # per-query seconds, read when the attempt runs
@@ -122,6 +133,44 @@ def pid_runner(payload):
     return result
 
 
+INHERIT = "tests.test_supervisor:inheritance_runner"
+
+#: Set by the failing first attempt of :func:`inheritance_runner`.
+_LEFT_BY_AN_ATTEMPT = None
+
+
+def inheritance_runner(payload):
+    """Fail the first attempt after setting a module global; later attempts
+    report what their worker holds of the parent's state."""
+    global _LEFT_BY_AN_ATTEMPT
+    if payload["attempt"] == 1:
+        _LEFT_BY_AN_ATTEMPT = "set by attempt 1"
+        raise RuntimeError("attempt 1 fails after setting the global")
+    return {
+        "ok": True,
+        "sigterm": getattr(signal.getsignal(signal.SIGTERM), "name", "handler"),
+        "sigint": getattr(signal.getsignal(signal.SIGINT), "name", "handler"),
+        "fault_plan": faults._active_plan is not None,
+        "global": _LEFT_BY_AN_ATTEMPT,
+    }
+
+
+def _child_env():
+    """The environment of a child interpreter that imports ``tests`` and ``repro``."""
+    path = os.pathsep.join(filter(None, [ROOT, os.path.join(ROOT, "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def _running(pid):
+    """Whether process ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as handle:
+            return handle.read().rsplit(b")", 1)[1].split()[0] != b"Z"
+    except FileNotFoundError:
+        return False
+
+
 class TestProcessIsolation:
     def test_sigkill_mid_batch_is_contained(self):
         tasks = [task("a", faults={"1": {"kind": "sigkill"}}), task("b")]
@@ -152,6 +201,32 @@ class TestProcessIsolation:
         assert retried.result["pid"] != first.result["pid"]
         assert multiprocessing.active_children() == []
 
+    def test_unpicklable_reply_is_an_error_reply(self):
+        # The worker cannot send the result, but its pipe is fine: it says so.
+        report = supervisor().run([task("a", faults={"1": {"kind": "unpicklable"}})])
+        result = report.results[0]
+        assert result.status == "ok" and result.attempts == 2
+        assert [f["kind"] for f in result.failures] == [FAILURE_CRASHED]
+        assert "pickle" in result.failures[0]["message"].lower()
+
+    def test_a_forked_worker_sheds_the_parents_state(self):
+        # The parent runs the batch under its SIGTERM handler and a fault
+        # plan; the first attempt fails after setting a global, so the retry
+        # runs in a fresh copy of the parent.  Warnings are recorded, not
+        # raised: Python >= 3.12 warns of a fork with threads only after the
+        # child exists, so recording is what shows it.
+        with warnings.catch_warnings(record=True) as caught, faults.inject() as plan:
+            warnings.simplefilter("always")
+            report = supervisor(task_runner=INHERIT).run([task("a")])
+            assert faults._active_plan is plan
+        result = report.results[0]
+        assert result.status == "ok" and result.attempts == 2
+        assert [f["kind"] for f in result.failures] == [FAILURE_CRASHED]
+        assert {k: result.result[k] for k in ("sigterm", "sigint", "fault_plan", "global")} == {
+            "sigterm": "SIG_DFL", "sigint": "SIG_IGN", "fault_plan": False, "global": None
+        }
+        assert [str(w.message) for w in caught] == []
+
 
 #: A batch whose one task fails at every rung, so that after its first
 #: attempt it waits out a 60 s backoff; it prints its report as JSON.
@@ -164,6 +239,17 @@ retry = RetryPolicy(max_attempts=2, base_delay=60.0, max_delay=60.0, jitter=0.0)
 report = Supervisor(task_runner="tests.test_supervisor:toy_runner", retry=retry).run([spec])
 print(json.dumps({"interrupted": report.interrupted, "exit_code": report.exit_code,
                   "statuses": [r.status for r in report.results]}))
+"""
+
+
+#: Two workers: one idles after a quick task, the other is in a 2 s attempt;
+#: each attempt appends "<query> <worker pid>" to argv[1] as it starts.
+ORPHAN_SCRIPT = """
+import sys
+from repro.runtime.supervisor import Supervisor
+specs = [{"kind": "toy", "query": "quick", "pid_path": sys.argv[1]},
+         {"kind": "toy", "query": "slow", "pid_path": sys.argv[1], "work_seconds": 2}]
+Supervisor(task_runner="tests.test_supervisor:toy_runner", max_workers=2).run(specs)
 """
 
 
@@ -235,12 +321,10 @@ class TestPersistentWorkers:
         # Signal handlers are installed on the main thread only, so the
         # batch runs in a child interpreter of its own.
         counter = tmp_path / "attempts.txt"
-        path = os.pathsep.join(filter(None, [ROOT, os.path.join(ROOT, "src"),
-                                             os.environ.get("PYTHONPATH")]))
         child = subprocess.Popen(
             [sys.executable, "-c", BACKOFF_SCRIPT, str(counter)],
             stdout=subprocess.PIPE,
-            env=dict(os.environ, PYTHONPATH=path),
+            env=_child_env(),
         )
         try:
             deadline = time.monotonic() + 60.0
@@ -259,6 +343,45 @@ class TestPersistentWorkers:
         report = json.loads(out.decode().splitlines()[-1])
         assert report == {"interrupted": True, "exit_code": 130, "statuses": ["interrupted"]}
         assert waited < 5.0
+
+    def test_workers_end_quietly_when_the_parent_is_killed(self, tmp_path):
+        # A SIGKILLed parent cannot kill its workers: each must see its pipe
+        # close and end without a traceback.  The idle worker ends at once,
+        # before the busy one's attempt does: no sibling holds its pipe open.
+        pids_path, stderr_path = tmp_path / "pids.txt", tmp_path / "stderr.txt"
+        with open(stderr_path, "wb") as stderr:
+            child = subprocess.Popen(
+                [sys.executable, "-c", ORPHAN_SCRIPT, str(pids_path)],
+                stderr=stderr,
+                env=_child_env(),
+            )
+        pids, ended = {}, []  # query -> worker pid; queries gone, per poll
+        try:
+            deadline = time.monotonic() + 60.0
+            while len(pids) < 2 and time.monotonic() < deadline:
+                time.sleep(0.05)
+                if pids_path.exists():
+                    lines = [line.split() for line in pids_path.read_text().splitlines()]
+                    pids = {fields[0]: int(fields[1]) for fields in lines if len(fields) == 2}
+            time.sleep(0.3)  # the quick task's reply lands; its worker idles
+            child.kill()
+            child.wait()
+            deadline = time.monotonic() + 10.0
+            while sum(map(len, ended)) < len(pids) and time.monotonic() < deadline:
+                seen = {query for queries in ended for query in queries}
+                gone = sorted(q for q, pid in pids.items() if q not in seen and not _running(pid))
+                if gone:
+                    ended.append(gone)
+                time.sleep(0.05)
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.wait()
+            for pid in pids.values():
+                with suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+        assert ended == [["quick"], ["slow"]]
+        assert "Traceback" not in stderr_path.read_text()
 
     def test_compacted_ledger_does_not_depend_on_completion_order(self, tmp_path):
         # The same batch twice at two workers, each time with the other task
