@@ -22,7 +22,7 @@ frozenset reference implementation lives in :mod:`repro.core.reference`.
 
 from __future__ import annotations
 
-from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Collection, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.hypergraph.bitset import pairwise_and_masks
 from repro.hypergraph.hypergraph import Edge, Hypergraph, Vertex
@@ -75,12 +75,6 @@ def _component_union_masks(
     return result
 
 
-def _component_vertex_sets(hypergraph: Hypergraph, k: int) -> Set[Bag]:
-    """All sets ``⋃C`` where ``C`` is a [λ2]-component for some ``|λ2| ≤ k``."""
-    to_frozenset = hypergraph.bitsets.indexer.to_frozenset
-    return {to_frozenset(mask) for mask in _component_union_masks(hypergraph, k)}
-
-
 def _cover_union_masks(
     vertex_set_masks: Iterable[int], k: int, budget: Optional[Budget] = None
 ) -> Set[int]:
@@ -108,22 +102,6 @@ def _cover_union_masks(
     if k >= 1:
         extend(0, 0, 0)
     return result
-
-
-def _cover_unions(edge_sets: Sequence[FrozenSet[Vertex]], k: int) -> Set[Bag]:
-    """All distinct unions of between 1 and ``k`` of the given vertex sets.
-
-    Kept for API compatibility; builds a throwaway indexer over the union of
-    the inputs so arbitrary vertex sets (not tied to a hypergraph) work.
-    """
-    from repro.hypergraph.bitset import VertexIndexer
-
-    universe: Set[Vertex] = set()
-    for vertex_set in edge_sets:
-        universe.update(vertex_set)
-    indexer = VertexIndexer(universe)
-    masks = [indexer.to_mask(vertex_set) for vertex_set in edge_sets]
-    return {indexer.to_frozenset(mask) for mask in _cover_union_masks(masks, k)}
 
 
 def soft_candidate_bags(
@@ -167,8 +145,8 @@ class SoftBagGenerator:
     only happen in the public accessors.
 
     A ``budget`` (:class:`repro.runtime.Budget`) is the one bound on the
-    enumeration: when it exhausts, the generator stops enumerating, sets
-    ``truncated`` and every returned bag set is a subset of the full one —
+    enumeration: when it exhausts (``budget.exhausted``), the generator
+    stops enumerating and every returned bag set is a subset of the full one —
     any decomposition found over it is still a valid soft decomposition,
     only a "no" answer becomes inconclusive.
     """
@@ -194,7 +172,6 @@ class SoftBagGenerator:
             self._soft_from_subedges(self._subedge_levels[0])
         ]
         self._fixpoint = False
-        self.truncated = budget is not None and budget.exhausted
 
     # -- internals -------------------------------------------------------------
 
@@ -206,19 +183,13 @@ class SoftBagGenerator:
         batch is skipped entirely when the budget cannot afford it.  The
         amortization window of the generator is therefore one batch.
         """
-        budget = self.budget
-        if budget is None:
-            return True
-        if not budget.try_tick(max(1, len(left) * len(right))):
-            self.truncated = True
-            return False
-        return True
+        return self.budget is None or self.budget.try_tick(
+            max(1, len(left) * len(right))
+        )
 
     def _soft_from_subedges(self, subedge_masks: Set[int]) -> Set[int]:
         """``{ (⋃λ1) ∩ (⋃C) }`` for λ1 of ≤ k subedges and C over components."""
         unions = _cover_union_masks(subedge_masks, self.k, self.budget)
-        if self.budget is not None and self.budget.exhausted:
-            self.truncated = True
         if not self._pre_charge(unions, self._component_masks):
             # Intersecting a subset of the unions would yield a sound
             # partial set too, but an exhausted budget should stop cheaply.

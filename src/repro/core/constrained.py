@@ -65,21 +65,21 @@ from repro.core.constraints import SubtreeConstraint
 from repro.core.fragments import Fragment, fragment_sort_key, make_fragment
 from repro.core.options import _REJECTED, SolverCore
 from repro.core.preferences import NoPreference, Preference
-from repro.runtime.budget import Budget, BudgetExceeded, SolveOutcome, completed_outcome
+from repro.runtime.budget import Budget, BudgetExceeded
 
 
 class ConstrainedCTDSolver:
     """Top-down memoised block DP keeping the ≤-minimal compliant decomposition.
 
     Governed solving (*anytime semantics*): with a
-    :class:`~repro.runtime.Budget` (constructor or ``solve(budget=...)``),
-    the resolution ticks once per visited block and once per probe, in
-    batches of at most ``min(256, check_interval)`` units.  On exhaustion —
-    or Ctrl-C under a budget — every block still being resolved keeps the
-    best compliant fragment it has found, so :meth:`solve` returns the best
-    root fragment found so far (possibly ``None``, which is then
-    inconclusive) and :attr:`outcome` says whether it is the proven optimum
-    (``complete``) or a best-effort answer.
+    :class:`~repro.runtime.Budget` passed to the constructor, the
+    resolution ticks once per visited block and once per probe, in batches
+    of at most ``min(256, check_interval)`` units.  On exhaustion — or
+    Ctrl-C under a budget, recorded as ``interrupted`` — every block still
+    being resolved keeps the best compliant fragment it has found, so
+    :meth:`solve` returns the best root fragment found so far (possibly
+    ``None``, which is then inconclusive) and ``budget.outcome()`` says
+    whether it is the proven optimum (``complete``) or a best-effort answer.
     """
 
     def __init__(
@@ -116,26 +116,15 @@ class ConstrainedCTDSolver:
         self._best_key: List[object] = [None] * len(component_masks)
         self._best_fragment: List[Optional[Fragment]] = [None] * len(component_masks)
         self._root_id = self.index.block_id(self.index.root_block)
-        self._started = False
-        self._outcome: Optional[SolveOutcome] = None
-
-    def _set_budget(self, budget: Optional[Budget]) -> None:
-        if budget is None:
-            return
-        if self._started:
-            raise RuntimeError("budget must be supplied before the solver runs")
-        self.budget = budget
-        self.core.budget = budget
 
     # -- Algorithm 2 -----------------------------------------------------------------
 
     def _run(self, targets: Iterable[int]) -> None:
-        """Resolve ``targets`` inside the anytime boundary; set :attr:`outcome`.
+        """Resolve ``targets`` inside the anytime boundary.
 
         Once the budget is exhausted nothing more is resolved: the entries
         found so far are the anytime answer.
         """
-        self._started = True
         budget = self.budget
         if budget is None or not budget.exhausted:
             try:
@@ -146,7 +135,6 @@ class ConstrainedCTDSolver:
                 if budget is None:
                     raise
                 budget.mark_interrupted()
-        self._outcome = budget.outcome() if budget is not None else completed_outcome()
 
     def _resolve(self, targets: Iterable[int]) -> None:
         """Resolve each target block and every block its probes need.
@@ -290,15 +278,14 @@ class ConstrainedCTDSolver:
             and self.core.trivial_decomposition() is not None
         )
 
-    def solve(self, budget: Optional[Budget] = None) -> Optional[TreeDecomposition]:
+    def solve(self) -> Optional[TreeDecomposition]:
         """Return the ≤-minimal constraint-compliant CTD, or ``None``.
 
-        With an exhausted ``budget`` this degrades to the *best CTD found
-        so far* (any returned decomposition is always compliant and valid;
+        With an exhausted budget this degrades to the *best CTD found so
+        far* (any returned decomposition is always compliant and valid;
         only its optimality and a ``None`` answer become inconclusive) —
-        check :attr:`outcome` to tell the cases apart.
+        check ``budget.outcome()`` to tell the cases apart.
         """
-        self._set_budget(budget)
         fragment = self._root_fragment()
         if fragment is not None:
             # Compliant by construction: every accepted fragment passed
@@ -308,21 +295,6 @@ class ConstrainedCTDSolver:
         if self._satisfied[self._root_id]:
             return self.core.trivial_decomposition()
         return None
-
-    def solve_with_outcome(
-        self, budget: Optional[Budget] = None
-    ) -> Tuple[Optional[TreeDecomposition], SolveOutcome]:
-        """``(best decomposition or None, outcome)`` — the governed entry point."""
-        decomposition = self.solve(budget=budget)
-        return decomposition, self.outcome
-
-    @property
-    def outcome(self) -> SolveOutcome:
-        """How the resolution ended; ``complete`` unless a budget cut it short."""
-        if self._outcome is None:
-            self._root_fragment()
-        assert self._outcome is not None
-        return self._outcome
 
     def optimal_key(self):
         """The preference key of the optimal compliant CTD (``None`` if infeasible)."""

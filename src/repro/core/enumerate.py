@@ -82,7 +82,7 @@ from repro.core.fragments import (
 )
 from repro.core.options import SolverCore
 from repro.core.preferences import Preference
-from repro.runtime.budget import Budget, BudgetExceeded, SolveOutcome, completed_outcome
+from repro.runtime.budget import Budget, BudgetExceeded
 
 __all__ = ["CTDEnumerator", "enumerate_ctds", "fragment_to_decomposition"]
 
@@ -256,12 +256,6 @@ class CTDEnumerator:
         self._least: Dict[int, Dict] = {}
         self._products: Dict[Tuple, List[Tuple]] = {}
 
-    @property
-    def outcome(self) -> SolveOutcome:
-        """How the last enumeration ended (``complete`` without a budget)."""
-        budget = self.budget
-        return budget.outcome() if budget is not None else completed_outcome()
-
     def _rank(self, parent_bag, key, state):
         if not self.preference.monotone:
             return key  # the state is the option itself
@@ -351,7 +345,7 @@ class CTDEnumerator:
         Under a budget the generator is *anytime*: when the budget exhausts
         (or Ctrl-C arrives) it stops cleanly, and everything already
         yielded is an exact prefix of the unbudgeted enumeration order —
-        check :attr:`outcome` for how the run ended.
+        check ``budget.outcome()`` for how the run ended.
         """
         index = self.index
         budget = self.budget

@@ -108,7 +108,7 @@ def _component_vertices(component: Iterable[Edge]) -> FrozenSet[Vertex]:
 
 
 def reference_component_vertex_sets(hypergraph: Hypergraph, k: int) -> Set[Bag]:
-    """Seed ``_component_vertex_sets``: all ``⋃C`` for [λ2]-components, |λ2| ≤ k."""
+    """Seed ``_component_union_masks``: all ``⋃C`` for [λ2]-components, |λ2| ≤ k."""
     edges = list(hypergraph.edges)
     result: Set[Bag] = set()
     separators_seen: Set[Bag] = set()
@@ -124,7 +124,7 @@ def reference_component_vertex_sets(hypergraph: Hypergraph, k: int) -> Set[Bag]:
 
 
 def reference_cover_unions(edge_sets: Sequence[FrozenSet[Vertex]], k: int) -> Set[Bag]:
-    """Seed ``_cover_unions``: all unions of 1..k of the given vertex sets."""
+    """Seed ``_cover_union_masks``: all unions of 1..k of the given vertex sets."""
     distinct = sorted(set(edge_sets), key=lambda s: sorted(map(str, s)))
     result: Set[Bag] = set()
     for size in range(1, min(k, len(distinct)) + 1):
@@ -154,7 +154,6 @@ class ReferenceSoftBagGenerator:
         self._soft_levels: List[Set[Bag]] = [
             self._soft_from_subedges(self._subedge_levels[0])
         ]
-        self.truncated = False
 
     def _soft_from_subedges(self, subedges: Set[Bag]) -> Set[Bag]:
         unions = reference_cover_unions(
@@ -181,7 +180,6 @@ class ReferenceSoftBagGenerator:
                         self.max_subedges is not None
                         and len(result) >= self.max_subedges
                     ):
-                        self.truncated = True
                         return result
         return result
 

@@ -92,10 +92,10 @@ _SHALLOWCYC = re.compile(r"shallowcyc:(0|[1-9][0-9]*)")
 #: execution time and a ``data_key`` to be cacheable.
 DATA_PREFERENCES = frozenset({"cardinalities", "estimates"})
 
-#: Request fields that do not change the answer, only how long the solver
-#: may spend finding it — excluded from the fingerprint and the cache
-#: kind, mirroring ``NON_SEMANTIC_TASK_KEYS`` in the batch ledger.
-NON_SEMANTIC_FIELDS = ("deadline", "max_work", "label")
+#: Request fields that do not change the answer — excluded from the
+#: fingerprint and the cache kind, mirroring ``NON_SEMANTIC_TASK_KEYS`` in
+#: the batch ledger.
+NON_SEMANTIC_FIELDS = ("label",)
 
 _CACHE_STATUS = ("hit", "miss", "stored", "uncacheable", "off")
 
@@ -116,10 +116,10 @@ class SolveRequest:
 
     ``width`` is the bag-cover bound ``k`` (for ``soft-width`` it is the
     *upper* search bound; ``None`` there means the number of edges).
-    ``iterations`` selects the iterated hierarchy ``shw_i``.  ``deadline``
-    and ``max_work`` are the resource caps a governed execution applies;
-    they are non-semantic (two requests differing only in caps have the
-    same fingerprint), as is the display ``label``.
+    ``iterations`` selects the iterated hierarchy ``shw_i``.  The display
+    ``label`` is non-semantic: two requests differing only in it have the
+    same fingerprint.  Resource caps are not part of a request; a governed
+    solve passes its :class:`~repro.runtime.Budget` to :func:`execute`.
     """
 
     hypergraph: Hypergraph
@@ -130,8 +130,6 @@ class SolveRequest:
     preference: Optional[str] = None
     limit: int = 1
     data_key: Optional[str] = None
-    deadline: Optional[float] = None
-    max_work: Optional[int] = None
     label: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -187,8 +185,6 @@ class SolveRequest:
             "preference": self.preference,
             "limit": self.limit,
             "data_key": self.data_key,
-            "deadline": self.deadline,
-            "max_work": self.max_work,
             "label": self.label,
         }
 
@@ -196,8 +192,11 @@ class SolveRequest:
     def from_payload(cls, payload: object) -> "SolveRequest":
         """Reconstruct a request from its wire payload.
 
-        Raises :class:`ValueError` on malformed payloads — a garbage task
-        spec must become a structured failure, never an arbitrary crash.
+        Unknown keys are ignored, so an older payload that still carries
+        the retired ``deadline``/``max_work`` caps parses to the same
+        request.  Raises :class:`ValueError` on malformed payloads — a
+        garbage task spec must become a structured failure, never an
+        arbitrary crash.
         """
         if not isinstance(payload, dict):
             raise ValueError(
@@ -221,8 +220,6 @@ class SolveRequest:
                 preference=payload.get("preference"),
                 limit=int(payload.get("limit") or 1),
                 data_key=payload.get("data_key"),
-                deadline=payload.get("deadline"),
-                max_work=payload.get("max_work"),
                 label=payload.get("label"),
             )
         except (TypeError, ValueError) as exc:
@@ -277,12 +274,6 @@ class SolveRequest:
             limit=1,
             data_key=None,
         )
-
-    def governed(
-        self, deadline: Optional[float], max_work: Optional[int]
-    ) -> "SolveRequest":
-        """The same request under different (non-semantic) resource caps."""
-        return replace(self, deadline=deadline, max_work=max_work)
 
 
 @dataclass
@@ -604,14 +595,12 @@ def execute(
 
     ``cache`` is ``"auto"`` (the default directory, honoring
     ``REPRO_CTD_CACHE_OFF``), a :class:`DecompositionCache`, a directory
-    path, or ``None``.  ``budget`` overrides the request's own
-    ``deadline``/``max_work`` caps when given; either way a single budget
-    governs candidate-bag generation and the block DP, and
-    truncated (anytime) results are returned but never cached.
+    path, or ``None``.  ``budget``, when given, is the one bound on the
+    solve: it governs candidate-bag generation and the block DP, the
+    result's ``outcome`` is read from it, and truncated (anytime) results
+    are returned but never cached.
     """
     started = time.perf_counter()
-    if budget is None and (request.deadline is not None or request.max_work is not None):
-        budget = Budget(deadline=request.deadline, max_work=request.max_work)
     store = resolve_cache(cache)
 
     if request.mode == "soft-width":

@@ -122,8 +122,8 @@ class CardinalityEstimator:
         """Estimated total cost of evaluating the join of ``atoms``.
 
         Mirrors what ``EXPLAIN`` reports for a join query: scan costs of the
-        base relations plus, for a greedy (estimate-driven) join order, the
-        estimated size of every intermediate result.
+        base relations plus, along :meth:`greedy_join_order`, the estimated
+        size of every intermediate result.
         """
         atoms = list(atoms)
         if not atoms:
@@ -131,22 +131,11 @@ class CardinalityEstimator:
         cost = sum(
             self.SCAN_COST_PER_TUPLE * self.atom_cardinality(atom) for atom in atoms
         )
-        if len(atoms) == 1:
-            return cost
-        remaining = list(atoms)
-        joined: List[Atom] = [self._pick_smallest(remaining)]
-        remaining.remove(joined[0])
-        while remaining:
-            best_atom = None
-            best_size = None
-            for atom in remaining:
-                size = self.estimate_join_cardinality(joined + [atom])
-                if best_size is None or size < best_size:
-                    best_atom, best_size = atom, size
-            assert best_atom is not None and best_size is not None
-            joined.append(best_atom)
-            remaining.remove(best_atom)
-            cost += self.JOIN_COST_PER_TUPLE * best_size
+        order = self.greedy_join_order(atoms)
+        for end in range(2, len(order) + 1):
+            cost += self.JOIN_COST_PER_TUPLE * self.estimate_join_cardinality(
+                order[:end]
+            )
         return cost
 
     def _pick_smallest(self, atoms: Sequence[Atom]) -> Atom:

@@ -178,11 +178,6 @@ class Budget:
     def elapsed(self) -> float:
         return self._clock() - self._start
 
-    def remaining_work(self) -> Optional[int]:
-        if self.max_work is None:
-            return None
-        return max(0, self.max_work - self.work)
-
     # -- ticking -----------------------------------------------------------
 
     def try_tick(self, units: int = 1) -> bool:
@@ -226,14 +221,6 @@ class Budget:
         """
         self._countdown = 0
         self.tick(units)
-
-    def check(self) -> None:
-        """Force a deadline check without counting work; raises on exhaustion."""
-        if self._status == STATUS_COMPLETE:
-            if self._deadline_at is not None and self._clock() >= self._deadline_at:
-                self._status = STATUS_DEADLINE
-        if self._status != STATUS_COMPLETE:
-            raise BudgetExceeded(self._status, self.work, self.elapsed())
 
     def mark_interrupted(self) -> None:
         """Record a user interrupt (Ctrl-C) as this run's exhaustion status."""

@@ -1,5 +1,7 @@
 """Unit tests for the baseline width algorithms (hw, ghw, tw, fractional covers)."""
 
+import sys
+
 import pytest
 
 from repro.baselines.detkdecomp import hd_of_width, hw_leq, hypertree_width
@@ -104,6 +106,13 @@ class TestFractionalCovers:
     def test_triangle_fractional_cover_is_3_halves(self, triangle):
         value = fractional_cover_number(triangle, {"x", "y", "z"})
         assert value == pytest.approx(1.5, abs=1e-6)
+
+    def test_without_scipy_the_integral_cover_is_the_bound(
+        self, triangle, monkeypatch
+    ):
+        # The documented fallback: ρ(B) = 2 bounds the triangle's ρ* = 3/2.
+        monkeypatch.setitem(sys.modules, "scipy.optimize", None)
+        assert fractional_cover_number(triangle, {"x", "y", "z"}) == 2.0
 
     def test_empty_bag_costs_nothing(self, triangle):
         assert fractional_cover_number(triangle, set()) == 0.0

@@ -112,7 +112,6 @@ class TestRequestContract:
             preference="nodecount",
             limit=3,
             data_key="tpcds:scale=1:seed=7:q",
-            deadline=1.5,
             label="round-trip",
         )
         clone = SolveRequest.from_payload(
@@ -120,6 +119,23 @@ class TestRequestContract:
         )
         assert clone == request
         assert clone.fingerprint() == request.fingerprint()
+
+    @pytest.mark.parametrize("deadline,max_work", [(None, None), (1.5, 1000)])
+    def test_old_payload_with_request_caps_still_parses(
+        self, triangle, deadline, max_work
+    ):
+        # Payloads written when requests carried their own resource caps
+        # keep those two keys; they are ignored, and the request is the same.
+        request = SolveRequest(
+            hypergraph=triangle, mode="optimal", width=2, constraint="concov"
+        )
+        payload = request.to_payload()
+        assert "deadline" not in payload and "max_work" not in payload
+        old = dict(payload, deadline=deadline, max_work=max_work)
+        parsed = SolveRequest.from_payload(json.loads(json.dumps(old)))
+        assert parsed == request
+        assert parsed.fingerprint() == request.fingerprint()
+        assert parsed.cache_kind() == request.cache_kind()
 
     @pytest.mark.parametrize(
         "payload",
@@ -138,7 +154,6 @@ class TestRequestContract:
 
     def test_fingerprint_ignores_non_semantic_fields(self, triangle):
         base = SolveRequest(hypergraph=triangle, width=2)
-        assert base.governed(5.0, 1000).fingerprint() == base.fingerprint()
         relabeled = SolveRequest(hypergraph=triangle, width=2, label="x")
         assert relabeled.fingerprint() == base.fingerprint()
         assert (
@@ -164,8 +179,9 @@ class TestRequestContract:
         decide = SolveRequest(hypergraph=triangle, width=2)
         optimal = SolveRequest(hypergraph=triangle, mode="optimal", width=2)
         assert decide.cache_kind() != optimal.cache_kind()
-        # Caps and labels are non-semantic: same kind.
-        assert decide.governed(9.0, 99).cache_kind() == decide.cache_kind()
+        # Labels are non-semantic: same kind.
+        labelled = SolveRequest(hypergraph=triangle, width=2, label="x")
+        assert labelled.cache_kind() == decide.cache_kind()
 
     def test_degraded_to_decide(self, triangle):
         request = SolveRequest(
@@ -176,7 +192,6 @@ class TestRequestContract:
             preference="cardinalities",
             limit=5,
             data_key="db:1",
-            deadline=2.0,
             label="full",
         )
         degraded = request.degraded_to_decide()
@@ -184,7 +199,7 @@ class TestRequestContract:
         assert degraded.constraint is None and degraded.preference is None
         assert degraded.limit == 1 and degraded.data_key is None
         assert degraded.hypergraph is request.hypergraph
-        assert degraded.deadline == 2.0  # caps survive degradation
+        assert degraded.label == "full"
 
 
 class TestExecute:
@@ -286,13 +301,6 @@ class TestExecute:
         )
         with pytest.raises(ValueError, match="database"):
             execute(request, cache=None)
-
-    def test_request_caps_become_the_budget(self, triangle):
-        result = execute(
-            SolveRequest(hypergraph=triangle, width=2, max_work=1), cache=None
-        )
-        assert result.outcome.partial
-        assert result.outcome.max_work == 1
 
 
 class TestSoftWidth:

@@ -65,7 +65,7 @@ class TestWorkBudget:
         budget.tick(30)
         budget.tick(30)
         assert budget.work == 60
-        assert budget.remaining_work() == 40
+        assert not budget.exhausted
         with pytest.raises(BudgetExceeded):
             budget.tick(40)
 
@@ -74,7 +74,7 @@ class TestWorkBudget:
         for _ in range(5000):
             budget.tick()
         assert budget.status == STATUS_COMPLETE
-        assert budget.remaining_work() is None
+        assert budget.work == 5000
 
     def test_negative_limits_rejected(self):
         with pytest.raises(ValueError):
@@ -130,15 +130,6 @@ class TestDeadline:
         with pytest.raises(BudgetExceeded) as excinfo:
             budget.charge(1)
         assert excinfo.value.status == STATUS_DEADLINE
-
-    def test_check_raises_without_counting_work(self):
-        clock = FakeClock()
-        budget = Budget(deadline=5.0, clock=clock)
-        budget.check()  # within deadline: no-op
-        clock.advance(6.0)
-        with pytest.raises(BudgetExceeded):
-            budget.check()
-        assert budget.work == 0
 
     def test_default_check_interval_is_amortised(self):
         assert DEFAULT_CHECK_INTERVAL >= 256

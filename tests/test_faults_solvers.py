@@ -88,13 +88,14 @@ class TestCandidateBagsGoverned:
         assert budget.status == STATUS_COMPLETE
         assert budget.work > 0
 
-    def test_truncated_flag_reports_exhaustion(self, h3):
-        generator = SoftBagGenerator(h3, 2, budget=Budget(max_work=3))
-        generator.candidate_bags(0)
-        assert generator.truncated
-        full = SoftBagGenerator(h3, 2, budget=Budget(max_work=GENEROUS))
-        full.candidate_bags(0)
-        assert not full.truncated
+    def test_exhausted_budget_records_the_truncation(self, h3):
+        budget = Budget(max_work=3)
+        bags = SoftBagGenerator(h3, 2, budget=budget).candidate_bags(0)
+        assert budget.exhausted
+        assert bags < SoftBagGenerator(h3, 2).candidate_bags(0)
+        generous = Budget(max_work=GENEROUS)
+        SoftBagGenerator(h3, 2, budget=generous).candidate_bags(0)
+        assert not generous.exhausted
 
     def test_iterated_generation_is_governed(self, h3):
         full = SoftBagGenerator(h3, 2).candidate_bags(2)
@@ -111,8 +112,8 @@ class TestAlgorithm1Governed:
         reference = ConstrainedCTDSolver(h2, bags).solve()
         assert reference is not None
         for cap in WORK_CAPS:
-            solver = ConstrainedCTDSolver(h2, bags, budget=Budget(max_work=cap))
-            decomposition, outcome = solver.solve_with_outcome()
+            budget = Budget(max_work=cap)
+            decomposition = ConstrainedCTDSolver(h2, bags, budget=budget).solve()
             if decomposition is not None:
                 # A witness from an exhausted run is still a real witness.
                 assert decomposition.is_valid()
@@ -120,13 +121,13 @@ class TestAlgorithm1Governed:
             else:
                 # "None" from a partial run is inconclusive, and the
                 # outcome says so.
-                assert outcome.partial
+                assert budget.outcome().partial
 
     def test_generous_budget_matches_ungoverned(self, h2):
         bags = soft_candidate_bags(h2, 2)
         budget = Budget(max_work=GENEROUS)
-        solver = ConstrainedCTDSolver(h2, bags, budget=budget)
-        decomposition, outcome = solver.solve_with_outcome()
+        decomposition = ConstrainedCTDSolver(h2, bags, budget=budget).solve()
+        outcome = budget.outcome()
         assert decomposition is not None
         assert outcome.complete
         assert outcome.work > 0
@@ -141,9 +142,8 @@ class TestAlgorithm1Governed:
             clock=FakeClock(auto_advance=0.001),
             check_interval=interval,
         )
-        solver = ConstrainedCTDSolver(h2, bags, budget=budget)
-        decomposition, outcome = solver.solve_with_outcome()
-        assert outcome.status == STATUS_DEADLINE
+        ConstrainedCTDSolver(h2, bags, budget=budget).solve()
+        assert budget.status == STATUS_DEADLINE
         # The resolution did at most one window of ticks — plus the one
         # in-flight probe batch, itself capped at ``check_interval`` —
         # before the first clock read exposed the expired deadline.
@@ -154,8 +154,8 @@ class TestAlgorithm1Governed:
         budget = Budget(
             deadline=GENEROUS, clock=InterruptingClock(3), check_interval=1
         )
-        solver = ConstrainedCTDSolver(h2, bags, budget=budget)
-        decomposition, outcome = solver.solve_with_outcome()
+        ConstrainedCTDSolver(h2, bags, budget=budget).solve()
+        outcome = budget.outcome()
         assert outcome.status == STATUS_INTERRUPTED
         assert outcome.exit_code == 130
 
@@ -164,9 +164,7 @@ class TestAlgorithm1Governed:
         # budget-less path is not possible, so this guards the
         # governed-only conversion contract.)
         bags = soft_candidate_bags(h2, 2)
-        solver = ConstrainedCTDSolver(h2, bags)
-        assert solver.solve() is not None  # sanity: no budget, no outcome magic
-        assert solver.outcome.complete
+        assert ConstrainedCTDSolver(h2, bags).solve() is not None
 
 
 class TestAlgorithm2Governed:
@@ -183,21 +181,21 @@ class TestAlgorithm2Governed:
         reference = self._solver(four_cycle, bags).solve()
         assert reference is not None
         for cap in WORK_CAPS:
-            solver = self._solver(four_cycle, bags, budget=Budget(max_work=cap))
-            decomposition, outcome = solver.solve_with_outcome()
+            budget = Budget(max_work=cap)
+            decomposition = self._solver(four_cycle, bags, budget=budget).solve()
             if decomposition is not None:
                 assert decomposition.is_valid()
                 assert decomposition.uses_bags_from(bags)
                 assert constraint.holds_recursively(decomposition)
             else:
-                assert outcome.partial
+                assert budget.outcome().partial
 
     def test_generous_budget_finds_the_optimum(self, four_cycle):
         bags = soft_candidate_bags(four_cycle, 2)
         budget = Budget(max_work=GENEROUS)
         governed = self._solver(four_cycle, bags, budget=budget)
-        decomposition, outcome = governed.solve_with_outcome()
-        assert outcome.complete
+        decomposition = governed.solve()
+        assert budget.outcome().complete
         reference = self._solver(four_cycle, bags)
         reference.solve()
         assert governed.optimal_key() == reference.optimal_key()
@@ -211,9 +209,8 @@ class TestAlgorithm2Governed:
             clock=FakeClock(auto_advance=0.001),
             check_interval=interval,
         )
-        solver = self._solver(four_cycle, bags, budget=budget)
-        _, outcome = solver.solve_with_outcome()
-        assert outcome.status == STATUS_DEADLINE
+        self._solver(four_cycle, bags, budget=budget).solve()
+        assert budget.status == STATUS_DEADLINE
         assert budget.work <= interval
 
     def test_keyboard_interrupt_becomes_outcome(self, four_cycle):
@@ -221,16 +218,8 @@ class TestAlgorithm2Governed:
         budget = Budget(
             deadline=GENEROUS, clock=InterruptingClock(4), check_interval=1
         )
-        solver = self._solver(four_cycle, bags, budget=budget)
-        _, outcome = solver.solve_with_outcome()
-        assert outcome.status == STATUS_INTERRUPTED
-
-    def test_budget_cannot_be_swapped_after_solving(self, four_cycle):
-        bags = soft_candidate_bags(four_cycle, 2)
-        solver = self._solver(four_cycle, bags)
-        solver.solve()
-        with pytest.raises(RuntimeError):
-            solver.solve(budget=Budget(max_work=10))
+        self._solver(four_cycle, bags, budget=budget).solve()
+        assert budget.status == STATUS_INTERRUPTED
 
 
 class TestEnumeratorGoverned:
@@ -284,12 +273,13 @@ class TestEnumeratorGoverned:
 
     def test_outcome_reports_exhaustion(self, four_cycle):
         bags = soft_candidate_bags(four_cycle, 2)
+        budget = Budget(max_work=5)
         enumerator = CTDEnumerator(
-            four_cycle, bags, preference=NodeCountPreference(), budget=Budget(max_work=5)
+            four_cycle, bags, preference=NodeCountPreference(), budget=budget
         )
         results = list(enumerator.iter_decompositions())
-        assert enumerator.outcome.status == STATUS_BUDGET
-        assert enumerator.outcome.partial
+        assert budget.outcome().status == STATUS_BUDGET
+        assert budget.outcome().partial
 
     def test_expired_deadline_stops_within_one_window(self, four_cycle):
         bags = soft_candidate_bags(four_cycle, 2)
@@ -310,7 +300,7 @@ class TestEnumeratorGoverned:
         )
         enumerator = CTDEnumerator(four_cycle, bags, budget=budget)
         results = list(enumerator.iter_decompositions())
-        assert enumerator.outcome.status == STATUS_INTERRUPTED
+        assert budget.status == STATUS_INTERRUPTED
 
 
 class TestYannakakisGoverned:
